@@ -8,6 +8,9 @@ the interpreted kernel) and prints a comparison table.  Workloads:
   normalize repeated normalization of the stage-2 semi-simplicial type
   conv      repeated conversion checks on eta-expanded composites
 
+Without the compiled extension there is nothing to compare, and the script
+says so and exits; perfbench/run.py measures the checker end to end.
+
 Usage: python benchmarks/bench_nbe.py [--repeat N]
 """
 
@@ -77,6 +80,15 @@ def spawn(pure: bool, repeat: int) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def compiled_backend_built() -> bool:
+    sys.path.insert(0, str(SRC))
+    try:
+        import tltt._nbe_compiled  # noqa: F401
+    except ImportError:
+        return False
+    return True
+
+
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--repeat", type=int, default=1)
@@ -87,11 +99,15 @@ def main() -> int:
         print(json.dumps(workloads(args.repeat)))
         return 0
 
+    if not compiled_backend_built():
+        print("compiled backend tltt._nbe_compiled is not built "
+              "(python setup.py build_ext --inplace, needs Cython); "
+              "nothing to compare.\n"
+              "For end-to-end and per-layer timings of the checker run "
+              "python3 perfbench/run.py (see perfbench/README.md).")
+        return 0
     pure = spawn(pure=True, repeat=args.repeat)
     fast = spawn(pure=False, repeat=args.repeat)
-    if fast["backend"].startswith("pure"):
-        print("note: compiled kernel not built "
-              "(python setup.py build_ext --inplace); comparing pure vs pure")
     print(f"{'workload':<12} {'pure [s]':>10} {fast['backend']:>14} {'speedup':>9}")
     for name in ("corpus", "normalize", "conv"):
         ratio = pure[name] / fast[name] if fast[name] else float("inf")

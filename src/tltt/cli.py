@@ -197,8 +197,11 @@ def run(config: RunConfig) -> RunReport:
     runner = _Runner(config)
     for path in config.files:
         runner.trace(f"-- {path}")
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+        try:
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read()
+        except UnicodeDecodeError as e:
+            raise OSError(f"{path}: not valid UTF-8") from e
         runner.run_file(path, text)
     return runner.report
 
@@ -245,9 +248,13 @@ def main(argv: Optional[list[str]] = None) -> int:
                          help="identify the strict naturals/sums/empty with the fibrant ones")
     checker.add_argument("--strict-proof-irrelevance", action="store_true",
                          help="make all strict equality proofs definitionally equal")
-    checker.add_argument("--trace", action="store_true")
+    checker.add_argument("--trace", action="store_true",
+                         help="print each file and declaration as it is checked, "
+                              "and the total time, to stderr")
     checker.add_argument("--format", choices=("human", "lines"), default="human")
-    checker.add_argument("--unfold-budget", type=int, default=None, metavar="N")
+    checker.add_argument("--unfold-budget", type=int, default=None, metavar="N",
+                         help="allow each declaration or pragma at most N constant "
+                              "unfolds; only unfolds actually performed count")
     args = parser.parse_args(argv)
 
     config = RunConfig(files=args.files, strong_mode=args.strong,

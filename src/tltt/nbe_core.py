@@ -8,6 +8,12 @@ is available at import time.
 
 Evaluation is fragment-blind: strict eliminators compute exactly like the
 fibrant ones.  Fibrancy is enforced by the typechecker, never here.
+
+Conversion exploits sharing before it computes.  Values are never mutated
+and `evaluate` is deterministic, so two references to one value object are
+equal, and two closures with the same body over the same environment values
+instantiate to the same result under any argument.  Constants unfold to
+their one shared `SigEntry.body`, which makes both cases common.
 """
 
 from tltt import syntax as S
@@ -111,6 +117,31 @@ def inst(closure, value):
     if isinstance(closure, HostClosure):
         return closure.fn(value)
     return evaluate(closure.body, extend(closure.env, value))
+
+
+def _same_closure(c1, c2):
+    """Whether two closures are equal without instantiating either.
+
+    True for one closure object, or for two `Closure`s with the same body
+    term over environments holding the same value objects.  A `HostClosure`
+    matches only itself.  False means "not known equal", never "different".
+    """
+    if c1 is c2:
+        return True
+    if not (isinstance(c1, Closure) and isinstance(c2, Closure)):
+        return False
+    if c1.body is not c2.body:
+        return False
+    e1 = c1.env
+    e2 = c2.env
+    if e1.sig is not e2.sig or e1.length != e2.length:
+        return False
+    while e1 is not e2:
+        if not isinstance(e1, Env) or e1.value is not e2.value:
+            return False
+        e1 = e1.parent
+        e2 = e2.parent
+    return True
 
 
 # -- values --------------------------------------------------------------------
@@ -615,7 +646,21 @@ def conv(depth, a, b, ty, strict_pi=False):
     under the proof-irrelevance flag, at strict equality types.  `ty` may be
     None inside neutral spines, where comparison falls back to structural
     form with untyped eta-expansion on lambda/pair mismatches.
+
+    Two sharing rules settle a comparison without instantiating anything:
+
+    - one value object is equal to itself (`a is b`), because values are
+      immutable and conversion is reflexive;
+    - the closures of two Pi codomains, Sigma second components or lambdas
+      are equal when `_same_closure` holds, because evaluating one body in
+      environments of the same values gives the same result.
+
+    Otherwise the comparison instantiates and recurses as usual.  A shortcut
+    only ever answers True, so it never hides an inequality; it does skip the
+    unfolds the full comparison would spend against the budget.
     """
+    if a is b:
+        return True
     if ty is not None:
         if isinstance(ty, VPi):
             x = fresh_var(depth, ty.dom)
@@ -636,6 +681,9 @@ def conv(depth, a, b, ty, strict_pi=False):
 def _conv_whnf(depth, a, b, strict_pi):
     # eta: a lambda or pair meets a neutral of the corresponding shape
     if isinstance(a, VLam) or isinstance(b, VLam):
+        if (isinstance(a, VLam) and isinstance(b, VLam)
+                and _same_closure(a.closure, b.closure)):
+            return True
         x = fresh_var(depth)
         return conv(depth + 1, apply_value(a, x), apply_value(b, x), None, strict_pi)
     if isinstance(a, VPair) or isinstance(b, VPair):
@@ -648,11 +696,15 @@ def _conv_whnf(depth, a, b, strict_pi):
     if isinstance(a, VPi):
         if not (isinstance(b, VPi) and conv(depth, a.dom, b.dom, None, strict_pi)):
             return False
+        if _same_closure(a.cod, b.cod):
+            return True
         x = fresh_var(depth, a.dom)
         return conv(depth + 1, inst(a.cod, x), inst(b.cod, x), None, strict_pi)
     if isinstance(a, VSigma):
         if not (isinstance(b, VSigma) and conv(depth, a.fst, b.fst, None, strict_pi)):
             return False
+        if _same_closure(a.snd, b.snd):
+            return True
         x = fresh_var(depth, a.fst)
         return conv(depth + 1, inst(a.snd, x), inst(b.snd, x), None, strict_pi)
     if isinstance(a, VUnit):

@@ -1,5 +1,6 @@
 """The five generated property suites, parameterized by case count so the
-acceptance gate can run them at full volume."""
+acceptance gate can run them at full volume, and the conversion-sharing
+suite that tests/test_nbe.py runs at sampled volume."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from tltt import nbe, syntax as S, typecheck as tc
 from tltt.parser import parse_term
 from tltt.printer import pretty_print
 
-from gen import gen_well_typed, rand_scoped
+from gen import gen_term, gen_well_typed, rand_scoped
 from reference_norm import step
 
 
@@ -100,6 +101,65 @@ def run_subsumption_monotonicity(cases: int, seed: int = 105) -> int:
             tc.check(ctx, ty, nbe.VUniv(S.strict(j)))
         done += 1
     return done
+
+
+_SHARED_LEAVES = frozenset(id(v) for v in (
+    nbe.UNIT, nbe.STAR, nbe.NAT, nbe.NAT_S, nbe.ZERO, nbe.ZERO_S,
+    nbe.EMPTY, nbe.EMPTY_S, nbe.REFL, nbe.REFL_S))
+
+
+def _value_objects(v) -> set[int]:
+    """Ids of the values and closures reachable from `v`, module-level
+    constants (leaves with no parts) left out."""
+    seen: set[int] = set()
+    stack = [v]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, tuple):
+            stack.extend(obj)
+            continue
+        if id(obj) in seen or id(obj) in _SHARED_LEAVES:
+            continue
+        if isinstance(obj, (nbe.Value, nbe.Closure)):
+            seen.add(id(obj))
+        if isinstance(obj, nbe.Closure):
+            env = obj.env
+            while isinstance(env, nbe.Env):
+                stack.append(env.value)
+                env = env.parent
+        elif not isinstance(obj, nbe.HostClosure):
+            stack.extend(getattr(obj, name) for name in getattr(obj, "__slots__", ()))
+    return seen
+
+
+def run_conv_sharing(cases: int, seed: int = 106) -> int:
+    """conv is reflexive and symmetric, and agrees with normal forms, both when
+    the sharing shortcuts apply and when the two sides share nothing."""
+    rng = random.Random(seed)
+    ctx = tc.new_context()
+    verdicts = set()
+    for _ in range(cases):
+        t, ty = gen_well_typed(rng, size=rng.randrange(2, 7))
+        ty2, _ = tc.infer_universe(ctx, ty)
+        ty_v = nbe.eval_in(ctx, ty2)
+        t2 = tc.check(ctx, t, ty_v)
+        v = nbe.eval_in(ctx, t2)
+        assert nbe.conv(0, v, v, ty_v)
+        nf = nbe.normalize(ctx, t2)
+        v_nf = nbe.eval_in(ctx, nf)
+        # no shortcut can fire between v and v_nf beyond the shared leaves
+        assert not _value_objects(v) & _value_objects(v_nf)
+        assert nbe.conv(0, v, v_nf, ty_v)
+        u2 = tc.check(ctx, gen_term(rng, [], ty, rng.randrange(2, 7)), ty_v)
+        vu = nbe.eval_in(ctx, u2)
+        verdict = nbe.conv(0, v, vu, ty_v)
+        assert verdict == nbe.conv(0, vu, v, ty_v)
+        if nf == nbe.normalize(ctx, u2):
+            assert verdict
+        verdicts.add(verdict)
+    if cases >= 50:
+        assert verdicts == {True, False}, "generated pairs gave only one verdict"
+    return cases
 
 
 ALL_SUITES = [

@@ -132,6 +132,15 @@ def test_main_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_non_utf8_input_is_an_io_error(tmp_path, capsys):
+    path = tmp_path / "latin1.2lt"
+    path.write_bytes(b"def two : Nat := 2\n-- caf\xe9 \xff\n")
+    assert main(["check", "--format=lines", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"tltt: {path}: not valid UTF-8\n"
+
+
 def test_cli_subprocess_entry(tmp_path):
     path = write(tmp_path, "ok.2lt", GOOD)
     proc = subprocess.run(

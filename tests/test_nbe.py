@@ -2,10 +2,13 @@
 
 import random
 
+import pytest
+
 from tltt import nbe, syntax as S, typecheck as tc
 from tltt.parser import parse_term
 from tltt.printer import pretty_print
 
+import props
 from gen import gen_well_typed
 from reference_norm import normalize_ref, step
 
@@ -170,3 +173,88 @@ def test_nbe_agrees_with_reference_normalizer_sampled():
         ty2, _ = tc.infer_universe(ctx, ty)
         t2 = tc.check(ctx, t, nbe.eval_in(ctx, ty2))
         assert nbe.normalize(ctx, t2) == normalize_ref(t2)
+
+
+# -- sharing shortcuts in conv --------------------------------------------------
+
+def _budget_ctx_with_constant():
+    """A context with unfold budget 0 and one defined constant `d : Nat`."""
+    ctx = tc.new_context(budget=0)
+    ctx.sig.define("d", nbe.NAT, nbe.ZERO)
+    return ctx
+
+
+def test_conv_of_a_value_with_itself_spends_no_unfolds():
+    # `(n : Nat) -> d = n` and `\n. refl` at that type: comparing either
+    # with itself would instantiate the codomain and unfold `d`
+    ctx = _budget_ctx_with_constant()
+    pi = ev(S.Pi(S.Nat(), S.Id(S.Nat(), S.Const("d"), S.Var(0))), ctx)
+    assert nbe.conv(0, pi, pi, nbe.VUniv(S.fibrant(0)))
+    f = ev(S.Lam(S.Refl()), ctx)
+    assert nbe.conv(0, f, f, pi)
+    assert ctx.sig.budget == [0]
+
+
+def _closure_pair(ctx, body, values_a, values_b):
+    """Two distinct closures over `body` in freshly built environments."""
+    def build(values):
+        env = ctx.env
+        for v in values:
+            env = nbe.extend(env, v)
+        return nbe.Closure(env, body)
+    return build(values_a), build(values_b)
+
+
+def _bind(former, closure):
+    if former is nbe.VLam:
+        return nbe.VLam(closure)
+    return former(nbe.NAT, closure)
+
+
+@pytest.mark.parametrize("former", [nbe.VLam, nbe.VPi, nbe.VSigma],
+                         ids=["lam", "pi", "sigma"])
+def test_closures_over_identical_environments_are_not_instantiated(former):
+    # the body unfolds `d`, which budget 0 forbids; distinct environment
+    # nodes holding the same value objects must settle the comparison
+    ctx = _budget_ctx_with_constant()
+    shared = nbe.VSucc(nbe.ZERO, False)
+    body = S.Id(S.Nat(), S.Const("d"), S.Var(1))
+    ca, cb = _closure_pair(ctx, body, [shared, nbe.ZERO], [shared, nbe.ZERO])
+    assert ca is not cb and ca.env is not cb.env
+    assert nbe.conv(0, _bind(former, ca), _bind(former, cb), None)
+    assert ctx.sig.budget == [0]
+
+
+@pytest.mark.parametrize("former", [nbe.VLam, nbe.VPi, nbe.VSigma],
+                         ids=["lam", "pi", "sigma"])
+@pytest.mark.parametrize("position", [0, 1], ids=["innermost", "outer"])
+def test_closures_over_different_environments_stay_unequal(former, position):
+    # same body, environments differing in one value: the shortcut must not
+    # turn the comparison into True
+    ctx = tc.new_context()
+    values_a = [nbe.ZERO, nbe.ZERO]
+    values_b = [nbe.ZERO, nbe.ZERO]
+    values_b[-1 - position] = nbe.VSucc(nbe.ZERO, False)
+    body = S.Id(S.Nat(), S.Var(1 + position), S.Var(0))
+    if former is nbe.VLam:
+        body = S.Var(1 + position)
+    ca, cb = _closure_pair(ctx, body, values_a, values_b)
+    assert not nbe.conv(0, _bind(former, ca), _bind(former, cb), None)
+
+
+def test_host_closures_match_only_themselves():
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return nbe.NAT
+
+    h1, h2 = nbe.HostClosure(fn), nbe.HostClosure(fn)
+    assert nbe.conv(0, nbe.VPi(nbe.NAT, h1), nbe.VPi(nbe.NAT, h1), None)
+    assert calls == []
+    assert nbe.conv(0, nbe.VPi(nbe.NAT, h1), nbe.VPi(nbe.NAT, h2), None)
+    assert len(calls) == 2
+
+
+def test_conv_sharing_properties_sampled():
+    assert props.run_conv_sharing(250) == 250
