@@ -9,11 +9,4 @@ is shared between the fragments.
 
 __version__ = "0.1.0"
 
-import sys as _sys
-
-# recursive-descent parsing and structural recursion over terms both go
-# deeper than CPython's default frame budget on nested input
-if _sys.getrecursionlimit() < 40000:
-    _sys.setrecursionlimit(40000)
-
 from tltt.syntax import Sort, Term, fibrant, sort_sub, strict  # noqa: F401

@@ -23,6 +23,10 @@ from tltt import typecheck as tc
 
 EXPECTED_FAILURE = "ExpectedFailure"
 
+# recursive-descent parsing and structural recursion over terms both go
+# deeper than CPython's default frame budget on nested input
+RECURSION_LIMIT = 40000
+
 
 @dataclass
 class RunConfig:
@@ -76,8 +80,7 @@ class _Runner:
     def __init__(self, config: RunConfig):
         self.config = config
         flags = tc.Flags(strong=config.strong_mode,
-                         strict_pi=config.strict_proof_irrelevance,
-                         trace=config.trace)
+                         strict_pi=config.strict_proof_irrelevance)
         self.ctx = tc.new_context(flags, budget=config.unfold_budget)
         self.report = RunReport(context=self.ctx)
 
@@ -101,6 +104,10 @@ class _Runner:
             self.diag(path, e.diagnostic)
             status.errors += 1
             return
+        except RecursionError:
+            self.diag(path, _too_deep("parsing", None))
+            status.errors += 1
+            return
         for decl in module.decls:
             self.reset_budget()
             try:
@@ -118,6 +125,9 @@ class _Runner:
             except nbe.EvalError as e:
                 self.diag(path, Diagnostic(D.CONVERSION_FAILURE,
                                            f"evaluation failed: {e}", decl.span))
+                status.errors += 1
+            except RecursionError:
+                self.diag(path, _too_deep("checking", decl.span))
                 status.errors += 1
 
     def _prepare(self, t: S.Term) -> S.Term:
@@ -192,6 +202,12 @@ class _Runner:
         record("FAIL", f"ok [{observed.code}]")
 
 
+def _too_deep(stage: str, span) -> Diagnostic:
+    return Diagnostic(D.RESOURCE_EXHAUSTED,
+                      f"input nested too deeply for {stage}: recursion limit exceeded",
+                      span)
+
+
 def run(config: RunConfig) -> RunReport:
     """Parse and check every file in order, sharing one growing signature."""
     runner = _Runner(config)
@@ -256,6 +272,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                          help="allow each declaration or pragma at most N constant "
                               "unfolds; only unfolds actually performed count")
     args = parser.parse_args(argv)
+    sys.setrecursionlimit(max(sys.getrecursionlimit(), RECURSION_LIMIT))
 
     config = RunConfig(files=args.files, strong_mode=args.strong,
                        strict_proof_irrelevance=args.strict_proof_irrelevance,

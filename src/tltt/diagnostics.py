@@ -16,11 +16,12 @@ NON_FIBRANT_MOTIVE = "NonFibrantMotive"
 NON_FIBRANT_EQUALITY_FORMATION = "NonFibrantEqualityFormation"
 INFERENCE_FAILURE = "InferenceFailure"
 DUPLICATE_NAME = "DuplicateName"
+RESOURCE_EXHAUSTED = "ResourceExhausted"  # input too deep to check, not ill-typed
 
 ALL_CODES = frozenset({
     UNBOUND_VARIABLE, SYNTAX_ERROR, CONVERSION_FAILURE, UNIVERSE_ERROR,
     FIBRANCY_VIOLATION, NON_FIBRANT_MOTIVE, NON_FIBRANT_EQUALITY_FORMATION,
-    INFERENCE_FAILURE, DUPLICATE_NAME,
+    INFERENCE_FAILURE, DUPLICATE_NAME, RESOURCE_EXHAUSTED,
 })
 
 

@@ -1,88 +1,22 @@
-"""Normalizer front end: backend selection plus context-level entry points.
+"""Normalizer front end: the kernel's API plus context-level entry points.
 
-The evaluator lives in a single source file (``nbe_core``).  When the
-optional compiled twin ``tltt._nbe_compiled`` has been built it is used
-instead; set ``TLTT_PURE=1`` to force the interpreted implementation.
-Both expose the same API, so everything below re-exports from whichever
-was selected.
+The evaluator lives in a single source file (``nbe_core``); this module
+re-exports it and adds the entry points that take a typing context.  Callers
+use the names here, so they can be wrapped without touching the kernel's own
+recursion.
 """
 
 from __future__ import annotations
 
-import os
-
-if os.environ.get("TLTT_PURE"):
-    from tltt import nbe_core as _impl
-
-    BACKEND = "pure (forced)"
-else:
-    try:
-        from tltt import _nbe_compiled as _impl  # type: ignore[attr-defined]
-
-        BACKEND = "compiled"
-    except ImportError:
-        from tltt import nbe_core as _impl
-
-        BACKEND = "pure"
-
-EvalError = _impl.EvalError
-SigEntry = _impl.SigEntry
-Signature = _impl.Signature
-Env = _impl.Env
-empty_env = _impl.empty_env
-extend = _impl.extend
-Closure = _impl.Closure
-HostClosure = _impl.HostClosure
-inst = _impl.inst
-Value = _impl.Value
-VUniv = _impl.VUniv
-VPi = _impl.VPi
-VLam = _impl.VLam
-VSigma = _impl.VSigma
-VPair = _impl.VPair
-VUnit = _impl.VUnit
-VStar = _impl.VStar
-VNat = _impl.VNat
-VZero = _impl.VZero
-VSucc = _impl.VSucc
-VEmpty = _impl.VEmpty
-VSum = _impl.VSum
-VInj = _impl.VInj
-VId = _impl.VId
-VRefl = _impl.VRefl
-HVar = _impl.HVar
-HConst = _impl.HConst
-HUip = _impl.HUip
-FApp = _impl.FApp
-FFst = _impl.FFst
-FSnd = _impl.FSnd
-FNatElim = _impl.FNatElim
-FSumElim = _impl.FSumElim
-FEmptyElim = _impl.FEmptyElim
-FIdElim = _impl.FIdElim
-VNeutral = _impl.VNeutral
-UNIT = _impl.UNIT
-STAR = _impl.STAR
-NAT = _impl.NAT
-NAT_S = _impl.NAT_S
-ZERO = _impl.ZERO
-ZERO_S = _impl.ZERO_S
-EMPTY = _impl.EMPTY
-EMPTY_S = _impl.EMPTY_S
-REFL = _impl.REFL
-REFL_S = _impl.REFL_S
-fresh_var = _impl.fresh_var
-apply_value = _impl.apply_value
-apply_many = _impl.apply_many
-do_fst = _impl.do_fst
-do_snd = _impl.do_snd
-do_natelim = _impl.do_natelim
-do_sumelim = _impl.do_sumelim
-do_emptyelim = _impl.do_emptyelim
-do_idelim = _impl.do_idelim
-evaluate = _impl.evaluate
-quote = _impl.quote
-conv = _impl.conv
+from tltt.nbe_core import (  # noqa: F401
+    EMPTY, EMPTY_S, NAT, NAT_S, REFL, REFL_S, STAR, UNIT, ZERO, ZERO_S,
+    Closure, Env, EvalError, FApp, FEmptyElim, FFst, FIdElim, FNatElim, FSnd,
+    FSumElim, HConst, HostClosure, HUip, HVar, SigEntry, Signature, Value,
+    VEmpty, VId, VInj, VLam, VNat, VNeutral, VPair, VPi, VRefl, VSigma, VStar,
+    VSucc, VSum, VUnit, VUniv, VZero, apply_many, apply_value, conv, do_emptyelim,
+    do_fst, do_idelim, do_natelim, do_snd, do_sumelim, empty_env, evaluate, extend,
+    fresh_var, inst, quote,
+)
 
 
 def eval_in(ctx, t):

@@ -1,10 +1,7 @@
 """Normalization by evaluation: semantic values, evaluation, read-back, conversion.
 
-This module is the checker's hot loop.  It is written in the restricted
-style that Cython's pure-Python mode can compile (isinstance dispatch, no
-structural pattern matching); the build optionally compiles it to the
-extension module ``tltt._nbe_compiled`` and ``tltt.nbe`` picks whichever
-is available at import time.
+This module is the checker's hot loop; ``tltt.nbe`` re-exports it together
+with the context-level entry points.
 
 Evaluation is fragment-blind: strict eliminators compute exactly like the
 fibrant ones.  Fibrancy is enforced by the typechecker, never here.
@@ -492,58 +489,36 @@ def evaluate(t, env):
     if cls is S.Star:
         return STAR
     if cls is S.Nat:
-        return NAT
-    if cls is S.NatS:
-        return NAT_S
+        return NAT_S if t.strict else NAT
     if cls is S.Zero:
-        return ZERO
-    if cls is S.ZeroS:
-        return ZERO_S
+        return ZERO_S if t.strict else ZERO
     if cls is S.Succ:
-        return VSucc(evaluate(t.pred, env), False)
-    if cls is S.SuccS:
-        return VSucc(evaluate(t.pred, env), True)
-    if cls is S.NatElim or cls is S.NatElimS:
+        return VSucc(evaluate(t.pred, env), t.strict)
+    if cls is S.NatElim:
         return do_natelim(evaluate(t.motive, env), evaluate(t.base, env),
-                          evaluate(t.step, env), evaluate(t.target, env),
-                          cls is S.NatElimS)
+                          evaluate(t.step, env), evaluate(t.target, env), t.strict)
     if cls is S.Empty:
-        return EMPTY
-    if cls is S.EmptyS:
-        return EMPTY_S
-    if cls is S.EmptyElim or cls is S.EmptyElimS:
-        return do_emptyelim(evaluate(t.motive, env), evaluate(t.target, env),
-                            cls is S.EmptyElimS)
+        return EMPTY_S if t.strict else EMPTY
+    if cls is S.EmptyElim:
+        return do_emptyelim(evaluate(t.motive, env), evaluate(t.target, env), t.strict)
     if cls is S.Sum:
-        return VSum(evaluate(t.left, env), evaluate(t.right, env), False)
-    if cls is S.SumS:
-        return VSum(evaluate(t.left, env), evaluate(t.right, env), True)
+        return VSum(evaluate(t.left, env), evaluate(t.right, env), t.strict)
     if cls is S.Inl:
-        return VInj(evaluate(t.value, env), True, False)
+        return VInj(evaluate(t.value, env), True, t.strict)
     if cls is S.Inr:
-        return VInj(evaluate(t.value, env), False, False)
-    if cls is S.InlS:
-        return VInj(evaluate(t.value, env), True, True)
-    if cls is S.InrS:
-        return VInj(evaluate(t.value, env), False, True)
-    if cls is S.SumElim or cls is S.SumElimS:
+        return VInj(evaluate(t.value, env), False, t.strict)
+    if cls is S.SumElim:
         return do_sumelim(evaluate(t.motive, env), evaluate(t.on_inl, env),
-                          evaluate(t.on_inr, env), evaluate(t.target, env),
-                          cls is S.SumElimS)
+                          evaluate(t.on_inr, env), evaluate(t.target, env), t.strict)
     if cls is S.Id:
         return VId(evaluate(t.ty, env) if t.ty is not None else None,
-                   evaluate(t.lhs, env), evaluate(t.rhs, env), False)
-    if cls is S.IdS:
-        return VId(evaluate(t.ty, env) if t.ty is not None else None,
-                   evaluate(t.lhs, env), evaluate(t.rhs, env), True)
+                   evaluate(t.lhs, env), evaluate(t.rhs, env), t.strict)
     if cls is S.Refl:
-        return REFL
-    if cls is S.ReflS:
-        return REFL_S
-    if cls is S.IdElim or cls is S.IdElimS:
+        return REFL_S if t.strict else REFL
+    if cls is S.IdElim:
         return do_idelim(evaluate(t.motive, env), evaluate(t.refl_case, env),
                          evaluate(t.lhs, env), evaluate(t.rhs, env),
-                         evaluate(t.proof, env), cls is S.IdElimS)
+                         evaluate(t.proof, env), t.strict)
     if cls is S.UipS:
         return VNeutral(HUip(evaluate(t.p, env), evaluate(t.q, env)), ())
     raise EvalError(f"cannot evaluate {cls.__name__}")
@@ -574,27 +549,22 @@ def quote(depth, v):
     if isinstance(v, VStar):
         return S.Star()
     if isinstance(v, VNat):
-        return S.NatS() if v.strict else S.Nat()
+        return S.Nat(strict=v.strict)
     if isinstance(v, VZero):
-        return S.ZeroS() if v.strict else S.Zero()
+        return S.Zero(strict=v.strict)
     if isinstance(v, VSucc):
-        p = quote(depth, v.pred)
-        return S.SuccS(p) if v.strict else S.Succ(p)
+        return S.Succ(quote(depth, v.pred), strict=v.strict)
     if isinstance(v, VEmpty):
-        return S.EmptyS() if v.strict else S.Empty()
+        return S.Empty(strict=v.strict)
     if isinstance(v, VSum):
-        l, r = quote(depth, v.left), quote(depth, v.right)
-        return S.SumS(l, r) if v.strict else S.Sum(l, r)
+        return S.Sum(quote(depth, v.left), quote(depth, v.right), strict=v.strict)
     if isinstance(v, VInj):
-        val = quote(depth, v.value)
-        if v.is_left:
-            return S.InlS(val) if v.strict else S.Inl(val)
-        return S.InrS(val) if v.strict else S.Inr(val)
+        mk = S.Inl if v.is_left else S.Inr
+        return mk(quote(depth, v.value), strict=v.strict)
     if isinstance(v, VId):
-        l, r = quote(depth, v.lhs), quote(depth, v.rhs)
-        return S.IdS(None, l, r) if v.strict else S.Id(None, l, r)
+        return S.Id(None, quote(depth, v.lhs), quote(depth, v.rhs), strict=v.strict)
     if isinstance(v, VRefl):
-        return S.ReflS() if v.strict else S.Refl()
+        return S.Refl(strict=v.strict)
     raise EvalError(f"cannot quote {type(v).__name__}")
 
 
@@ -618,20 +588,17 @@ def _quote_neutral(depth, v):
         elif isinstance(frame, FSnd):
             acc = S.Snd(acc)
         elif isinstance(frame, FNatElim):
-            mk = S.NatElimS if frame.strict else S.NatElim
-            acc = mk(quote(depth, frame.motive), quote(depth, frame.base),
-                     quote(depth, frame.step), acc)
+            acc = S.NatElim(quote(depth, frame.motive), quote(depth, frame.base),
+                            quote(depth, frame.step), acc, strict=frame.strict)
         elif isinstance(frame, FSumElim):
-            mk = S.SumElimS if frame.strict else S.SumElim
-            acc = mk(quote(depth, frame.motive), quote(depth, frame.on_inl),
-                     quote(depth, frame.on_inr), acc)
+            acc = S.SumElim(quote(depth, frame.motive), quote(depth, frame.on_inl),
+                            quote(depth, frame.on_inr), acc, strict=frame.strict)
         elif isinstance(frame, FEmptyElim):
-            mk = S.EmptyElimS if frame.strict else S.EmptyElim
-            acc = mk(quote(depth, frame.motive), acc)
+            acc = S.EmptyElim(quote(depth, frame.motive), acc, strict=frame.strict)
         elif isinstance(frame, FIdElim):
-            mk = S.IdElimS if frame.strict else S.IdElim
-            acc = mk(quote(depth, frame.motive), quote(depth, frame.refl_case),
-                     quote(depth, frame.lhs), quote(depth, frame.rhs), acc)
+            acc = S.IdElim(quote(depth, frame.motive), quote(depth, frame.refl_case),
+                           quote(depth, frame.lhs), quote(depth, frame.rhs), acc,
+                           strict=frame.strict)
         else:
             raise EvalError("unknown spine frame")
     return acc

@@ -9,6 +9,7 @@ beta-redex so the core needs no extra node.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 from tltt import syntax as S
@@ -138,21 +139,31 @@ def tokenize(text: str, path: str) -> list[Token]:
     return toks
 
 
+def _strict(cls):
+    """Constructor of the strict twin of a former: `cls` with its flag set."""
+    return partial(cls, strict=True)
+
+
 _ELIM_ARITY = {
-    "J": (S.IdElim, 5), "Js": (S.IdElimS, 5), "Ks": (S.UipS, 2),
-    "natElim": (S.NatElim, 4), "natElimS": (S.NatElimS, 4),
-    "sumElim": (S.SumElim, 4), "sumElimS": (S.SumElimS, 4),
-    "emptyElim": (S.EmptyElim, 2), "emptyElimS": (S.EmptyElimS, 2),
+    "J": (S.IdElim, 5), "Js": (_strict(S.IdElim), 5), "Ks": (S.UipS, 2),
+    "natElim": (S.NatElim, 4), "natElimS": (_strict(S.NatElim), 4),
+    "sumElim": (S.SumElim, 4), "sumElimS": (_strict(S.SumElim), 4),
+    "emptyElim": (S.EmptyElim, 2), "emptyElimS": (_strict(S.EmptyElim), 2),
     "fst": (S.Fst, 1), "snd": (S.Snd, 1),
-    "succ": (S.Succ, 1), "succs": (S.SuccS, 1),
+    "succ": (S.Succ, 1), "succs": (_strict(S.Succ), 1),
     "inl": (S.Inl, 1), "inr": (S.Inr, 1),
-    "inls": (S.InlS, 1), "inrs": (S.InrS, 1),
+    "inls": (_strict(S.Inl), 1), "inrs": (_strict(S.Inr), 1),
 }
 
 _SIMPLE_ATOMS = {
-    "Nat": S.Nat, "NatS": S.NatS, "Unit": S.Unit, "Empty": S.Empty,
-    "EmptyS": S.EmptyS, "star": S.Star, "refl": S.Refl, "refls": S.ReflS,
+    "Nat": S.Nat, "NatS": _strict(S.Nat), "Unit": S.Unit, "Empty": S.Empty,
+    "EmptyS": _strict(S.Empty), "star": S.Star, "refl": S.Refl,
+    "refls": _strict(S.Refl),
 }
+
+# infix connective -> strict flag
+_EQUALITIES = {"=": False, "=s": True}
+_SUMS = {"+": False, "+s": True}
 
 
 class Parser:
@@ -298,27 +309,22 @@ class Parser:
     def eq(self) -> Term:
         start = self.peek()
         lhs = self.sum()
-        if self.at_punct("="):
+        tok = self.peek()
+        if tok.kind == "PUNCT" and tok.text in _EQUALITIES:
             self.next()
             rhs = self.sum()
-            return S.Id(None, lhs, rhs, span=self.span_from(start))
-        if self.at_punct("=s"):
-            self.next()
-            rhs = self.sum()
-            return S.IdS(None, lhs, rhs, span=self.span_from(start))
+            return S.Id(None, lhs, rhs, strict=_EQUALITIES[tok.text],
+                        span=self.span_from(start))
         return lhs
 
     def sum(self) -> Term:
         start = self.peek()
         lhs = self.app()
-        if self.at_punct("+"):
+        tok = self.peek()
+        if tok.kind == "PUNCT" and tok.text in _SUMS:
             self.next()
             rhs = self.sum()
-            return S.Sum(lhs, rhs, span=self.span_from(start))
-        if self.at_punct("+s"):
-            self.next()
-            rhs = self.sum()
-            return S.SumS(lhs, rhs, span=self.span_from(start))
+            return S.Sum(lhs, rhs, strict=_SUMS[tok.text], span=self.span_from(start))
         return lhs
 
     def starts_atom(self) -> bool:
@@ -348,10 +354,7 @@ class Parser:
                                f"{tok.text} expects {arity} arguments, got {k}",
                                self.tok_span(tok))
                 args.append(self.atom())
-            span = self.span_from(tok)
-            if cls in (S.IdElim, S.IdElimS):
-                return cls(args[0], args[1], args[2], args[3], args[4], span=span)
-            return cls(*args, span=span)
+            return cls(*args, span=self.span_from(tok))
         return self.atom()
 
     def atom(self) -> Term:
@@ -390,9 +393,9 @@ class Parser:
         raise self.err("expected a term")
 
     def numeral(self, n: int, is_strict: bool, span: Span) -> Term:
-        t: Term = S.ZeroS(span=span) if is_strict else S.Zero(span=span)
+        t: Term = S.Zero(strict=is_strict, span=span)
         for _ in range(n):
-            t = S.SuccS(t, span=span) if is_strict else S.Succ(t, span=span)
+            t = S.Succ(t, strict=is_strict, span=span)
         return t
 
     def resolve(self, name: str, span: Span) -> Term:

@@ -15,30 +15,22 @@ from tltt import syntax as S
 # sums, application, atoms.
 ARROW, PROD, EQ, SUM, APP, ATOM = range(6)
 
-_ELIMS = {
-    S.NatElim: "natElim", S.NatElimS: "natElimS",
-    S.SumElim: "sumElim", S.SumElimS: "sumElimS",
-}
+
+def _word(t: S.Term, base: str, mark: str) -> str:
+    """The keyword of a former: `base`, plus `mark` for its strict twin."""
+    return base + mark if t.strict else base
 
 
 def _numeral(t: S.Term) -> Optional[tuple[int, bool]]:
+    """(n, strict) for a numeral of one fragment; None for anything else,
+    including a mixed-fragment chain, which is spelled out."""
     count = 0
-    strict: Optional[bool] = None
-    while True:
-        if isinstance(t, (S.Zero, S.ZeroS)):
-            is_strict = isinstance(t, S.ZeroS)
-            if strict is not None and strict != is_strict:
-                return None  # mixed-fragment chain; spell it out
-            return count, is_strict
-        if isinstance(t, (S.Succ, S.SuccS)):
-            is_strict = isinstance(t, S.SuccS)
-            if strict is None:
-                strict = is_strict
-            elif strict != is_strict:
-                return None
-            t, count = t.pred, count + 1
-        else:
-            return None
+    is_strict = t.strict if isinstance(t, (S.Zero, S.Succ)) else None
+    while isinstance(t, S.Succ) and t.strict == is_strict:
+        t, count = t.pred, count + 1
+    if isinstance(t, S.Zero) and t.strict == is_strict:
+        return count, is_strict
+    return None
 
 
 def _uses_var0(t: S.Term, depth: int = 0) -> bool:
@@ -118,57 +110,36 @@ class _Printer:
         if isinstance(t, S.Star):
             return "star", ATOM
         if isinstance(t, S.Nat):
-            return "Nat", ATOM
-        if isinstance(t, S.NatS):
-            return "NatS", ATOM
+            return _word(t, "Nat", "S"), ATOM
         if isinstance(t, S.Empty):
-            return "Empty", ATOM
-        if isinstance(t, S.EmptyS):
-            return "EmptyS", ATOM
+            return _word(t, "Empty", "S"), ATOM
         if isinstance(t, S.Succ):
-            return f"succ {self.atom(t.pred)}", APP
-        if isinstance(t, S.SuccS):
-            return f"succs {self.atom(t.pred)}", APP
-        if isinstance(t, (S.NatElim, S.NatElimS)):
-            head = _ELIMS[type(t)]
-            parts = [head, self.atom(t.motive), self.atom(t.base),
+            return f"{_word(t, 'succ', 's')} {self.atom(t.pred)}", APP
+        if isinstance(t, S.NatElim):
+            parts = [_word(t, "natElim", "S"), self.atom(t.motive), self.atom(t.base),
                      self.atom(t.step), self.atom(t.target)]
             return " ".join(parts), APP
-        if isinstance(t, (S.SumElim, S.SumElimS)):
-            head = _ELIMS[type(t)]
-            parts = [head, self.atom(t.motive), self.atom(t.on_inl),
+        if isinstance(t, S.SumElim):
+            parts = [_word(t, "sumElim", "S"), self.atom(t.motive), self.atom(t.on_inl),
                      self.atom(t.on_inr), self.atom(t.target)]
             return " ".join(parts), APP
         if isinstance(t, S.EmptyElim):
-            return f"emptyElim {self.atom(t.motive)} {self.atom(t.target)}", APP
-        if isinstance(t, S.EmptyElimS):
-            return f"emptyElimS {self.atom(t.motive)} {self.atom(t.target)}", APP
+            return (f"{_word(t, 'emptyElim', 'S')} {self.atom(t.motive)} "
+                    f"{self.atom(t.target)}"), APP
         if isinstance(t, S.Sum):
-            return f"{self.go(t.left, APP)} + {self.go(t.right, SUM)}", SUM
-        if isinstance(t, S.SumS):
-            return f"{self.go(t.left, APP)} +s {self.go(t.right, SUM)}", SUM
+            return (f"{self.go(t.left, APP)} {_word(t, '+', 's')} "
+                    f"{self.go(t.right, SUM)}"), SUM
         if isinstance(t, S.Inl):
-            return f"inl {self.atom(t.value)}", APP
+            return f"{_word(t, 'inl', 's')} {self.atom(t.value)}", APP
         if isinstance(t, S.Inr):
-            return f"inr {self.atom(t.value)}", APP
-        if isinstance(t, S.InlS):
-            return f"inls {self.atom(t.value)}", APP
-        if isinstance(t, S.InrS):
-            return f"inrs {self.atom(t.value)}", APP
+            return f"{_word(t, 'inr', 's')} {self.atom(t.value)}", APP
         if isinstance(t, S.Id):
-            return f"{self.go(t.lhs, SUM)} = {self.go(t.rhs, SUM)}", EQ
-        if isinstance(t, S.IdS):
-            return f"{self.go(t.lhs, SUM)} =s {self.go(t.rhs, SUM)}", EQ
+            return (f"{self.go(t.lhs, SUM)} {_word(t, '=', 's')} "
+                    f"{self.go(t.rhs, SUM)}"), EQ
         if isinstance(t, S.Refl):
-            return "refl", ATOM
-        if isinstance(t, S.ReflS):
-            return "refls", ATOM
+            return _word(t, "refl", "s"), ATOM
         if isinstance(t, S.IdElim):
-            parts = ["J", self.atom(t.motive), self.atom(t.refl_case),
-                     self.atom(t.lhs), self.atom(t.rhs), self.atom(t.proof)]
-            return " ".join(parts), APP
-        if isinstance(t, S.IdElimS):
-            parts = ["Js", self.atom(t.motive), self.atom(t.refl_case),
+            parts = [_word(t, "J", "s"), self.atom(t.motive), self.atom(t.refl_case),
                      self.atom(t.lhs), self.atom(t.rhs), self.atom(t.proof)]
             return " ".join(parts), APP
         if isinstance(t, S.UipS):

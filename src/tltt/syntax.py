@@ -4,6 +4,13 @@ Terms are immutable dataclasses compared structurally; with de Bruijn
 indices, structural equality *is* alpha-equality.  Fields that carry no
 semantic content (source spans, binder-name hints, inferable type
 annotations) are excluded from comparison so that equality stays alpha.
+
+The outer (strict) naturals, empty type, sums and equality are the same
+formers as the inner (fibrant) ones, living in the other fragment, so each
+is one class with a `strict` flag rather than a twin class.  The surface
+language spells the strict former with an `S`/`s` suffix (`NatS`, `succs`,
+`+s`, `=s`, `Js`, ...).  The flag takes part in comparison: alpha-equality
+tells the fragments apart.  `UipS` has no inner twin and stays a class.
 """
 
 from __future__ import annotations
@@ -148,21 +155,25 @@ class Star(Term):
     pass
 
 
-# -- natural numbers, fibrant and strict -------------------------------------
+# -- naturals, empty types, sums and equality, fibrant or strict ----------------
+
+_STRICT = dict(default=False, kw_only=True)
+
 
 @dataclass(frozen=True)
 class Nat(Term):
-    pass
+    strict: bool = field(**_STRICT)
 
 
 @dataclass(frozen=True)
 class Zero(Term):
-    pass
+    strict: bool = field(**_STRICT)
 
 
 @dataclass(frozen=True)
 class Succ(Term):
     pred: Term
+    strict: bool = field(**_STRICT)
 
 
 @dataclass(frozen=True)
@@ -171,71 +182,38 @@ class NatElim(Term):
     base: Term
     step: Term
     target: Term
+    strict: bool = field(**_STRICT)
 
-
-@dataclass(frozen=True)
-class NatS(Term):
-    pass
-
-
-@dataclass(frozen=True)
-class ZeroS(Term):
-    pass
-
-
-@dataclass(frozen=True)
-class SuccS(Term):
-    pred: Term
-
-
-@dataclass(frozen=True)
-class NatElimS(Term):
-    motive: Term
-    base: Term
-    step: Term
-    target: Term
-
-
-# -- empty types --------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Empty(Term):
-    pass
+    strict: bool = field(**_STRICT)
 
 
 @dataclass(frozen=True)
 class EmptyElim(Term):
     motive: Term
     target: Term
+    strict: bool = field(**_STRICT)
 
-
-@dataclass(frozen=True)
-class EmptyS(Term):
-    pass
-
-
-@dataclass(frozen=True)
-class EmptyElimS(Term):
-    motive: Term
-    target: Term
-
-
-# -- sums ---------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Sum(Term):
     left: Term
     right: Term
+    strict: bool = field(**_STRICT)
 
 
 @dataclass(frozen=True)
 class Inl(Term):
     value: Term
+    strict: bool = field(**_STRICT)
 
 
 @dataclass(frozen=True)
 class Inr(Term):
     value: Term
+    strict: bool = field(**_STRICT)
 
 
 @dataclass(frozen=True)
@@ -244,33 +222,9 @@ class SumElim(Term):
     on_inl: Term
     on_inr: Term
     target: Term
+    strict: bool = field(**_STRICT)
 
 
-@dataclass(frozen=True)
-class SumS(Term):
-    left: Term
-    right: Term
-
-
-@dataclass(frozen=True)
-class InlS(Term):
-    value: Term
-
-
-@dataclass(frozen=True)
-class InrS(Term):
-    value: Term
-
-
-@dataclass(frozen=True)
-class SumElimS(Term):
-    motive: Term
-    on_inl: Term
-    on_inr: Term
-    target: Term
-
-
-# -- equality, fibrant and strict ----------------------------------------------
 # The carrier type of an equality is inferable from its endpoints, so the
 # parser leaves it as None and elaboration completes it; it is excluded from
 # structural comparison for the same reason.
@@ -280,11 +234,12 @@ class Id(Term):
     ty: Optional[Term] = field(compare=False, repr=False)
     lhs: Term
     rhs: Term
+    strict: bool = field(**_STRICT)
 
 
 @dataclass(frozen=True)
 class Refl(Term):
-    pass
+    strict: bool = field(**_STRICT)
 
 
 @dataclass(frozen=True)
@@ -294,27 +249,7 @@ class IdElim(Term):
     lhs: Term
     rhs: Term
     proof: Term
-
-
-@dataclass(frozen=True)
-class IdS(Term):
-    ty: Optional[Term] = field(compare=False, repr=False)
-    lhs: Term
-    rhs: Term
-
-
-@dataclass(frozen=True)
-class ReflS(Term):
-    pass
-
-
-@dataclass(frozen=True)
-class IdElimS(Term):
-    motive: Term
-    refl_case: Term
-    lhs: Term
-    rhs: Term
-    proof: Term
+    strict: bool = field(**_STRICT)
 
 
 @dataclass(frozen=True)
@@ -335,7 +270,7 @@ _BINDER_FIELDS = {
     Sigma: ("snd",),
 }
 
-_ATOMS = (Univ, Unit, Star, Nat, Zero, NatS, ZeroS, Empty, EmptyS, Refl, ReflS, Const)
+_ATOMS = (Univ, Unit, Star, Nat, Zero, Empty, Refl, Const)
 
 
 def term_children(t: Term) -> list[tuple[str, Term, bool]]:
@@ -398,14 +333,16 @@ def max_free_index(t: Term, depth: int = 0) -> int:
 
 
 def strict_constructors(t: Term) -> set[str]:
-    """Names of strict-fragment constructors occurring anywhere in `t`."""
-    strict_kinds = (NatS, ZeroS, SuccS, NatElimS, EmptyS, EmptyElimS,
-                    SumS, InlS, InrS, SumElimS, IdS, ReflS, IdElimS, UipS)
+    """Names of strict-fragment constructors occurring anywhere in `t`: the
+    class name plus `S` for a flagged former (`NatS`, `IdElimS`), `UipS`, and
+    `UnivS` for a strict universe."""
     found = set()
 
     def go(u: Term) -> None:
-        if isinstance(u, strict_kinds):
-            found.add(type(u).__name__)
+        if getattr(u, "strict", False):
+            found.add(type(u).__name__ + "S")
+        if isinstance(u, UipS):
+            found.add("UipS")
         if isinstance(u, Univ) and not u.sort.is_fibrant:
             found.add("UnivS")
         for _, child, _ in term_children(u):
@@ -417,7 +354,7 @@ def strict_constructors(t: Term) -> set[str]:
 
 def mentions_inner_id(t: Term) -> bool:
     """True if the fibrant equality former (or its intro/elim) occurs in `t`."""
-    if isinstance(t, (Id, Refl, IdElim)):
+    if isinstance(t, (Id, Refl, IdElim)) and not t.strict:
         return True
     return any(mentions_inner_id(c) for _, c, _ in term_children(t))
 

@@ -26,7 +26,6 @@ from tltt.syntax import Sort, Span, Term, combine_sorts, fibrant, sort_sub, stri
 class Flags:
     strong: bool = False
     strict_pi: bool = False
-    trace: bool = False
 
 
 @dataclass(frozen=True)
@@ -81,41 +80,23 @@ def new_context(flags: Flags = Flags(), budget: Optional[int] = None) -> Context
 
 # -- strong mode: merge the strict formers into the fibrant ones ----------------
 
-_MERGE = {
-    S.NatS: S.Nat, S.ZeroS: S.Zero, S.EmptyS: S.Empty,
-}
+# The formers strong mode identifies across the fragments; equality is not
+# among them.
+_MERGED = frozenset({S.Nat, S.Zero, S.Succ, S.NatElim, S.Empty, S.EmptyElim,
+                     S.Sum, S.Inl, S.Inr, S.SumElim})
 
 
 def merge_strict_formers(t: Term) -> Term:
-    """Strong-mode identification of NatS/ZeroS/SuccS, EmptyS, SumS (and their
-    eliminators) with the fibrant formers.  Strict equality is untouched."""
-    cls = type(t)
-    if cls in _MERGE:
-        return _MERGE[cls](span=t.span)
-    if cls is S.SuccS:
-        return S.Succ(merge_strict_formers(t.pred), span=t.span)
-    if cls is S.NatElimS:
-        return S.NatElim(*(merge_strict_formers(getattr(t, f))
-                           for f in ("motive", "base", "step", "target")), span=t.span)
-    if cls is S.EmptyElimS:
-        return S.EmptyElim(merge_strict_formers(t.motive),
-                           merge_strict_formers(t.target), span=t.span)
-    if cls is S.SumS:
-        return S.Sum(merge_strict_formers(t.left), merge_strict_formers(t.right),
-                     span=t.span)
-    if cls is S.InlS:
-        return S.Inl(merge_strict_formers(t.value), span=t.span)
-    if cls is S.InrS:
-        return S.Inr(merge_strict_formers(t.value), span=t.span)
-    if cls is S.SumElimS:
-        return S.SumElim(*(merge_strict_formers(getattr(t, f))
-                           for f in ("motive", "on_inl", "on_inr", "target")),
-                         span=t.span)
+    """Strong-mode identification of the strict naturals, empty type and sums
+    (and their eliminators) with the fibrant ones, by clearing their `strict`
+    flag.  Strict equality is untouched."""
     changes = {}
     for name, child, _ in S.term_children(t):
         new = merge_strict_formers(child)
         if new is not child:
             changes[name] = new
+    if type(t) in _MERGED and t.strict:
+        changes["strict"] = False
     return dataclasses.replace(t, **changes) if changes else t
 
 
@@ -182,24 +163,23 @@ def infer(ctx: Context, t: Term) -> tuple[Term, object]:
                            t.span, expected="a pair type", actual=ctx.show(p_ty))
             return (S.Snd(p2, span=t.span),
                     nbe.inst(p_ty.snd, nbe.do_fst(nbe.eval_in(ctx, p2))))
-        case S.Unit() | S.Nat() | S.Empty():
+        case S.Unit():
             return t, nbe.VUniv(fibrant(0))
-        case S.NatS() | S.EmptyS():
-            return t, nbe.VUniv(strict(0))
+        case S.Nat() | S.Empty():
+            return t, nbe.VUniv(strict(0) if t.strict else fibrant(0))
         case S.Star():
             return t, nbe.UNIT
         case S.Zero():
-            return t, nbe.NAT
-        case S.ZeroS():
-            return t, nbe.NAT_S
+            return t, nbe.NAT_S if t.strict else nbe.NAT
         case S.Succ(pred=p):
-            return S.Succ(check(ctx, p, nbe.NAT), span=t.span), nbe.NAT
-        case S.SuccS(pred=p):
-            return S.SuccS(check(ctx, p, nbe.NAT_S), span=t.span), nbe.NAT_S
+            nat = nbe.NAT_S if t.strict else nbe.NAT
+            return S.Succ(check(ctx, p, nat), strict=t.strict, span=t.span), nat
         case S.Sum(left=l, right=r):
             l2, s1 = infer_universe(ctx, l)
             r2, s2 = infer_universe(ctx, r)
-            if not ctx.flags.strong:
+            if t.strict:
+                sort = strict(max(s1.level, s2.level))
+            elif not ctx.flags.strong:
                 for side, s in ((l, s1), (r, s2)):
                     if not s.is_fibrant:
                         raise fail(D.FIBRANCY_VIOLATION,
@@ -209,29 +189,22 @@ def infer(ctx: Context, t: Term) -> tuple[Term, object]:
                 sort = fibrant(max(s1.level, s2.level))
             else:
                 sort = combine_sorts(s1, s2)
-            return S.Sum(l2, r2, span=t.span), nbe.VUniv(sort)
-        case S.SumS(left=l, right=r):
-            l2, s1 = infer_universe(ctx, l)
-            r2, s2 = infer_universe(ctx, r)
-            return (S.SumS(l2, r2, span=t.span),
-                    nbe.VUniv(strict(max(s1.level, s2.level))))
-        case S.Inl() | S.Inr() | S.InlS() | S.InrS():
+            return S.Sum(l2, r2, strict=t.strict, span=t.span), nbe.VUniv(sort)
+        case S.Inl() | S.Inr():
             raise fail(D.INFERENCE_FAILURE,
                        "cannot infer the type of an injection; ascribe it", t.span)
-        case S.Id(ty=ty, lhs=lhs, rhs=rhs):
-            return _infer_equality(ctx, t, ty, lhs, rhs, is_strict=False)
-        case S.IdS(ty=ty, lhs=lhs, rhs=rhs):
-            return _infer_equality(ctx, t, ty, lhs, rhs, is_strict=True)
-        case S.Refl() | S.ReflS():
+        case S.Id():
+            return _infer_equality(ctx, t)
+        case S.Refl():
             raise fail(D.INFERENCE_FAILURE,
                        "cannot infer the endpoints of a reflexivity proof", t.span)
-        case S.NatElim() | S.NatElimS():
+        case S.NatElim():
             return _infer_natelim(ctx, t)
-        case S.SumElim() | S.SumElimS():
+        case S.SumElim():
             return _infer_sumelim(ctx, t)
-        case S.EmptyElim() | S.EmptyElimS():
+        case S.EmptyElim():
             return _infer_emptyelim(ctx, t)
-        case S.IdElim() | S.IdElimS():
+        case S.IdElim():
             return _infer_idelim(ctx, t)
         case S.UipS(p=p, q=q):
             p2, p_ty = infer(ctx, p)
@@ -303,7 +276,8 @@ def value_sort(ctx: Context, ty, depth: Optional[int] = None, span=None) -> Sort
     raise fail(D.UNIVERSE_ERROR, "expected a type value", span)
 
 
-def _infer_equality(ctx, t, ty, lhs, rhs, *, is_strict):
+def _infer_equality(ctx, t):
+    ty, lhs, rhs, is_strict = t.ty, t.lhs, t.rhs, t.strict
     former = "strict equality" if is_strict else "equality"
     if ty is None:
         try:
@@ -326,9 +300,8 @@ def _infer_equality(ctx, t, ty, lhs, rhs, *, is_strict):
                    t.span, expected="a fibrant type",
                    actual=f"{ctx.show_term(ty2)} : {sort}")
     rhs2 = check(ctx, rhs, carrier)
-    mk = S.IdS if is_strict else S.Id
     result_sort = strict(sort.level) if is_strict else fibrant(sort.level)
-    return mk(ty2, lhs2, rhs2, span=t.span), nbe.VUniv(result_sort)
+    return S.Id(ty2, lhs2, rhs2, strict=is_strict, span=t.span), nbe.VUniv(result_sort)
 
 
 # -- eliminators ------------------------------------------------------------------
@@ -366,16 +339,6 @@ def _check_motive_sort(ctx, sort: Sort, eliminator: str, span) -> None:
                    f"the motive lands in {sort}", span)
 
 
-def check_motive_fibrancy(ctx: Context, eliminator: str, motive: Term) -> None:
-    """Reject non-fibrant motives for the inner eliminators (J, natElim,
-    sumElim, emptyElim).  Strict eliminators bypass the check, as do the
-    merged formers in strong mode."""
-    arity = {"J": 3, "NatElim": 1, "SumElim": 1, "EmptyElim": 1}[eliminator]
-    _, m_ty = infer(ctx, motive)
-    sort = _peel_motive(ctx, m_ty, arity, motive.span)
-    _check_motive_sort(ctx, sort, eliminator, motive.span)
-
-
 def _peel_motive(ctx, m_ty, arity, span) -> Sort:
     depth = ctx.depth
     for _ in range(arity):
@@ -389,7 +352,7 @@ def _peel_motive(ctx, m_ty, arity, span) -> Sort:
 
 
 def _infer_natelim(ctx, t):
-    is_strict = isinstance(t, S.NatElimS)
+    is_strict = t.strict
     nat = nbe.NAT_S if is_strict else nbe.NAT
     motive2, m_ty = _infer_motive(ctx, t.motive, [lambda c: nat])
     if not (isinstance(m_ty, nbe.VPi)
@@ -409,13 +372,12 @@ def _infer_natelim(ctx, t):
             lambda _r: nbe.apply_value(m_v, nbe.VSucc(n, is_strict))))))
     step2 = check(ctx, t.step, step_ty)
     target2 = check(ctx, t.target, nat)
-    mk = S.NatElimS if is_strict else S.NatElim
-    return (mk(motive2, base2, step2, target2, span=t.span),
+    return (S.NatElim(motive2, base2, step2, target2, strict=is_strict, span=t.span),
             nbe.apply_value(m_v, nbe.eval_in(ctx, target2)))
 
 
 def _infer_sumelim(ctx, t):
-    is_strict = isinstance(t, S.SumElimS)
+    is_strict = t.strict
     builders = []
     if isinstance(t.motive, S.Lam) and t.motive.ann is None:
         # a bare-lambda motive: read the family's domain off the target
@@ -441,13 +403,13 @@ def _infer_sumelim(ctx, t):
     on_inr2 = check(ctx, t.on_inr, nbe.VPi(sum_ty.right, nbe.HostClosure(
         lambda b: nbe.apply_value(m_v, nbe.VInj(b, False, is_strict)))))
     target2 = check(ctx, t.target, sum_ty)
-    mk = S.SumElimS if is_strict else S.SumElim
-    return (mk(motive2, on_inl2, on_inr2, target2, span=t.span),
+    return (S.SumElim(motive2, on_inl2, on_inr2, target2, strict=is_strict,
+                      span=t.span),
             nbe.apply_value(m_v, nbe.eval_in(ctx, target2)))
 
 
 def _infer_emptyelim(ctx, t):
-    is_strict = isinstance(t, S.EmptyElimS)
+    is_strict = t.strict
     empty = nbe.EMPTY_S if is_strict else nbe.EMPTY
     motive2, m_ty = _infer_motive(ctx, t.motive, [lambda c: empty])
     if not (isinstance(m_ty, nbe.VPi)
@@ -462,13 +424,12 @@ def _infer_emptyelim(ctx, t):
         _check_motive_sort(ctx, sort, "emptyElim", t.motive.span or t.span)
     m_v = nbe.eval_in(ctx, motive2)
     target2 = check(ctx, t.target, empty)
-    mk = S.EmptyElimS if is_strict else S.EmptyElim
-    return (mk(motive2, target2, span=t.span),
+    return (S.EmptyElim(motive2, target2, strict=is_strict, span=t.span),
             nbe.apply_value(m_v, nbe.eval_in(ctx, target2)))
 
 
 def _infer_idelim(ctx, t):
-    is_strict = isinstance(t, S.IdElimS)
+    is_strict = t.strict
     name = "Js" if is_strict else "J"
     builders = []
     if isinstance(t.motive, S.Lam) and t.motive.ann is None:
@@ -514,8 +475,8 @@ def _infer_idelim(ctx, t):
     lhs_v = nbe.eval_in(ctx, lhs2)
     rhs_v = nbe.eval_in(ctx, rhs2)
     proof2 = check(ctx, t.proof, nbe.VId(carrier, lhs_v, rhs_v, is_strict))
-    mk = S.IdElimS if is_strict else S.IdElim
-    return (mk(motive2, refl_case2, lhs2, rhs2, proof2, span=t.span),
+    return (S.IdElim(motive2, refl_case2, lhs2, rhs2, proof2, strict=is_strict,
+                     span=t.span),
             nbe.apply_many(m_v, lhs_v, rhs_v, nbe.eval_in(ctx, proof2)))
 
 
@@ -548,10 +509,9 @@ def check(ctx: Context, t: Term, expected) -> Term:
             fst2 = check(ctx, fst, expected.fst)
             snd2 = check(ctx, snd, nbe.inst(expected.snd, nbe.eval_in(ctx, fst2)))
             return S.Pair(fst2, snd2, span=t.span)
-        case S.Refl() | S.ReflS():
-            is_strict = isinstance(t, S.ReflS)
-            word = "refls" if is_strict else "refl"
-            if not (isinstance(expected, nbe.VId) and expected.strict == is_strict):
+        case S.Refl():
+            word = "refls" if t.strict else "refl"
+            if not (isinstance(expected, nbe.VId) and expected.strict == t.strict):
                 raise fail(D.CONVERSION_FAILURE,
                            f"{word} checked at a non-matching type", t.span,
                            expected=ctx.show(expected), actual=word)
@@ -561,15 +521,12 @@ def check(ctx: Context, t: Term, expected) -> Term:
                            expected=ctx.show(expected.lhs),
                            actual=ctx.show(expected.rhs))
             return t
-        case S.Inl(value=v) | S.Inr(value=v) | S.InlS(value=v) | S.InrS(value=v):
-            is_strict = isinstance(t, (S.InlS, S.InrS))
-            is_left = isinstance(t, (S.Inl, S.InlS))
-            if not (isinstance(expected, nbe.VSum) and expected.strict == is_strict):
+        case S.Inl(value=v) | S.Inr(value=v):
+            if not (isinstance(expected, nbe.VSum) and expected.strict == t.strict):
                 raise fail(D.CONVERSION_FAILURE, "injection checked at a non-sum type",
                            t.span, expected=ctx.show(expected), actual="an injection")
-            side = expected.left if is_left else expected.right
-            v2 = check(ctx, v, side)
-            return dataclasses.replace(t, value=v2)
+            side = expected.left if isinstance(t, S.Inl) else expected.right
+            return type(t)(check(ctx, v, side), strict=t.strict, span=t.span)
     t2, actual = infer(ctx, t)
     _subsume(ctx, actual, expected, t.span)
     return t2

@@ -9,15 +9,21 @@ when binders are crossed.
 from __future__ import annotations
 
 import random
+from functools import partial
 
 from tltt import syntax as S
 from tltt.syntax import Term, shift
 
 
+def _strict(cls):
+    return partial(cls, strict=True)
+
+
 def rand_scoped(rng: random.Random, depth: int = 0, size: int = 6) -> Term:
     """An arbitrary well-scoped term (not necessarily well-typed)."""
-    atoms = [S.Star(), S.Zero(), S.ZeroS(), S.Unit(), S.Nat(), S.NatS(),
-             S.Empty(), S.EmptyS(), S.Refl(), S.ReflS(),
+    atoms = [S.Star(), S.Zero(), S.Zero(strict=True), S.Unit(), S.Nat(),
+             S.Nat(strict=True), S.Empty(), S.Empty(strict=True), S.Refl(),
+             S.Refl(strict=True),
              S.Univ(S.fibrant(rng.randrange(3))), S.Univ(S.strict(rng.randrange(3)))]
     if size <= 1:
         if depth and rng.random() < 0.5:
@@ -40,25 +46,25 @@ def rand_scoped(rng: random.Random, depth: int = 0, size: int = 6) -> Term:
     if pick == 5:
         return rng.choice([S.Fst, S.Snd])(rand_scoped(rng, depth, size - 1))
     if pick == 6:
-        return rng.choice([S.Succ, S.SuccS])(rand_scoped(rng, depth, size - 1))
+        return rng.choice([S.Succ, _strict(S.Succ)])(rand_scoped(rng, depth, size - 1))
     if pick == 7:
-        return rng.choice([S.Sum, S.SumS])(rand_scoped(rng, depth, part()),
-                                           rand_scoped(rng, depth, part()))
+        return rng.choice([S.Sum, _strict(S.Sum)])(rand_scoped(rng, depth, part()),
+                                                    rand_scoped(rng, depth, part()))
     if pick == 8:
-        return rng.choice([S.Inl, S.Inr, S.InlS, S.InrS])(
+        return rng.choice([S.Inl, S.Inr, _strict(S.Inl), _strict(S.Inr)])(
             rand_scoped(rng, depth, size - 1))
     if pick == 9:
-        mk = rng.choice([S.Id, S.IdS])
+        mk = rng.choice([S.Id, _strict(S.Id)])
         return mk(None, rand_scoped(rng, depth, part()),
                   rand_scoped(rng, depth, part()))
     if pick == 10:
-        mk = rng.choice([S.NatElim, S.NatElimS])
+        mk = rng.choice([S.NatElim, _strict(S.NatElim)])
         return mk(*(rand_scoped(rng, depth, part(4)) for _ in range(4)))
     if pick == 11:
-        mk = rng.choice([S.SumElim, S.SumElimS])
+        mk = rng.choice([S.SumElim, _strict(S.SumElim)])
         return mk(*(rand_scoped(rng, depth, part(4)) for _ in range(4)))
     if pick == 12:
-        mk = rng.choice([S.IdElim, S.IdElimS])
+        mk = rng.choice([S.IdElim, _strict(S.IdElim)])
         return mk(*(rand_scoped(rng, depth, part(5)) for _ in range(5)))
     return S.UipS(rand_scoped(rng, depth, part()), rand_scoped(rng, depth, part()))
 
@@ -80,7 +86,7 @@ def _ctx_types(ctx: list[Term]) -> list[tuple[int, Term]]:
 def gen_type(rng: random.Random, ctx: list[Term], size: int) -> Term:
     """A closed-form inhabited fibrant-or-strict simple type in context."""
     if size <= 1:
-        return rng.choice([S.Unit(), S.Nat(), S.NatS()])
+        return rng.choice([S.Unit(), S.Nat(), S.Nat(strict=True)])
     pick = rng.randrange(8)
     part = max(1, size // 2)
     if pick == 0:
@@ -100,14 +106,14 @@ def gen_type(rng: random.Random, ctx: list[Term], size: int) -> Term:
     if pick == 4:
         carrier = gen_type(rng, ctx, part)
         endpoint = gen_term(rng, ctx, carrier, part)
-        return S.IdS(carrier, endpoint, endpoint)
-    return rng.choice([S.Unit(), S.Nat(), S.NatS()])
+        return S.Id(carrier, endpoint, endpoint, strict=True)
+    return rng.choice([S.Unit(), S.Nat(), S.Nat(strict=True)])
 
 
 def _fibrant_type(rng: random.Random, ctx: list[Term], size: int) -> Term:
     while True:
         ty = gen_type(rng, ctx, size)
-        if not isinstance(ty, (S.NatS, S.IdS)) and not S.strict_constructors(ty):
+        if not S.strict_constructors(ty):
             return ty
 
 
@@ -124,20 +130,18 @@ def gen_term(rng: random.Random, ctx: list[Term], ty: Term, size: int) -> Term:
     match ty:
         case S.Unit():
             return S.Star()
-        case S.Nat() | S.NatS():
-            strict = isinstance(ty, S.NatS)
-            zero, succ = (S.ZeroS(), S.SuccS) if strict else (S.Zero(), S.Succ)
+        case S.Nat(strict=strict):
             n = rng.randrange(max(size, 1))
-            t: Term = zero
+            t: Term = S.Zero(strict=strict)
             for _ in range(n):
-                t = succ(t)
+                t = S.Succ(t, strict=strict)
             if size > 2 and rng.random() < 0.2:
                 # eliminate a smaller numeral instead of writing one directly
-                mk = S.NatElimS if strict else S.NatElim
                 motive = S.Lam(shift(ty, 1), ann=ty, hint="n")
-                stp = S.Lam(S.Lam(succ(S.Var(0)), hint="r"),
+                stp = S.Lam(S.Lam(S.Succ(S.Var(0), strict=strict), hint="r"),
                             ann=ty, hint="n")
-                return mk(motive, t, stp, gen_term(rng, ctx, ty, size // 2))
+                return S.NatElim(motive, t, stp, gen_term(rng, ctx, ty, size // 2),
+                                 strict=strict)
             return t
         case S.Pi(dom=dom, cod=cod):
             body = gen_term(rng, ctx + [dom], cod, max(1, size - 1))
@@ -149,8 +153,8 @@ def gen_term(rng: random.Random, ctx: list[Term], ty: Term, size: int) -> Term:
             if rng.random() < 0.5:
                 return S.Inl(gen_term(rng, ctx, l, max(1, size - 1)))
             return S.Inr(gen_term(rng, ctx, r, max(1, size - 1)))
-        case S.Id() | S.IdS():
-            return S.ReflS() if isinstance(ty, S.IdS) else S.Refl()
+        case S.Id(strict=strict):
+            return S.Refl(strict=strict)
     raise AssertionError(f"no inhabitant strategy for {ty}")
 
 

@@ -24,25 +24,16 @@ def step(t: Term, defs: dict[str, Term]) -> Optional[Term]:
             return a
         case S.Snd(pair=S.Pair(snd=b)):
             return b
+        # the rules hold in both fragments; a rebuilt node keeps its flag
         case S.NatElim(motive=m, base=z, step=s, target=S.Zero()):
             return z
-        case S.NatElim(motive=m, base=z, step=s, target=S.Succ(pred=n)):
-            return S.App(S.App(s, n), S.NatElim(m, z, s, n))
-        case S.NatElimS(motive=m, base=z, step=s, target=S.ZeroS()):
-            return z
-        case S.NatElimS(motive=m, base=z, step=s, target=S.SuccS(pred=n)):
-            return S.App(S.App(s, n), S.NatElimS(m, z, s, n))
-        case S.SumElim(motive=m, on_inl=l, on_inr=r, target=S.Inl(value=v)):
+        case S.NatElim(motive=m, base=z, step=s, target=S.Succ(pred=n), strict=k):
+            return S.App(S.App(s, n), S.NatElim(m, z, s, n, strict=k))
+        case S.SumElim(on_inl=l, target=S.Inl(value=v)):
             return S.App(l, v)
-        case S.SumElim(motive=m, on_inl=l, on_inr=r, target=S.Inr(value=v)):
-            return S.App(r, v)
-        case S.SumElimS(motive=m, on_inl=l, on_inr=r, target=S.InlS(value=v)):
-            return S.App(l, v)
-        case S.SumElimS(motive=m, on_inl=l, on_inr=r, target=S.InrS(value=v)):
+        case S.SumElim(on_inr=r, target=S.Inr(value=v)):
             return S.App(r, v)
         case S.IdElim(refl_case=c, lhs=a, proof=S.Refl()):
-            return S.App(c, a)
-        case S.IdElimS(refl_case=c, lhs=a, proof=S.ReflS()):
             return S.App(c, a)
     for name, child, _ in S.term_children(t):
         reduced = step(child, defs)

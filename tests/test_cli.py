@@ -141,14 +141,37 @@ def test_non_utf8_input_is_an_io_error(tmp_path, capsys):
     assert err == f"tltt: {path}: not valid UTF-8\n"
 
 
-def test_cli_subprocess_entry(tmp_path):
-    path = write(tmp_path, "ok.2lt", GOOD)
-    proc = subprocess.run(
+def check_in_subprocess(path: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
         [sys.executable, "-m", "tltt.cli", "check", "--format=lines", path],
         capture_output=True, text=True,
         env={"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")})
+
+
+def test_cli_subprocess_entry(tmp_path):
+    proc = check_in_subprocess(write(tmp_path, "ok.2lt", GOOD))
     assert proc.returncode == 0
     assert "NORMALIZE\t3" in proc.stdout
+
+
+def test_deep_numeral_is_a_diagnostic_and_checking_goes_on(tmp_path):
+    path = write(tmp_path, "deep.2lt",
+                 "def n : NatS := 20000s\ndef m : Nat := 1\n#check m : Nat\n")
+    proc = check_in_subprocess(path)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = [line.split("\t") for line in proc.stdout.splitlines()]
+    assert [path, "1", "1", "ResourceExhausted"] in [f[:4] for f in lines]
+    assert [path, "3", "1", "CHECK", "ok"] in lines
+
+
+def test_deeply_nested_parentheses_are_a_diagnostic(tmp_path):
+    path = write(tmp_path, "parens.2lt",
+                 "def t : Unit := " + "(" * 5000 + "star" + ")" * 5000 + "\n")
+    proc = check_in_subprocess(path)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert [f.split("\t")[3] for f in proc.stdout.splitlines()] == ["ResourceExhausted"]
 
 
 def test_trace_flag_writes_progress(tmp_path, capsys):

@@ -31,9 +31,10 @@ def test_strict_nat_eliminator_addition():
     def reference_add(m, n):
         return m if n == 0 else reference_add(m, n - 1) + 1
 
-    two = S.SuccS(S.SuccS(S.ZeroS()))
-    t = S.NatElimS(S.Lam(S.NatS(), ann=S.NatS()), S.ZeroS(),
-                   S.Lam(S.Lam(S.SuccS(S.Var(0)))), two)
+    nat, zero = S.Nat(strict=True), S.Zero(strict=True)
+    two = S.Succ(S.Succ(zero, strict=True), strict=True)
+    t = S.NatElim(S.Lam(nat, ann=nat), zero,
+                  S.Lam(S.Lam(S.Succ(S.Var(0), strict=True))), two, strict=True)
     v = ev(t)
     count = 0
     while isinstance(v, nbe.VSucc):

@@ -41,14 +41,16 @@ def test_axiom_declaration():
 
 def test_simple_terms():
     assert parse_term("(x : Nat) -> Nat") == S.Pi(S.Nat(), S.Nat())
-    assert parse_term("(x : NatS) * Us 0") == S.Sigma(S.NatS(), S.Univ(S.strict(0)))
-    assert parse_term("refls") == S.ReflS()
+    assert parse_term("(x : NatS) * Us 0") == \
+        S.Sigma(S.Nat(strict=True), S.Univ(S.strict(0)))
+    assert parse_term("refls") == S.Refl(strict=True)
     assert parse_term("star") == S.Star()
 
 
 def test_numeral_sugar():
     assert parse_term("3") == S.Succ(S.Succ(S.Succ(S.Zero())))
-    assert parse_term("2s") == S.SuccS(S.SuccS(S.ZeroS()))
+    assert parse_term("2s") == \
+        S.Succ(S.Succ(S.Zero(strict=True), strict=True), strict=True)
     assert parse_term("0") == S.Zero()
 
 
@@ -58,7 +60,7 @@ def test_precedences():
     t = parse_term("Nat + Unit = Nat + Unit")
     assert isinstance(t, S.Id) and isinstance(t.lhs, S.Sum)
     t = parse_term("a =s b * c =s d", scope=["a", "b", "c", "d"])
-    assert isinstance(t, S.Sigma) and isinstance(t.fst, S.IdS)
+    assert isinstance(t, S.Sigma) and isinstance(t.fst, S.Id) and t.fst.strict
     t = parse_term("f x y", scope=["f", "x", "y"])
     assert t == S.App(S.App(S.Var(2), S.Var(1)), S.Var(0))
 
@@ -85,8 +87,9 @@ def test_ascription_desugars_to_annotated_redex():
 
 
 def test_nested_pairs_are_right_nested():
+    one = S.Succ(S.Zero(strict=True), strict=True)
     assert parse_term("(1s, 2s, star)") == \
-        S.Pair(S.SuccS(S.ZeroS()), S.Pair(S.SuccS(S.SuccS(S.ZeroS())), S.Star()))
+        S.Pair(one, S.Pair(S.Succ(one, strict=True), S.Star()))
 
 
 def test_comments_and_blocks():
@@ -147,6 +150,8 @@ def test_round_trip_spec_cases():
         "Ks p q", "(1s, (2s, star))", "fst (snd x)", "a = b", "a =s b",
         "Nat + Unit", "Nat +s NatS", "emptyElimS (\\e. U 0) p",
         "sumElim m a b q", "U 3 -> Us 0", "inls star", "succs (succs x)",
+        "0s", "EmptyS", "refls", "inrs star", "natElimS m a b q",
+        "sumElimS m a b q", "Js m a a b q",
     ]
     for text in cases:
         t = parse_term(text, scope=scope)

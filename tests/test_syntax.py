@@ -200,3 +200,4 @@ def test_alpha_equality_ignores_hints_spans_and_annotations():
 def test_alpha_equality_is_structural():
     assert Lam(Lam(Var(1))) != Lam(Lam(Var(0)))
     assert Pi(Nat(), Var(0)) != Pi(Nat(), Nat())
+    assert Nat() != Nat(strict=True)

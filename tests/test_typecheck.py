@@ -78,7 +78,7 @@ def test_check_examples():
     ctx = ctx_default()
     assert check_code(ctx, parse_term("\\x. x"), "Nat -> Nat") == "ok"
     assert check_code(ctx, S.Nat(), "Us 0") == "ok"
-    assert check_code(ctx, S.NatS(), "U 0") == D.FIBRANCY_VIOLATION
+    assert check_code(ctx, S.Nat(strict=True), "U 0") == D.FIBRANCY_VIOLATION
     assert check_code(ctx, S.Nat(), "Us 4") == "ok"
     assert check_code(ctx, S.Univ(S.fibrant(1)), "U 1") == D.UNIVERSE_ERROR
     assert check_code(ctx, S.Star(), "Nat") == D.CONVERSION_FAILURE
@@ -88,7 +88,7 @@ def test_refl_needs_convertible_endpoints():
     ctx = ctx_default()
     assert check_code(ctx, S.Refl(), "0 = 0") == "ok"
     assert check_code(ctx, S.Refl(), "0 = 1") == D.CONVERSION_FAILURE
-    assert check_code(ctx, S.ReflS(), "0s =s 0s") == "ok"
+    assert check_code(ctx, S.Refl(strict=True), "0s =s 0s") == "ok"
     assert check_code(ctx, S.Refl(), "0s =s 0s") == D.CONVERSION_FAILURE
 
 
@@ -152,11 +152,12 @@ def test_nat_elim_motive_restriction_and_strong_waiver():
 
 def test_check_motive_fibrancy_operation():
     ctx = ctx_default()
-    good = parse_term("((\\n. Nat) : Nat -> U 1)")
-    tc.check_motive_fibrancy(ctx, "NatElim", good)
-    bad = parse_term("((\\n. NatS) : Nat -> Us 0)")
+    good = parse_term("natElim ((\\n. Nat) : Nat -> U 1) 0 (\\n. \\r. succ r) 2")
+    _, ty = tc.infer(ctx, good)
+    assert isinstance(ty, nbe.VNat) and not ty.strict
+    bad = parse_term("natElim ((\\n. NatS) : Nat -> Us 0) 0s (\\n. \\r. succs r) 2")
     with pytest.raises(CheckError) as e:
-        tc.check_motive_fibrancy(ctx, "NatElim", bad)
+        tc.infer(ctx, bad)
     assert e.value.diagnostic.code == D.NON_FIBRANT_MOTIVE
 
 
@@ -185,12 +186,12 @@ def test_forward_reference_is_an_error():
 def test_strong_mode_merges_formers():
     t = parse_term("natElimS ((\\n. Us 0) : NatS -> Us 1) EmptyS (\\k. \\r. Unit +s r) 2s")
     merged = tc.merge_strict_formers(t)
-    assert isinstance(merged, S.NatElim)
+    assert isinstance(merged, S.NatElim) and not merged.strict
     assert S.strict_constructors(merged) <= {"UnivS"}
     # strict equality is untouched by the merge
     eq = tc.merge_strict_formers(parse_term("0s =s 0s"))
-    assert isinstance(eq, S.IdS)
-    assert isinstance(eq.lhs, S.Zero)
+    assert isinstance(eq, S.Id) and eq.strict
+    assert eq.lhs == S.Zero()
 
 
 def test_strong_mode_accepts_what_default_accepts():
