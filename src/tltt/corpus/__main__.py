@@ -5,17 +5,19 @@ import argparse
 from tltt.corpus import corpus_manifest, default_run_files, strong_run_files
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="python -m tltt.corpus")
     parser.add_argument("--paths", action="store_true",
                         help="print file paths only, one per line")
     parser.add_argument("--mode", choices=("default", "strong"), default=None,
                         help="restrict to the files of one checking mode")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     if args.mode == "default":
         files = default_run_files()
     elif args.mode == "strong":
         files = strong_run_files()
+    elif args.paths:
+        files = [str(entry.path) for entry in corpus_manifest()]
     else:
         files = None
     if files is not None:

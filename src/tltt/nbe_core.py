@@ -303,42 +303,15 @@ class FSnd:
     __slots__ = ()
 
 
-class FNatElim:
-    __slots__ = ("motive", "base", "step", "strict")
+class FElim:
+    """A stuck eliminator: its term class, its arguments before the scrutinee
+    (every eliminator takes its scrutinee last) and its fragment."""
 
-    def __init__(self, motive, base, step, strict):
-        self.motive = motive
-        self.base = base
-        self.step = step
-        self.strict = strict
+    __slots__ = ("former", "args", "strict")
 
-
-class FSumElim:
-    __slots__ = ("motive", "on_inl", "on_inr", "strict")
-
-    def __init__(self, motive, on_inl, on_inr, strict):
-        self.motive = motive
-        self.on_inl = on_inl
-        self.on_inr = on_inr
-        self.strict = strict
-
-
-class FEmptyElim:
-    __slots__ = ("motive", "strict")
-
-    def __init__(self, motive, strict):
-        self.motive = motive
-        self.strict = strict
-
-
-class FIdElim:
-    __slots__ = ("motive", "refl_case", "lhs", "rhs", "strict")
-
-    def __init__(self, motive, refl_case, lhs, rhs, strict):
-        self.motive = motive
-        self.refl_case = refl_case
-        self.lhs = lhs
-        self.rhs = rhs
+    def __init__(self, former, args, strict):
+        self.former = former
+        self.args = args
         self.strict = strict
 
 
@@ -419,7 +392,7 @@ def do_natelim(motive, base, step, target, strict):
         return apply_value(apply_value(step, pred),
                            do_natelim(motive, base, step, pred, strict))
     if isinstance(target, VNeutral):
-        return _push(target, FNatElim(motive, base, step, strict),
+        return _push(target, FElim(S.NatElim, (motive, base, step), strict),
                      apply_value(motive, target))
     raise EvalError("natural-number elimination of a non-numeral")
 
@@ -428,14 +401,14 @@ def do_sumelim(motive, on_inl, on_inr, target, strict):
     if isinstance(target, VInj):
         return apply_value(on_inl if target.is_left else on_inr, target.value)
     if isinstance(target, VNeutral):
-        return _push(target, FSumElim(motive, on_inl, on_inr, strict),
+        return _push(target, FElim(S.SumElim, (motive, on_inl, on_inr), strict),
                      apply_value(motive, target))
     raise EvalError("sum elimination of a non-injection")
 
 
 def do_emptyelim(motive, target, strict):
     if isinstance(target, VNeutral):
-        return _push(target, FEmptyElim(motive, strict),
+        return _push(target, FElim(S.EmptyElim, (motive,), strict),
                      apply_value(motive, target))
     raise EvalError("empty elimination of a canonical value")
 
@@ -444,7 +417,7 @@ def do_idelim(motive, refl_case, lhs, rhs, proof, strict):
     if isinstance(proof, VRefl):
         return apply_value(refl_case, lhs)
     if isinstance(proof, VNeutral):
-        return _push(proof, FIdElim(motive, refl_case, lhs, rhs, strict),
+        return _push(proof, FElim(S.IdElim, (motive, refl_case, lhs, rhs), strict),
                      apply_many(motive, lhs, rhs, proof))
     raise EvalError("equality elimination of a non-proof")
 
@@ -587,18 +560,9 @@ def _quote_neutral(depth, v):
             acc = S.Fst(acc)
         elif isinstance(frame, FSnd):
             acc = S.Snd(acc)
-        elif isinstance(frame, FNatElim):
-            acc = S.NatElim(quote(depth, frame.motive), quote(depth, frame.base),
-                            quote(depth, frame.step), acc, strict=frame.strict)
-        elif isinstance(frame, FSumElim):
-            acc = S.SumElim(quote(depth, frame.motive), quote(depth, frame.on_inl),
-                            quote(depth, frame.on_inr), acc, strict=frame.strict)
-        elif isinstance(frame, FEmptyElim):
-            acc = S.EmptyElim(quote(depth, frame.motive), acc, strict=frame.strict)
-        elif isinstance(frame, FIdElim):
-            acc = S.IdElim(quote(depth, frame.motive), quote(depth, frame.refl_case),
-                           quote(depth, frame.lhs), quote(depth, frame.rhs), acc,
-                           strict=frame.strict)
+        elif isinstance(frame, FElim):
+            acc = frame.former(*[quote(depth, a) for a in frame.args], acc,
+                               strict=frame.strict)
         else:
             raise EvalError("unknown spine frame")
     return acc
@@ -741,33 +705,12 @@ def _conv_spine(depth, s1, s2, strict_pi):
                 return False
         elif isinstance(f1, (FFst, FSnd)):
             pass
-        elif isinstance(f1, FNatElim):
-            if f1.strict != f2.strict:
+        elif isinstance(f1, FElim):
+            if f1.former is not f2.former or f1.strict != f2.strict:
                 return False
-            if not (conv(depth, f1.motive, f2.motive, None, strict_pi)
-                    and conv(depth, f1.base, f2.base, None, strict_pi)
-                    and conv(depth, f1.step, f2.step, None, strict_pi)):
-                return False
-        elif isinstance(f1, FSumElim):
-            if f1.strict != f2.strict:
-                return False
-            if not (conv(depth, f1.motive, f2.motive, None, strict_pi)
-                    and conv(depth, f1.on_inl, f2.on_inl, None, strict_pi)
-                    and conv(depth, f1.on_inr, f2.on_inr, None, strict_pi)):
-                return False
-        elif isinstance(f1, FEmptyElim):
-            if f1.strict != f2.strict:
-                return False
-            if not conv(depth, f1.motive, f2.motive, None, strict_pi):
-                return False
-        elif isinstance(f1, FIdElim):
-            if f1.strict != f2.strict:
-                return False
-            if not (conv(depth, f1.motive, f2.motive, None, strict_pi)
-                    and conv(depth, f1.refl_case, f2.refl_case, None, strict_pi)
-                    and conv(depth, f1.lhs, f2.lhs, None, strict_pi)
-                    and conv(depth, f1.rhs, f2.rhs, None, strict_pi)):
-                return False
+            for a1, a2 in zip(f1.args, f2.args):
+                if not conv(depth, a1, a2, None, strict_pi):
+                    return False
         else:
             return False
     return True

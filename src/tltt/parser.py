@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 from tltt import syntax as S
 from tltt import diagnostics as D
 from tltt.diagnostics import fail
-from tltt.printer import pretty_print  # noqa: F401  (round-trip companion)
 from tltt.syntax import Span, Term
 
 
@@ -30,13 +29,6 @@ class Token:
 
 
 _PUNCT = ("(", ")", "\\", ".", ",", ":=", ":", "->", "*", "+s", "+", "=s", "=", "~")
-
-_KEYWORDS = {
-    "def", "axiom", "U", "Us", "Nat", "NatS", "Unit", "Empty", "EmptyS",
-    "star", "refl", "refls", "succ", "succs", "fst", "snd",
-    "inl", "inr", "inls", "inrs", "J", "Js", "Ks",
-    "natElim", "natElimS", "sumElim", "sumElimS", "emptyElim", "emptyElimS",
-}
 
 _PRAGMAS = ("#check", "#infer", "#normalize", "#conv", "#fail")
 
@@ -160,6 +152,8 @@ _SIMPLE_ATOMS = {
     "EmptyS": _strict(S.Empty), "star": S.Star, "refl": S.Refl,
     "refls": _strict(S.Refl),
 }
+
+_KEYWORDS = {"def", "axiom", "U", "Us"} | _ELIM_ARITY.keys() | _SIMPLE_ATOMS.keys()
 
 # infix connective -> strict flag
 _EQUALITIES = {"=": False, "=s": True}
@@ -506,7 +500,6 @@ class Parser:
             if tok.kind == "IDENT" and tok.text in ("def", "axiom"):
                 return
             self.next()
-        raise self.err("unknown pragma")
 
     def module(self) -> S.Module:
         decls = []

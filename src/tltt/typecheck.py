@@ -32,7 +32,6 @@ class Flags:
 class Entry:
     name: Optional[str]
     ty: object  # Value
-    sort: Optional[Sort]
 
 
 class Context:
@@ -52,9 +51,9 @@ class Context:
     def strict_pi(self) -> bool:
         return self.flags.strict_pi
 
-    def extend(self, name: Optional[str], ty, sort: Optional[Sort]) -> "Context":
+    def extend(self, name: Optional[str], ty) -> "Context":
         var = nbe.fresh_var(self.depth, ty)
-        return Context(self.sig, self.flags, self.entries + (Entry(name, ty, sort),),
+        return Context(self.sig, self.flags, self.entries + (Entry(name, ty),),
                        nbe.extend(self.env, var))
 
     def lookup(self, index: int) -> Entry:
@@ -118,13 +117,13 @@ def infer(ctx: Context, t: Term) -> tuple[Term, object]:
             return t, nbe.VUniv(Sort(s.fragment, s.level + 1))
         case S.Pi(dom=dom, cod=cod):
             dom2, s1 = infer_universe(ctx, dom)
-            inner = ctx.extend(t.hint, nbe.eval_in(ctx, dom2), s1)
+            inner = ctx.extend(t.hint, nbe.eval_in(ctx, dom2))
             cod2, s2 = infer_universe(inner, cod)
             return (S.Pi(dom2, cod2, hint=t.hint, span=t.span),
                     nbe.VUniv(combine_sorts(s1, s2)))
         case S.Sigma(fst=fst, snd=snd):
             fst2, s1 = infer_universe(ctx, fst)
-            inner = ctx.extend(t.hint, nbe.eval_in(ctx, fst2), s1)
+            inner = ctx.extend(t.hint, nbe.eval_in(ctx, fst2))
             snd2, s2 = infer_universe(inner, snd)
             return (S.Sigma(fst2, snd2, hint=t.hint, span=t.span),
                     nbe.VUniv(combine_sorts(s1, s2)))
@@ -132,9 +131,9 @@ def infer(ctx: Context, t: Term) -> tuple[Term, object]:
             if ann is None:
                 raise fail(D.INFERENCE_FAILURE,
                            "cannot infer the type of an unannotated lambda", t.span)
-            ann2, s = infer_universe(ctx, ann)
+            ann2, _ = infer_universe(ctx, ann)
             dom_v = nbe.eval_in(ctx, ann2)
-            inner = ctx.extend(t.hint, dom_v, s)
+            inner = ctx.extend(t.hint, dom_v)
             body2, body_ty = infer(inner, body)
             cod_term = nbe.quote(inner.depth, body_ty)
             return (S.Lam(body2, ann=ann2, hint=t.hint, span=t.span),
@@ -259,8 +258,9 @@ def value_sort(ctx: Context, ty, depth: Optional[int] = None, span=None) -> Sort
     if isinstance(ty, nbe.VSum):
         s1 = value_sort(ctx, ty.left, depth, span)
         s2 = value_sort(ctx, ty.right, depth, span)
-        level = max(s1.level, s2.level)
-        return strict(level) if ty.strict else fibrant(level)
+        if ty.strict:
+            return strict(max(s1.level, s2.level))
+        return combine_sorts(s1, s2)
     if isinstance(ty, nbe.VId):
         level = value_sort(ctx, ty.ty, depth, span).level if ty.ty is not None else 0
         return strict(level) if ty.strict else fibrant(level)
@@ -314,7 +314,7 @@ def _infer_motive(ctx: Context, motive: Term, dom_builders) -> tuple[Term, objec
     if not (isinstance(motive, S.Lam) and motive.ann is None and dom_builders):
         return infer(ctx, motive)
     dom_v = dom_builders[0](ctx)
-    inner = ctx.extend(motive.hint, dom_v, _sort_of_type_value(ctx, dom_v))
+    inner = ctx.extend(motive.hint, dom_v)
     body2, body_ty = _infer_motive(inner, motive.body, dom_builders[1:])
     cod_term = nbe.quote(inner.depth, body_ty)
     return (S.Lam(body2, ann=None, hint=motive.hint, span=motive.span),
@@ -497,8 +497,7 @@ def check(ctx: Context, t: Term, expected) -> Term:
                                "lambda annotation does not match the expected domain",
                                t.span, expected=ctx.show(expected.dom),
                                actual=ctx.show(ann_v))
-            dom_sort = _sort_of_type_value(ctx, expected.dom)
-            inner = ctx.extend(t.hint, expected.dom, dom_sort)
+            inner = ctx.extend(t.hint, expected.dom)
             var = inner.var_value(0)
             body2 = check(inner, body, nbe.inst(expected.cod, var))
             return S.Lam(body2, ann=ann, hint=t.hint, span=t.span)
@@ -545,13 +544,6 @@ def _subsume(ctx: Context, actual, expected, span) -> None:
     if not nbe.conv(ctx.depth, actual, expected, None, ctx.strict_pi):
         raise fail(D.CONVERSION_FAILURE, "type mismatch", span,
                    expected=ctx.show(expected), actual=ctx.show(actual))
-
-
-def _sort_of_type_value(ctx: Context, ty) -> Optional[Sort]:
-    try:
-        return value_sort(ctx, ty)
-    except (CheckError, nbe.EvalError):
-        return None
 
 
 # -- declarations ---------------------------------------------------------------

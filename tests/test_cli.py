@@ -122,6 +122,14 @@ def test_unfold_budget_flag(tmp_path):
     assert not report.ok
 
 
+def test_checking_a_lambda_spends_no_unfolds_on_its_domain(tmp_path):
+    # only `refl` needs `d` unfolded; the lambda's domain mentions `d` as well
+    text = "def d : Nat := 0\ndef g : ((n : Nat) -> d = n) -> d = 0 := \\f. refl\n"
+    path = write(tmp_path, "budget.2lt", text)
+    assert run(RunConfig(files=[path], unfold_budget=1)).ok
+    assert not run(RunConfig(files=[path], unfold_budget=0)).ok
+
+
 def test_main_exit_codes(tmp_path, capsys):
     path = write(tmp_path, "ok.2lt", GOOD)
     assert main(["check", path]) == 0

@@ -1,9 +1,12 @@
 """The shipped corpus: manifest runs, frozen oracles, the strict-layer claim."""
 
+from pathlib import Path
+
 import pytest
 
 from tltt import corpus, nbe, syntax as S, typecheck as tc
-from tltt.cli import RunConfig, run
+from tltt.cli import RunConfig, emit_report, run
+from tltt.corpus.__main__ import main as corpus_main
 from tltt.parser import parse_term
 from tltt.printer import pretty_print
 
@@ -24,6 +27,26 @@ def strong_report():
     return report
 
 
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.fixture(scope="module")
+def strong_spi_report():
+    return run(RunConfig(files=corpus.strong_run_files(), strong_mode=True,
+                         strict_proof_irrelevance=True))
+
+
+@pytest.mark.parametrize("name", ["default", "strong", "strong_spi"])
+def test_lines_report_matches_golden(name, request):
+    """The `--format=lines` report of each corpus run, with paths relative to
+    the corpus directory, is byte-identical to the committed one."""
+    report = request.getfixturevalue(f"{name}_report")
+    text, code = emit_report(report, "lines")
+    assert code == 0
+    text = text.replace(f"{corpus.CORPUS_DIR}/", "")
+    assert text == (GOLDEN_DIR / f"corpus_{name}.lines").read_text()
+
+
 def test_manifest_shape():
     entries = corpus.corpus_manifest()
     names = [e.path.name for e in entries]
@@ -32,6 +55,14 @@ def test_manifest_shape():
     assert modes["sst_strong.2lt"] == "strong-only"
     assert modes["negative.2lt"] == "default-only"
     assert all(e.verdict == "ok" for e in entries)
+
+
+def test_paths_flag_prints_one_path_per_line(capsys):
+    assert corpus_main(["--paths"]) == 0
+    paths = [str(e.path) for e in corpus.corpus_manifest()]
+    assert capsys.readouterr().out.splitlines() == paths
+    assert corpus_main(["--paths", "--mode", "strong"]) == 0
+    assert capsys.readouterr().out.splitlines() == corpus.strong_run_files()
 
 
 def test_default_run_is_green(default_report):

@@ -63,6 +63,51 @@ def test_quote_level_to_index():
     assert nbe.quote(1, v) == S.App(S.Var(0), S.Star())
 
 
+# Each eliminator with its arguments before the scrutinee, as pairs of
+# different surface terms; the first of each pair is the default.
+_ELIMINATORS = {
+    "natElim": [("\\n. Nat", "\\n. Unit"), ("0", "1"),
+                ("\\k. \\r. succ r", "\\k. \\r. r")],
+    "sumElim": [("\\s. Nat", "\\s. Unit"), ("\\a. 0", "\\a. 1"),
+                ("\\b. succ b", "\\b. b")],
+    "emptyElim": [("\\e. Nat", "\\e. Unit")],
+    "J": [("\\a. \\b. \\q. Nat", "\\a. \\b. \\q. Unit"), ("\\a. 0", "\\a. 1"),
+          ("0", "1"), ("0", "2")],
+}
+_STRICT_NAME = {"natElim": "natElimS", "sumElim": "sumElimS",
+                "emptyElim": "emptyElimS", "J": "Js"}
+
+
+def _stuck(name, args, strict=False):
+    """The eliminator `name` on the variable `x`, its value and its term."""
+    word = _STRICT_NAME[name] if strict else name
+    t = parse_term(" ".join([word] + [f"({a})" for a in args] + ["x"]), scope=["x"])
+    env = nbe.extend(empty_ctx().env, nbe.fresh_var(0))
+    return nbe.evaluate(t, env), t
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["fibrant", "strict"])
+@pytest.mark.parametrize("name", list(_ELIMINATORS))
+def test_stuck_eliminators_read_back_and_compare_by_former_flag_and_args(name, strict):
+    args = [first for first, _ in _ELIMINATORS[name]]
+    v, t = _stuck(name, args, strict)
+    assert isinstance(v, nbe.VNeutral) and len(v.spine) == 1
+    assert nbe.quote(1, v) == t
+    assert nbe.conv(1, v, _stuck(name, args, strict)[0], None)
+    assert not nbe.conv(1, v, _stuck(name, args, not strict)[0], None)
+    for i, (_, other) in enumerate(_ELIMINATORS[name]):
+        changed = args[:i] + [other] + args[i + 1:]
+        assert not nbe.conv(1, v, _stuck(name, changed, strict)[0], None), i
+
+
+def test_stuck_eliminators_with_equal_arguments_differ_by_former():
+    # natElim and sumElim both take three arguments before the scrutinee
+    args = [first for first, _ in _ELIMINATORS["natElim"]]
+    nat, _ = _stuck("natElim", args)
+    sum_, _ = _stuck("sumElim", args)
+    assert not nbe.conv(1, nat, sum_, None)
+
+
 def test_normalize_beta_iota():
     ctx = empty_ctx()
     assert nbe.normalize(ctx, S.App(S.Lam(S.Var(0)), S.Zero())) == S.Zero()
@@ -80,9 +125,8 @@ def test_axioms_and_uip_stay_neutral():
     # Ks never computes, even on identical canonical proofs
     ks = parse_term("Ks p p", scope=["a", "p"])
     nat = ev(S.Nat())
-    ctx2 = ctx.extend("a", nat, S.fibrant(0))
-    ctx2 = ctx2.extend("p", nbe.VId(nat, ctx2.var_value(0), ctx2.var_value(0), True),
-                       S.strict(0))
+    ctx2 = ctx.extend("a", nat)
+    ctx2 = ctx2.extend("p", nbe.VId(nat, ctx2.var_value(0), ctx2.var_value(0), True))
     t2, _ = tc.infer(ctx2, ks)
     assert isinstance(nbe.eval_in(ctx2, t2), nbe.VNeutral)
 
@@ -108,15 +152,15 @@ def test_unfold_budget():
 def test_eta_for_sigma_pi_unit():
     ctx = empty_ctx()
     sigma = ev(S.Sigma(S.Nat(), S.Nat()))
-    c1 = ctx.extend("p", sigma, S.fibrant(0))
+    c1 = ctx.extend("p", sigma)
     p = c1.var_value(0)
     assert nbe.conv(c1.depth, p, nbe.VPair(nbe.do_fst(p), nbe.do_snd(p)), sigma)
     pi = ev(S.Pi(S.Nat(), S.Nat()))
-    c2 = ctx.extend("f", pi, S.fibrant(0))
+    c2 = ctx.extend("f", pi)
     f = c2.var_value(0)
     eta = nbe.evaluate(S.Lam(S.App(S.Var(1), S.Var(0))), c2.env)
     assert nbe.conv(c2.depth, f, eta, pi)
-    c3 = ctx.extend("u", nbe.UNIT, S.fibrant(0))
+    c3 = ctx.extend("u", nbe.UNIT)
     assert nbe.conv(c3.depth, c3.var_value(0), nbe.STAR, nbe.UNIT)
 
 
@@ -130,13 +174,13 @@ def test_strict_proof_irrelevance_flag():
     ctx = empty_ctx()
     nat = nbe.NAT
     ids = nbe.VId(nat, nbe.ZERO, nbe.ZERO, True)
-    c = ctx.extend("p", ids, S.strict(0)).extend("q", ids, S.strict(0))
+    c = ctx.extend("p", ids).extend("q", ids)
     p, q = c.var_value(1), c.var_value(0)
     assert not nbe.conv(c.depth, p, q, ids, False)
     assert nbe.conv(c.depth, p, q, ids, True)
     # the fibrant identity type is not collapsed
     idf = nbe.VId(nat, nbe.ZERO, nbe.ZERO, False)
-    c2 = ctx.extend("p", idf, S.fibrant(0)).extend("q", idf, S.fibrant(0))
+    c2 = ctx.extend("p", idf).extend("q", idf)
     assert not nbe.conv(c2.depth, c2.var_value(1), c2.var_value(0), idf, True)
 
 
