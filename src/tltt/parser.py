@@ -1,16 +1,25 @@
 """Surface-language parser for `.2lt` files.
 
-Hand-written lexer plus recursive descent with precedence climbing.
-Names are resolved to de Bruijn indices here; unbound identifiers are
-rejected with a span.  Ascriptions ``(t : A)`` desugar to an annotated
-beta-redex so the core needs no extra node.
+A lexer driven by one compiled pattern, then recursive descent with one
+function per precedence level.  Names are resolved to de Bruijn indices
+here; unbound identifiers are rejected with a span.  Ascriptions
+``(t : A)`` desugar to an annotated beta-redex so the core needs no extra
+node.
+
+Both passes are linear in the input.  The lexer takes whole whitespace
+runs, comments and tokens per match and reads line and column off newline
+positions.  The parser never shifts a parsed term: the right side of
+``A -> B`` and ``A * B`` is parsed under an anonymous binder, so its free
+indices come out displaced already.  It parses a bracket ``( NAME+ : T )``
+once, and the token after the closing parenthesis decides between a
+binder telescope and an ascription.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from functools import partial
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from tltt import syntax as S
 from tltt import diagnostics as D
@@ -18,117 +27,96 @@ from tltt.diagnostics import fail
 from tltt.syntax import Span, Term
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT NUM NUMS PUNCT PRAGMA EOF
-    text: str
+    text: str  # the digits alone for NUMS
     line: int
     col: int
     end_line: int
     end_col: int
 
 
-_PUNCT = ("(", ")", "\\", ".", ",", ":=", ":", "->", "*", "+s", "+", "=s", "=", "~")
+# One match per token, after any whitespace and line comments.  Identifier
+# characters are `\w` (letters, digits and other numerals, `_`) and `'`;
+# numerals are ASCII digits.  A block comment, which nests, is scanned from
+# its opening `{-` by `tokenize` itself.
+_TOKEN = re.compile(r"""
+    (?: [ \t\r\n]+ | --[^\n]* )*
+    (?: (?P<NUMS> [0-9]+ ) s (?![\w'])
+      | (?P<NUM> [0-9]+ )
+      | (?P<IDENT> [A-Za-z_][\w']* )
+      | (?P<UIDENT> [^\W0-9][\w']* )
+      | (?P<BADSUFFIX> [+=]s [\w'] )
+      | (?P<PUNCT> := | -> | [+=]s | [()\\.,:*+=~\[\]] )
+      | (?P<PRAGMA> \#(?:check|infer|normalize|conv|fail) )
+      | (?P<BLOCK> \{- )
+      | (?P<EOF> \Z )
+      | (?P<BAD> . )
+    )""", re.VERBOSE | re.DOTALL)
 
-_PRAGMAS = ("#check", "#infer", "#normalize", "#conv", "#fail")
 
-
-def _ident_char(c: str) -> bool:
-    return c.isalnum() or c in "_'"
+_TOKEN_KINDS = frozenset({"NUMS", "NUM", "IDENT", "PUNCT", "PRAGMA"})
 
 
 def tokenize(text: str, path: str) -> list[Token]:
+    """The tokens of `text`, ending with EOF; a bad character is a SyntaxError."""
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
+    append = toks.append
     n = len(text)
+    # the current line, the offset of its first character, and of its end
+    line, line_start = 1, 0
+    next_nl = text.find("\n") % (n + 1)  # n when there is no newline
 
-    def bump(k: int) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    def err(msg: str) -> D.CheckError:
+    def err(msg: str, at: int) -> D.CheckError:
+        col = at - line_start + 1
         return fail(D.SYNTAX_ERROR, msg, Span(path, line, col, line, col + 1))
 
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            bump(1)
-            continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                bump(1)
-            continue
-        if text.startswith("{-", i):
-            depth, start = 1, (line, col)
-            bump(2)
-            while i < n and depth:
-                if text.startswith("{-", i):
-                    depth += 1
-                    bump(2)
-                elif text.startswith("-}", i):
-                    depth -= 1
-                    bump(2)
-                else:
-                    bump(1)
-            if depth:
-                raise fail(D.SYNTAX_ERROR, "unterminated block comment",
-                           Span(path, start[0], start[1], line, col))
-            continue
-        start_line, start_col = line, col
-        if c == "#":
-            for p in _PRAGMAS:
-                if text.startswith(p, i):
-                    bump(len(p))
-                    toks.append(Token("PRAGMA", p, start_line, start_col, line, col))
-                    break
-            else:
-                raise err("unknown pragma")
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            kind = "NUM"
-            if j < n and text[j] == "s" and (j + 1 >= n or not _ident_char(text[j + 1])):
-                j += 1
-                kind = "NUMS"
-            word = text[i:j]
-            bump(j - i)
-            toks.append(Token(kind, word.rstrip("s") if kind == "NUMS" else word,
-                              start_line, start_col, line, col))
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and _ident_char(text[j]):
-                j += 1
-            word = text[i:j]
-            bump(j - i)
-            toks.append(Token("IDENT", word, start_line, start_col, line, col))
-            continue
-        if c == "-" and not text.startswith("->", i):
-            raise err("stray '-' (use '-- ' for comments, '->' for arrows)")
-        if c == "[" or c == "]":
-            bump(1)
-            toks.append(Token("PUNCT", c, start_line, start_col, line, col))
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                bump(len(p))
-                # '=s' / '+s' only when not the prefix of an identifier
-                if p in ("=s", "+s") and i < n and _ident_char(text[i]):
-                    raise err(f"bad token {p}{text[i]}")
-                toks.append(Token("PUNCT", p, start_line, start_col, line, col))
+    pos = 0
+    while True:
+        # a block comment ends the inner loop; scanning resumes after it
+        for m in _TOKEN.finditer(text, pos):
+            kind = m.lastgroup
+            start = m.start(kind)
+            while next_nl < start:
+                line += 1
+                line_start = next_nl + 1
+                next_nl = text.find("\n", line_start) % (n + 1)
+            if kind in _TOKEN_KINDS:
+                append(Token(kind, m.group(kind), line, start - line_start + 1,
+                             line, m.end() - line_start + 1))
+            elif kind == "UIDENT":
+                if not text[start].isalpha():
+                    raise err(f"unexpected character {text[start]!r}", start)
+                append(Token("IDENT", m.group(kind), line, start - line_start + 1,
+                             line, m.end() - line_start + 1))
+            elif kind == "BLOCK":
                 break
-        else:
-            raise err(f"unexpected character {c!r}")
-    toks.append(Token("EOF", "", line, col, line, col))
-    return toks
+            elif kind == "EOF":
+                col = start - line_start + 1
+                append(Token("EOF", "", line, col, line, col))
+                return toks
+            elif kind == "BADSUFFIX":
+                # '=s' / '+s' only when not the prefix of an identifier
+                raise err(f"bad token {m.group(kind)}", start + 2)
+            elif text[start] == "#":
+                raise err("unknown pragma", start)
+            elif text[start] == "-":
+                raise err("stray '-' (use '-- ' for comments, '->' for arrows)", start)
+            else:
+                raise err(f"unexpected character {text[start]!r}", start)
+        depth, pos = 1, m.end()
+        while depth:
+            opening, closing = text.find("{-", pos), text.find("-}", pos)
+            if closing < 0:
+                nl = text.rfind("\n", start)
+                raise fail(D.SYNTAX_ERROR, "unterminated block comment",
+                           Span(path, line, start - line_start + 1,
+                                line + text.count("\n", start),
+                                n - (nl + 1 if nl >= 0 else line_start) + 1))
+            if 0 <= opening < closing:
+                depth, pos = depth + 1, opening + 2
+            else:
+                depth, pos = depth - 1, closing + 2
 
 
 def _strict(cls):
@@ -160,32 +148,46 @@ _EQUALITIES = {"=": False, "=s": True}
 _SUMS = {"+": False, "+s": True}
 
 
+class _Binder(NamedTuple):
+    """A bracket ``( NAME+ : dom )`` at the start of an arrow or product,
+    followed by ``->`` or ``*``: the domain of a binder telescope, handed up
+    to `Parser.prod`, which parses the body."""
+    names: list[str]
+    dom: Term
+
+
 class Parser:
-    def __init__(self, toks: list[Token], path: str, scope: list[str],
+    def __init__(self, toks: list[Token], path: str, scope: Sequence[str],
                  known: set[str]):
-        self.toks = toks
+        # a second EOF: the one unchecked `next` (a `#fail[` code) may step
+        # past the first, and `peek` stays a plain index
+        self.toks = [*toks, toks[-1]]
         self.pos = 0
         self.path = path
-        self.scope = scope  # innermost binder last
+        self.scope: list[Optional[str]] = []  # innermost binder last; None if anonymous
+        self.levels: dict[str, list[int]] = {}  # name -> its positions in scope
+        for name in scope:
+            self.bind(name)
         self.known = known  # declared global names
+        self.binder_at = -1  # token index where a binder telescope may start
 
     # -- token plumbing --
 
-    def peek(self, offset: int = 0) -> Token:
-        return self.toks[min(self.pos + offset, len(self.toks) - 1)]
+    def peek(self) -> Token:
+        return self.toks[self.pos]
 
     def next(self) -> Token:
-        tok = self.peek()
+        tok = self.toks[self.pos]
         self.pos += 1
         return tok
 
     def at_punct(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "PUNCT" and tok.text == text
+        tok = self.toks[self.pos]
+        return tok.text == text and tok.kind == "PUNCT"
 
     def at_ident(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "IDENT" and tok.text == text
+        tok = self.toks[self.pos]
+        return tok.text == text and tok.kind == "IDENT"
 
     def eat(self, text: str) -> Token:
         if not self.at_punct(text):
@@ -193,13 +195,13 @@ class Parser:
         return self.next()
 
     def eat_ident(self) -> Token:
-        tok = self.peek()
+        tok = self.toks[self.pos]
         if tok.kind != "IDENT" or tok.text in _KEYWORDS:
             raise self.err("expected an identifier")
         return self.next()
 
     def err(self, msg: str) -> D.CheckError:
-        tok = self.peek()
+        tok = self.toks[self.pos]
         got = tok.text or "end of input"
         return fail(D.SYNTAX_ERROR, f"{msg}, got {got!r}", self.tok_span(tok))
 
@@ -207,139 +209,147 @@ class Parser:
         return Span(self.path, tok.line, tok.col, tok.end_line, tok.end_col)
 
     def span_from(self, start: Token) -> Span:
-        prev = self.toks[max(self.pos - 1, 0)]
+        prev = self.toks[self.pos - 1]  # `start` at the latest
         return Span(self.path, start.line, start.col, prev.end_line, prev.end_col)
 
     # -- terms --
+    #
+    # Binders are pushed on `scope` and popped without `finally`: the two
+    # places that catch a CheckError and go on (`typed_bracket`, `#fail`)
+    # cut `scope` back to its length before the failed parse.
+
+    def bind(self, name: Optional[str]) -> None:
+        if name is not None:
+            self.levels.setdefault(name, []).append(len(self.scope))
+        self.scope.append(name)
+
+    def unbind(self, count: int) -> None:
+        scope, levels = self.scope, self.levels
+        for _ in range(count):
+            name = scope.pop()
+            if name is not None:
+                levels[name].pop()
 
     def term(self) -> Term:
         return self.arrow()
 
     def arrow(self) -> Term:
-        start = self.peek()
-        if self.at_punct("\\"):
-            self.next()
-            name = self.eat_ident().text
-            self.eat(".")
-            self.scope.append(name)
-            try:
-                body = self.arrow()
-            finally:
-                self.scope.pop()
-            return S.Lam(body, hint=name, span=self.span_from(start))
-        binder = self.try_binder()
-        if binder is not None:
-            connective, t = binder
-            if connective == "->":
-                return t
-            lhs = t  # a sigma binder may still be an arrow's domain
-        else:
-            lhs = self.prod()
-        if self.at_punct("->"):
-            self.next()
-            rhs = self.arrow()
-            return S.Pi(lhs, S.shift(rhs, 1), span=self.span_from(start))
-        return lhs
+        """A right-nested chain ``A -> B -> ... -> Z``, parsed in a loop; each
+        domain is an anonymous binder over the rest of the chain."""
+        starts, doms = [], []
+        while True:
+            start = self.toks[self.pos]
+            if start.text == "\\" and start.kind == "PUNCT":
+                t = self.lam()
+                break
+            t = self.prod(arrow_binder=True)
+            if not self.at_punct("->"):
+                break
+            self.pos += 1
+            starts.append(start)
+            doms.append(t)
+            self.bind(None)
+        if doms:
+            self.unbind(len(doms))
+            end = self.toks[self.pos - 1]
+            for start, dom in zip(reversed(starts), reversed(doms)):
+                t = S.Pi(dom, t, span=Span(self.path, start.line, start.col,
+                                           end.end_line, end.end_col))
+        return t
 
-    def try_binder(self) -> Optional[tuple[str, Term]]:
-        """Parse '(' NAME+ ':' term ')' ('->'|'*') term, or rewind."""
-        if not self.at_punct("("):
-            return None
-        save = self.pos
+    def lam(self) -> Term:
         start = self.next()
-        names = []
-        while self.peek().kind == "IDENT" and self.peek().text not in _KEYWORDS:
-            names.append(self.next().text)
-        if not names or not self.at_punct(":"):
-            self.pos = save
-            return None
-        self.next()
-        try:
-            dom = self.term()
-        except D.CheckError:
-            self.pos = save
-            return None
-        if not self.at_punct(")"):
-            self.pos = save
-            return None
-        self.next()
-        if self.at_punct("->"):
-            connective = "->"
-        elif self.at_punct("*"):
-            connective = "*"
-        else:
-            self.pos = save
-            return None
-        self.next()
+        name = self.eat_ident().text
+        self.eat(".")
+        self.bind(name)
+        body = self.arrow()
+        self.unbind(1)
+        return S.Lam(body, hint=name, span=self.span_from(start))
+
+    def prod(self, arrow_binder: bool = False) -> Term:
+        """A right-nested chain ``A * B * ... * Z``, parsed like `arrow`.  A
+        binder telescope is a factor too; ``(x : A) -> B`` only where an
+        arrow may stand (`arrow_binder`) and in the first factor."""
+        starts, factors = [], []
+        while True:
+            start = self.toks[self.pos]
+            self.binder_at = self.pos
+            t = self.eq()
+            if type(t) is _Binder:
+                t = self.binder(t, start, arrow_binder and not factors)
+                break
+            if not self.at_punct("*"):
+                break
+            self.pos += 1
+            starts.append(start)
+            factors.append(t)
+            self.bind(None)
+        if factors:
+            self.unbind(len(factors))
+            end = self.toks[self.pos - 1]
+            for start, fst in zip(reversed(starts), reversed(factors)):
+                t = S.Sigma(fst, t, span=Span(self.path, start.line, start.col,
+                                              end.end_line, end.end_col))
+        return t
+
+    def binder(self, b: _Binder, start: Token, arrow_ok: bool) -> Term:
+        """The body after ``( NAME+ : dom )`` and its ``->`` or ``*``."""
+        connective = self.next().text
+        names = b.names
         for name in names:
-            self.scope.append(name)
-        try:
-            body = self.arrow() if connective == "->" else self.prod()
-        finally:
-            for _ in names:
-                self.scope.pop()
+            self.bind(name)
+        body = self.arrow() if connective == "->" else self.prod()
+        self.unbind(len(names))
         span = self.span_from(start)
+        if connective == "->" and not arrow_ok:
+            raise fail(D.SYNTAX_ERROR, "arrow binder needs parentheses here", span)
         mk = S.Pi if connective == "->" else S.Sigma
         for k in range(len(names) - 1, -1, -1):
-            body = mk(S.shift(dom, k), body, hint=names[k], span=span)
-        return connective, body
-
-    def prod(self) -> Term:
-        start = self.peek()
-        binder = self.try_binder()
-        if binder is not None:
-            connective, t = binder
-            if connective == "->":
-                raise fail(D.SYNTAX_ERROR, "arrow binder needs parentheses here",
-                           t.span)
-            return t
-        lhs = self.eq()
-        if self.at_punct("*"):
-            self.next()
-            rhs = self.prod()
-            return S.Sigma(lhs, S.shift(rhs, 1), span=self.span_from(start))
-        return lhs
+            dom = S.shift(b.dom, k) if k else b.dom
+            body = mk(dom, body, hint=names[k], span=span)
+        return body
 
     def eq(self) -> Term:
-        start = self.peek()
+        start = self.toks[self.pos]
         lhs = self.sum()
-        tok = self.peek()
+        tok = self.toks[self.pos]
         if tok.kind == "PUNCT" and tok.text in _EQUALITIES:
-            self.next()
+            self.pos += 1
             rhs = self.sum()
             return S.Id(None, lhs, rhs, strict=_EQUALITIES[tok.text],
                         span=self.span_from(start))
         return lhs
 
     def sum(self) -> Term:
-        start = self.peek()
+        start = self.toks[self.pos]
         lhs = self.app()
-        tok = self.peek()
+        tok = self.toks[self.pos]
         if tok.kind == "PUNCT" and tok.text in _SUMS:
-            self.next()
+            self.pos += 1
             rhs = self.sum()
             return S.Sum(lhs, rhs, strict=_SUMS[tok.text], span=self.span_from(start))
         return lhs
 
     def starts_atom(self) -> bool:
-        tok = self.peek()
-        if tok.kind in ("NUM", "NUMS"):
-            return True
-        if tok.kind == "IDENT":
-            return tok.text not in ("def", "axiom")
-        return tok.kind == "PUNCT" and tok.text in ("(", "\\")
+        tok = self.toks[self.pos]
+        kind = tok.kind
+        if kind == "IDENT":
+            return tok.text != "def" and tok.text != "axiom"
+        if kind == "PUNCT":
+            return tok.text == "(" or tok.text == "\\"
+        return kind == "NUM" or kind == "NUMS"
 
     def app(self) -> Term:
-        start = self.peek()
+        start = self.toks[self.pos]
         head = self.head_or_atom()
         while self.starts_atom():
             head = S.App(head, self.atom(), span=self.span_from(start))
         return head
 
     def head_or_atom(self) -> Term:
-        tok = self.peek()
+        tok = self.toks[self.pos]
         if tok.kind == "IDENT" and tok.text in _ELIM_ARITY:
-            self.next()
+            self.pos += 1
             cls, arity = _ELIM_ARITY[tok.text]
             args = []
             for k in range(arity):
@@ -352,38 +362,37 @@ class Parser:
         return self.atom()
 
     def atom(self) -> Term:
-        tok = self.peek()
-        span = self.tok_span(tok)
-        if tok.kind == "NUM":
-            self.next()
-            return self.numeral(int(tok.text), False, span)
-        if tok.kind == "NUMS":
-            self.next()
-            return self.numeral(int(tok.text), True, span)
-        if tok.kind == "IDENT":
+        tok = self.toks[self.pos]
+        kind = tok.kind
+        if kind == "IDENT":
             word = tok.text
+            if word not in _KEYWORDS:
+                self.pos += 1
+                return self.resolve(word, self.tok_span(tok))
             if word in ("U", "Us"):
-                self.next()
-                num = self.peek()
+                self.pos += 1
+                num = self.toks[self.pos]
                 if num.kind != "NUM":
                     raise self.err(f"{word} expects a universe level")
-                self.next()
+                self.pos += 1
                 sort = S.fibrant(int(num.text)) if word == "U" else S.strict(int(num.text))
                 return S.Univ(sort, span=self.span_from(tok))
             if word in _SIMPLE_ATOMS:
-                self.next()
-                return _SIMPLE_ATOMS[word](span=span)
+                self.pos += 1
+                return _SIMPLE_ATOMS[word](span=self.tok_span(tok))
             if word in _ELIM_ARITY:
                 raise fail(D.SYNTAX_ERROR,
-                           f"{word} application must be parenthesized here", span)
-            if word in ("def", "axiom"):
-                raise self.err("unexpected declaration keyword")
-            self.next()
-            return self.resolve(word, span)
-        if tok.kind == "PUNCT" and tok.text == "\\":
-            return self.arrow()
-        if tok.kind == "PUNCT" and tok.text == "(":
-            return self.parens()
+                           f"{word} application must be parenthesized here",
+                           self.tok_span(tok))
+            raise self.err("unexpected declaration keyword")
+        if kind == "PUNCT":
+            if tok.text == "(":
+                return self.parens()
+            if tok.text == "\\":
+                return self.arrow()
+        if kind == "NUM" or kind == "NUMS":
+            self.pos += 1
+            return self.numeral(int(tok.text), kind == "NUMS", self.tok_span(tok))
         raise self.err("expected a term")
 
     def numeral(self, n: int, is_strict: bool, span: Span) -> Term:
@@ -393,27 +402,36 @@ class Parser:
         return t
 
     def resolve(self, name: str, span: Span) -> Term:
-        for i, bound in enumerate(reversed(self.scope)):
-            if bound == name:
-                return S.Var(i, span=span)
+        levels = self.levels.get(name)
+        if levels:
+            return S.Var(len(self.scope) - 1 - levels[-1], span=span)
         if name in self.known:
             return S.Const(name, span=span)
         raise fail(D.UNBOUND_VARIABLE, f"unbound identifier {name}", span)
 
-    def parens(self) -> Term:
-        start = self.eat("(")
+    def parens(self):
+        """A parenthesized term, pair or ascription; at `binder_at`, also the
+        domain of a binder telescope, returned as a `_Binder`."""
+        binder_ok = self.pos == self.binder_at
+        start = self.next()
+        names = []
+        while (tok := self.toks[self.pos]).kind == "IDENT" and tok.text not in _KEYWORDS:
+            names.append(tok)
+            self.pos += 1
+        if names and self.at_punct(":"):
+            self.pos += 1
+            return self.typed_bracket(start, names, binder_ok)
+        self.pos -= len(names)
         t = self.term()
         if self.at_punct(":"):
-            self.next()
+            self.pos += 1
             ty = self.term()
             self.eat(")")
-            span = self.span_from(start)
-            # ascription (t : A) as an annotated redex
-            return S.App(S.Lam(S.Var(0), ann=ty, hint="x"), t, span=span)
+            return self.ascription(start, t, ty)
         if self.at_punct(","):
             parts = [t]
             while self.at_punct(","):
-                self.next()
+                self.pos += 1
                 parts.append(self.term())
             self.eat(")")
             span = self.span_from(start)
@@ -423,6 +441,42 @@ class Parser:
             return pair
         self.eat(")")
         return t
+
+    def typed_bracket(self, start: Token, names: list[Token], binder_ok: bool):
+        """After ``( NAME+ :``, parse the type once.  Followed by ``)`` and,
+        at `binder_at`, by ``->`` or ``*``, it is a binder's domain;
+        otherwise the names are the applied term of an ascription, and they
+        are resolved before any error in the type or a missing ``)`` is
+        reported, as if the ascription had been read left to right."""
+        depth = len(self.scope)
+        try:
+            ty = self.term()
+        except D.CheckError:
+            self.unbind(len(self.scope) - depth)
+            self.applied(names)
+            raise
+        if not self.at_punct(")"):
+            self.applied(names)
+            raise self.err("expected ')'")
+        self.pos += 1
+        after = self.toks[self.pos]
+        if binder_ok and after.kind == "PUNCT" and after.text in ("->", "*"):
+            return _Binder([tok.text for tok in names], ty)
+        return self.ascription(start, self.applied(names), ty)
+
+    def applied(self, names: list[Token]) -> Term:
+        """``a b c`` as a term: the first name applied to the others."""
+        first = names[0]
+        head = self.resolve(first.text, self.tok_span(first))
+        for tok in names[1:]:
+            head = S.App(head, self.resolve(tok.text, self.tok_span(tok)),
+                         span=Span(self.path, first.line, first.col,
+                                   tok.end_line, tok.end_col))
+        return head
+
+    def ascription(self, start: Token, t: Term, ty: Term) -> Term:
+        """``(t : ty)``, its ``)`` eaten, as an annotated redex."""
+        return S.App(S.Lam(S.Var(0), ann=ty, hint="x"), t, span=self.span_from(start))
 
     # -- declarations --
 
@@ -476,11 +530,13 @@ class Parser:
                                self.tok_span(code_tok))
                 code = code_tok.text
                 self.eat("]")
+            depth = len(self.scope)
             try:
                 inner = self.declaration()
             except D.CheckError as e:
                 # the wrapped item already fails to parse or resolve; record
                 # the diagnostic and resynchronize at the next declaration
+                self.unbind(len(self.scope) - depth)
                 self.resync()
                 return S.Pragma(S.FAIL, (e.diagnostic,), expect_code=code,
                                 span=self.span_from(tok))

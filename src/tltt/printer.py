@@ -33,32 +33,76 @@ def _numeral(t: S.Term) -> Optional[tuple[int, bool]]:
     return None
 
 
-def _uses_var0(t: S.Term, depth: int = 0) -> bool:
-    if isinstance(t, S.Var):
-        return t.index == depth
-    return any(_uses_var0(c, depth + 1 if under else depth)
-               for _, c, under in S.term_children(t))
-
-
 class _Printer:
-    def __init__(self, names: list[str]):
-        self.names = names  # innermost binder last
+    def __init__(self, names: Sequence[str]):
+        self.names: list[str] = []  # innermost binder last
+        self.count: dict[str, int] = {}  # name -> how often it is in `names`
+        # base -> i such that base1 .. base{i-1} are all in `names`, so that
+        # `fresh` need not probe them again
+        self.suffix: dict[str, int] = {}
+        for name in names:
+            self.push(name)
+        # id of a binder node -> whether its body uses the bound variable
+        self.body_uses: dict[int, bool] = {}
+
+    def dependent(self, t: S.Term) -> bool:
+        """Whether the body of the Pi or Sigma `t` uses the variable it binds."""
+        used = self.body_uses.get(id(t))
+        if used is None:
+            self.free(t)
+            used = self.body_uses[id(t)]
+        return used
+
+    def free(self, t: S.Term) -> int:
+        """The free variables of `t` as a bit mask (bit i for index i).  One
+        pass records `body_uses` for every binder in `t`, so a telescope is
+        walked once, not once per binder."""
+        if type(t) is S.Var:
+            return 1 << t.index
+        mask = 0
+        for _, child, under in S.term_children(t):
+            inner = self.free(child)
+            if under:
+                self.body_uses[id(t)] = bool(inner & 1)
+                inner >>= 1
+            mask |= inner
+        return mask
 
     def fresh(self, hint: Optional[str]) -> str:
+        """`hint` (or x) if unused, else the first of hint1, hint2, ... unused."""
         base = hint or "x"
-        if base not in self.names:
+        if base not in self.count:
             return base
-        i = 1
-        while f"{base}{i}" in self.names:
+        i = self.suffix.get(base, 1)
+        while f"{base}{i}" in self.count:
             i += 1
+        self.suffix[base] = i
         return f"{base}{i}"
 
-    def under(self, name: str, t: S.Term, prec: int) -> str:
+    def push(self, name: str) -> None:
         self.names.append(name)
-        try:
-            return self.go(t, prec)
-        finally:
-            self.names.pop()
+        self.count[name] = self.count.get(name, 0) + 1
+
+    def pop(self) -> None:
+        name = self.names.pop()
+        left = self.count.pop(name) - 1
+        if left:
+            self.count[name] = left
+        elif name[-1:].isdigit():
+            # `name` is free again: it may be base{i} for any split of its
+            # trailing digits, and `fresh` must find it there
+            digits = len(name) - len(name.rstrip("0123456789"))
+            for k in range(len(name) - digits, len(name)):
+                if name[k] != "0":
+                    base, i = name[:k], int(name[k:])
+                    if i < self.suffix.get(base, 1):
+                        self.suffix[base] = i
+
+    def under(self, name: str, t: S.Term, prec: int) -> str:
+        self.push(name)
+        text = self.go(t, prec)
+        self.pop()
+        return text
 
     def go(self, t: S.Term, prec: int) -> str:
         text, level = self.render(t)
@@ -68,85 +112,87 @@ class _Printer:
         return self.go(t, ATOM)
 
     def render(self, t: S.Term) -> tuple[str, int]:
-        num = _numeral(t)
-        if num is not None:
-            n, is_strict = num
-            return (f"{n}s" if is_strict else str(n)), ATOM
-
-        if isinstance(t, S.Var):
+        cls = type(t)  # the commonest formers first
+        if cls is S.Var:
             if 0 <= t.index < len(self.names):
                 return self.names[-1 - t.index], ATOM
             return f"?v{t.index - len(self.names)}", ATOM
-        if isinstance(t, S.Const):
-            return t.name, ATOM
-        if isinstance(t, S.Univ):
-            word = "U" if t.sort.is_fibrant else "Us"
-            return f"{word} {t.sort.level}", APP
-        if isinstance(t, S.Lam):
+        if cls is S.App:
+            return f"{self.go(t.fn, APP)} {self.atom(t.arg)}", APP
+        if cls is S.Fst:
+            return f"fst {self.atom(t.pair)}", APP
+        if cls is S.Lam:
             name = self.fresh(t.hint)
             return f"\\{name}. {self.under(name, t.body, ARROW)}", ARROW
-        if isinstance(t, S.Pi):
-            dom = self.go(t.dom, PROD)
-            if _uses_var0(t.cod):
-                name = self.fresh(t.hint)
-                return f"({name} : {self.go(t.dom, ARROW)}) -> {self.under(name, t.cod, ARROW)}", ARROW
-            return f"{dom} -> {self.under(self.fresh(None), t.cod, ARROW)}", ARROW
-        if isinstance(t, S.Sigma):
-            fst = self.go(t.fst, EQ)
-            if _uses_var0(t.snd):
-                name = self.fresh(t.hint)
-                return f"({name} : {self.go(t.fst, ARROW)}) * {self.under(name, t.snd, PROD)}", PROD
-            return f"{fst} * {self.under(self.fresh(None), t.snd, PROD)}", PROD
-        if isinstance(t, S.App):
-            return f"{self.go(t.fn, APP)} {self.atom(t.arg)}", APP
-        if isinstance(t, S.Pair):
-            return f"({self.go(t.fst, ARROW)}, {self.go(t.snd, ARROW)})", ATOM
-        if isinstance(t, S.Fst):
-            return f"fst {self.atom(t.pair)}", APP
-        if isinstance(t, S.Snd):
+        if cls is S.Snd:
             return f"snd {self.atom(t.pair)}", APP
-        if isinstance(t, S.Unit):
-            return "Unit", ATOM
-        if isinstance(t, S.Star):
-            return "star", ATOM
-        if isinstance(t, S.Nat):
-            return _word(t, "Nat", "S"), ATOM
-        if isinstance(t, S.Empty):
-            return _word(t, "Empty", "S"), ATOM
-        if isinstance(t, S.Succ):
+        if cls is S.Zero or cls is S.Succ:
+            num = _numeral(t)
+            if num is not None:
+                n, is_strict = num
+                return (f"{n}s" if is_strict else str(n)), ATOM
             return f"{_word(t, 'succ', 's')} {self.atom(t.pred)}", APP
-        if isinstance(t, S.NatElim):
+        if cls is S.Const:
+            return t.name, ATOM
+        if cls is S.Univ:
+            word = "U" if t.sort.is_fibrant else "Us"
+            return f"{word} {t.sort.level}", APP
+        if cls is S.Pi:
+            dom, level = self.render(t.dom)
+            if self.dependent(t):
+                name = self.fresh(t.hint)
+                return f"({name} : {dom}) -> {self.under(name, t.cod, ARROW)}", ARROW
+            dom = f"({dom})" if level < PROD else dom
+            return f"{dom} -> {self.under(self.fresh(None), t.cod, ARROW)}", ARROW
+        if cls is S.Sigma:
+            fst, level = self.render(t.fst)
+            if self.dependent(t):
+                name = self.fresh(t.hint)
+                return f"({name} : {fst}) * {self.under(name, t.snd, PROD)}", PROD
+            fst = f"({fst})" if level < EQ else fst
+            return f"{fst} * {self.under(self.fresh(None), t.snd, PROD)}", PROD
+        if cls is S.Pair:
+            return f"({self.go(t.fst, ARROW)}, {self.go(t.snd, ARROW)})", ATOM
+        if cls is S.Unit:
+            return "Unit", ATOM
+        if cls is S.Star:
+            return "star", ATOM
+        if cls is S.Nat:
+            return _word(t, "Nat", "S"), ATOM
+        if cls is S.Empty:
+            return _word(t, "Empty", "S"), ATOM
+        if cls is S.NatElim:
             parts = [_word(t, "natElim", "S"), self.atom(t.motive), self.atom(t.base),
                      self.atom(t.step), self.atom(t.target)]
             return " ".join(parts), APP
-        if isinstance(t, S.SumElim):
+        if cls is S.SumElim:
             parts = [_word(t, "sumElim", "S"), self.atom(t.motive), self.atom(t.on_inl),
                      self.atom(t.on_inr), self.atom(t.target)]
             return " ".join(parts), APP
-        if isinstance(t, S.EmptyElim):
+        if cls is S.EmptyElim:
             return (f"{_word(t, 'emptyElim', 'S')} {self.atom(t.motive)} "
                     f"{self.atom(t.target)}"), APP
-        if isinstance(t, S.Sum):
+        if cls is S.Sum:
             return (f"{self.go(t.left, APP)} {_word(t, '+', 's')} "
                     f"{self.go(t.right, SUM)}"), SUM
-        if isinstance(t, S.Inl):
+        if cls is S.Inl:
             return f"{_word(t, 'inl', 's')} {self.atom(t.value)}", APP
-        if isinstance(t, S.Inr):
+        if cls is S.Inr:
             return f"{_word(t, 'inr', 's')} {self.atom(t.value)}", APP
-        if isinstance(t, S.Id):
+        if cls is S.Id:
             return (f"{self.go(t.lhs, SUM)} {_word(t, '=', 's')} "
                     f"{self.go(t.rhs, SUM)}"), EQ
-        if isinstance(t, S.Refl):
+        if cls is S.Refl:
             return _word(t, "refl", "s"), ATOM
-        if isinstance(t, S.IdElim):
+        if cls is S.IdElim:
             parts = [_word(t, "J", "s"), self.atom(t.motive), self.atom(t.refl_case),
                      self.atom(t.lhs), self.atom(t.rhs), self.atom(t.proof)]
             return " ".join(parts), APP
-        if isinstance(t, S.UipS):
+        if cls is S.UipS:
             return f"Ks {self.atom(t.p)} {self.atom(t.q)}", APP
         raise TypeError(f"cannot print {type(t).__name__}")
 
 
 def pretty_print(t: S.Term, names: Optional[Sequence[str]] = None) -> str:
     """Render a well-scoped term; `names` supplies free-variable names, outermost first."""
-    return _Printer(list(names or [])).go(t, ARROW)
+    return _Printer(names or ()).go(t, ARROW)

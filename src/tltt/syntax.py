@@ -273,16 +273,29 @@ _BINDER_FIELDS = {
 _ATOMS = (Univ, Unit, Star, Nat, Zero, Empty, Refl, Const)
 
 
+# class -> ((field name, crosses-a-binder), ...) for the fields declared as
+# terms (`Term`, `Optional[Term]`), filled on first use of each class.
+_CHILD_FIELDS: dict[type, tuple[tuple[str, bool], ...]] = {}
+
+
+def _child_fields(cls: type) -> tuple[tuple[str, bool], ...]:
+    under = _BINDER_FIELDS.get(cls, ())
+    table = tuple((f.name, f.name in under) for f in dataclasses.fields(cls)
+                  if "Term" in str(f.type))
+    _CHILD_FIELDS[cls] = table
+    return table
+
+
 def term_children(t: Term) -> list[tuple[str, Term, bool]]:
     """(field name, child, crosses-a-binder) for every Term-valued child."""
-    under = _BINDER_FIELDS.get(type(t), ())
+    table = _CHILD_FIELDS.get(type(t))
+    if table is None:
+        table = _child_fields(type(t))
     out = []
-    for f in dataclasses.fields(t):
-        if f.name in ("span", "hint"):
-            continue
-        child = getattr(t, f.name)
+    for name, under in table:
+        child = getattr(t, name)
         if isinstance(child, Term):
-            out.append((f.name, child, f.name in under))
+            out.append((name, child, under))
     return out
 
 

@@ -379,9 +379,10 @@ def _infer_natelim(ctx, t):
 def _infer_sumelim(ctx, t):
     is_strict = t.strict
     builders = []
+    target2 = None
     if isinstance(t.motive, S.Lam) and t.motive.ann is None:
         # a bare-lambda motive: read the family's domain off the target
-        _, target_ty = infer(ctx, t.target)
+        target2, target_ty = infer(ctx, t.target)
         if not (isinstance(target_ty, nbe.VSum) and target_ty.strict == is_strict):
             raise fail(D.CONVERSION_FAILURE, "sum elimination of a non-sum",
                        t.target.span or t.span, actual=ctx.show(target_ty))
@@ -402,7 +403,10 @@ def _infer_sumelim(ctx, t):
         lambda a: nbe.apply_value(m_v, nbe.VInj(a, True, is_strict)))))
     on_inr2 = check(ctx, t.on_inr, nbe.VPi(sum_ty.right, nbe.HostClosure(
         lambda b: nbe.apply_value(m_v, nbe.VInj(b, False, is_strict)))))
-    target2 = check(ctx, t.target, sum_ty)
+    if target2 is None:
+        target2 = check(ctx, t.target, sum_ty)
+    else:  # elaborated above; `check` would infer it again
+        _subsume(ctx, target_ty, sum_ty, t.target.span)
     return (S.SumElim(motive2, on_inl2, on_inr2, target2, strict=is_strict,
                       span=t.span),
             nbe.apply_value(m_v, nbe.eval_in(ctx, target2)))
@@ -432,9 +436,10 @@ def _infer_idelim(ctx, t):
     is_strict = t.strict
     name = "Js" if is_strict else "J"
     builders = []
+    lhs2 = None
     if isinstance(t.motive, S.Lam) and t.motive.ann is None:
         # a bare-lambda motive: the endpoints dictate the family's carrier
-        _, carrier_pre = infer(ctx, t.lhs)
+        lhs2, carrier_pre = infer(ctx, t.lhs)
         builders = [lambda c: carrier_pre, lambda c: carrier_pre,
                     lambda c: nbe.VId(carrier_pre, c.var_value(1), c.var_value(0),
                                       is_strict)]
@@ -470,7 +475,10 @@ def _infer_idelim(ctx, t):
     refl = nbe.REFL_S if is_strict else nbe.REFL
     refl_case2 = check(ctx, t.refl_case, nbe.VPi(carrier, nbe.HostClosure(
         lambda x: nbe.apply_many(m_v, x, x, refl))))
-    lhs2 = check(ctx, t.lhs, carrier)
+    if lhs2 is None:
+        lhs2 = check(ctx, t.lhs, carrier)
+    else:  # elaborated above; `check` would infer it again
+        _subsume(ctx, carrier_pre, carrier, t.lhs.span)
     rhs2 = check(ctx, t.rhs, carrier)
     lhs_v = nbe.eval_in(ctx, lhs2)
     rhs_v = nbe.eval_in(ctx, rhs2)

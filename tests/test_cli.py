@@ -182,6 +182,16 @@ def test_deeply_nested_parentheses_are_a_diagnostic(tmp_path):
     assert [f.split("\t")[3] for f in proc.stdout.splitlines()] == ["ResourceExhausted"]
 
 
+def test_non_ascii_digit_is_a_syntax_error(tmp_path):
+    # '\u00b2' (superscript two) is a digit to str.isdigit but not a numeral
+    path = write(tmp_path, "digit.2lt", "def n : Nat := \u00b2\n")
+    proc = check_in_subprocess(path)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert [f.split("\t")[:4] for f in proc.stdout.splitlines()] == \
+        [[path, "1", "16", "SyntaxError"]]
+
+
 def test_trace_flag_writes_progress(tmp_path, capsys):
     path = write(tmp_path, "ok.2lt", GOOD)
     assert main(["check", "--trace", path]) == 0

@@ -1,13 +1,17 @@
 """Surface grammar, scope resolution, spans, and printer round-trips."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tltt import syntax as S
 from tltt import diagnostics as D
+from tltt.corpus import CORPUS_DIR
 from tltt.diagnostics import CheckError
-from tltt.parser import parse_module, parse_term, tokenize
+from tltt.parser import Parser, parse_module, parse_term, tokenize
 from tltt.printer import pretty_print
 
 from gen import rand_scoped
@@ -165,3 +169,204 @@ def test_round_trip_generated():
         t = rand_scoped(rng, depth=len(names), size=rng.randrange(1, 14))
         printed = pretty_print(t, names)
         assert parse_term(printed, scope=names) == t, printed
+
+
+# -- linear work: counted operations, not time -------------------------------------
+
+def count_calls(monkeypatch, owner, name, limit=None):
+    """Count calls to `owner.name`; past `limit` calls, fail at once."""
+    calls = [0]
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        assert limit is None or calls[0] <= limit, f"more than {limit} calls to {name}"
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("connective, former", [("->", S.Pi), ("*", S.Sigma)])
+def test_long_chains_parse_without_shifting(monkeypatch, connective, former):
+    # each factor of `A -> A -> ... -> A` sees one more anonymous binder
+    n = 2000
+    shifts = count_calls(monkeypatch, S, "shift")
+    t = parse_term(f" {connective} ".join(["A"] * n), scope=["A"])
+    assert shifts[0] == 0
+    for k in range(n - 1):
+        assert type(t) is former
+        first, t = (t.dom, t.cod) if former is S.Pi else (t.fst, t.snd)
+        assert first == S.Var(k)
+    assert t == S.Var(n - 1)
+
+
+def test_nested_ascriptions_parse_each_bracket_once(monkeypatch):
+    # `(x0 : (x1 : ... (x29 : Nat)))`: every bracket opens like a binder
+    # telescope and turns out to be an ascription
+    depth = 30
+    names = [f"x{k}" for k in range(depth)]
+    text = "".join(f"({name} : " for name in names) + "Nat" + ")" * depth
+    terms = count_calls(monkeypatch, Parser, "term", limit=4 * depth)
+    t = parse_term(text, scope=names)
+    assert terms[0] == depth + 1  # the whole term, then each bracket's type
+    for k in range(depth):
+        assert t == S.App(S.Lam(S.Var(0)), S.Var(depth - 1 - k))
+        t = t.fn.ann
+    assert t == S.Nat()
+
+
+def test_a_bracket_is_a_binder_only_where_a_telescope_may_start():
+    a, b = S.Var(1), S.Var(0)
+    assert parse_term("(a b : U 0) -> a", scope=["A"]) == \
+        S.Pi(S.Univ(S.fibrant(0)), S.Pi(S.Univ(S.fibrant(0)), S.Var(1)))
+    assert parse_term("(a : U 0) * a", scope=["A"]) == \
+        S.Sigma(S.Univ(S.fibrant(0)), S.Var(0))
+    # in argument position the same bracket is an ascription
+    t = parse_term("f (a : U 0) -> b", scope=["f", "a", "b"])
+    assert t == S.Pi(S.App(S.Var(2), S.App(S.Lam(S.Var(0)), a)), S.Var(1))
+    with pytest.raises(CheckError) as e:
+        parse_term("a * (x : U 0) -> x", scope=["a"])
+    assert "arrow binder needs parentheses" in e.value.diagnostic.message
+    # an ascription reports its unbound names before an error in its type
+    with pytest.raises(CheckError) as e:
+        parse_term("(zz : nope)", scope=["a"])
+    assert e.value.diagnostic.message == "unbound identifier zz"
+    assert parse_term("(a b : U 0)", scope=["a", "b"]) == \
+        S.App(S.Lam(S.Var(0)), S.App(a, b))
+
+
+def test_printing_a_long_chain_walks_each_node_once(monkeypatch):
+    # only the innermost codomain mentions the outermost binder, so each
+    # Pi's "is it dependent" question is answered by one pass over the term
+    n = 200
+    t = S.Var(n - 1)
+    for _ in range(n):
+        t = S.Pi(S.Nat(), t, hint="a")
+    walks = count_calls(monkeypatch, S, "term_children")
+    text = pretty_print(t)
+    assert walks[0] <= 2 * n + 2
+    assert text.startswith("(a : Nat) -> Nat -> Nat -> ") and text.endswith("-> a")
+
+
+def test_fresh_names_are_the_first_unused_ones():
+    # the printer's bookkeeping against the definition, over random binder
+    # stacks whose names collide with generated ones (x1, x12, x0)
+    from tltt.printer import _Printer
+
+    def naive(names, hint):
+        base = hint or "x"
+        if base not in names:
+            return base
+        i = 1
+        while f"{base}{i}" in names:
+            i += 1
+        return f"{base}{i}"
+
+    rng = random.Random(5)
+    hints = [None, "x", "x1", "x12", "x2", "x0", "y", "y1", "1"]
+    for _ in range(200):
+        printer = _Printer(rng.sample(hints[1:], rng.randrange(3)))
+        for _ in range(60):
+            if printer.names and rng.random() < 0.4:
+                printer.pop()
+                continue
+            hint = rng.choice(hints)
+            name = printer.fresh(hint)
+            assert name == naive(printer.names, hint)
+            printer.push(name if rng.random() < 0.8 else rng.choice(hints[1:]))
+
+
+# -- the lexer ---------------------------------------------------------------------
+
+def _sources():
+    for path in sorted(CORPUS_DIR.glob("*.2lt")):
+        yield path.name, path.read_text(encoding="utf-8")
+    oracles = Path(__file__).resolve().parent.parent / "perfbench" / "oracles"
+    forms = json.loads((oracles / "reference_normal_forms.json").read_text())
+    for n in range(5):
+        yield f"SST {n}s", forms["normal_forms"][f"SST {n}s"]
+
+
+@pytest.mark.parametrize("name, text", [pytest.param(*s, id=s[0]) for s in _sources()])
+def test_every_token_is_the_source_at_its_span(name, text):
+    lines = text.split("\n")
+    toks = tokenize(text, name)
+    assert toks[-1].kind == "EOF"
+    for tok in toks:
+        assert tok.line == tok.end_line
+        source = lines[tok.line - 1][tok.col - 1:tok.end_col - 1]
+        assert source == tok.text + ("s" if tok.kind == "NUMS" else ""), tok
+
+
+def test_numerals_are_ascii_digits():
+    assert [t.kind for t in tokenize("12s 3 x2", "t")] == ["NUMS", "NUM", "IDENT", "EOF"]
+    for text in ("\u00b2", "1\u00b2", "\u0663"):  # superscript two, Arabic-Indic three
+        with pytest.raises(CheckError) as e:
+            parse_module(f"def n : Nat := {text}", "t.2lt")
+        diag = e.value.diagnostic
+        assert diag.code == D.SYNTAX_ERROR
+        assert diag.message.startswith("unexpected character")
+        assert diag.span.col == 16 + len(text) - 1
+    # other letters and numerals still make identifiers
+    assert tokenize("x\u00b2 \u00e9t\u00e9'", "t")[:2] == [
+        ("IDENT", "x\u00b2", 1, 1, 1, 3), ("IDENT", "\u00e9t\u00e9'", 1, 4, 1, 8)]
+
+
+def test_lexing_diagnostics_keep_their_spans():
+    cases = {
+        "def x : Nat := 0 -": ("stray '-' (use '-- ' for comments, '->' for arrows)", 1, 18),
+        "#bogus": ("unknown pragma", 1, 1),
+        "a =sb": ("bad token =sb", 1, 5),
+        "x\t{ y": ("unexpected character '{'", 1, 3),
+    }
+    for text, (message, line, col) in cases.items():
+        with pytest.raises(CheckError) as e:
+            tokenize(text, "t")
+        diag = e.value.diagnostic
+        assert (diag.message, diag.span.line, diag.span.col, diag.span.end_col) == \
+            (message, line, col, col + 1)
+    with pytest.raises(CheckError) as e:
+        tokenize("x {- a {- b -}\n c", "t")
+    span = e.value.diagnostic.span
+    assert (span.line, span.col, span.end_line, span.end_col) == (1, 3, 2, 3)
+    toks = tokenize("{- a {- b -} -}\n{--}x", "t")
+    assert toks[0] == ("IDENT", "x", 2, 5, 2, 6)
+
+
+_CORPUS_LINES = [line for _, text in _sources() if "\n" in text
+                 for line in text.splitlines() if line.strip()]
+
+
+def _parses_or_reports(text: str) -> None:
+    for run in (lambda: tokenize(text, "f.2lt"),
+                lambda: parse_module(text, "f.2lt", ["Foo"])):
+        try:
+            run()
+        except CheckError:
+            pass
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.text(max_size=60))
+def test_arbitrary_text_parses_or_reports(text):
+    _parses_or_reports(text)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, len(_CORPUS_LINES) - 2),
+       st.lists(st.tuples(st.sampled_from(["insert", "delete", "replace"]),
+                          st.integers(0, 200), st.integers(0, 255)), min_size=1, max_size=4))
+def test_mutated_corpus_lines_parse_or_report(index, edits):
+    data = bytearray("\n".join(_CORPUS_LINES[index:index + 2]).encode())
+    for op, at, byte in edits:
+        at %= len(data) + 1
+        if op == "insert":
+            data.insert(at, byte)
+        elif data:
+            at = min(at, len(data) - 1)
+            if op == "delete":
+                del data[at]
+            else:
+                data[at] = byte
+    _parses_or_reports(data.decode("utf-8", "replace"))

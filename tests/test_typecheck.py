@@ -290,3 +290,38 @@ def test_bare_lambda_motives_infer():
     t2 = tc.check(ctx, t, ty_v)
     nf = nbe.normalize(ctx, t2)
     tc.check(ctx, nf, ty_v)
+
+
+def count_infer_calls(monkeypatch, ctx, text):
+    calls = [0]
+    real = tc.infer
+
+    def counting(c, t):
+        calls[0] += 1
+        return real(c, t)
+
+    monkeypatch.setattr(tc, "infer", counting)
+    tc.infer(ctx, parse_term(text))
+    return calls[0]
+
+
+def test_bare_lambda_motives_elaborate_the_scrutinee_once(monkeypatch):
+    # the target of sumElim (lhs of J) is inferred to find the motive's
+    # domain, and that elaboration is kept rather than checked again
+    ctx = ctx_default()
+    sum_elim = "sumElim (\\s. Nat) (\\a. 0) (\\b. 1) {}"
+    assert count_infer_calls(
+        monkeypatch, ctx, sum_elim.format("((inl star) : Unit + Unit)")) == 12
+    # nested scrutinees cost the same number of calls per level, not 2^depth
+    nestings = {
+        sum_elim: ("((inl star) : Unit + Unit)",
+                   "(sumElim (\\s. Unit + Unit) (\\a. inl star) (\\b. inr star) {})"),
+        "J (\\x. \\y. \\p. Nat) (\\x. 0) {} 0 refl": (
+            "(0 : Nat)", "(J (\\x. \\y. \\p. Nat) (\\x. x) {} 0 refl)"),
+    }
+    for outer, (innermost, level) in nestings.items():
+        counts, inner = [], innermost
+        for _ in range(5):
+            counts.append(count_infer_calls(monkeypatch, ctx, outer.format(inner)))
+            inner = level.format(inner)
+        assert len({b - a for a, b in zip(counts, counts[1:])}) == 1, counts
