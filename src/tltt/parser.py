@@ -159,9 +159,7 @@ class _Binder(NamedTuple):
 class Parser:
     def __init__(self, toks: list[Token], path: str, scope: Sequence[str],
                  known: set[str]):
-        # a second EOF: the one unchecked `next` (a `#fail[` code) may step
-        # past the first, and `peek` stays a plain index
-        self.toks = [*toks, toks[-1]]
+        self.toks = toks
         self.pos = 0
         self.path = path
         self.scope: list[Optional[str]] = []  # innermost binder last; None if anonymous
@@ -523,7 +521,9 @@ class Parser:
             code = None
             if self.at_punct("["):
                 self.next()
-                code_tok = self.next()
+                code_tok = self.peek()
+                if code_tok.kind != "EOF":
+                    self.pos += 1  # taken even if unknown: a `#fail` resyncs after it
                 if code_tok.kind != "IDENT" or code_tok.text not in D.ALL_CODES:
                     raise fail(D.SYNTAX_ERROR,
                                f"unknown diagnostic code {code_tok.text!r}",

@@ -37,9 +37,6 @@ class _Printer:
     def __init__(self, names: Sequence[str]):
         self.names: list[str] = []  # innermost binder last
         self.count: dict[str, int] = {}  # name -> how often it is in `names`
-        # base -> i such that base1 .. base{i-1} are all in `names`, so that
-        # `fresh` need not probe them again
-        self.suffix: dict[str, int] = {}
         for name in names:
             self.push(name)
         # id of a binder node -> whether its body uses the bound variable
@@ -73,10 +70,9 @@ class _Printer:
         base = hint or "x"
         if base not in self.count:
             return base
-        i = self.suffix.get(base, 1)
+        i = 1
         while f"{base}{i}" in self.count:
             i += 1
-        self.suffix[base] = i
         return f"{base}{i}"
 
     def push(self, name: str) -> None:
@@ -88,15 +84,6 @@ class _Printer:
         left = self.count.pop(name) - 1
         if left:
             self.count[name] = left
-        elif name[-1:].isdigit():
-            # `name` is free again: it may be base{i} for any split of its
-            # trailing digits, and `fresh` must find it there
-            digits = len(name) - len(name.rstrip("0123456789"))
-            for k in range(len(name) - digits, len(name)):
-                if name[k] != "0":
-                    base, i = name[:k], int(name[k:])
-                    if i < self.suffix.get(base, 1):
-                        self.suffix[base] = i
 
     def under(self, name: str, t: S.Term, prec: int) -> str:
         self.push(name)
