@@ -6,6 +6,9 @@ with the context-level entry points.
 Evaluation is fragment-blind: strict eliminators compute exactly like the
 fibrant ones.  Fibrancy is enforced by the typechecker, never here.
 
+Values carry no types and evaluation computes none: a neutral's head records
+its variable's or axiom's type, and `neutral_type` derives the rest on demand.
+
 Conversion exploits sharing before it computes.  Values are never mutated
 and `evaluate` is deterministic, so two references to one value object are
 equal, and two closures with the same body over the same environment values
@@ -316,14 +319,14 @@ class FElim:
 
 
 class VNeutral(Value):
-    """A stuck value: a head under an ordered spine of eliminations."""
+    """A stuck value: a head under an ordered spine of eliminations.  It
+    carries no type; see `neutral_type`."""
 
-    __slots__ = ("head", "spine", "ty")
+    __slots__ = ("head", "spine")
 
-    def __init__(self, head, spine, ty=None):
+    def __init__(self, head, spine):
         self.head = head
         self.spine = spine  # tuple of frames, innermost first
-        self.ty = ty
 
 
 UNIT = VUnit()
@@ -339,22 +342,20 @@ REFL_S = VRefl(True)
 
 
 def fresh_var(level, ty=None):
-    return VNeutral(HVar(level, ty), (), ty)
+    return VNeutral(HVar(level, ty), ())
 
 
 # -- eliminators ----------------------------------------------------------------
 
-def _push(neutral, frame, ty=None):
-    return VNeutral(neutral.head, neutral.spine + (frame,), ty)
+def _push(neutral, frame):
+    return VNeutral(neutral.head, neutral.spine + (frame,))
 
 
 def apply_value(fn, arg):
     if isinstance(fn, VLam):
         return inst(fn.closure, arg)
     if isinstance(fn, VNeutral):
-        ty = fn.ty
-        res_ty = inst(ty.cod, arg) if isinstance(ty, VPi) else None
-        return _push(fn, FApp(arg), res_ty)
+        return _push(fn, FApp(arg))
     raise EvalError("application of a non-function value")
 
 
@@ -368,9 +369,7 @@ def do_fst(v):
     if isinstance(v, VPair):
         return v.fst
     if isinstance(v, VNeutral):
-        ty = v.ty
-        res_ty = ty.fst if isinstance(ty, VSigma) else None
-        return _push(v, FFst(), res_ty)
+        return _push(v, FFst())
     raise EvalError("first projection of a non-pair value")
 
 
@@ -378,9 +377,7 @@ def do_snd(v):
     if isinstance(v, VPair):
         return v.snd
     if isinstance(v, VNeutral):
-        ty = v.ty
-        res_ty = inst(ty.snd, do_fst(v)) if isinstance(ty, VSigma) else None
-        return _push(v, FSnd(), res_ty)
+        return _push(v, FSnd())
     raise EvalError("second projection of a non-pair value")
 
 
@@ -392,8 +389,7 @@ def do_natelim(motive, base, step, target, strict):
         return apply_value(apply_value(step, pred),
                            do_natelim(motive, base, step, pred, strict))
     if isinstance(target, VNeutral):
-        return _push(target, FElim(S.NatElim, (motive, base, step), strict),
-                     apply_value(motive, target))
+        return _push(target, FElim(S.NatElim, (motive, base, step), strict))
     raise EvalError("natural-number elimination of a non-numeral")
 
 
@@ -401,15 +397,13 @@ def do_sumelim(motive, on_inl, on_inr, target, strict):
     if isinstance(target, VInj):
         return apply_value(on_inl if target.is_left else on_inr, target.value)
     if isinstance(target, VNeutral):
-        return _push(target, FElim(S.SumElim, (motive, on_inl, on_inr), strict),
-                     apply_value(motive, target))
+        return _push(target, FElim(S.SumElim, (motive, on_inl, on_inr), strict))
     raise EvalError("sum elimination of a non-injection")
 
 
 def do_emptyelim(motive, target, strict):
     if isinstance(target, VNeutral):
-        return _push(target, FElim(S.EmptyElim, (motive,), strict),
-                     apply_value(motive, target))
+        return _push(target, FElim(S.EmptyElim, (motive,), strict))
     raise EvalError("empty elimination of a canonical value")
 
 
@@ -417,9 +411,31 @@ def do_idelim(motive, refl_case, lhs, rhs, proof, strict):
     if isinstance(proof, VRefl):
         return apply_value(refl_case, lhs)
     if isinstance(proof, VNeutral):
-        return _push(proof, FElim(S.IdElim, (motive, refl_case, lhs, rhs), strict),
-                     apply_many(motive, lhs, rhs, proof))
+        return _push(proof, FElim(S.IdElim, (motive, refl_case, lhs, rhs), strict))
     raise EvalError("equality elimination of a non-proof")
+
+
+def neutral_type(v):
+    """The type of the neutral `v`: its head's type taken along its spine,
+    each frame by its eliminator's typing rule on the prefix before it.
+    None for a `Ks` head, a variable bound without a type, or an application
+    or projection of a prefix with no Pi or Sigma type."""
+    head = v.head
+    ty = None if isinstance(head, HUip) else head.ty
+    prefix = VNeutral(head, ())
+    for frame in v.spine:
+        if isinstance(frame, FApp):
+            ty = inst(ty.cod, frame.arg) if isinstance(ty, VPi) else None
+        elif isinstance(frame, FFst):
+            ty = ty.fst if isinstance(ty, VSigma) else None
+        elif isinstance(frame, FSnd):
+            ty = inst(ty.snd, do_fst(prefix)) if isinstance(ty, VSigma) else None
+        elif frame.former is S.IdElim:  # motive lhs rhs proof
+            ty = apply_many(frame.args[0], *frame.args[2:], prefix)
+        else:
+            ty = apply_value(frame.args[0], prefix)
+        prefix = _push(prefix, frame)
+    return ty
 
 
 # -- evaluation -------------------------------------------------------------------
@@ -438,7 +454,7 @@ def evaluate(t, env):
         if entry is None:
             raise EvalError(f"undeclared constant {t.name}")
         if entry.body is None:
-            return VNeutral(HConst(t.name, entry.ty), (), entry.ty)
+            return VNeutral(HConst(t.name, entry.ty), ())
         budget = env.sig.budget
         if budget is not None:
             if budget[0] <= 0:
@@ -678,8 +694,8 @@ def _conv_whnf(depth, a, b, strict_pi):
 
 
 def _has_strict_id_annotation(v):
-    return (isinstance(v, VNeutral) and isinstance(v.ty, VId) and v.ty.strict) \
-        or (isinstance(v, VRefl) and v.strict)
+    ty = neutral_type(v) if isinstance(v, VNeutral) else None
+    return (isinstance(ty, VId) and ty.strict) or (isinstance(v, VRefl) and v.strict)
 
 
 def _conv_head(depth, h1, h2, strict_pi):

@@ -335,16 +335,6 @@ def subst(t: Term, index: int, replacement: Term) -> Term:
     return _rebuild(t, changes)
 
 
-def max_free_index(t: Term, depth: int = 0) -> int:
-    """Largest free de Bruijn index in `t` (-1 if closed at `depth`)."""
-    if isinstance(t, Var):
-        return t.index - depth if t.index >= depth else -1
-    best = -1
-    for _, child, under in term_children(t):
-        best = max(best, max_free_index(child, depth + 1 if under else depth))
-    return best
-
-
 def strict_constructors(t: Term) -> set[str]:
     """Names of strict-fragment constructors occurring anywhere in `t`: the
     class name plus `S` for a flagged former (`NatS`, `IdElimS`), `UipS`, and

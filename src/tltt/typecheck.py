@@ -226,16 +226,11 @@ def infer_universe(ctx: Context, t: Term) -> tuple[Term, Sort]:
                expected="an element of some universe", actual=ctx.show(ty))
 
 
-def classify(ctx: Context, type_term: Term) -> Sort:
-    """Least sort classifying `type_term`; fibrancy is `classify(...).is_fibrant`."""
-    return infer_universe(ctx, type_term)[1]
-
-
 def value_sort(ctx: Context, ty, depth: Optional[int] = None, span=None) -> Sort:
     """Least sort of a type value, mirroring inference on the value level.
 
-    Neutrals rely on the type annotations threaded through evaluation; a
-    variable X : U i classifies as Fibrant i, X : Us i as Strict i.
+    A neutral is classified by its type, `nbe.neutral_type`: a variable
+    X : U i classifies as Fibrant i, X : Us i as Strict i.
     """
     if depth is None:
         depth = ctx.depth
@@ -265,10 +260,7 @@ def value_sort(ctx: Context, ty, depth: Optional[int] = None, span=None) -> Sort
         level = value_sort(ctx, ty.ty, depth, span).level if ty.ty is not None else 0
         return strict(level) if ty.strict else fibrant(level)
     if isinstance(ty, nbe.VNeutral):
-        ann = ty.ty
-        if ann is None and isinstance(ty.head, nbe.HVar) and not ty.spine:
-            if ty.head.level < ctx.depth:
-                ann = ctx.entries[ty.head.level].ty
+        ann = nbe.neutral_type(ty)
         if isinstance(ann, nbe.VUniv):
             return ann.sort
         raise fail(D.UNIVERSE_ERROR,
@@ -278,14 +270,14 @@ def value_sort(ctx: Context, ty, depth: Optional[int] = None, span=None) -> Sort
 
 def _infer_equality(ctx, t):
     ty, lhs, rhs, is_strict = t.ty, t.lhs, t.rhs, t.strict
-    former = "strict equality" if is_strict else "equality"
+    former = "a strict equality" if is_strict else "an equality"
     if ty is None:
         try:
             lhs2, carrier = infer(ctx, lhs)
         except CheckError as err:
             if err.diagnostic.code == D.INFERENCE_FAILURE:
                 raise fail(D.INFERENCE_FAILURE,
-                           f"cannot infer the carrier type of an {former}; "
+                           f"cannot infer the carrier type of {former}; "
                            "ascribe one endpoint", t.span)
             raise
         ty2 = nbe.quote(ctx.depth, carrier)

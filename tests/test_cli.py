@@ -114,6 +114,37 @@ axiom q : 0s =s 0s
     assert run(RunConfig(files=[path], strict_proof_irrelevance=True)).ok
 
 
+def test_strict_proof_irrelevance_under_a_spine(tmp_path):
+    # a strict equality proof under `P` is reached through an application,
+    # a stuck eliminator and a projection; a fibrant one is never collapsed
+    text = """
+axiom P : (0s =s 0s) -> Us 0
+axiom p : 0s =s 0s
+axiom q : 0s =s 0s
+axiom f : NatS -> 0s =s 0s
+axiom m : NatS
+axiom s : (0s =s 0s) * Nat
+axiom x : P p
+#check x : P q
+axiom y : P (f m)
+#check y : P q
+axiom z : P (natElimS (\\n. 0s =s 0s) refls (\\n. \\r. r) m)
+#check z : P q
+axiom w : P (fst s)
+#check w : P q
+axiom P2 : (0 = 0) -> U 0
+axiom p2 : 0 = 0
+axiom q2 : 0 = 0
+axiom x2 : P2 p2
+#fail[ConversionFailure] #check x2 : P2 q2
+"""
+    path = write(tmp_path, "spine.2lt", text)
+    report = run(RunConfig(files=[path], strict_proof_irrelevance=True))
+    assert report.ok, [str(d) for _, d in report.diagnostics]
+    report = run(RunConfig(files=[path]))
+    assert [d.code for _, d in report.diagnostics] == ["ConversionFailure"] * 4
+
+
 def test_unfold_budget_flag(tmp_path):
     text = "def d : Nat := 3\ndef e : Nat := succ d\n#normalize succ e\n"
     path = write(tmp_path, "budget.2lt", text)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from tltt import nbe, syntax as S, typecheck as tc
-from tltt.parser import parse_term
+from tltt.parser import parse_module, parse_term
 from tltt.printer import pretty_print
 
 import props
@@ -218,6 +218,61 @@ def test_nbe_agrees_with_reference_normalizer_sampled():
         ty2, _ = tc.infer_universe(ctx, ty)
         t2 = tc.check(ctx, t, nbe.eval_in(ctx, ty2))
         assert nbe.normalize(ctx, t2) == normalize_ref(t2)
+
+
+# -- the type of a neutral --------------------------------------------------------
+
+def test_stuck_application_spends_no_unfolds_on_its_type():
+    # the type of `f 0` is `T`, a definition: evaluation must not unfold it
+    ctx = empty_ctx()
+    for decl in parse_module("def T : U 0 := Nat\naxiom f : Nat -> T", "<test>").decls:
+        tc.check_declaration(ctx, decl)
+    ctx.sig.budget = [0]
+    v = nbe.evaluate(S.App(S.Const("f"), S.Zero()), ctx.env)
+    assert isinstance(v, nbe.VNeutral) and ctx.sig.budget == [0]
+    assert nbe.quote(0, v) == S.App(S.Const("f"), S.Zero())
+    ctx.sig.budget = None
+    assert nbe.neutral_type(v) is nbe.NAT
+
+
+def _neutral_ctx():
+    """A context of variables of every eliminable shape."""
+    ctx = empty_ctx()
+    for name, text in [("f", "(n : Nat) -> n = n"), ("p", "(n : Nat) * (n = n)"),
+                       ("x", "Nat"), ("s", "Nat + Nat"), ("e", "Empty"),
+                       ("q", "0 = 1")]:
+        ty, _ = tc.infer_universe(ctx, parse_term(text, scope=ctx.names()))
+        ctx = ctx.extend(name, nbe.eval_in(ctx, ty))
+    return ctx
+
+
+@pytest.mark.parametrize("term, expected", [
+    ("f 3", "3 = 3"),
+    ("fst p", "Nat"),
+    ("snd p", "fst p = fst p"),
+    ("natElim (\\n. n = n) refl (\\k. \\r. refl) x", "x = x"),
+    ("sumElim (\\t. t = t) (\\a. refl) (\\b. refl) s", "s = s"),
+    ("emptyElim (\\t. t = t) e", "e = e"),
+    ("J (\\a. \\b. \\r. (a = b) * (r = r)) (\\a. star) 0 1 q", "(0 = 1) * (q = q)"),
+], ids=["app", "fst", "snd", "natElim", "sumElim", "emptyElim", "J"])
+def test_neutral_type_follows_each_frame(term, expected):
+    ctx = _neutral_ctx()
+    v = nbe.eval_in(ctx, parse_term(term, scope=ctx.names()))
+    assert isinstance(v, nbe.VNeutral)
+    ty = nbe.neutral_type(v)
+    assert nbe.quote(ctx.depth, ty) == parse_term(expected, scope=ctx.names())
+
+
+def test_neutral_type_is_none_without_a_typed_head():
+    ctx = _neutral_ctx()
+    ks = nbe.eval_in(ctx, parse_term("Ks q q", scope=ctx.names()))
+    assert isinstance(ks.head, nbe.HUip) and nbe.neutral_type(ks) is None
+    x = nbe.fresh_var(0)
+    assert nbe.neutral_type(x) is None
+    assert nbe.neutral_type(nbe.apply_value(x, nbe.ZERO)) is None
+    # an eliminator's motive types its result whatever the scrutinee's type
+    stuck = nbe.do_emptyelim(nbe.VLam(nbe.Closure(ctx.env, S.Nat())), x, False)
+    assert nbe.neutral_type(stuck) is nbe.NAT
 
 
 # -- sharing shortcuts in conv --------------------------------------------------
