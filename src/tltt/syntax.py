@@ -1,9 +1,14 @@
 """Core term language: sorts, de Bruijn terms, declarations, substitution.
 
-Terms are immutable dataclasses compared structurally; with de Bruijn
+Terms are slotted dataclasses compared structurally; with de Bruijn
 indices, structural equality *is* alpha-equality.  Fields that carry no
 semantic content (source spans, binder-name hints, inferable type
 annotations) are excluded from comparison so that equality stays alpha.
+
+Terms are immutable by convention: no code assigns a field after
+construction.  Nothing enforces it, because a frozen dataclass sets every
+field through `object.__setattr__` and pays for that guard on every node the
+parser, `quote` and substitution build.
 
 The outer (strict) naturals, empty type, sums and equality are the same
 formers as the inner (fibrant) ones, living in the other fragment, so each
@@ -17,7 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
 FIBRANT = "fibrant"
@@ -66,8 +71,7 @@ def combine_sorts(a: Sort, b: Sort) -> Sort:
     return Sort(frag, max(a.level, b.level))
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """Source location: half-open in columns, 1-based lines and columns."""
 
     path: str
@@ -83,74 +87,74 @@ class Span:
 _SPAN = dict(default=None, compare=False, repr=False, kw_only=True)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Term:
     span: Optional[Span] = field(**_SPAN)
 
 
 # -- variables, universes, functions, pairs ---------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Var(Term):
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Univ(Term):
     sort: Sort
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Pi(Term):
     dom: Term
     cod: Term
     hint: Optional[str] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Lam(Term):
     body: Term
     ann: Optional[Term] = field(default=None, compare=False, repr=False)
     hint: Optional[str] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class App(Term):
     fn: Term
     arg: Term
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Sigma(Term):
     fst: Term
     snd: Term
     hint: Optional[str] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Pair(Term):
     fst: Term
     snd: Term
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Fst(Term):
     pair: Term
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Snd(Term):
     pair: Term
 
 
 # -- unit --------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Unit(Term):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Star(Term):
     pass
 
@@ -160,23 +164,23 @@ class Star(Term):
 _STRICT = dict(default=False, kw_only=True)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Nat(Term):
     strict: bool = field(**_STRICT)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Zero(Term):
     strict: bool = field(**_STRICT)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Succ(Term):
     pred: Term
     strict: bool = field(**_STRICT)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class NatElim(Term):
     motive: Term
     base: Term
@@ -185,38 +189,38 @@ class NatElim(Term):
     strict: bool = field(**_STRICT)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Empty(Term):
     strict: bool = field(**_STRICT)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class EmptyElim(Term):
     motive: Term
     target: Term
     strict: bool = field(**_STRICT)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Sum(Term):
     left: Term
     right: Term
     strict: bool = field(**_STRICT)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Inl(Term):
     value: Term
     strict: bool = field(**_STRICT)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Inr(Term):
     value: Term
     strict: bool = field(**_STRICT)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SumElim(Term):
     motive: Term
     on_inl: Term
@@ -229,7 +233,7 @@ class SumElim(Term):
 # parser leaves it as None and elaboration completes it; it is excluded from
 # structural comparison for the same reason.
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Id(Term):
     ty: Optional[Term] = field(compare=False, repr=False)
     lhs: Term
@@ -237,12 +241,12 @@ class Id(Term):
     strict: bool = field(**_STRICT)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Refl(Term):
     strict: bool = field(**_STRICT)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class IdElim(Term):
     motive: Term
     refl_case: Term
@@ -252,13 +256,13 @@ class IdElim(Term):
     strict: bool = field(**_STRICT)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class UipS(Term):
     p: Term
     q: Term
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Const(Term):
     name: str
 
