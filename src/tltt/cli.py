@@ -116,7 +116,11 @@ class _Runner:
                     self.run_pragma(path, decl)
                 else:
                     self.trace(f"checking {decl.name}")
+                    started, unfolds = time.perf_counter(), self.ctx.sig.unfolds
                     checked = tc.check_declaration(self.ctx, decl)
+                    self.trace(f"checked {decl.name} in "
+                               f"{(time.perf_counter() - started) * 1000:.1f} ms, "
+                               f"{self.ctx.sig.unfolds - unfolds} unfolds")
                     self.report.checked.append(checked)
                     status.decls += 1
             except CheckError as e:
@@ -266,11 +270,13 @@ def main(argv: Optional[list[str]] = None) -> int:
                          help="make all strict equality proofs definitionally equal")
     checker.add_argument("--trace", action="store_true",
                          help="print each file and declaration as it is checked, "
-                              "and the total time, to stderr")
+                              "each declaration's time and unfolds, and the total "
+                              "time, to stderr")
     checker.add_argument("--format", choices=("human", "lines"), default="human")
     checker.add_argument("--unfold-budget", type=int, default=None, metavar="N",
                          help="allow each declaration or pragma at most N constant "
-                              "unfolds; only unfolds actually performed count")
+                              "unfolds; an unfold is spent when a constant's body "
+                              "is needed, not when the constant is mentioned")
     args = parser.parse_args(argv)
     sys.setrecursionlimit(max(sys.getrecursionlimit(), RECURSION_LIMIT))
 

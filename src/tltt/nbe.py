@@ -14,7 +14,7 @@ from tltt.nbe_core import (  # noqa: F401
     HVar, SigEntry, Signature, Value, VEmpty, VId, VInj, VLam, VNat, VNeutral,
     VPair, VPi, VRefl, VSigma, VStar, VSucc, VSum, VUnit, VUniv, VZero,
     apply_many, apply_value, conv, do_emptyelim, do_fst, do_idelim, do_natelim,
-    do_snd, do_sumelim, empty_env, evaluate, extend, fresh_var, inst,
+    do_snd, do_sumelim, empty_env, evaluate, extend, force, fresh_var, inst,
     neutral_type, quote,
 )
 

@@ -7,13 +7,26 @@ Evaluation is fragment-blind: strict eliminators compute exactly like the
 fibrant ones.  Fibrancy is enforced by the typechecker, never here.
 
 Values carry no types and evaluation computes none: a neutral's head records
-its variable's or axiom's type, and `neutral_type` derives the rest on demand.
+its variable's or constant's type, and `neutral_type` derives the rest on
+demand.
+
+Constants are glued.  `Const name` evaluates to the one value its
+`SigEntry` built, a neutral whose `HConst` head also holds the definition's
+body; applying it only pushes an argument.  `force` is the one place a
+constant unfolds: it applies the body along the spine, spending one unfold
+of the budget, and leaves every other value as it is.  Eliminators, read-back
+and the checker force what they take apart; conversion first compares two
+applications of one constant argument by argument, and forces both sides
+only when that fails.  A forced application memoizes its unfolding in the
+neutral's `unfolded` slot.  That slot is a cache written at most once with
+a value determined by the rest of the neutral, so it changes nothing that
+can be observed and values stay immutable in substance.
 
 Conversion exploits sharing before it computes.  Values are never mutated
 and `evaluate` is deterministic, so two references to one value object are
 equal, and two closures with the same body over the same environment values
-instantiate to the same result under any argument.  Constants unfold to
-their one shared `SigEntry.body`, which makes both cases common.
+instantiate to the same result under any argument.  Every mention of a
+constant evaluates to its one shared value, which makes both cases common.
 """
 
 from tltt import syntax as S
@@ -26,25 +39,29 @@ class EvalError(Exception):
 # -- signature ----------------------------------------------------------------
 
 class SigEntry:
-    __slots__ = ("ty", "body", "is_axiom")
+    __slots__ = ("ty", "is_axiom", "value")
 
-    def __init__(self, ty, body, is_axiom):
-        self.ty = ty          # Value: the declared type
-        self.body = body      # Value or None: evaluated definition body
+    def __init__(self, name, ty, body, is_axiom, sig):
+        self.ty = ty  # Value: the declared type
         self.is_axiom = is_axiom
+        # what every `Const name` evaluates to: glued to `body` (the evaluated
+        # definition), or stuck for an axiom, whose `body` is None
+        self.value = VNeutral(HConst(name, ty, body, sig), ())
 
 
 class Signature:
-    """Global signature of checked declarations plus the unfold budget."""
+    """Global signature of checked declarations, the unfold budget and the
+    number of unfolds performed so far."""
 
-    __slots__ = ("entries", "budget")
+    __slots__ = ("entries", "budget", "unfolds")
 
     def __init__(self, budget=None):
         self.entries = {}
         self.budget = budget  # None (unlimited) or [remaining]
+        self.unfolds = 0
 
     def define(self, name, ty, body, is_axiom=False):
-        self.entries[name] = SigEntry(ty, body, is_axiom)
+        self.entries[name] = SigEntry(name, ty, body, is_axiom, self)
 
     def lookup(self, name):
         return self.entries.get(name)
@@ -274,11 +291,15 @@ class HVar:
 
 
 class HConst:
-    __slots__ = ("name", "ty")
+    """A constant: an axiom (`body` None) or a definition, glued to its body."""
 
-    def __init__(self, name, ty=None):
+    __slots__ = ("name", "ty", "body", "sig")
+
+    def __init__(self, name, ty, body, sig):
         self.name = name
         self.ty = ty
+        self.body = body
+        self.sig = sig
 
 
 class HUip:
@@ -320,13 +341,18 @@ class FElim:
 
 class VNeutral(Value):
     """A stuck value: a head under an ordered spine of eliminations.  It
-    carries no type; see `neutral_type`."""
+    carries no type; see `neutral_type`.
 
-    __slots__ = ("head", "spine")
+    Under a defined constant's head the value is glued, not stuck: its spine
+    holds only `FApp` frames and `force` unfolds it.  `unfolded` memoizes
+    that unfolding for a non-empty spine; it is written once, by `force`."""
+
+    __slots__ = ("head", "spine", "unfolded")
 
     def __init__(self, head, spine):
         self.head = head
         self.spine = spine  # tuple of frames, innermost first
+        self.unfolded = None
 
 
 UNIT = VUnit()
@@ -343,6 +369,43 @@ REFL_S = VRefl(True)
 
 def fresh_var(level, ty=None):
     return VNeutral(HVar(level, ty), ())
+
+
+# -- unfolding ------------------------------------------------------------------
+
+def _is_glued(v):
+    return (type(v) is VNeutral and type(v.head) is HConst
+            and v.head.body is not None)
+
+
+def force(v):
+    """`v` with its head constant unfolded, repeatedly, until it is not glued.
+
+    Each unfolding computed spends one unfold of the signature's budget.  An
+    application's unfolding is memoized in its `unfolded` slot.  A bare
+    constant's is not, since it is the head's `body` already: each force of
+    a bare constant spends an unfold."""
+    if type(v) is not VNeutral:
+        return v
+    head = v.head
+    if type(head) is not HConst or head.body is None:
+        return v
+    if v.unfolded is not None:
+        return v.unfolded
+    sig = head.sig
+    budget = sig.budget
+    if budget is not None:
+        if budget[0] <= 0:
+            raise EvalError("unfold budget exhausted")
+        budget[0] -= 1
+    sig.unfolds += 1
+    result = head.body
+    for frame in v.spine:
+        result = apply_value(result, frame.arg)
+    result = force(result)
+    if v.spine:
+        v.unfolded = result
+    return result
 
 
 # -- eliminators ----------------------------------------------------------------
@@ -366,6 +429,7 @@ def apply_many(fn, *args):
 
 
 def do_fst(v):
+    v = force(v)
     if isinstance(v, VPair):
         return v.fst
     if isinstance(v, VNeutral):
@@ -374,6 +438,7 @@ def do_fst(v):
 
 
 def do_snd(v):
+    v = force(v)
     if isinstance(v, VPair):
         return v.snd
     if isinstance(v, VNeutral):
@@ -382,6 +447,7 @@ def do_snd(v):
 
 
 def do_natelim(motive, base, step, target, strict):
+    target = force(target)
     if isinstance(target, VZero):
         return base
     if isinstance(target, VSucc):
@@ -394,6 +460,7 @@ def do_natelim(motive, base, step, target, strict):
 
 
 def do_sumelim(motive, on_inl, on_inr, target, strict):
+    target = force(target)
     if isinstance(target, VInj):
         return apply_value(on_inl if target.is_left else on_inr, target.value)
     if isinstance(target, VNeutral):
@@ -402,12 +469,14 @@ def do_sumelim(motive, on_inl, on_inr, target, strict):
 
 
 def do_emptyelim(motive, target, strict):
+    target = force(target)
     if isinstance(target, VNeutral):
         return _push(target, FElim(S.EmptyElim, (motive,), strict))
     raise EvalError("empty elimination of a canonical value")
 
 
 def do_idelim(motive, refl_case, lhs, rhs, proof, strict):
+    proof = force(proof)
     if isinstance(proof, VRefl):
         return apply_value(refl_case, lhs)
     if isinstance(proof, VNeutral):
@@ -419,11 +488,13 @@ def neutral_type(v):
     """The type of the neutral `v`: its head's type taken along its spine,
     each frame by its eliminator's typing rule on the prefix before it.
     None for a `Ks` head, a variable bound without a type, or an application
-    or projection of a prefix with no Pi or Sigma type."""
+    or projection of a prefix with no Pi or Sigma type.  The type is forced
+    at each step, and so is the result."""
     head = v.head
     ty = None if isinstance(head, HUip) else head.ty
     prefix = VNeutral(head, ())
     for frame in v.spine:
+        ty = force(ty)
         if isinstance(frame, FApp):
             ty = inst(ty.cod, frame.arg) if isinstance(ty, VPi) else None
         elif isinstance(frame, FFst):
@@ -435,7 +506,7 @@ def neutral_type(v):
         else:
             ty = apply_value(frame.args[0], prefix)
         prefix = _push(prefix, frame)
-    return ty
+    return force(ty)
 
 
 # -- evaluation -------------------------------------------------------------------
@@ -453,14 +524,7 @@ def evaluate(t, env):
         entry = env.sig.lookup(t.name)
         if entry is None:
             raise EvalError(f"undeclared constant {t.name}")
-        if entry.body is None:
-            return VNeutral(HConst(t.name, entry.ty), ())
-        budget = env.sig.budget
-        if budget is not None:
-            if budget[0] <= 0:
-                raise EvalError("unfold budget exhausted")
-            budget[0] -= 1
-        return entry.body
+        return entry.value
     if cls is S.Pi:
         return VPi(evaluate(t.dom, env), Closure(env, t.cod), t.hint)
     if cls is S.Sigma:
@@ -515,22 +579,29 @@ def evaluate(t, env):
 
 # -- read-back ---------------------------------------------------------------------
 
-def quote(depth, v):
-    """Read a value back as a beta-iota-normal term at binding depth `depth`."""
+def quote(depth, v, unfold=True):
+    """Read a value back as a beta-iota-normal term at binding depth `depth`.
+
+    With `unfold` false, an application of a defined constant is read back
+    folded, as the constant applied to its read-back arguments."""
     if isinstance(v, VNeutral):
-        return _quote_neutral(depth, v)
+        if unfold:
+            v = force(v)
+        if isinstance(v, VNeutral):
+            return _quote_neutral(depth, v, unfold)
     if isinstance(v, VLam):
-        return S.Lam(quote(depth + 1, inst(v.closure, fresh_var(depth))), hint=v.hint)
+        return S.Lam(quote(depth + 1, inst(v.closure, fresh_var(depth)), unfold),
+                     hint=v.hint)
     if isinstance(v, VPi):
-        return S.Pi(quote(depth, v.dom),
-                    quote(depth + 1, inst(v.cod, fresh_var(depth, v.dom))),
+        return S.Pi(quote(depth, v.dom, unfold),
+                    quote(depth + 1, inst(v.cod, fresh_var(depth, v.dom)), unfold),
                     hint=v.hint)
     if isinstance(v, VSigma):
-        return S.Sigma(quote(depth, v.fst),
-                       quote(depth + 1, inst(v.snd, fresh_var(depth, v.fst))),
+        return S.Sigma(quote(depth, v.fst, unfold),
+                       quote(depth + 1, inst(v.snd, fresh_var(depth, v.fst)), unfold),
                        hint=v.hint)
     if isinstance(v, VPair):
-        return S.Pair(quote(depth, v.fst), quote(depth, v.snd))
+        return S.Pair(quote(depth, v.fst, unfold), quote(depth, v.snd, unfold))
     if isinstance(v, VUniv):
         return S.Univ(v.sort)
     if isinstance(v, VUnit):
@@ -542,22 +613,24 @@ def quote(depth, v):
     if isinstance(v, VZero):
         return S.Zero(strict=v.strict)
     if isinstance(v, VSucc):
-        return S.Succ(quote(depth, v.pred), strict=v.strict)
+        return S.Succ(quote(depth, v.pred, unfold), strict=v.strict)
     if isinstance(v, VEmpty):
         return S.Empty(strict=v.strict)
     if isinstance(v, VSum):
-        return S.Sum(quote(depth, v.left), quote(depth, v.right), strict=v.strict)
+        return S.Sum(quote(depth, v.left, unfold), quote(depth, v.right, unfold),
+                     strict=v.strict)
     if isinstance(v, VInj):
         mk = S.Inl if v.is_left else S.Inr
-        return mk(quote(depth, v.value), strict=v.strict)
+        return mk(quote(depth, v.value, unfold), strict=v.strict)
     if isinstance(v, VId):
-        return S.Id(None, quote(depth, v.lhs), quote(depth, v.rhs), strict=v.strict)
+        return S.Id(None, quote(depth, v.lhs, unfold), quote(depth, v.rhs, unfold),
+                    strict=v.strict)
     if isinstance(v, VRefl):
         return S.Refl(strict=v.strict)
     raise EvalError(f"cannot quote {type(v).__name__}")
 
 
-def _quote_neutral(depth, v):
+def _quote_neutral(depth, v, unfold):
     head = v.head
     if isinstance(head, HVar):
         if head.level >= depth:
@@ -566,18 +639,18 @@ def _quote_neutral(depth, v):
     elif isinstance(head, HConst):
         acc = S.Const(head.name)
     elif isinstance(head, HUip):
-        acc = S.UipS(quote(depth, head.p), quote(depth, head.q))
+        acc = S.UipS(quote(depth, head.p, unfold), quote(depth, head.q, unfold))
     else:
         raise EvalError("unknown neutral head")
     for frame in v.spine:
         if isinstance(frame, FApp):
-            acc = S.App(acc, quote(depth, frame.arg))
+            acc = S.App(acc, quote(depth, frame.arg, unfold))
         elif isinstance(frame, FFst):
             acc = S.Fst(acc)
         elif isinstance(frame, FSnd):
             acc = S.Snd(acc)
         elif isinstance(frame, FElim):
-            acc = frame.former(*[quote(depth, a) for a in frame.args], acc,
+            acc = frame.former(*[quote(depth, a, unfold) for a in frame.args], acc,
                                strict=frame.strict)
         else:
             raise EvalError("unknown spine frame")
@@ -602,6 +675,10 @@ def conv(depth, a, b, ty, strict_pi=False):
       are equal when `_same_closure` holds, because evaluating one body in
       environments of the same values gives the same result.
 
+    Two applications of one defined constant to the same number of arguments
+    are equal when their arguments are; otherwise both sides are forced and
+    compared again.
+
     Otherwise the comparison instantiates and recurses as usual.  A shortcut
     only ever answers True, so it never hides an inequality; it does skip the
     unfolds the full comparison would spend against the budget.
@@ -609,6 +686,7 @@ def conv(depth, a, b, ty, strict_pi=False):
     if a is b:
         return True
     if ty is not None:
+        ty = force(ty)
         if isinstance(ty, VPi):
             x = fresh_var(depth, ty.dom)
             return conv(depth + 1, apply_value(a, x), apply_value(b, x),
@@ -626,6 +704,13 @@ def conv(depth, a, b, ty, strict_pi=False):
 
 
 def _conv_whnf(depth, a, b, strict_pi):
+    if _is_glued(a) or _is_glued(b):
+        if (_is_glued(a) and _is_glued(b) and a.head.name == b.head.name
+                and _conv_spine(depth, a.spine, b.spine, strict_pi)):
+            return True
+        a = force(a)
+        b = force(b)
+        return a is b or _conv_whnf(depth, a, b, strict_pi)
     # eta: a lambda or pair meets a neutral of the corresponding shape
     if isinstance(a, VLam) or isinstance(b, VLam):
         if (isinstance(a, VLam) and isinstance(b, VLam)
@@ -694,6 +779,7 @@ def _conv_whnf(depth, a, b, strict_pi):
 
 
 def _has_strict_id_annotation(v):
+    v = force(v)
     ty = neutral_type(v) if isinstance(v, VNeutral) else None
     return (isinstance(ty, VId) and ty.strict) or (isinstance(v, VRefl) and v.strict)
 

@@ -66,7 +66,8 @@ class Context:
         return [e.name or "_" for e in self.entries]
 
     def show(self, v) -> str:
-        return pretty_print(nbe.quote(self.depth, v), self.names())
+        """A value for a diagnostic, with constant applications left folded."""
+        return pretty_print(nbe.quote(self.depth, v, unfold=False), self.names())
 
     def show_term(self, t: Term) -> str:
         return pretty_print(t, self.names())
@@ -140,28 +141,31 @@ def infer(ctx: Context, t: Term) -> tuple[Term, object]:
                     nbe.VPi(dom_v, nbe.Closure(ctx.env, cod_term), t.hint))
         case S.App(fn=fn, arg=arg):
             fn2, fn_ty = infer(ctx, fn)
-            if not isinstance(fn_ty, nbe.VPi):
+            pi = nbe.force(fn_ty)
+            if not isinstance(pi, nbe.VPi):
                 raise fail(D.CONVERSION_FAILURE, "application of a non-function",
                            t.span, expected="a function type", actual=ctx.show(fn_ty))
-            arg2 = check(ctx, arg, fn_ty.dom)
+            arg2 = check(ctx, arg, pi.dom)
             return (S.App(fn2, arg2, span=t.span),
-                    nbe.inst(fn_ty.cod, nbe.eval_in(ctx, arg2)))
+                    nbe.inst(pi.cod, nbe.eval_in(ctx, arg2)))
         case S.Pair():
             raise fail(D.INFERENCE_FAILURE,
                        "cannot infer the type of a bare pair; ascribe it", t.span)
         case S.Fst(pair=p):
             p2, p_ty = infer(ctx, p)
-            if not isinstance(p_ty, nbe.VSigma):
+            sigma = nbe.force(p_ty)
+            if not isinstance(sigma, nbe.VSigma):
                 raise fail(D.CONVERSION_FAILURE, "first projection of a non-pair",
                            t.span, expected="a pair type", actual=ctx.show(p_ty))
-            return S.Fst(p2, span=t.span), p_ty.fst
+            return S.Fst(p2, span=t.span), sigma.fst
         case S.Snd(pair=p):
             p2, p_ty = infer(ctx, p)
-            if not isinstance(p_ty, nbe.VSigma):
+            sigma = nbe.force(p_ty)
+            if not isinstance(sigma, nbe.VSigma):
                 raise fail(D.CONVERSION_FAILURE, "second projection of a non-pair",
                            t.span, expected="a pair type", actual=ctx.show(p_ty))
             return (S.Snd(p2, span=t.span),
-                    nbe.inst(p_ty.snd, nbe.do_fst(nbe.eval_in(ctx, p2))))
+                    nbe.inst(sigma.snd, nbe.do_fst(nbe.eval_in(ctx, p2))))
         case S.Unit():
             return t, nbe.VUniv(fibrant(0))
         case S.Nat() | S.Empty():
@@ -207,7 +211,8 @@ def infer(ctx: Context, t: Term) -> tuple[Term, object]:
             return _infer_idelim(ctx, t)
         case S.UipS(p=p, q=q):
             p2, p_ty = infer(ctx, p)
-            if not (isinstance(p_ty, nbe.VId) and p_ty.strict):
+            eq = nbe.force(p_ty)
+            if not (isinstance(eq, nbe.VId) and eq.strict):
                 raise fail(D.CONVERSION_FAILURE,
                            "Ks expects proofs of a strict equality", t.span,
                            expected="a strict equality type", actual=ctx.show(p_ty))
@@ -220,8 +225,9 @@ def infer(ctx: Context, t: Term) -> tuple[Term, object]:
 def infer_universe(ctx: Context, t: Term) -> tuple[Term, Sort]:
     """Elaborate a term expected to be a type; returns it with its least sort."""
     t2, ty = infer(ctx, t)
-    if isinstance(ty, nbe.VUniv):
-        return t2, ty.sort
+    univ = nbe.force(ty)
+    if isinstance(univ, nbe.VUniv):
+        return t2, univ.sort
     raise fail(D.UNIVERSE_ERROR, "expected a type", t.span,
                expected="an element of some universe", actual=ctx.show(ty))
 
@@ -234,6 +240,7 @@ def value_sort(ctx: Context, ty, depth: Optional[int] = None, span=None) -> Sort
     """
     if depth is None:
         depth = ctx.depth
+    ty = nbe.force(ty)
     if isinstance(ty, nbe.VUniv):
         return Sort(ty.sort.fragment, ty.sort.level + 1)
     if isinstance(ty, nbe.VPi):
@@ -280,7 +287,9 @@ def _infer_equality(ctx, t):
                            f"cannot infer the carrier type of {former}; "
                            "ascribe one endpoint", t.span)
             raise
-        ty2 = nbe.quote(ctx.depth, carrier)
+        # folded, so that conversion can compare the carrier of each
+        # evaluation of this equality without unfolding it
+        ty2 = nbe.quote(ctx.depth, carrier, unfold=False)
         sort = value_sort(ctx, carrier, span=t.span)
     else:
         ty2, sort = infer_universe(ctx, ty)
@@ -318,8 +327,9 @@ def _motive_waived(ctx: Context, is_strict: bool) -> bool:
 
 
 def _expect_universe_value(ctx, v, span, what):
-    if isinstance(v, nbe.VUniv):
-        return v.sort
+    univ = nbe.force(v)
+    if isinstance(univ, nbe.VUniv):
+        return univ.sort
     raise fail(D.UNIVERSE_ERROR, f"{what} must land in a universe", span,
                expected="a universe", actual=ctx.show(v))
 
@@ -334,6 +344,7 @@ def _check_motive_sort(ctx, sort: Sort, eliminator: str, span) -> None:
 def _peel_motive(ctx, m_ty, arity, span) -> Sort:
     depth = ctx.depth
     for _ in range(arity):
+        m_ty = nbe.force(m_ty)
         if not isinstance(m_ty, nbe.VPi):
             raise fail(D.UNIVERSE_ERROR, "motive has too few arguments", span,
                        expected="a family over the eliminated data",
@@ -347,13 +358,14 @@ def _infer_natelim(ctx, t):
     is_strict = t.strict
     nat = nbe.NAT_S if is_strict else nbe.NAT
     motive2, m_ty = _infer_motive(ctx, t.motive, [lambda c: nat])
-    if not (isinstance(m_ty, nbe.VPi)
-            and nbe.conv(ctx.depth, m_ty.dom, nat, None, ctx.strict_pi)):
+    pi = nbe.force(m_ty)
+    if not (isinstance(pi, nbe.VPi)
+            and nbe.conv(ctx.depth, pi.dom, nat, None, ctx.strict_pi)):
         raise fail(D.CONVERSION_FAILURE, "the motive must be a family over the naturals",
                    t.motive.span or t.span,
                    expected=("NatS -> ..." if is_strict else "Nat -> ..."),
                    actual=ctx.show(m_ty))
-    sort = _peel_motive(ctx, m_ty, 1, t.motive.span or t.span)
+    sort = _peel_motive(ctx, pi, 1, t.motive.span or t.span)
     if not _motive_waived(ctx, is_strict):
         _check_motive_sort(ctx, sort, "natElim", t.motive.span or t.span)
     m_v = nbe.eval_in(ctx, motive2)
@@ -375,22 +387,23 @@ def _infer_sumelim(ctx, t):
     if isinstance(t.motive, S.Lam) and t.motive.ann is None:
         # a bare-lambda motive: read the family's domain off the target
         target2, target_ty = infer(ctx, t.target)
-        if not (isinstance(target_ty, nbe.VSum) and target_ty.strict == is_strict):
+        target_sum = nbe.force(target_ty)
+        if not (isinstance(target_sum, nbe.VSum) and target_sum.strict == is_strict):
             raise fail(D.CONVERSION_FAILURE, "sum elimination of a non-sum",
                        t.target.span or t.span, actual=ctx.show(target_ty))
         builders = [lambda c: target_ty]
     motive2, m_ty = _infer_motive(ctx, t.motive, builders)
-    if not (isinstance(m_ty, nbe.VPi) and isinstance(m_ty.dom, nbe.VSum)
-            and m_ty.dom.strict == is_strict):
+    pi = nbe.force(m_ty)
+    sum_ty = nbe.force(pi.dom) if isinstance(pi, nbe.VPi) else None
+    if not (isinstance(sum_ty, nbe.VSum) and sum_ty.strict == is_strict):
         raise fail(D.CONVERSION_FAILURE, "the motive must be a family over a sum type",
                    t.motive.span or t.span,
                    expected="(... +s ...) -> ..." if is_strict else "(... + ...) -> ...",
                    actual=ctx.show(m_ty))
-    sort = _peel_motive(ctx, m_ty, 1, t.motive.span or t.span)
+    sort = _peel_motive(ctx, pi, 1, t.motive.span or t.span)
     if not _motive_waived(ctx, is_strict):
         _check_motive_sort(ctx, sort, "sumElim", t.motive.span or t.span)
     m_v = nbe.eval_in(ctx, motive2)
-    sum_ty = m_ty.dom
     on_inl2 = check(ctx, t.on_inl, nbe.VPi(sum_ty.left, nbe.HostClosure(
         lambda a: nbe.apply_value(m_v, nbe.VInj(a, True, is_strict)))))
     on_inr2 = check(ctx, t.on_inr, nbe.VPi(sum_ty.right, nbe.HostClosure(
@@ -408,14 +421,15 @@ def _infer_emptyelim(ctx, t):
     is_strict = t.strict
     empty = nbe.EMPTY_S if is_strict else nbe.EMPTY
     motive2, m_ty = _infer_motive(ctx, t.motive, [lambda c: empty])
-    if not (isinstance(m_ty, nbe.VPi)
-            and nbe.conv(ctx.depth, m_ty.dom, empty, None, ctx.strict_pi)):
+    pi = nbe.force(m_ty)
+    if not (isinstance(pi, nbe.VPi)
+            and nbe.conv(ctx.depth, pi.dom, empty, None, ctx.strict_pi)):
         raise fail(D.CONVERSION_FAILURE,
                    "the motive must be a family over the empty type",
                    t.motive.span or t.span,
                    expected="EmptyS -> ..." if is_strict else "Empty -> ...",
                    actual=ctx.show(m_ty))
-    sort = _peel_motive(ctx, m_ty, 1, t.motive.span or t.span)
+    sort = _peel_motive(ctx, pi, 1, t.motive.span or t.span)
     if not _motive_waived(ctx, is_strict):
         _check_motive_sort(ctx, sort, "emptyElim", t.motive.span or t.span)
     m_v = nbe.eval_in(ctx, motive2)
@@ -436,24 +450,25 @@ def _infer_idelim(ctx, t):
                     lambda c: nbe.VId(carrier_pre, c.var_value(1), c.var_value(0),
                                       is_strict)]
     motive2, m_ty = _infer_motive(ctx, t.motive, builders)
+    pi = nbe.force(m_ty)
     d = ctx.depth
-    if not isinstance(m_ty, nbe.VPi):
+    if not isinstance(pi, nbe.VPi):
         raise fail(D.CONVERSION_FAILURE, f"the {name} motive must abstract both "
                    "endpoints and the proof", t.motive.span or t.span,
                    actual=ctx.show(m_ty))
-    carrier = m_ty.dom
+    carrier = pi.dom
     x1 = nbe.fresh_var(d, carrier)
-    ty1 = nbe.inst(m_ty.cod, x1)
+    ty1 = nbe.force(nbe.inst(pi.cod, x1))
     if not (isinstance(ty1, nbe.VPi)
             and nbe.conv(d + 1, ty1.dom, carrier, None, ctx.strict_pi)):
         raise fail(D.CONVERSION_FAILURE, f"the {name} motive must take two endpoints "
                    "of the same type", t.motive.span or t.span, actual=ctx.show(m_ty))
     x2 = nbe.fresh_var(d + 1, carrier)
-    ty2 = nbe.inst(ty1.cod, x2)
-    eq_ok = (isinstance(ty2, nbe.VPi) and isinstance(ty2.dom, nbe.VId)
-             and ty2.dom.strict == is_strict
-             and nbe.conv(d + 2, ty2.dom.lhs, x1, carrier, ctx.strict_pi)
-             and nbe.conv(d + 2, ty2.dom.rhs, x2, carrier, ctx.strict_pi))
+    ty2 = nbe.force(nbe.inst(ty1.cod, x2))
+    eq = nbe.force(ty2.dom) if isinstance(ty2, nbe.VPi) else None
+    eq_ok = (isinstance(eq, nbe.VId) and eq.strict == is_strict
+             and nbe.conv(d + 2, eq.lhs, x1, carrier, ctx.strict_pi)
+             and nbe.conv(d + 2, eq.rhs, x2, carrier, ctx.strict_pi))
     if not eq_ok:
         raise fail(D.CONVERSION_FAILURE,
                    f"the {name} motive must abstract a proof between its endpoints",
@@ -486,45 +501,48 @@ def check(ctx: Context, t: Term, expected) -> Term:
     """Check `t` against the type value `expected`, elaborating as needed."""
     match t:
         case S.Lam(body=body, ann=ann):
-            if not isinstance(expected, nbe.VPi):
+            pi = nbe.force(expected)
+            if not isinstance(pi, nbe.VPi):
                 raise fail(D.CONVERSION_FAILURE, "lambda checked at a non-function type",
                            t.span, expected=ctx.show(expected), actual="a lambda")
             if ann is not None:
                 ann2, _ = infer_universe(ctx, ann)
                 ann_v = nbe.eval_in(ctx, ann2)
-                if not nbe.conv(ctx.depth, ann_v, expected.dom, None, ctx.strict_pi):
+                if not nbe.conv(ctx.depth, ann_v, pi.dom, None, ctx.strict_pi):
                     raise fail(D.CONVERSION_FAILURE,
                                "lambda annotation does not match the expected domain",
-                               t.span, expected=ctx.show(expected.dom),
+                               t.span, expected=ctx.show(pi.dom),
                                actual=ctx.show(ann_v))
-            inner = ctx.extend(t.hint, expected.dom)
+            inner = ctx.extend(t.hint, pi.dom)
             var = inner.var_value(0)
-            body2 = check(inner, body, nbe.inst(expected.cod, var))
+            body2 = check(inner, body, nbe.inst(pi.cod, var))
             return S.Lam(body2, ann=ann, hint=t.hint, span=t.span)
         case S.Pair(fst=fst, snd=snd):
-            if not isinstance(expected, nbe.VSigma):
+            sigma = nbe.force(expected)
+            if not isinstance(sigma, nbe.VSigma):
                 raise fail(D.CONVERSION_FAILURE, "pair checked at a non-pair type",
                            t.span, expected=ctx.show(expected), actual="a pair")
-            fst2 = check(ctx, fst, expected.fst)
-            snd2 = check(ctx, snd, nbe.inst(expected.snd, nbe.eval_in(ctx, fst2)))
+            fst2 = check(ctx, fst, sigma.fst)
+            snd2 = check(ctx, snd, nbe.inst(sigma.snd, nbe.eval_in(ctx, fst2)))
             return S.Pair(fst2, snd2, span=t.span)
         case S.Refl():
             word = "refls" if t.strict else "refl"
-            if not (isinstance(expected, nbe.VId) and expected.strict == t.strict):
+            eq = nbe.force(expected)
+            if not (isinstance(eq, nbe.VId) and eq.strict == t.strict):
                 raise fail(D.CONVERSION_FAILURE,
                            f"{word} checked at a non-matching type", t.span,
                            expected=ctx.show(expected), actual=word)
-            if not nbe.conv_in(ctx, expected.lhs, expected.rhs, expected.ty):
+            if not nbe.conv_in(ctx, eq.lhs, eq.rhs, eq.ty):
                 raise fail(D.CONVERSION_FAILURE,
                            f"{word} requires definitionally equal endpoints", t.span,
-                           expected=ctx.show(expected.lhs),
-                           actual=ctx.show(expected.rhs))
+                           expected=ctx.show(eq.lhs), actual=ctx.show(eq.rhs))
             return t
         case S.Inl(value=v) | S.Inr(value=v):
-            if not (isinstance(expected, nbe.VSum) and expected.strict == t.strict):
+            sum_ty = nbe.force(expected)
+            if not (isinstance(sum_ty, nbe.VSum) and sum_ty.strict == t.strict):
                 raise fail(D.CONVERSION_FAILURE, "injection checked at a non-sum type",
                            t.span, expected=ctx.show(expected), actual="an injection")
-            side = expected.left if isinstance(t, S.Inl) else expected.right
+            side = sum_ty.left if isinstance(t, S.Inl) else sum_ty.right
             return type(t)(check(ctx, v, side), strict=t.strict, span=t.span)
     t2, actual = infer(ctx, t)
     _subsume(ctx, actual, expected, t.span)
@@ -532,18 +550,23 @@ def check(ctx: Context, t: Term, expected) -> Term:
 
 
 def _subsume(ctx: Context, actual, expected, span) -> None:
-    if isinstance(actual, nbe.VUniv) and isinstance(expected, nbe.VUniv):
-        if sort_sub(actual.sort, expected.sort):
+    # conversion first, on the unforced values, so that it compares
+    # applications of one constant without unfolding them; only when it
+    # fails are both forced, for cumulativity between universes
+    if nbe.conv(ctx.depth, actual, expected, None, ctx.strict_pi):
+        return
+    u_actual, u_expected = nbe.force(actual), nbe.force(expected)
+    if isinstance(u_actual, nbe.VUniv) and isinstance(u_expected, nbe.VUniv):
+        if sort_sub(u_actual.sort, u_expected.sort):
             return
-        if actual.sort.level <= expected.sort.level:
+        if u_actual.sort.level <= u_expected.sort.level:
             raise fail(D.FIBRANCY_VIOLATION,
                        "a pretype cannot be used where a fibrant type is required",
-                       span, expected=str(expected.sort), actual=str(actual.sort))
+                       span, expected=str(u_expected.sort), actual=str(u_actual.sort))
         raise fail(D.UNIVERSE_ERROR, "universe level too large", span,
-                   expected=str(expected.sort), actual=str(actual.sort))
-    if not nbe.conv(ctx.depth, actual, expected, None, ctx.strict_pi):
-        raise fail(D.CONVERSION_FAILURE, "type mismatch", span,
-                   expected=ctx.show(expected), actual=ctx.show(actual))
+                   expected=str(u_expected.sort), actual=str(u_actual.sort))
+    raise fail(D.CONVERSION_FAILURE, "type mismatch", span,
+               expected=ctx.show(expected), actual=ctx.show(actual))
 
 
 # -- declarations ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Driver behaviour: exit codes, report formats, pragma execution, #fail."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -161,6 +162,15 @@ def test_checking_a_lambda_spends_no_unfolds_on_its_domain(tmp_path):
     assert not run(RunConfig(files=[path], unfold_budget=0)).ok
 
 
+def test_an_inferred_equality_carrier_stays_folded(tmp_path):
+    # `p = p` reads its carrier `Pt` off `p`: finding the carrier's sort
+    # unfolds `Pt` once, and the elaborated carrier must not unfold it again
+    text = "def Pt : U 1 := (A : U 0) * A\naxiom p : Pt\ndef e : p = p := refl\n"
+    path = write(tmp_path, "carrier.2lt", text)
+    assert run(RunConfig(files=[path], unfold_budget=1)).ok
+    assert not run(RunConfig(files=[path], unfold_budget=0)).ok
+
+
 def test_main_exit_codes(tmp_path, capsys):
     path = write(tmp_path, "ok.2lt", GOOD)
     assert main(["check", path]) == 0
@@ -228,6 +238,22 @@ def test_trace_flag_writes_progress(tmp_path, capsys):
     assert main(["check", "--trace", path]) == 0
     err = capsys.readouterr().err
     assert "checking two" in err
+
+
+def test_trace_reports_time_and_unfolds_per_declaration(tmp_path, capsys):
+    # only `refl` needs `d` unfolded, once
+    path = write(tmp_path, "unfolds.2lt", "def d : Nat := 0\ndef g : d = 0 := refl\n")
+    assert main(["check", "--trace", path]) == 0
+    err = capsys.readouterr().err
+    assert re.search(r"^checked d in \d+\.\d ms, 0 unfolds$", err, re.M)
+    assert re.search(r"^checked g in \d+\.\d ms, 1 unfolds$", err, re.M)
+
+
+def test_diagnostics_print_constants_folded(tmp_path):
+    path = write(tmp_path, "folded.2lt",
+                 "def Pt : U 1 := (A : U 0) * A\naxiom p : Pt\ndef bad : Nat := p\n")
+    (_, diag), = run(RunConfig(files=[path])).diagnostics
+    assert (diag.code, diag.expected, diag.actual) == ("ConversionFailure", "Nat", "Pt")
 
 
 def test_type_error_span_points_into_the_file(tmp_path):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from tltt import nbe, syntax as S, typecheck as tc
+from tltt import corpus, nbe, syntax as S, typecheck as tc
 from tltt.parser import parse_module, parse_term
 from tltt.printer import pretty_print
 
@@ -138,15 +138,68 @@ def test_definitions_unfold_axioms_do_not():
 
 
 def test_unfold_budget():
+    # forcing a constant spends an unfold; evaluating a mention of it does not
     ctx = tc.new_context(budget=1)
     ctx.sig.define("d", nbe.NAT, nbe.ZERO)
-    nbe.evaluate(S.Const("d"), ctx.env)  # one unfold is allowed
+    assert nbe.force(nbe.evaluate(S.Const("d"), ctx.env)) is nbe.ZERO
+    with pytest.raises(nbe.EvalError):
+        nbe.force(nbe.evaluate(S.Const("d"), ctx.env))
+    ctx.sig.budget = [0]
+    nbe.evaluate(S.Const("d"), ctx.env)
+
+
+# -- glued constants ----------------------------------------------------------------
+
+def _checked_ctx(*texts):
+    """A context that has checked each text (a library file or source) in order."""
+    ctx = empty_ctx()
+    for text in texts:
+        module = parse_module(text, "<test>", known_names=ctx.sig.entries.keys())
+        for decl in module.decls:
+            if not isinstance(decl, S.Pragma):
+                tc.check_declaration(ctx, decl)
+    return ctx
+
+
+@pytest.fixture(scope="module")
+def sst_ctx():
+    return _checked_ctx(*((corpus.CORPUS_DIR / name).read_text()
+                          for name in ("prelude.2lt", "fin.2lt", "sst.2lt")))
+
+
+def _conv_text(ctx, a, b, ty):
+    """Elaborate `a` and `b` independently at the type `ty` and compare them."""
+    names = ctx.sig.entries.keys()
+    ty2, _ = tc.infer_universe(ctx, parse_term(ty, known_names=names))
+    ty_v = nbe.eval_in(ctx, ty2)
+    a_v, b_v = (nbe.eval_in(ctx, tc.check(ctx, parse_term(t, known_names=names), ty_v))
+                for t in (a, b))
+    return nbe.conv_in(ctx, a_v, b_v, ty_v)
+
+
+def test_same_constant_applications_compare_without_unfolding(sst_ctx):
+    # each SST 5s has its own numeral objects, so no sharing rule applies
+    sst_ctx.sig.budget = [0]
     try:
-        nbe.evaluate(S.Const("d"), ctx.env)
-        raised = False
-    except nbe.EvalError:
-        raised = True
-    assert raised
+        assert _conv_text(sst_ctx, "SST 5s", "SST 5s", "U 1")
+    finally:
+        sst_ctx.sig.budget = None
+
+
+def test_same_constant_applications_unfold_after_a_spine_mismatch():
+    ctx = _checked_ctx("def keep : U 1 -> NatS -> U 1 := \\A. \\n. A")
+    assert _conv_text(ctx, "keep Nat 0s", "keep Nat 1s", "U 1")
+    assert not _conv_text(ctx, "keep Nat 0s", "keep Unit 0s", "U 1")
+
+
+def test_different_stages_are_not_convertible(sst_ctx):
+    assert not _conv_text(sst_ctx, "SST 1s", "SST 2s", "U 1")
+
+
+def test_a_glued_constant_meets_its_unfolding():
+    ctx = _checked_ctx("def Pt : U 1 := (A : U 0) * A")
+    assert _conv_text(ctx, "Pt", "(A : U 0) * A", "U 1")
+    assert _conv_text(ctx, "(A : U 0) * A", "Pt", "U 1")
 
 
 def test_eta_for_sigma_pi_unit():
