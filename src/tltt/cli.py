@@ -16,16 +16,12 @@ from typing import Optional
 from tltt import nbe
 from tltt import syntax as S
 from tltt import diagnostics as D
-from tltt.diagnostics import CheckError, Diagnostic
+from tltt.diagnostics import RECURSION_LIMIT, CheckError, Diagnostic
 from tltt.parser import parse_module
 from tltt.printer import pretty_print
 from tltt import typecheck as tc
 
 EXPECTED_FAILURE = "ExpectedFailure"
-
-# recursive-descent parsing and structural recursion over terms both go
-# deeper than CPython's default frame budget on nested input
-RECURSION_LIMIT = 40000
 
 
 @dataclass

@@ -18,6 +18,11 @@ INFERENCE_FAILURE = "InferenceFailure"
 DUPLICATE_NAME = "DuplicateName"
 RESOURCE_EXHAUSTED = "ResourceExhausted"  # input too deep to check, not ill-typed
 
+# The frame budget `tltt check` runs with.  Parsing and structural recursion
+# over terms go deeper than CPython's default on nested input; input deeper
+# than this is reported as RESOURCE_EXHAUSTED.
+RECURSION_LIMIT = 40000
+
 ALL_CODES = frozenset({
     UNBOUND_VARIABLE, SYNTAX_ERROR, CONVERSION_FAILURE, UNIVERSE_ERROR,
     FIBRANCY_VIOLATION, NON_FIBRANT_MOTIVE, NON_FIBRANT_EQUALITY_FORMATION,

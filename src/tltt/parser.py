@@ -1,24 +1,34 @@
 """Surface-language parser for `.2lt` files.
 
-A lexer driven by one compiled pattern, then recursive descent with one
-function per precedence level.  Names are resolved to de Bruijn indices
-here; unbound identifiers are rejected with a span.  Ascriptions
-``(t : A)`` desugar to an annotated beta-redex so the core needs no extra
-node.
+The lexer is one regular-expression pass that fills parallel arrays: the
+text of each token, and its line, column and end column.  It builds no
+object per token; `tokenize` turns the arrays into `Token`s for callers
+that want them.  The parser indexes the arrays and dispatches on token
+text.  Names are resolved to de Bruijn indices here; unbound identifiers
+are rejected with a span.  Ascriptions ``(t : A)`` desugar to an annotated
+beta-redex so the core needs no extra node.
 
-Both passes are linear in the input.  The lexer takes whole whitespace
-runs, comments and tokens per match and reads line and column off newline
-positions.  The parser never shifts a parsed term: the right side of
-``A -> B`` and ``A * B`` is parsed under an anonymous binder, so its free
-indices come out displaced already.  It parses a bracket ``( NAME+ : T )``
-once, and the token after the closing parenthesis decides between a
-binder telescope and an ascription.
+One loop, `Parser.term`, parses every precedence level of a term: lambda
+binders, then a right-nested chain of arrows over right-nested chains of
+products, over equations, sums and applications of atoms.  Each level's
+unfinished left operands wait in a list of that loop, and the operator
+after an application decides how many of them are complete.  Only a
+parenthesized term and a lambda in argument position call `term` again:
+a level of parentheses costs one Python frame, and such a lambda two.
+
+Both passes are linear in the input.  The parser never shifts a parsed
+term: the right side of ``A -> B`` and ``A * B`` is parsed under an
+anonymous binder, so its free indices come out displaced already.  It
+parses a bracket ``( NAME+ : T )`` once, and the token after the closing
+parenthesis decides between a binder telescope and an ascription.
 """
 
 from __future__ import annotations
 
 import re
 from functools import partial
+from itertools import accumulate, compress, count, repeat
+from operator import add, not_, sub
 from typing import NamedTuple, Optional, Sequence
 
 from tltt import syntax as S
@@ -36,87 +46,147 @@ class Token(NamedTuple):
     end_col: int
 
 
-# One match per token, after any whitespace and line comments.  Identifier
-# characters are `\w` (letters, digits and other numerals, `_`) and `'`;
-# numerals are ASCII digits.  A block comment, which nests, is scanned from
-# its opening `{-` by `tokenize` itself.
-_TOKEN = re.compile(r"""
-    (?: [ \t\r\n]+ | --[^\n]* )*
-    (?: (?P<NUMS> [0-9]+ ) s (?![\w'])
-      | (?P<NUM> [0-9]+ )
-      | (?P<IDENT> [A-Za-z_][\w']* )
-      | (?P<UIDENT> [^\W0-9][\w']* )
-      | (?P<BADSUFFIX> [+=]s [\w'] )
-      | (?P<PUNCT> := | -> | [+=]s | [()\\.,:*+=~\[\]] )
-      | (?P<PRAGMA> \#(?:check|infer|normalize|conv|fail) )
-      | (?P<BLOCK> \{- )
-      | (?P<EOF> \Z )
-      | (?P<BAD> . )
-    )""", re.VERBOSE | re.DOTALL)
+# One match per token or line comment, with the whitespace before it.
+# Identifier characters are `\w` (letters, digits and other numerals, `_`)
+# and `'`; numerals are ASCII digits.  The last line matches what is not a
+# token: an identifier that starts with a non-ASCII character (a token if
+# that character is a letter), `=s`/`+s` glued to a name, and any other
+# character.  A block comment, which nests, is skipped by `_scan` itself.
+_PIECE = re.compile(r"""
+    [ \t\r\n]*
+    (?: [A-Za-z_][\w']* | [()\\.,*~\[\]] | -> | :=?
+      | --[^\n]*
+      | [0-9]+ s (?![\w']) | [0-9]+
+      | [+=]s (?![\w']) | [+=] (?! s[\w'] )
+      | \#(?:check|infer|normalize|conv|fail)
+      | \Z
+      | [^\W0-9][\w']* | [+=]s[\w'] | . )""", re.VERBOSE | re.DOTALL)
+
+_WHITESPACE = " \t\r\n"
+
+_PUNCT = frozenset({":=", "->", "=s", "+s", "(", ")", "\\", ".", ",", ":", "*", "+",
+                    "=", "~", "[", "]"})
+_PRAGMAS = frozenset({"#check", "#infer", "#normalize", "#conv", "#fail"})
 
 
-_TOKEN_KINDS = frozenset({"NUMS", "NUM", "IDENT", "PUNCT", "PRAGMA"})
+def _is_token(text: str) -> bool:
+    """Whether a piece's text is a token (or a line comment), not an error."""
+    return (text in _PUNCT or text in _PRAGMAS or not text or text[0] in "0123456789_"
+            or text[0].isalpha() or text.startswith("--"))
 
 
-def tokenize(text: str, path: str) -> list[Token]:
-    """The tokens of `text`, ending with EOF; a bad character is a SyntaxError."""
-    toks: list[Token] = []
-    append = toks.append
+def _block_comment(text: str, pos: int) -> int:
+    """Offset of the first ``{-`` at or after `pos` that opens a block
+    comment rather than sitting in a line comment; the length of `text` if
+    there is none.  Outside block comments every ``--`` opens a line
+    comment, since no token contains two dashes."""
     n = len(text)
-    # the current line, the offset of its first character, and of its end
-    line, line_start = 1, 0
-    next_nl = text.find("\n") % (n + 1)  # n when there is no newline
+    at = text.find("{-", pos)
+    while at >= 0:
+        line_start = max(pos, text.rfind("\n", pos, at) + 1)
+        if text.find("--", line_start, at) < 0:
+            return at
+        eol = text.find("\n", at)
+        if eol < 0:
+            break
+        at = text.find("{-", eol)
+    return n
 
-    def err(msg: str, at: int) -> D.CheckError:
-        col = at - line_start + 1
-        return fail(D.SYNTAX_ERROR, msg, Span(path, line, col, line, col + 1))
 
-    pos = 0
+def _scan(text: str, path: str):
+    """The tokens of `text`, ending with the empty EOF token, as four
+    parallel lists: text, line, column and end column (1-based, the end
+    exclusive).  A character that starts no token is a SyntaxError."""
+    n = len(text)
+    # base[line] is the offset just before that line's first character
+    base = [0, -1, *map(add, accumulate(map(len, text.split("\n"))), count())]
+    texts: list[str] = []
+    lines: list[int] = []
+    ends: list[int] = []  # offsets, the end exclusive
+    pos, line = 0, 1  # `line` is the line of offset `pos`
     while True:
-        # a block comment ends the inner loop; scanning resumes after it
-        for m in _TOKEN.finditer(text, pos):
-            kind = m.lastgroup
-            start = m.start(kind)
-            while next_nl < start:
-                line += 1
-                line_start = next_nl + 1
-                next_nl = text.find("\n", line_start) % (n + 1)
-            if kind in _TOKEN_KINDS:
-                append(Token(kind, m.group(kind), line, start - line_start + 1,
-                             line, m.end() - line_start + 1))
-            elif kind == "UIDENT":
-                if not text[start].isalpha():
-                    raise err(f"unexpected character {text[start]!r}", start)
-                append(Token("IDENT", m.group(kind), line, start - line_start + 1,
-                             line, m.end() - line_start + 1))
-            elif kind == "BLOCK":
-                break
-            elif kind == "EOF":
-                col = start - line_start + 1
-                append(Token("EOF", "", line, col, line, col))
-                return toks
-            elif kind == "BADSUFFIX":
-                # '=s' / '+s' only when not the prefix of an identifier
-                raise err(f"bad token {m.group(kind)}", start + 2)
-            elif text[start] == "#":
-                raise err("unknown pragma", start)
-            elif text[start] == "-":
-                raise err("stray '-' (use '-- ' for comments, '->' for arrows)", start)
-            else:
-                raise err(f"unexpected character {text[start]!r}", start)
-        depth, pos = 1, m.end()
+        stop = _block_comment(text, pos)
+        pieces = _PIECE.findall(text, pos, stop)
+        words = list(map(str.lstrip, pieces, repeat(_WHITESPACE)))
+        if len(words) > 1 and not words[-2]:
+            del pieces[-1], words[-1]  # `\Z` matched again after trailing whitespace
+        piece_ends = list(accumulate(map(len, pieces), initial=pos))
+        del piece_ends[0]
+        if text.find("\n", pos, stop) < 0:
+            piece_lines = [line] * len(pieces)
+        else:
+            piece_lines = list(accumulate(map(str.count, pieces, repeat("\n")), initial=line))
+            del piece_lines[0]
+        bad = [word for word in set(words) if not _is_token(word)]
+        if bad:
+            at = min(map(words.index, bad))
+            raise _bad_token(words[at], path, piece_lines[at],
+                             piece_ends[at] - len(words[at]) - base[piece_lines[at]])
+        if stop < n:
+            del words[-1], piece_ends[-1], piece_lines[-1]  # `\Z` at `stop`
+        texts += words
+        ends += piece_ends
+        lines += piece_lines
+        if stop == n:
+            break
+        line += text.count("\n", pos, stop)
+        depth, pos = 1, stop + 2
         while depth:
             opening, closing = text.find("{-", pos), text.find("-}", pos)
             if closing < 0:
-                nl = text.rfind("\n", start)
+                nl = text.rfind("\n", stop)
                 raise fail(D.SYNTAX_ERROR, "unterminated block comment",
-                           Span(path, line, start - line_start + 1,
-                                line + text.count("\n", start),
-                                n - (nl + 1 if nl >= 0 else line_start) + 1))
+                           Span(path, line, stop - base[line],
+                                line + text.count("\n", stop),
+                                n - (nl if nl >= 0 else base[line])))
             if 0 <= opening < closing:
                 depth, pos = depth + 1, opening + 2
             else:
                 depth, pos = depth - 1, closing + 2
+        line += text.count("\n", stop, pos)
+    if "--" in text:  # drop the line comments
+        keep = list(map(not_, map(str.startswith, texts, repeat("--"))))
+        texts, lines, ends = (list(compress(xs, keep)) for xs in (texts, lines, ends))
+    end_cols = list(map(sub, ends, map(base.__getitem__, lines)))
+    cols = list(map(sub, end_cols, map(len, texts)))
+    return texts, lines, cols, end_cols
+
+
+def _bad_token(word: str, path: str, line: int, col: int) -> D.CheckError:
+    """The SyntaxError for a piece that is not a token."""
+    def err(msg: str, col: int = col) -> D.CheckError:
+        return fail(D.SYNTAX_ERROR, msg, Span(path, line, col, line, col + 1))
+
+    if word[0] in "+=":
+        return err(f"bad token {word}", col + 2)
+    if word == "#":
+        return err("unknown pragma")
+    if word == "-":
+        return err("stray '-' (use '-- ' for comments, '->' for arrows)")
+    return err(f"unexpected character {word[0]!r}")
+
+
+def _token_kind(text: str) -> str:
+    if not text:
+        return "EOF"
+    if text[0].isdigit():
+        return "NUMS" if text[-1] == "s" else "NUM"
+    if text in _PRAGMAS:
+        return "PRAGMA"
+    return "PUNCT" if text in _PUNCT else "IDENT"
+
+
+def _shown(text: str) -> str:
+    """A token's text as `Token.text` and diagnostics give it: the digits
+    alone for a strict numeral."""
+    return text[:-1] if text[-1:] == "s" and text[:1].isdigit() else text
+
+
+def tokenize(text: str, path: str) -> list[Token]:
+    """The tokens of `text`, ending with EOF; a bad character is a SyntaxError."""
+    texts, lines, cols, end_cols = _scan(text, path)
+    return list(map(Token, map(_token_kind, texts), map(_shown, texts), lines, cols,
+                    lines, end_cols))
 
 
 def _strict(cls):
@@ -141,25 +211,37 @@ _SIMPLE_ATOMS = {
     "refls": _strict(S.Refl),
 }
 
-_KEYWORDS = {"def", "axiom", "U", "Us"} | _ELIM_ARITY.keys() | _SIMPLE_ATOMS.keys()
+# What a token does where an atom may stand.  A token not listed is a name
+# or, if it starts with a digit, a numeral.
+_PAREN, _LAMBDA, _UNIV, _SIMPLE, _ELIM, _DECL, _STOP = range(7)  # _DECL, _STOP last
+_ROLE = {
+    "(": _PAREN, "\\": _LAMBDA, "U": _UNIV, "Us": _UNIV, "def": _DECL, "axiom": _DECL,
+    **dict.fromkeys(_SIMPLE_ATOMS, _SIMPLE), **dict.fromkeys(_ELIM_ARITY, _ELIM),
+    **dict.fromkeys(_PUNCT - {"(", "\\"} | _PRAGMAS | {""}, _STOP),
+}
 
 # infix connective -> strict flag
 _EQUALITIES = {"=": False, "=s": True}
 _SUMS = {"+": False, "+s": True}
 
+_new_span = tuple.__new__  # Span's own constructor is a Python function
+
+
+def _is_name(text: str) -> bool:
+    return text not in _ROLE and text[0] > "9"
+
 
 class _Binder(NamedTuple):
     """A bracket ``( NAME+ : dom )`` at the start of an arrow or product,
-    followed by ``->`` or ``*``: the domain of a binder telescope, handed up
-    to `Parser.prod`, which parses the body."""
+    followed by ``->`` or ``*``: the domain of a binder telescope, handed
+    back to `Parser.term`, which parses the body."""
     names: list[str]
     dom: Term
 
 
 class Parser:
-    def __init__(self, toks: list[Token], path: str, scope: Sequence[str],
-                 known: set[str]):
-        self.toks = toks
+    def __init__(self, text: str, path: str, scope: Sequence[str], known: set[str]):
+        self.texts, self.lines, self.cols, self.end_cols = _scan(text, path)
         self.pos = 0
         self.path = path
         self.scope: list[Optional[str]] = []  # innermost binder last; None if anonymous
@@ -167,48 +249,30 @@ class Parser:
         for name in scope:
             self.bind(name)
         self.known = known  # declared global names
-        self.binder_at = -1  # token index where a binder telescope may start
 
     # -- token plumbing --
 
-    def peek(self) -> Token:
-        return self.toks[self.pos]
-
-    def next(self) -> Token:
-        tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
-
-    def at_punct(self, text: str) -> bool:
-        tok = self.toks[self.pos]
-        return tok.text == text and tok.kind == "PUNCT"
-
-    def at_ident(self, text: str) -> bool:
-        tok = self.toks[self.pos]
-        return tok.text == text and tok.kind == "IDENT"
-
-    def eat(self, text: str) -> Token:
-        if not self.at_punct(text):
+    def eat(self, text: str) -> None:
+        if self.texts[self.pos] != text:
             raise self.err(f"expected {text!r}")
-        return self.next()
+        self.pos += 1
 
-    def eat_ident(self) -> Token:
-        tok = self.toks[self.pos]
-        if tok.kind != "IDENT" or tok.text in _KEYWORDS:
+    def eat_ident(self) -> str:
+        word = self.texts[self.pos]
+        if not _is_name(word):
             raise self.err("expected an identifier")
-        return self.next()
+        self.pos += 1
+        return word
 
     def err(self, msg: str) -> D.CheckError:
-        tok = self.toks[self.pos]
-        got = tok.text or "end of input"
-        return fail(D.SYNTAX_ERROR, f"{msg}, got {got!r}", self.tok_span(tok))
+        got = _shown(self.texts[self.pos]) or "end of input"
+        return fail(D.SYNTAX_ERROR, f"{msg}, got {got!r}", self.span(self.pos, self.pos))
 
-    def tok_span(self, tok: Token) -> Span:
-        return Span(self.path, tok.line, tok.col, tok.end_line, tok.end_col)
-
-    def span_from(self, start: Token) -> Span:
-        prev = self.toks[self.pos - 1]  # `start` at the latest
-        return Span(self.path, start.line, start.col, prev.end_line, prev.end_col)
+    def span(self, first: int, last: int) -> Span:
+        """From the start of token `first` to the end of token `last`."""
+        lines = self.lines
+        return _new_span(Span, (self.path, lines[first], self.cols[first], lines[last],
+                                self.end_cols[last]))
 
     # -- terms --
     #
@@ -229,177 +293,223 @@ class Parser:
                 levels[name].pop()
 
     def term(self) -> Term:
-        return self.arrow()
+        """A term, up to the first token that cannot continue it.
 
-    def arrow(self) -> Term:
-        """A right-nested chain ``A -> B -> ... -> Z``, parsed in a loop; each
-        domain is an anonymous binder over the rest of the chain."""
-        starts, doms = [], []
+        The loop parses one application per pass and then reads the
+        operator after it.  Unfinished operands wait in `binders` (lambdas
+        and arrow domains, over the rest of the term), `factors` (of the
+        current product), `equation` and `sums`, each with its first token;
+        an operator finishes every operand that binds tighter than itself,
+        and the end of the term finishes them all.  The position is kept in
+        `pos` and handed to `self.pos` around each call that reads tokens."""
+        texts, lines, cols, end_cols = self.texts, self.lines, self.cols, self.end_cols
+        path = self.path
+        binders: list[tuple] = []  # (first token, domain or None for a lambda, names)
+        factors: list[tuple] = []  # (first token, first factor, names)
+        sums: list[tuple] = []  # (first token, left summand, strict)
+        equation = None  # (first token, left side, strict)
+        pos = self.pos
+        arrow_start = True
         while True:
-            start = self.toks[self.pos]
-            if start.text == "\\" and start.kind == "PUNCT":
-                t = self.lam()
-                break
-            t = self.prod(arrow_binder=True)
-            if not self.at_punct("->"):
-                break
-            self.pos += 1
-            starts.append(start)
-            doms.append(t)
-            self.bind(None)
-        if doms:
-            self.unbind(len(doms))
-            end = self.toks[self.pos - 1]
-            for start, dom in zip(reversed(starts), reversed(doms)):
-                t = S.Pi(dom, t, span=Span(self.path, start.line, start.col,
-                                           end.end_line, end.end_col))
-        return t
+            if arrow_start:
+                # a lambda here binds over the rest of the term
+                while texts[pos] == "\\":
+                    self.pos = pos + 1
+                    name = self.eat_ident()
+                    self.eat(".")
+                    self.bind(name)
+                    binders.append((pos, None, (name,)))
+                    pos = self.pos
+                arrow_start = False
+                operand_start = factor_start = pos
 
-    def lam(self) -> Term:
-        start = self.next()
-        name = self.eat_ident().text
-        self.eat(".")
-        self.bind(name)
-        body = self.arrow()
-        self.unbind(1)
-        return S.Lam(body, hint=name, span=self.span_from(start))
+            # one application: a head and its arguments
+            app_start = pos
+            head = None
+            elim = None  # (token, constructor, arity, arguments) while collecting
+            while True:
+                word = texts[pos]
+                role = _ROLE.get(word)
+                if role is None:  # a name or a numeral
+                    atom = self.resolve(pos) if word[0] > "9" else self.numeral(pos)
+                    pos += 1
+                elif role >= _DECL:  # not an atom: the application ends here
+                    self.pos = pos
+                    if elim is not None:
+                        first, _, arity, args = elim
+                        raise fail(D.SYNTAX_ERROR,
+                                   f"{texts[first]} expects {arity} arguments, got {len(args)}",
+                                   self.span(first, first))
+                    if head is None:
+                        raise self.err("unexpected declaration keyword" if role == _DECL
+                                       else "expected a term")
+                    break
+                elif role == _PAREN:
+                    end = pos + 1
+                    while texts[end] not in _ROLE and texts[end][0] > "9":
+                        end += 1
+                    if end > pos + 1 and texts[end] == ":":
+                        # ( NAME+ : ...: a telescope's domain or an ascription
+                        self.pos = end + 1
+                        atom = self.typed_bracket(pos, range(pos + 1, end), pos == factor_start)
+                        if type(atom) is _Binder:
+                            head = atom
+                            pos = self.pos
+                            break
+                    else:
+                        self.pos = pos + 1
+                        atom = self.term()
+                        if texts[self.pos] == ")":
+                            self.pos += 1
+                        else:
+                            atom = self.bracket_rest(pos, atom)
+                    pos = self.pos
+                elif role == _LAMBDA:
+                    self.pos = pos
+                    atom = self.lam()
+                    pos = self.pos
+                elif role == _SIMPLE:
+                    atom = _SIMPLE_ATOMS[word](span=self.span(pos, pos))
+                    pos += 1
+                elif role == _UNIV:
+                    if not texts[pos + 1].isdigit():
+                        self.pos = pos + 1
+                        raise self.err(f"{word} expects a universe level")
+                    level = int(texts[pos + 1])
+                    sort = S.fibrant(level) if word == "U" else S.strict(level)
+                    atom = S.Univ(sort, span=self.span(pos, pos + 1))
+                    pos += 2
+                elif head is None and elim is None:  # an eliminator
+                    cls, arity = _ELIM_ARITY[word]
+                    elim = (pos, cls, arity, [])
+                    pos += 1
+                    continue
+                else:
+                    raise fail(D.SYNTAX_ERROR, f"{word} application must be parenthesized here",
+                               self.span(pos, pos))
+                if head is None and elim is None:
+                    head = atom
+                elif elim is None:
+                    last = pos - 1
+                    head = S.App(head, atom, span=_new_span(
+                        Span, (path, lines[app_start], cols[app_start], lines[last],
+                               end_cols[last])))
+                else:
+                    first, cls, arity, args = elim
+                    args.append(atom)
+                    if len(args) == arity:
+                        head = cls(*args, span=self.span(first, pos - 1))
+                        elim = None
 
-    def prod(self, arrow_binder: bool = False) -> Term:
-        """A right-nested chain ``A * B * ... * Z``, parsed like `arrow`.  A
-        binder telescope is a factor too; ``(x : A) -> B`` only where an
-        arrow may stand (`arrow_binder`) and in the first factor."""
-        starts, factors = [], []
-        while True:
-            start = self.toks[self.pos]
-            self.binder_at = self.pos
-            t = self.eq()
-            if type(t) is _Binder:
-                t = self.binder(t, start, arrow_binder and not factors)
-                break
-            if not self.at_punct("*"):
-                break
-            self.pos += 1
-            starts.append(start)
-            factors.append(t)
-            self.bind(None)
-        if factors:
-            self.unbind(len(factors))
-            end = self.toks[self.pos - 1]
-            for start, fst in zip(reversed(starts), reversed(factors)):
-                t = S.Sigma(fst, t, span=Span(self.path, start.line, start.col,
-                                              end.end_line, end.end_col))
-        return t
+            if type(head) is _Binder:
+                # a telescope ( NAME+ : dom ) -> ... or ( NAME+ : dom ) * ...
+                connective = texts[pos]
+                self.pos = pos = pos + 1
+                if connective == "->" and factors:
+                    self.telescope_in_product(head, factor_start)
+                for name in head.names:
+                    self.bind(name)
+                if connective == "->":
+                    binders.append((factor_start, head.dom, head.names))
+                    arrow_start = True
+                else:
+                    factors.append((factor_start, head.dom, head.names))
+                    factor_start = pos
+                continue
 
-    def binder(self, b: _Binder, start: Token, arrow_ok: bool) -> Term:
-        """The body after ``( NAME+ : dom )`` and its ``->`` or ``*``."""
-        connective = self.next().text
-        names = b.names
-        for name in names:
-            self.bind(name)
-        body = self.arrow() if connective == "->" else self.prod()
+            op = texts[pos]
+            if op in _SUMS:
+                sums.append((app_start, head, _SUMS[op]))
+                pos += 1
+                continue
+            last = pos - 1
+            while sums:
+                first, lhs, strict = sums.pop()
+                head = S.Sum(lhs, head, strict=strict, span=self.span(first, last))
+            if equation is None:
+                if op in _EQUALITIES:
+                    equation = (factor_start, head, _EQUALITIES[op])
+                    pos += 1
+                    continue
+            else:
+                first, lhs, strict = equation
+                head = S.Id(None, lhs, head, strict=strict, span=self.span(first, last))
+                equation = None
+            if op == "*":
+                factors.append((factor_start, head, None))
+                self.bind(None)
+                pos += 1
+                factor_start = pos
+                continue
+            while factors:
+                first, fst, names = factors.pop()
+                head = self.close(S.Sigma, fst, head, names, self.span(first, last))
+            if op == "->":
+                binders.append((operand_start, head, None))
+                self.bind(None)
+                pos += 1
+                arrow_start = True
+                continue
+            while binders:
+                first, dom, names = binders.pop()
+                span = self.span(first, last)
+                if dom is None:
+                    self.unbind(1)
+                    head = S.Lam(head, hint=names[0], span=span)
+                else:
+                    head = self.close(S.Pi, dom, head, names, span)
+            self.pos = pos
+            return head
+
+    def close(self, former, dom: Term, body: Term, names, span: Span) -> Term:
+        """`former` (Pi or Sigma) over `body`, for each of the binder's names
+        (one anonymous binder if `names` is None); unbinds them."""
+        if names is None:
+            self.unbind(1)
+            return former(dom, body, span=span)
         self.unbind(len(names))
-        span = self.span_from(start)
-        if connective == "->" and not arrow_ok:
-            raise fail(D.SYNTAX_ERROR, "arrow binder needs parentheses here", span)
-        mk = S.Pi if connective == "->" else S.Sigma
         for k in range(len(names) - 1, -1, -1):
-            dom = S.shift(b.dom, k) if k else b.dom
-            body = mk(dom, body, hint=names[k], span=span)
+            body = former(S.shift(dom, k) if k else dom, body, hint=names[k], span=span)
         return body
 
-    def eq(self) -> Term:
-        start = self.toks[self.pos]
-        lhs = self.sum()
-        tok = self.toks[self.pos]
-        if tok.kind == "PUNCT" and tok.text in _EQUALITIES:
-            self.pos += 1
-            rhs = self.sum()
-            return S.Id(None, lhs, rhs, strict=_EQUALITIES[tok.text],
-                        span=self.span_from(start))
-        return lhs
+    def telescope_in_product(self, b: _Binder, start: int) -> None:
+        """``A * (x : B) -> C`` is an error, reported after the arrow's body,
+        which is parsed under the telescope's names for errors of its own."""
+        for name in b.names:
+            self.bind(name)
+        self.term()
+        self.unbind(len(b.names))
+        raise fail(D.SYNTAX_ERROR, "arrow binder needs parentheses here",
+                   self.span(start, self.pos - 1))
 
-    def sum(self) -> Term:
-        start = self.toks[self.pos]
-        lhs = self.app()
-        tok = self.toks[self.pos]
-        if tok.kind == "PUNCT" and tok.text in _SUMS:
-            self.pos += 1
-            rhs = self.sum()
-            return S.Sum(lhs, rhs, strict=_SUMS[tok.text], span=self.span_from(start))
-        return lhs
+    def lam(self) -> Term:
+        start = self.pos
+        self.pos += 1
+        name = self.eat_ident()
+        self.eat(".")
+        self.bind(name)
+        body = self.term()
+        self.unbind(1)
+        return S.Lam(body, hint=name, span=self.span(start, self.pos - 1))
 
-    def starts_atom(self) -> bool:
-        tok = self.toks[self.pos]
-        kind = tok.kind
-        if kind == "IDENT":
-            return tok.text != "def" and tok.text != "axiom"
-        if kind == "PUNCT":
-            return tok.text == "(" or tok.text == "\\"
-        return kind == "NUM" or kind == "NUMS"
-
-    def app(self) -> Term:
-        start = self.toks[self.pos]
-        head = self.head_or_atom()
-        while self.starts_atom():
-            head = S.App(head, self.atom(), span=self.span_from(start))
-        return head
-
-    def head_or_atom(self) -> Term:
-        tok = self.toks[self.pos]
-        if tok.kind == "IDENT" and tok.text in _ELIM_ARITY:
-            self.pos += 1
-            cls, arity = _ELIM_ARITY[tok.text]
-            args = []
-            for k in range(arity):
-                if not self.starts_atom():
-                    raise fail(D.SYNTAX_ERROR,
-                               f"{tok.text} expects {arity} arguments, got {k}",
-                               self.tok_span(tok))
-                args.append(self.atom())
-            return cls(*args, span=self.span_from(tok))
-        return self.atom()
-
-    def atom(self) -> Term:
-        tok = self.toks[self.pos]
-        kind = tok.kind
-        if kind == "IDENT":
-            word = tok.text
-            if word not in _KEYWORDS:
-                self.pos += 1
-                return self.resolve(word, self.tok_span(tok))
-            if word in ("U", "Us"):
-                self.pos += 1
-                num = self.toks[self.pos]
-                if num.kind != "NUM":
-                    raise self.err(f"{word} expects a universe level")
-                self.pos += 1
-                sort = S.fibrant(int(num.text)) if word == "U" else S.strict(int(num.text))
-                return S.Univ(sort, span=self.span_from(tok))
-            if word in _SIMPLE_ATOMS:
-                self.pos += 1
-                return _SIMPLE_ATOMS[word](span=self.tok_span(tok))
-            if word in _ELIM_ARITY:
-                raise fail(D.SYNTAX_ERROR,
-                           f"{word} application must be parenthesized here",
-                           self.tok_span(tok))
-            raise self.err("unexpected declaration keyword")
-        if kind == "PUNCT":
-            if tok.text == "(":
-                return self.parens()
-            if tok.text == "\\":
-                return self.arrow()
-        if kind == "NUM" or kind == "NUMS":
-            self.pos += 1
-            return self.numeral(int(tok.text), kind == "NUMS", self.tok_span(tok))
-        raise self.err("expected a term")
-
-    def numeral(self, n: int, is_strict: bool, span: Span) -> Term:
+    def numeral(self, at: int) -> Term:
+        """The numeral at token `at`, as `succ` applied to zero; every node
+        gets the token's span."""
+        word, span = self.texts[at], self.span(at, at)
+        is_strict = word[-1] == "s"
+        digits = (word[:-1] if is_strict else word).lstrip("0") or "0"
+        if len(digits) > 9 or int(digits) > D.RECURSION_LIMIT:
+            # its unary form needs a frame per `succ` wherever it is checked
+            raise fail(D.RESOURCE_EXHAUSTED,
+                       f"numeral above the recursion limit {D.RECURSION_LIMIT}", span)
         t: Term = S.Zero(strict=is_strict, span=span)
-        for _ in range(n):
+        for _ in range(int(digits)):
             t = S.Succ(t, strict=is_strict, span=span)
         return t
 
-    def resolve(self, name: str, span: Span) -> Term:
+    def resolve(self, at: int) -> Term:
+        """The name at token `at`: a bound variable or a declared constant."""
+        name, span = self.texts[at], self.span(at, at)
         levels = self.levels.get(name)
         if levels:
             return S.Var(len(self.scope) - 1 - levels[-1], span=span)
@@ -407,42 +517,28 @@ class Parser:
             return S.Const(name, span=span)
         raise fail(D.UNBOUND_VARIABLE, f"unbound identifier {name}", span)
 
-    def parens(self):
-        """A parenthesized term, pair or ascription; at `binder_at`, also the
-        domain of a binder telescope, returned as a `_Binder`."""
-        binder_ok = self.pos == self.binder_at
-        start = self.next()
-        names = []
-        while (tok := self.toks[self.pos]).kind == "IDENT" and tok.text not in _KEYWORDS:
-            names.append(tok)
-            self.pos += 1
-        if names and self.at_punct(":"):
-            self.pos += 1
-            return self.typed_bracket(start, names, binder_ok)
-        self.pos -= len(names)
-        t = self.term()
-        if self.at_punct(":"):
+    def bracket_rest(self, start: int, t: Term) -> Term:
+        """The rest of ``( t : ty )`` or ``( t, u, ... )`` after `t`."""
+        texts = self.texts
+        if texts[self.pos] == ":":
             self.pos += 1
             ty = self.term()
             self.eat(")")
             return self.ascription(start, t, ty)
-        if self.at_punct(","):
-            parts = [t]
-            while self.at_punct(","):
-                self.pos += 1
-                parts.append(self.term())
-            self.eat(")")
-            span = self.span_from(start)
-            pair = parts[-1]
-            for part in reversed(parts[:-1]):
-                pair = S.Pair(part, pair, span=span)
-            return pair
+        parts = [t]
+        while texts[self.pos] == ",":
+            self.pos += 1
+            parts.append(self.term())
         self.eat(")")
-        return t
+        span = self.span(start, self.pos - 1)
+        pair = parts[-1]
+        for part in reversed(parts[:-1]):
+            pair = S.Pair(part, pair, span=span)
+        return pair
 
-    def typed_bracket(self, start: Token, names: list[Token], binder_ok: bool):
+    def typed_bracket(self, start: int, names: range, binder_ok: bool):
         """After ``( NAME+ :``, parse the type once.  Followed by ``)`` and,
-        at `binder_at`, by ``->`` or ``*``, it is a binder's domain;
+        if `binder_ok`, by ``->`` or ``*``, it is a binder's domain;
         otherwise the names are the applied term of an ascription, and they
         are resolved before any error in the type or a missing ``)`` is
         reported, as if the ascription had been read left to right."""
@@ -453,113 +549,109 @@ class Parser:
             self.unbind(len(self.scope) - depth)
             self.applied(names)
             raise
-        if not self.at_punct(")"):
+        if self.texts[self.pos] != ")":
             self.applied(names)
             raise self.err("expected ')'")
         self.pos += 1
-        after = self.toks[self.pos]
-        if binder_ok and after.kind == "PUNCT" and after.text in ("->", "*"):
-            return _Binder([tok.text for tok in names], ty)
+        if binder_ok and self.texts[self.pos] in ("->", "*"):
+            return _Binder([self.texts[at] for at in names], ty)
         return self.ascription(start, self.applied(names), ty)
 
-    def applied(self, names: list[Token]) -> Term:
+    def applied(self, names: range) -> Term:
         """``a b c`` as a term: the first name applied to the others."""
         first = names[0]
-        head = self.resolve(first.text, self.tok_span(first))
-        for tok in names[1:]:
-            head = S.App(head, self.resolve(tok.text, self.tok_span(tok)),
-                         span=Span(self.path, first.line, first.col,
-                                   tok.end_line, tok.end_col))
+        head = self.resolve(first)
+        for at in names[1:]:
+            head = S.App(head, self.resolve(at), span=self.span(first, at))
         return head
 
-    def ascription(self, start: Token, t: Term, ty: Term) -> Term:
+    def ascription(self, start: int, t: Term, ty: Term) -> Term:
         """``(t : ty)``, its ``)`` eaten, as an annotated redex."""
-        return S.App(S.Lam(S.Var(0), ann=ty, hint="x"), t, span=self.span_from(start))
+        return S.App(S.Lam(S.Var(0), ann=ty, hint="x"), t, span=self.span(start, self.pos - 1))
 
     # -- declarations --
 
     def declaration(self):
-        tok = self.peek()
-        if tok.kind == "PRAGMA":
+        start = self.pos
+        word = self.texts[start]
+        if word in _PRAGMAS:
             return self.pragma()
-        if self.at_ident("def"):
-            self.next()
-            name = self.eat_ident().text
+        if word == "def":
+            self.pos += 1
+            name = self.eat_ident()
             self.eat(":")
             ty = self.term()
             self.eat(":=")
             body = self.term()
-            return S.Definition(name, ty, body, span=self.span_from(tok))
-        if self.at_ident("axiom"):
-            self.next()
-            name = self.eat_ident().text
+            return S.Definition(name, ty, body, span=self.span(start, self.pos - 1))
+        if word == "axiom":
+            self.pos += 1
+            name = self.eat_ident()
             self.eat(":")
             ty = self.term()
-            return S.Axiom(name, ty, span=self.span_from(tok))
+            return S.Axiom(name, ty, span=self.span(start, self.pos - 1))
         raise self.err("expected a declaration or pragma")
 
     def pragma(self):
-        tok = self.next()
-        kind = tok.text[1:]
+        start = self.pos
+        self.pos += 1
+        kind = self.texts[start][1:]
         if kind == "check":
             t = self.term()
             self.eat(":")
             ty = self.term()
-            return S.Pragma(S.CHECK, (t, ty), span=self.span_from(tok))
+            return S.Pragma(S.CHECK, (t, ty), span=self.span(start, self.pos - 1))
         if kind == "infer":
-            return S.Pragma(S.INFER, (self.term(),), span=self.span_from(tok))
+            return S.Pragma(S.INFER, (self.term(),), span=self.span(start, self.pos - 1))
         if kind == "normalize":
-            return S.Pragma(S.NORMALIZE, (self.term(),), span=self.span_from(tok))
+            return S.Pragma(S.NORMALIZE, (self.term(),), span=self.span(start, self.pos - 1))
         if kind == "conv":
             a = self.term()
             self.eat("~")
             b = self.term()
             self.eat(":")
             ty = self.term()
-            return S.Pragma(S.CONV, (a, b, ty), span=self.span_from(tok))
-        if kind == "fail":
-            code = None
-            if self.at_punct("["):
-                self.next()
-                code_tok = self.peek()
-                if code_tok.kind != "EOF":
-                    self.pos += 1  # taken even if unknown: a `#fail` resyncs after it
-                if code_tok.kind != "IDENT" or code_tok.text not in D.ALL_CODES:
-                    raise fail(D.SYNTAX_ERROR,
-                               f"unknown diagnostic code {code_tok.text!r}",
-                               self.tok_span(code_tok))
-                code = code_tok.text
-                self.eat("]")
-            depth = len(self.scope)
-            try:
-                inner = self.declaration()
-            except D.CheckError as e:
-                # the wrapped item already fails to parse or resolve; record
-                # the diagnostic and resynchronize at the next declaration
-                self.unbind(len(self.scope) - depth)
-                self.resync()
-                return S.Pragma(S.FAIL, (e.diagnostic,), expect_code=code,
-                                span=self.span_from(tok))
-            if isinstance(inner, S.Pragma) and inner.kind == S.FAIL:
-                raise fail(D.SYNTAX_ERROR, "#fail cannot wrap another #fail",
-                           inner.span)
-            # a #fail'd declaration never extends the scope: it is expected to
-            # be rejected, so later references to its name stay unbound
-            return S.Pragma(S.FAIL, (inner,), expect_code=code,
-                            span=self.span_from(tok))
+            return S.Pragma(S.CONV, (a, b, ty), span=self.span(start, self.pos - 1))
+        # #fail
+        code = None
+        if self.texts[self.pos] == "[":
+            self.pos += 1
+            at = self.pos
+            code = self.texts[at]
+            if code:
+                self.pos += 1  # taken even if unknown: a `#fail` resyncs after it
+            if code not in D.ALL_CODES:
+                raise fail(D.SYNTAX_ERROR, f"unknown diagnostic code {_shown(code)!r}",
+                           self.span(at, at))
+            self.eat("]")
+        depth = len(self.scope)
+        try:
+            inner = self.declaration()
+        except D.CheckError as e:
+            if e.diagnostic.code == D.RESOURCE_EXHAUSTED:
+                raise  # not a verdict on the item, as for a RecursionError
+            # the wrapped item already fails to parse or resolve; record
+            # the diagnostic and resynchronize at the next declaration
+            self.unbind(len(self.scope) - depth)
+            self.resync()
+            return S.Pragma(S.FAIL, (e.diagnostic,), expect_code=code,
+                            span=self.span(start, self.pos - 1))
+        if isinstance(inner, S.Pragma) and inner.kind == S.FAIL:
+            raise fail(D.SYNTAX_ERROR, "#fail cannot wrap another #fail", inner.span)
+        # a #fail'd declaration never extends the scope: it is expected to
+        # be rejected, so later references to its name stay unbound
+        return S.Pragma(S.FAIL, (inner,), expect_code=code,
+                        span=self.span(start, self.pos - 1))
 
     def resync(self) -> None:
-        while True:
-            tok = self.peek()
-            if tok.kind in ("EOF", "PRAGMA"):
-                return
-            if tok.kind == "IDENT" and tok.text in ("def", "axiom"):
-                return
-            self.next()
+        texts = self.texts
+        while texts[self.pos] and texts[self.pos] not in _PRAGMAS \
+                and texts[self.pos] not in ("def", "axiom"):
+            self.pos += 1
 
     def module(self) -> S.Module:
         decls = []
-        while self.peek().kind != "EOF":
+        while self.texts[self.pos]:
             decl = self.declaration()
             if isinstance(decl, (S.Definition, S.Axiom)):
                 self.known.add(decl.name)
@@ -570,16 +662,14 @@ class Parser:
 def parse_module(text: str, path: str,
                  known_names: Sequence[str] = ()) -> S.Module:
     """Parse a whole file; `known_names` seeds the global scope (earlier files)."""
-    parser = Parser(tokenize(text, path), path, [], set(known_names))
-    return parser.module()
+    return Parser(text, path, [], set(known_names)).module()
 
 
 def parse_term(text: str, scope: Optional[Sequence[str]] = None,
                known_names: Sequence[str] = ()) -> Term:
     """Parse a single term; `scope` supplies names for free variables, outermost first."""
-    parser = Parser(tokenize(text, "<term>"), "<term>", list(scope or []),
-                    set(known_names))
+    parser = Parser(text, "<term>", list(scope or []), set(known_names))
     t = parser.term()
-    if parser.peek().kind != "EOF":
+    if parser.texts[parser.pos]:
         raise parser.err("unexpected trailing input")
     return t

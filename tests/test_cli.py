@@ -1,11 +1,12 @@
 """Driver behaviour: exit codes, report formats, pragma execution, #fail."""
 
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
 
-from tltt.cli import RunConfig, emit_report, main, run
+from tltt.cli import RECURSION_LIMIT, RunConfig, emit_report, main, run
 
 GOOD = """
 def two : Nat := 2
@@ -190,10 +191,15 @@ def test_non_utf8_input_is_an_io_error(tmp_path, capsys):
     assert err == f"tltt: {path}: not valid UTF-8\n"
 
 
-def check_in_subprocess(path: str) -> subprocess.CompletedProcess:
+def check_in_subprocess(path: str, address_space: int = 0) -> subprocess.CompletedProcess:
+    """`tltt check --format=lines path`, its address space capped at
+    `address_space` bytes if that is given."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
     return subprocess.run(
         [sys.executable, "-m", "tltt.cli", "check", "--format=lines", path],
-        capture_output=True, text=True,
+        capture_output=True, text=True, preexec_fn=cap if address_space else None,
         env={"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")})
 
 
@@ -214,13 +220,34 @@ def test_deep_numeral_is_a_diagnostic_and_checking_goes_on(tmp_path):
     assert [path, "3", "1", "CHECK", "ok"] in lines
 
 
+def test_huge_numeral_is_a_diagnostic_before_any_node_is_built(tmp_path):
+    # thirty million `Succ` nodes would not fit in 1.5 GB; the unary form
+    # needs a frame per `succ`, so nothing above the recursion limit checks
+    path = write(tmp_path, "huge.2lt", "def n : Nat := 30000000\n")
+    proc = check_in_subprocess(path, address_space=1_500_000_000)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert [f.split("\t")[:4] for f in proc.stdout.splitlines()] == \
+        [[path, "1", "16", "ResourceExhausted"]]
+
+
 def test_deeply_nested_parentheses_are_a_diagnostic(tmp_path):
+    # the parser spends a frame per parenthesis, so this is past the budget
+    depth = RECURSION_LIMIT + 10000
     path = write(tmp_path, "parens.2lt",
-                 "def t : Unit := " + "(" * 5000 + "star" + ")" * 5000 + "\n")
+                 "def t : Unit := " + "(" * depth + "star" + ")" * depth + "\n")
     proc = check_in_subprocess(path)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert [f.split("\t")[3] for f in proc.stdout.splitlines()] == ["ResourceExhausted"]
+
+
+def test_five_thousand_nested_parentheses_check(tmp_path):
+    path = write(tmp_path, "parens.2lt",
+                 "def t : Unit := " + "(" * 5000 + "star" + ")" * 5000 + "\n")
+    proc = check_in_subprocess(path)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
 
 
 def test_non_ascii_digit_is_a_syntax_error(tmp_path):
