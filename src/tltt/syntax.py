@@ -1,4 +1,4 @@
-"""Core term language: sorts, de Bruijn terms, declarations, substitution.
+"""Core term language: sorts, de Bruijn terms, declarations, shifting.
 
 Terms are slotted dataclasses compared structurally; with de Bruijn
 indices, structural equality *is* alpha-equality.  Fields that carry no
@@ -319,51 +319,6 @@ def shift(t: Term, amount: int, cutoff: int = 0) -> Term:
         if new is not child:
             changes[name] = new
     return _rebuild(t, changes)
-
-
-def subst(t: Term, index: int, replacement: Term) -> Term:
-    """Capture-avoiding substitution of `replacement` for Var(index) in `t`."""
-    if isinstance(t, Var):
-        if t.index == index:
-            return shift(replacement, index)
-        if t.index > index:
-            return Var(t.index - 1, span=t.span)
-        return t
-    if isinstance(t, _ATOMS):
-        return t
-    changes = {}
-    for name, child, under in term_children(t):
-        new = subst(child, index + 1 if under else index, replacement)
-        if new is not child:
-            changes[name] = new
-    return _rebuild(t, changes)
-
-
-def strict_constructors(t: Term) -> set[str]:
-    """Names of strict-fragment constructors occurring anywhere in `t`: the
-    class name plus `S` for a flagged former (`NatS`, `IdElimS`), `UipS`, and
-    `UnivS` for a strict universe."""
-    found = set()
-
-    def go(u: Term) -> None:
-        if getattr(u, "strict", False):
-            found.add(type(u).__name__ + "S")
-        if isinstance(u, UipS):
-            found.add("UipS")
-        if isinstance(u, Univ) and not u.sort.is_fibrant:
-            found.add("UnivS")
-        for _, child, _ in term_children(u):
-            go(child)
-
-    go(t)
-    return found
-
-
-def mentions_inner_id(t: Term) -> bool:
-    """True if the fibrant equality former (or its intro/elim) occurs in `t`."""
-    if isinstance(t, (Id, Refl, IdElim)) and not t.strict:
-        return True
-    return any(mentions_inner_id(c) for _, c, _ in term_children(t))
 
 
 # -- declarations and modules --------------------------------------------------

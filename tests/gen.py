@@ -14,6 +14,8 @@ from functools import partial
 from tltt import syntax as S
 from tltt.syntax import Term, shift
 
+from term_helpers import strict_constructors, subst
+
 
 def _strict(cls):
     return partial(cls, strict=True)
@@ -113,7 +115,7 @@ def gen_type(rng: random.Random, ctx: list[Term], size: int) -> Term:
 def _fibrant_type(rng: random.Random, ctx: list[Term], size: int) -> Term:
     while True:
         ty = gen_type(rng, ctx, size)
-        if not S.strict_constructors(ty):
+        if not strict_constructors(ty):
             return ty
 
 
@@ -148,7 +150,7 @@ def gen_term(rng: random.Random, ctx: list[Term], ty: Term, size: int) -> Term:
             return S.Lam(body, hint="x")
         case S.Sigma(fst=fst, snd=snd):
             a = gen_term(rng, ctx, fst, max(1, size // 2))
-            return S.Pair(a, gen_term(rng, ctx, S.subst(snd, 0, a), max(1, size // 2)))
+            return S.Pair(a, gen_term(rng, ctx, subst(snd, 0, a), max(1, size // 2)))
         case S.Sum(left=l, right=r):
             if rng.random() < 0.5:
                 return S.Inl(gen_term(rng, ctx, l, max(1, size - 1)))

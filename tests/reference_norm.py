@@ -10,7 +10,9 @@ from __future__ import annotations
 from typing import Optional
 
 from tltt import syntax as S
-from tltt.syntax import Term, subst
+from tltt.syntax import Term
+
+from term_helpers import subst
 
 
 def step(t: Term, defs: dict[str, Term]) -> Optional[Term]:

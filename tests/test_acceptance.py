@@ -13,6 +13,7 @@ from tltt.cli import RunConfig, run
 from tltt.parser import parse_module, parse_term
 
 import props
+from term_helpers import mentions_inner_id
 
 ACCEPTANCE_FILES = ["prelude.2lt", "fin.2lt", "sst.2lt", "cat.2lt",
                     "fib.2lt", "negative.2lt"]
@@ -133,7 +134,7 @@ def test_criterion_7_alpha_without_inner_equality(timed_default_run):
         if decl.body is not None:
             dumps.append(nbe.normalize(ctx, decl.body))
         for nf in dumps:
-            assert not S.mentions_inner_id(nf), \
+            assert not mentions_inner_id(nf), \
                 f"{decl.name} mentions the inner equality"
     print(f"\nACCEPT 7 PASS: {len(sst_decls)} sst.2lt normal-form dumps free "
           "of the inner equality")

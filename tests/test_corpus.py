@@ -11,6 +11,7 @@ from tltt.parser import parse_term
 from tltt.printer import pretty_print
 
 from reference_norm import normalize_ref
+from term_helpers import mentions_inner_id
 
 
 @pytest.fixture(scope="module")
@@ -118,9 +119,9 @@ def test_alpha_never_uses_the_inner_equality(default_report):
     assert sst_decls, "sst.2lt declarations missing from the report"
     assert any(d.name == "alpha" for d in sst_decls)
     for decl in sst_decls:
-        assert not S.mentions_inner_id(nbe.normalize(ctx, decl.ty)), decl.name
+        assert not mentions_inner_id(nbe.normalize(ctx, decl.ty)), decl.name
         if decl.body is not None:
-            assert not S.mentions_inner_id(nbe.normalize(ctx, decl.body)), decl.name
+            assert not mentions_inner_id(nbe.normalize(ctx, decl.body)), decl.name
 
 
 def test_coercion_theorem_checks(default_report):

@@ -6,7 +6,9 @@ from hypothesis import given, strategies as st
 
 from tltt import syntax as S
 from tltt.syntax import (Sort, Var, Lam, App, Pi, Const, Star, Nat, Zero,
-                         combine_sorts, fibrant, shift, sort_sub, strict, subst)
+                         combine_sorts, fibrant, shift, sort_sub, strict)
+
+from term_helpers import subst
 
 # -- a tiny named-variable reference implementation (the oracle for the
 #    de Bruijn operations on the lambda/pi fragment)

@@ -11,6 +11,7 @@ from tltt.parser import parse_module, parse_term
 from tltt.printer import pretty_print
 
 from gen import gen_well_typed
+from term_helpers import strict_constructors
 
 
 def ctx_default(**kw):
@@ -208,7 +209,7 @@ def test_strong_mode_merges_formers():
     t = parse_term("natElimS ((\\n. Us 0) : NatS -> Us 1) EmptyS (\\k. \\r. Unit +s r) 2s")
     merged = tc.merge_strict_formers(t)
     assert isinstance(merged, S.NatElim) and not merged.strict
-    assert S.strict_constructors(merged) <= {"UnivS"}
+    assert strict_constructors(merged) <= {"UnivS"}
     # strict equality is untouched by the merge
     eq = tc.merge_strict_formers(parse_term("0s =s 0s"))
     assert isinstance(eq, S.Id) and eq.strict
@@ -262,8 +263,8 @@ def test_fibrant_fragment_closure():
     m = parse_module(FIBRANT_ONLY, "t.2lt")
     for decl in m.decls:
         checked = tc.check_declaration(ctx, decl)
-        assert not S.strict_constructors(checked.ty)
-        assert not S.strict_constructors(checked.body)
+        assert not strict_constructors(checked.ty)
+        assert not strict_constructors(checked.body)
 
 
 # -- preservation ---------------------------------------------------------------------------
