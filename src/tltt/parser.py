@@ -13,8 +13,8 @@ binders, then a right-nested chain of arrows over right-nested chains of
 products, over equations, sums and applications of atoms.  Each level's
 unfinished left operands wait in a list of that loop, and the operator
 after an application decides how many of them are complete.  Only a
-parenthesized term and a lambda in argument position call `term` again:
-a level of parentheses costs one Python frame, and such a lambda two.
+parenthesized term and a lambda in argument position call `term` again,
+so one level of nesting costs one Python frame.
 
 Both passes are linear in the input.  The parser never shifts a parsed
 term: the right side of ``A -> B`` and ``A * B`` is parsed under an
@@ -346,7 +346,7 @@ class Parser:
                     break
                 elif role == _PAREN:
                     end = pos + 1
-                    while texts[end] not in _ROLE and texts[end][0] > "9":
+                    while _is_name(texts[end]):
                         end += 1
                     if end > pos + 1 and texts[end] == ":":
                         # ( NAME+ : ...: a telescope's domain or an ascription
@@ -364,9 +364,9 @@ class Parser:
                         else:
                             atom = self.bracket_rest(pos, atom)
                     pos = self.pos
-                elif role == _LAMBDA:
+                elif role == _LAMBDA:  # a term of its own, which the lambda ends
                     self.pos = pos
-                    atom = self.lam()
+                    atom = self.term()
                     pos = self.pos
                 elif role == _SIMPLE:
                     atom = _SIMPLE_ATOMS[word](span=self.span(pos, pos))
@@ -481,16 +481,6 @@ class Parser:
         self.unbind(len(b.names))
         raise fail(D.SYNTAX_ERROR, "arrow binder needs parentheses here",
                    self.span(start, self.pos - 1))
-
-    def lam(self) -> Term:
-        start = self.pos
-        self.pos += 1
-        name = self.eat_ident()
-        self.eat(".")
-        self.bind(name)
-        body = self.term()
-        self.unbind(1)
-        return S.Lam(body, hint=name, span=self.span(start, self.pos - 1))
 
     def numeral(self, at: int) -> Term:
         """The numeral at token `at`, as `succ` applied to zero; every node
