@@ -124,9 +124,13 @@ def _scan(text: str, path: str):
                              piece_ends[at] - len(words[at]) - base[piece_lines[at]])
         if stop < n:
             del words[-1], piece_ends[-1], piece_lines[-1]  # `\Z` at `stop`
-        texts += words
-        ends += piece_ends
-        lines += piece_lines
+        del pieces
+        if texts:
+            texts += words
+            ends += piece_ends
+            lines += piece_lines
+        else:
+            texts, ends, lines = words, piece_ends, piece_lines
         if stop == n:
             break
         line += text.count("\n", pos, stop)
