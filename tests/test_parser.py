@@ -67,6 +67,13 @@ def test_precedences():
     assert isinstance(t, S.Sigma) and isinstance(t.fst, S.Id) and t.fst.strict
     t = parse_term("f x y", scope=["f", "x", "y"])
     assert t == S.App(S.App(S.Var(2), S.Var(1)), S.Var(0))
+    # an argument lambda's body ends at a second `=`, which the equation
+    # around the application then takes
+    t = parse_term("f \\x. x = y = z", scope=["f", "y", "z"])
+    assert t == S.Id(None, S.App(S.Var(2), S.Lam(S.Id(None, S.Var(0), S.Var(2)))), S.Var(0))
+    # a product telescope ends at `->`, whose domain is the whole product
+    t = parse_term("(a : U 0) * b * c -> d", scope=["b", "c", "d"])
+    assert t == S.Pi(S.Sigma(S.Univ(S.fibrant(0)), S.Sigma(S.Var(3), S.Var(3))), S.Var(1))
 
 
 def test_multi_name_binder():
