@@ -48,7 +48,6 @@ class FileStatus:
     path: str
     decls: int = 0
     pragmas: int = 0
-    errors: int = 0
 
 
 @dataclass
@@ -61,7 +60,7 @@ class RunReport:
 
     @property
     def error_count(self) -> int:
-        return sum(1 for _, d in self.diagnostics if d.severity == "error")
+        return len(self.diagnostics)
 
     @property
     def ok(self) -> bool:
@@ -95,14 +94,13 @@ class _Runner:
         status = FileStatus(path)
         self.report.files.append(status)
         try:
-            module = parse_module(text, path, known_names=self.ctx.sig.entries.keys())
+            module = parse_module(text, path, known_names=self.ctx.sig.entries.keys(),
+                                  strong=self.config.strong_mode)
         except CheckError as e:
             self.diag(path, e.diagnostic)
-            status.errors += 1
             return
         except RecursionError:
             self.diag(path, _too_deep("parsing", None))
-            status.errors += 1
             return
         for decl in module.decls:
             self.reset_budget()
@@ -121,17 +119,11 @@ class _Runner:
                     status.decls += 1
             except CheckError as e:
                 self.diag(path, e.diagnostic)
-                status.errors += 1
             except nbe.EvalError as e:
                 self.diag(path, Diagnostic(D.CONVERSION_FAILURE,
                                            f"evaluation failed: {e}", decl.span))
-                status.errors += 1
             except RecursionError:
                 self.diag(path, _too_deep("checking", decl.span))
-                status.errors += 1
-
-    def _prepare(self, t: S.Term) -> S.Term:
-        return tc.merge_strict_formers(t) if self.config.strong_mode else t
 
     def run_pragma(self, path: str, pragma: S.Pragma) -> None:
         ctx = self.ctx
@@ -144,20 +136,18 @@ class _Runner:
                 PragmaResult(path, line, col, kind, text))
 
         if pragma.kind == S.CHECK:
-            t, ty = (self._prepare(x) for x in pragma.payload)
+            t, ty = pragma.payload
             ty2, _ = tc.infer_universe(ctx, ty)
             tc.check(ctx, t, nbe.eval_in(ctx, ty2))
             record("CHECK", "ok")
         elif pragma.kind == S.INFER:
-            t = self._prepare(pragma.payload[0])
-            _, ty_v = tc.infer(ctx, t)
+            _, ty_v = tc.infer(ctx, pragma.payload[0])
             record("INFER", pretty_print(nbe.quote(0, ty_v)))
         elif pragma.kind == S.NORMALIZE:
-            t = self._prepare(pragma.payload[0])
-            t2, _ = tc.infer(ctx, t)
+            t2, _ = tc.infer(ctx, pragma.payload[0])
             record("NORMALIZE", pretty_print(nbe.normalize(ctx, t2)))
         elif pragma.kind == S.CONV:
-            a, b, ty = (self._prepare(x) for x in pragma.payload)
+            a, b, ty = pragma.payload
             ty2, _ = tc.infer_universe(ctx, ty)
             ty_v = nbe.eval_in(ctx, ty2)
             a2 = tc.check(ctx, a, ty_v)

@@ -35,13 +35,12 @@ class Diagnostic:
     code: str
     message: str
     span: Optional[Span] = None
-    severity: str = "error"
     expected: Optional[str] = None
     actual: Optional[str] = None
 
     def __str__(self) -> str:
         where = str(self.span) if self.span else "<unknown>"
-        text = f"{where}: {self.severity}[{self.code}]: {self.message}"
+        text = f"{where}: error[{self.code}]: {self.message}"
         if self.expected is not None:
             text += f"\n  expected: {self.expected}"
         if self.actual is not None:

@@ -26,6 +26,7 @@ parenthesis decides between a binder telescope and an ascription.
 from __future__ import annotations
 
 import re
+import sys
 from functools import partial
 from itertools import accumulate, compress, count, repeat
 from operator import add, not_, sub
@@ -198,35 +199,44 @@ def _strict(cls):
     return partial(cls, strict=True)
 
 
-_ELIM_ARITY = {
-    "J": (S.IdElim, 5), "Js": (_strict(S.IdElim), 5), "Ks": (S.UipS, 2),
-    "natElim": (S.NatElim, 4), "natElimS": (_strict(S.NatElim), 4),
-    "sumElim": (S.SumElim, 4), "sumElimS": (_strict(S.SumElim), 4),
-    "emptyElim": (S.EmptyElim, 2), "emptyElimS": (_strict(S.EmptyElim), 2),
-    "fst": (S.Fst, 1), "snd": (S.Snd, 1),
-    "succ": (S.Succ, 1), "succs": (_strict(S.Succ), 1),
-    "inl": (S.Inl, 1), "inr": (S.Inr, 1),
-    "inls": (_strict(S.Inl), 1), "inrs": (_strict(S.Inr), 1),
-}
+def _word_tables(strong: bool):
+    """What the former words build: eliminators and formers applied to
+    arguments, with their arity; atoms; and the strict flag of each sum
+    connective.  Strong mode identifies the strict naturals, empty type and
+    sums with the fibrant ones, so there their words build the fibrant
+    former; strict equality stays apart."""
+    merged = (lambda cls: cls) if strong else _strict
+    elims = {
+        "J": (S.IdElim, 5), "Js": (_strict(S.IdElim), 5), "Ks": (S.UipS, 2),
+        "natElim": (S.NatElim, 4), "natElimS": (merged(S.NatElim), 4),
+        "sumElim": (S.SumElim, 4), "sumElimS": (merged(S.SumElim), 4),
+        "emptyElim": (S.EmptyElim, 2), "emptyElimS": (merged(S.EmptyElim), 2),
+        "fst": (S.Fst, 1), "snd": (S.Snd, 1),
+        "succ": (S.Succ, 1), "succs": (merged(S.Succ), 1),
+        "inl": (S.Inl, 1), "inr": (S.Inr, 1),
+        "inls": (merged(S.Inl), 1), "inrs": (merged(S.Inr), 1),
+    }
+    atoms = {
+        "Nat": S.Nat, "NatS": merged(S.Nat), "Unit": S.Unit, "Empty": S.Empty,
+        "EmptyS": merged(S.Empty), "star": S.Star, "refl": S.Refl,
+        "refls": _strict(S.Refl),
+    }
+    return elims, atoms, {"+": False, "+s": not strong}
 
-_SIMPLE_ATOMS = {
-    "Nat": S.Nat, "NatS": _strict(S.Nat), "Unit": S.Unit, "Empty": S.Empty,
-    "EmptyS": _strict(S.Empty), "star": S.Star, "refl": S.Refl,
-    "refls": _strict(S.Refl),
-}
+
+_WORDS = {strong: _word_tables(strong) for strong in (False, True)}
 
 # What a token does where an atom may stand.  A token not listed is a name
 # or, if it starts with a digit, a numeral.
 _PAREN, _LAMBDA, _UNIV, _SIMPLE, _ELIM, _DECL, _STOP = range(7)  # _DECL, _STOP last
 _ROLE = {
     "(": _PAREN, "\\": _LAMBDA, "U": _UNIV, "Us": _UNIV, "def": _DECL, "axiom": _DECL,
-    **dict.fromkeys(_SIMPLE_ATOMS, _SIMPLE), **dict.fromkeys(_ELIM_ARITY, _ELIM),
+    **dict.fromkeys(_WORDS[False][1], _SIMPLE), **dict.fromkeys(_WORDS[False][0], _ELIM),
     **dict.fromkeys(_PUNCT - {"(", "\\"} | _PRAGMAS | {""}, _STOP),
 }
 
 # infix connective -> strict flag
 _EQUALITIES = {"=": False, "=s": True}
-_SUMS = {"+": False, "+s": True}
 
 _new_span = tuple.__new__  # Span's own constructor is a Python function
 
@@ -244,8 +254,11 @@ class _Binder(NamedTuple):
 
 
 class Parser:
-    def __init__(self, text: str, path: str, scope: Sequence[str], known: set[str]):
+    def __init__(self, text: str, path: str, scope: Sequence[str], known: set[str],
+                 strong: bool = False):
         self.texts, self.lines, self.cols, self.end_cols = _scan(text, path)
+        self.strong = strong
+        self.elims, self.atoms, self.sum_ops = _WORDS[strong]
         self.pos = 0
         self.path = path
         self.scope: list[Optional[str]] = []  # innermost binder last; None if anonymous
@@ -307,7 +320,7 @@ class Parser:
         and the end of the term finishes them all.  The position is kept in
         `pos` and handed to `self.pos` around each call that reads tokens."""
         texts, lines, cols, end_cols = self.texts, self.lines, self.cols, self.end_cols
-        path = self.path
+        path, atoms, elims, sum_ops = self.path, self.atoms, self.elims, self.sum_ops
         binders: list[tuple] = []  # (first token, domain or None for a lambda, names)
         factors: list[tuple] = []  # (first token, first factor, names)
         sums: list[tuple] = []  # (first token, left summand, strict)
@@ -373,18 +386,24 @@ class Parser:
                     atom = self.term()
                     pos = self.pos
                 elif role == _SIMPLE:
-                    atom = _SIMPLE_ATOMS[word](span=self.span(pos, pos))
+                    atom = atoms[word](span=self.span(pos, pos))
                     pos += 1
                 elif role == _UNIV:
                     if not texts[pos + 1].isdigit():
                         self.pos = pos + 1
                         raise self.err(f"{word} expects a universe level")
-                    level = int(texts[pos + 1])
+                    try:
+                        level = int(texts[pos + 1])
+                    except ValueError:  # more digits than `int` converts
+                        raise fail(D.RESOURCE_EXHAUSTED,
+                                   f"universe level of more than "
+                                   f"{sys.get_int_max_str_digits()} digits",
+                                   self.span(pos + 1, pos + 1)) from None
                     sort = S.fibrant(level) if word == "U" else S.strict(level)
                     atom = S.Univ(sort, span=self.span(pos, pos + 1))
                     pos += 2
                 elif head is None and elim is None:  # an eliminator
-                    cls, arity = _ELIM_ARITY[word]
+                    cls, arity = elims[word]
                     elim = (pos, cls, arity, [])
                     pos += 1
                     continue
@@ -422,8 +441,8 @@ class Parser:
                 continue
 
             op = texts[pos]
-            if op in _SUMS:
-                sums.append((app_start, head, _SUMS[op]))
+            if op in sum_ops:
+                sums.append((app_start, head, sum_ops[op]))
                 pos += 1
                 continue
             last = pos - 1
@@ -488,10 +507,10 @@ class Parser:
 
     def numeral(self, at: int) -> Term:
         """The numeral at token `at`, as `succ` applied to zero; every node
-        gets the token's span."""
+        gets the token's span.  A strict numeral is fibrant in strong mode."""
         word, span = self.texts[at], self.span(at, at)
-        is_strict = word[-1] == "s"
-        digits = (word[:-1] if is_strict else word).lstrip("0") or "0"
+        digits = word.rstrip("s").lstrip("0") or "0"
+        is_strict = word[-1] == "s" and not self.strong
         if len(digits) > 9 or int(digits) > D.RECURSION_LIMIT:
             # its unary form needs a frame per `succ` wherever it is checked
             raise fail(D.RESOURCE_EXHAUSTED,
@@ -653,16 +672,18 @@ class Parser:
         return S.Module(tuple(decls), self.path)
 
 
-def parse_module(text: str, path: str,
-                 known_names: Sequence[str] = ()) -> S.Module:
-    """Parse a whole file; `known_names` seeds the global scope (earlier files)."""
-    return Parser(text, path, [], set(known_names)).module()
+def parse_module(text: str, path: str, known_names: Sequence[str] = (),
+                 strong: bool = False) -> S.Module:
+    """Parse a whole file; `known_names` seeds the global scope (earlier files).
+    With `strong`, the strict naturals, empty type and sums read as fibrant."""
+    return Parser(text, path, [], set(known_names), strong).module()
 
 
 def parse_term(text: str, scope: Optional[Sequence[str]] = None,
-               known_names: Sequence[str] = ()) -> Term:
-    """Parse a single term; `scope` supplies names for free variables, outermost first."""
-    parser = Parser(text, "<term>", list(scope or []), set(known_names))
+               known_names: Sequence[str] = (), strong: bool = False) -> Term:
+    """Parse a single term; `scope` supplies names for free variables, outermost first.
+    With `strong`, the strict naturals, empty type and sums read as fibrant."""
+    parser = Parser(text, "<term>", list(scope or []), set(known_names), strong)
     t = parser.term()
     if parser.texts[parser.pos]:
         raise parser.err("unexpected trailing input")

@@ -5,12 +5,12 @@ applies cumulative subsumption (fibrant universes embed in strict ones,
 levels rise).  Inner equality, sums, naturals and the empty type insist on
 fibrant data; their strict twins accept any pretype.  Eliminator motives
 into the inner layer must land in a fibrant universe unless the strict
-eliminator is used (or, for the merged formers, strong mode is on).
+eliminator is used or strong mode is on.  In strong mode the parser reads the
+strict naturals, sums and empty type as the fibrant ones.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
@@ -76,28 +76,6 @@ class Context:
 def new_context(flags: Flags = Flags(), budget: Optional[int] = None) -> Context:
     sig = nbe.Signature([budget] if budget is not None else None)
     return Context(sig, flags)
-
-
-# -- strong mode: merge the strict formers into the fibrant ones ----------------
-
-# The formers strong mode identifies across the fragments; equality is not
-# among them.
-_MERGED = frozenset({S.Nat, S.Zero, S.Succ, S.NatElim, S.Empty, S.EmptyElim,
-                     S.Sum, S.Inl, S.Inr, S.SumElim})
-
-
-def merge_strict_formers(t: Term) -> Term:
-    """Strong-mode identification of the strict naturals, empty type and sums
-    (and their eliminators) with the fibrant ones, by clearing their `strict`
-    flag.  Strict equality is untouched."""
-    changes = {}
-    for name, child, _ in S.term_children(t):
-        new = merge_strict_formers(child)
-        if new is not child:
-            changes[name] = new
-    if type(t) in _MERGED and t.strict:
-        changes["strict"] = False
-    return dataclasses.replace(t, **changes) if changes else t
 
 
 # -- inference ------------------------------------------------------------------
@@ -585,14 +563,12 @@ def check_declaration(ctx: Context, decl) -> CheckedDecl:
     must be top level (empty telescope)."""
     if decl.name in ctx.sig:
         raise fail(D.DUPLICATE_NAME, f"{decl.name} is already declared", decl.span)
-    ty = merge_strict_formers(decl.ty) if ctx.flags.strong else decl.ty
-    ty2, _sort = infer_universe(ctx, ty)
+    ty2, _sort = infer_universe(ctx, decl.ty)
     ty_v = nbe.eval_in(ctx, ty2)
     if isinstance(decl, S.Axiom):
         ctx.sig.define(decl.name, ty_v, None, is_axiom=True)
         return CheckedDecl(decl.name, ty2, None, True, decl.span)
-    body = merge_strict_formers(decl.body) if ctx.flags.strong else decl.body
-    body2 = check(ctx, body, ty_v)
+    body2 = check(ctx, decl.body, ty_v)
     body_v = nbe.eval_in(ctx, body2)
     ctx.sig.define(decl.name, ty_v, body_v, is_axiom=False)
     return CheckedDecl(decl.name, ty2, body2, False, decl.span)

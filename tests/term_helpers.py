@@ -1,12 +1,17 @@
-"""Term helpers that only the tests use: substitution and two scans.
+"""Term helpers that only the tests use: substitution, two scans and the
+strong-mode merge.
 
 `subst` backs the reference normalizer and the well-typed generator; the
-scans check which constructors a term mentions.  The checker itself needs
-none of them, so they live here rather than in `tltt.syntax`.
+scans check which constructors a term mentions; `merge_strict_formers` is
+the reference for the parser's strong mode.  The checker itself needs none
+of them, so they live here rather than in `tltt.syntax`.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
+from tltt import syntax as S
 from tltt.syntax import (_ATOMS, Id, IdElim, Refl, Term, UipS, Univ, Var, _rebuild, shift,
                          term_children)
 
@@ -54,3 +59,23 @@ def mentions_inner_id(t: Term) -> bool:
     if isinstance(t, (Id, Refl, IdElim)) and not t.strict:
         return True
     return any(mentions_inner_id(c) for _, c, _ in term_children(t))
+
+
+# The formers strong mode identifies across the fragments; equality is not
+# among them.
+_MERGED = frozenset({S.Nat, S.Zero, S.Succ, S.NatElim, S.Empty, S.EmptyElim,
+                     S.Sum, S.Inl, S.Inr, S.SumElim})
+
+
+def merge_strict_formers(t: Term) -> Term:
+    """Strong-mode identification of the strict naturals, empty type and sums
+    (and their eliminators) with the fibrant ones, by clearing their `strict`
+    flag.  Strict equality is untouched."""
+    changes = {}
+    for name, child, _ in S.term_children(t):
+        new = merge_strict_formers(child)
+        if new is not child:
+            changes[name] = new
+    if type(t) in _MERGED and t.strict:
+        changes["strict"] = False
+    return dataclasses.replace(t, **changes) if changes else t

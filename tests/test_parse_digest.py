@@ -21,6 +21,8 @@ from tltt import corpus, syntax as S
 from tltt.diagnostics import Diagnostic
 from tltt.parser import parse_module, parse_term
 
+from term_helpers import merge_strict_formers
+
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "parse_digest.txt"
 NORMAL_FORMS = ROOT / "perfbench" / "oracles" / "reference_normal_forms.json"
@@ -73,6 +75,44 @@ def test_listing_shows_the_fields_equality_ignores():
     assert t == parse_term("Nat -> Nat")
     assert listing(t) != listing(parse_term("Nat -> Nat"))
     assert "hint='x'" in listing(t)
+
+
+def _merged(decl):
+    """`decl` with the reference strong-mode merge applied to its terms and
+    to the item a `#fail` wraps."""
+    if isinstance(decl, S.Definition):
+        return dataclasses.replace(decl, ty=merge_strict_formers(decl.ty),
+                                   body=merge_strict_formers(decl.body))
+    if isinstance(decl, S.Axiom):
+        return dataclasses.replace(decl, ty=merge_strict_formers(decl.ty))
+    if decl.kind == S.FAIL:
+        item = decl.payload[0]
+        return dataclasses.replace(
+            decl, payload=(item if isinstance(item, Diagnostic) else _merged(item),))
+    return dataclasses.replace(decl, payload=tuple(map(merge_strict_formers, decl.payload)))
+
+
+def test_strong_parse_is_the_merged_default_parse():
+    # the same inputs as the digests; every field is compared, spans included
+    known: list[str] = []
+    changed = []
+    for entry in corpus.corpus_manifest():
+        name, text = entry.path.name, entry.path.read_text(encoding="utf-8")
+        default = parse_module(text, name, known)
+        merged = dataclasses.replace(default, decls=tuple(map(_merged, default.decls)))
+        strong = listing(parse_module(text, name, known, strong=True))
+        assert strong == listing(merged), name
+        if strong != listing(default):
+            changed.append(name)
+        known += [d.name for d in default.decls if isinstance(d, (S.Definition, S.Axiom))]
+    forms = json.loads(NORMAL_FORMS.read_text())["normal_forms"]
+    for n in range(5):
+        text = forms[f"SST {n}s"]
+        default = parse_term(text, known_names=known)
+        strong = listing(parse_term(text, known_names=known, strong=True))
+        assert strong == listing(merge_strict_formers(default)), f"SST {n}s"
+    # the files that spell a merged former; the normal forms spell none
+    assert changed == ["fin.2lt", "sst.2lt", "cat.2lt", "negative.2lt"]
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from tltt.parser import Parser, parse_module, parse_term, tokenize
 from tltt.printer import pretty_print
 
 from gen import rand_scoped
+from term_helpers import merge_strict_formers, strict_constructors
 
 
 def test_module_with_definition():
@@ -318,6 +319,21 @@ def test_numerals_are_ascii_digits():
     # other letters and numerals still make identifiers
     assert tokenize("x\u00b2 \u00e9t\u00e9'", "t")[:2] == [
         ("IDENT", "x\u00b2", 1, 1, 1, 3), ("IDENT", "\u00e9t\u00e9'", 1, 4, 1, 8)]
+
+
+def test_strong_mode_reads_every_merged_word_as_fibrant():
+    text = ("sumElimS (\\s. NatS +s EmptyS)"
+            " (\\a. natElimS (\\n. EmptyS +s NatS) (inls 0s) (\\k. \\r. inrs (succs k)) a)"
+            " (\\b. emptyElimS (\\e. Us 0) b)"
+            " (Js (\\x. \\y. \\p. x =s y) (\\x. refls) 1s 1s (Ks refls refls))")
+    default = parse_term(text)
+    assert strict_constructors(default) == {
+        "SumElimS", "SumS", "NatS", "EmptyS", "NatElimS", "InlS", "ZeroS", "InrS", "SuccS",
+        "EmptyElimS", "UnivS", "IdElimS", "IdS", "ReflS", "UipS"}
+    strong = parse_term(text, strong=True)
+    assert strong == merge_strict_formers(default)
+    # strict equality and the strict universe stay strict
+    assert strict_constructors(strong) == {"UnivS", "IdElimS", "IdS", "ReflS", "UipS"}
 
 
 def test_lexing_diagnostics_keep_their_spans():

@@ -167,7 +167,7 @@ def test_nat_elim_motive_restriction_and_strong_waiver():
     text = ("natElim ((\\n. NatS) : Nat -> Us 0) 0s (\\n. \\r. succs r) 2")
     assert infer_code(ctx_default(), parse_term(text)) == D.NON_FIBRANT_MOTIVE
     strong = ctx_default(strong=True)
-    t = tc.merge_strict_formers(parse_term(text))
+    t = parse_term(text, strong=True)
     _, ty = tc.infer(strong, t)
     assert isinstance(ty, nbe.VNat)
 
@@ -206,12 +206,12 @@ def test_forward_reference_is_an_error():
 # -- strong mode -----------------------------------------------------------------------
 
 def test_strong_mode_merges_formers():
-    t = parse_term("natElimS ((\\n. Us 0) : NatS -> Us 1) EmptyS (\\k. \\r. Unit +s r) 2s")
-    merged = tc.merge_strict_formers(t)
+    merged = parse_term("natElimS ((\\n. Us 0) : NatS -> Us 1) EmptyS (\\k. \\r. Unit +s r) 2s",
+                        strong=True)
     assert isinstance(merged, S.NatElim) and not merged.strict
     assert strict_constructors(merged) <= {"UnivS"}
-    # strict equality is untouched by the merge
-    eq = tc.merge_strict_formers(parse_term("0s =s 0s"))
+    # strict equality stays strict in strong mode
+    eq = parse_term("0s =s 0s", strong=True)
     assert isinstance(eq, S.Id) and eq.strict
     assert eq.lhs == S.Zero()
 
@@ -223,7 +223,7 @@ def test_strong_mode_sum_with_a_strict_summand_is_not_fibrant():
     module = parse_module("axiom P : (0s =s 0s) + Unit", "<test>")
     tc.check_declaration(ctx, module.decls[0])
     assert infer_code(ctx, parse_term("(0s =s 0s) + Unit")) == "Us 0"
-    p_eq = tc.merge_strict_formers(parse_term("P = P", known_names=["P"]))
+    p_eq = parse_term("P = P", known_names=["P"], strong=True)
     assert infer_code(ctx, p_eq) == D.NON_FIBRANT_EQUALITY_FORMATION
 
 
