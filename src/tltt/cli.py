@@ -10,8 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from tltt import nbe
 from tltt import syntax as S
@@ -24,8 +23,7 @@ from tltt import typecheck as tc
 EXPECTED_FAILURE = "ExpectedFailure"
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     files: list[str]
     strong_mode: bool = False
     strict_proof_irrelevance: bool = False
@@ -34,8 +32,7 @@ class RunConfig:
     unfold_budget: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class PragmaResult:
+class PragmaResult(NamedTuple):
     path: str
     line: int
     col: int
@@ -43,20 +40,28 @@ class PragmaResult:
     text: str
 
 
-@dataclass
 class FileStatus:
-    path: str
-    decls: int = 0
-    pragmas: int = 0
+    __slots__ = ("path", "decls", "pragmas")
+
+    def __init__(self, path: str, decls: int = 0, pragmas: int = 0) -> None:
+        self.path = path
+        self.decls = decls
+        self.pragmas = pragmas
 
 
-@dataclass
 class RunReport:
-    files: list[FileStatus] = dc_field(default_factory=list)
-    diagnostics: list[tuple[str, Diagnostic]] = dc_field(default_factory=list)
-    pragma_results: list[PragmaResult] = dc_field(default_factory=list)
-    checked: list[tc.CheckedDecl] = dc_field(default_factory=list)
-    context: Optional[tc.Context] = None  # the final typing context, for tooling
+    __slots__ = ("files", "diagnostics", "pragma_results", "checked", "context")
+
+    def __init__(self, files: Optional[list[FileStatus]] = None,
+                 diagnostics: Optional[list[tuple[str, Diagnostic]]] = None,
+                 pragma_results: Optional[list[PragmaResult]] = None,
+                 checked: Optional[list[tc.CheckedDecl]] = None,
+                 context: Optional[tc.Context] = None) -> None:
+        self.files = [] if files is None else files
+        self.diagnostics = [] if diagnostics is None else diagnostics
+        self.pragma_results = [] if pragma_results is None else pragma_results
+        self.checked = [] if checked is None else checked
+        self.context = context  # the final typing context, for tooling
 
     @property
     def error_count(self) -> int:

@@ -8,15 +8,14 @@ discipline) or ``strong-only``, and verdict is ``ok``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 CORPUS_DIR = Path(__file__).resolve().parent
 ORACLE_DIR = CORPUS_DIR / "oracles"
 
 
-@dataclass(frozen=True)
-class ManifestEntry:
+class ManifestEntry(NamedTuple):
     path: Path
     mode: str      # any | default-only | strong-only
     verdict: str   # ok

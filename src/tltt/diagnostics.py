@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from tltt.syntax import Span
 
@@ -30,8 +29,7 @@ ALL_CODES = frozenset({
 })
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     code: str
     message: str
     span: Optional[Span] = None

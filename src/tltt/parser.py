@@ -65,6 +65,10 @@ _PIECE = re.compile(r"""
 
 _WHITESPACE = " \t\r\n"
 
+# The most digits `int` and `str` convert, 0 for no limit (Python before
+# 3.10.7 sets none).
+_INT_MAX_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
 _PUNCT = frozenset({":=", "->", "=s", "+s", "(", ")", "\\", ".", ",", ":", "*", "+",
                     "=", "~", "[", "]"})
 _PRAGMAS = frozenset({"#check", "#infer", "#normalize", "#conv", "#fail"})
@@ -392,13 +396,15 @@ class Parser:
                     if not texts[pos + 1].isdigit():
                         self.pos = pos + 1
                         raise self.err(f"{word} expects a universe level")
-                    try:
-                        level = int(texts[pos + 1])
-                    except ValueError:  # more digits than `int` converts
+                    # a level short of the digits `int` and `str` convert,
+                    # so that `level + 1` can always be printed
+                    digits = texts[pos + 1].lstrip("0") or "0"
+                    limit = _INT_MAX_STR_DIGITS()
+                    if limit and len(digits) >= limit:
                         raise fail(D.RESOURCE_EXHAUSTED,
-                                   f"universe level of more than "
-                                   f"{sys.get_int_max_str_digits()} digits",
-                                   self.span(pos + 1, pos + 1)) from None
+                                   f"universe level of {limit} digits or more",
+                                   self.span(pos + 1, pos + 1))
+                    level = int(digits)
                     sort = S.fibrant(level) if word == "U" else S.strict(level)
                     atom = S.Univ(sort, span=self.span(pos, pos + 1))
                     pos += 2

@@ -1,14 +1,16 @@
 """Core term language: sorts, de Bruijn terms, declarations, shifting.
 
-Terms are slotted dataclasses compared structurally; with de Bruijn
-indices, structural equality *is* alpha-equality.  Fields that carry no
+Terms are plain slotted classes compared structurally; with de Bruijn
+indices, structural equality *is* alpha-equality.  A term class's
+`__slots__` is its field table: `Term` derives equality, hashing, `repr`,
+`term_children` and `_rebuild` from it when the class is created, and each
+class writes its `__init__` out as plain slot stores.  Fields that carry no
 semantic content (source spans, binder-name hints, inferable type
 annotations) are excluded from comparison so that equality stays alpha.
 
 Terms are immutable by convention: no code assigns a field after
-construction.  Nothing enforces it, because a frozen dataclass sets every
-field through `object.__setattr__` and pays for that guard on every node the
-parser, `quote` and substitution build.
+construction.  Nothing enforces it, because a guard would be paid on every
+node the parser, `quote` and substitution build.
 
 The outer (strict) naturals, empty type, sums and equality are the same
 formers as the inner (fibrant) ones, living in the other fragment, so each
@@ -16,12 +18,14 @@ is one class with a `strict` flag rather than a twin class.  The surface
 language spells the strict former with an `S`/`s` suffix (`NatS`, `succs`,
 `+s`, `=s`, `Js`, ...).  The flag takes part in comparison: alpha-equality
 tells the fragments apart.  `UipS` has no inner twin and stays a class.
+
+Declarations, modules and sorts are records: `NamedTuple`s, except `Sort`,
+which checks its fields.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import NamedTuple, Optional
 
 
@@ -29,18 +33,29 @@ FIBRANT = "fibrant"
 STRICT = "strict"
 
 
-@dataclass(frozen=True)
 class Sort:
     """Universe classifier: fragment (fibrant or strict) crossed with a level."""
 
-    fragment: str
-    level: int
+    __slots__ = ("fragment", "level")
 
-    def __post_init__(self) -> None:
-        if self.fragment not in (FIBRANT, STRICT):
-            raise ValueError(f"bad fragment {self.fragment!r}")
-        if self.level < 0:
+    def __init__(self, fragment: str, level: int) -> None:
+        if fragment not in (FIBRANT, STRICT):
+            raise ValueError(f"bad fragment {fragment!r}")
+        if level < 0:
             raise ValueError("universe level must be non-negative")
+        self.fragment = fragment
+        self.level = level
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.fragment == other.fragment and self.level == other.level
+
+    def __hash__(self) -> int:
+        return hash((self.fragment, self.level))
+
+    def __repr__(self) -> str:
+        return f"Sort(fragment={self.fragment!r}, level={self.level!r})"
 
     @property
     def is_fibrant(self) -> bool:
@@ -84,227 +99,326 @@ class Span(NamedTuple):
         return f"{self.path}:{self.line}:{self.col}"
 
 
-_SPAN = dict(default=None, compare=False, repr=False, kw_only=True)
+# Fields that carry no semantic content: equality, hashing and `repr` leave
+# them out.  `ty` is the carrier of `Id`, inferable from its endpoints.
+_UNCOMPARED = frozenset({"span", "hint", "ann", "ty"})
+# Fields that hold no term.
+_NOT_TERMS = frozenset({"span", "hint", "strict", "index", "sort", "name"})
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class Term:
-    span: Optional[Span] = field(**_SPAN)
+    """A term node.  Each subclass lists its own fields in `__slots__`, in
+    order, after the `span` declared here, and names in `_under` the fields
+    that live under one extra binder.  From that table each subclass gets
+
+    - `_fields`: every field, `span` first;
+    - `_compared`: the fields equality, hashing and `repr` look at;
+    - `_children`: (field, crosses-a-binder) for the fields holding terms.
+    """
+
+    __slots__ = ("span",)
+    _under: tuple[str, ...] = ()
+
+    def __init__(self, *, span: Optional[Span] = None) -> None:
+        self.span = span
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = ("span",) + cls.__slots__
+        cls._compared = tuple(f for f in cls.__slots__ if f not in _UNCOMPARED)
+        # a class with no compared fields is keyed by its class alone
+        cls._key = attrgetter(*cls._compared or ("__class__",))
+        cls._children = tuple((f, f in cls._under) for f in cls.__slots__
+                              if f not in _NOT_TERMS)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._compared)
+        return f"{type(self).__name__}({fields})"
 
 
 # -- variables, universes, functions, pairs ---------------------------------
 
-@dataclass(slots=True, unsafe_hash=True)
 class Var(Term):
-    index: int
+    __slots__ = ("index",)
+
+    def __init__(self, index: int, *, span: Optional[Span] = None) -> None:
+        self.index = index
+        self.span = span
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class Univ(Term):
-    sort: Sort
+    __slots__ = ("sort",)
+
+    def __init__(self, sort: Sort, *, span: Optional[Span] = None) -> None:
+        self.sort = sort
+        self.span = span
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class Pi(Term):
-    dom: Term
-    cod: Term
-    hint: Optional[str] = field(default=None, compare=False, repr=False)
+    __slots__ = ("dom", "cod", "hint")
+    _under = ("cod",)
+
+    def __init__(self, dom: Term, cod: Term, hint: Optional[str] = None, *,
+                 span: Optional[Span] = None) -> None:
+        self.dom = dom
+        self.cod = cod
+        self.hint = hint
+        self.span = span
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class Lam(Term):
-    body: Term
-    ann: Optional[Term] = field(default=None, compare=False, repr=False)
-    hint: Optional[str] = field(default=None, compare=False, repr=False)
+    __slots__ = ("body", "ann", "hint")
+    _under = ("body",)
+
+    def __init__(self, body: Term, ann: Optional[Term] = None, hint: Optional[str] = None, *,
+                 span: Optional[Span] = None) -> None:
+        self.body = body
+        self.ann = ann
+        self.hint = hint
+        self.span = span
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class App(Term):
-    fn: Term
-    arg: Term
+    __slots__ = ("fn", "arg")
+
+    def __init__(self, fn: Term, arg: Term, *, span: Optional[Span] = None) -> None:
+        self.fn = fn
+        self.arg = arg
+        self.span = span
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class Sigma(Term):
-    fst: Term
-    snd: Term
-    hint: Optional[str] = field(default=None, compare=False, repr=False)
+    __slots__ = ("fst", "snd", "hint")
+    _under = ("snd",)
+
+    def __init__(self, fst: Term, snd: Term, hint: Optional[str] = None, *,
+                 span: Optional[Span] = None) -> None:
+        self.fst = fst
+        self.snd = snd
+        self.hint = hint
+        self.span = span
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class Pair(Term):
-    fst: Term
-    snd: Term
+    __slots__ = ("fst", "snd")
+
+    def __init__(self, fst: Term, snd: Term, *, span: Optional[Span] = None) -> None:
+        self.fst = fst
+        self.snd = snd
+        self.span = span
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class Fst(Term):
-    pair: Term
+    __slots__ = ("pair",)
+
+    def __init__(self, pair: Term, *, span: Optional[Span] = None) -> None:
+        self.pair = pair
+        self.span = span
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class Snd(Term):
-    pair: Term
+    __slots__ = ("pair",)
+
+    def __init__(self, pair: Term, *, span: Optional[Span] = None) -> None:
+        self.pair = pair
+        self.span = span
 
 
 # -- unit --------------------------------------------------------------------
 
-@dataclass(slots=True, unsafe_hash=True)
 class Unit(Term):
-    pass
+    __slots__ = ()
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class Star(Term):
-    pass
+    __slots__ = ()
 
 
 # -- naturals, empty types, sums and equality, fibrant or strict ----------------
 
-_STRICT = dict(default=False, kw_only=True)
-
-
-@dataclass(slots=True, unsafe_hash=True)
 class Nat(Term):
-    strict: bool = field(**_STRICT)
+    __slots__ = ("strict",)
+
+    def __init__(self, *, strict: bool = False, span: Optional[Span] = None) -> None:
+        self.strict = strict
+        self.span = span
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class Zero(Term):
-    strict: bool = field(**_STRICT)
+    __slots__ = ("strict",)
+
+    def __init__(self, *, strict: bool = False, span: Optional[Span] = None) -> None:
+        self.strict = strict
+        self.span = span
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class Succ(Term):
-    pred: Term
-    strict: bool = field(**_STRICT)
+    __slots__ = ("pred", "strict")
+
+    def __init__(self, pred: Term, *, strict: bool = False,
+                 span: Optional[Span] = None) -> None:
+        self.pred = pred
+        self.strict = strict
+        self.span = span
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class NatElim(Term):
-    motive: Term
-    base: Term
-    step: Term
-    target: Term
-    strict: bool = field(**_STRICT)
+    __slots__ = ("motive", "base", "step", "target", "strict")
+
+    def __init__(self, motive: Term, base: Term, step: Term, target: Term, *,
+                 strict: bool = False, span: Optional[Span] = None) -> None:
+        self.motive = motive
+        self.base = base
+        self.step = step
+        self.target = target
+        self.strict = strict
+        self.span = span
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class Empty(Term):
-    strict: bool = field(**_STRICT)
+    __slots__ = ("strict",)
+
+    def __init__(self, *, strict: bool = False, span: Optional[Span] = None) -> None:
+        self.strict = strict
+        self.span = span
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class EmptyElim(Term):
-    motive: Term
-    target: Term
-    strict: bool = field(**_STRICT)
+    __slots__ = ("motive", "target", "strict")
+
+    def __init__(self, motive: Term, target: Term, *, strict: bool = False,
+                 span: Optional[Span] = None) -> None:
+        self.motive = motive
+        self.target = target
+        self.strict = strict
+        self.span = span
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class Sum(Term):
-    left: Term
-    right: Term
-    strict: bool = field(**_STRICT)
+    __slots__ = ("left", "right", "strict")
+
+    def __init__(self, left: Term, right: Term, *, strict: bool = False,
+                 span: Optional[Span] = None) -> None:
+        self.left = left
+        self.right = right
+        self.strict = strict
+        self.span = span
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class Inl(Term):
-    value: Term
-    strict: bool = field(**_STRICT)
+    __slots__ = ("value", "strict")
+
+    def __init__(self, value: Term, *, strict: bool = False,
+                 span: Optional[Span] = None) -> None:
+        self.value = value
+        self.strict = strict
+        self.span = span
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class Inr(Term):
-    value: Term
-    strict: bool = field(**_STRICT)
+    __slots__ = ("value", "strict")
+
+    def __init__(self, value: Term, *, strict: bool = False,
+                 span: Optional[Span] = None) -> None:
+        self.value = value
+        self.strict = strict
+        self.span = span
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class SumElim(Term):
-    motive: Term
-    on_inl: Term
-    on_inr: Term
-    target: Term
-    strict: bool = field(**_STRICT)
+    __slots__ = ("motive", "on_inl", "on_inr", "target", "strict")
+
+    def __init__(self, motive: Term, on_inl: Term, on_inr: Term, target: Term, *,
+                 strict: bool = False, span: Optional[Span] = None) -> None:
+        self.motive = motive
+        self.on_inl = on_inl
+        self.on_inr = on_inr
+        self.target = target
+        self.strict = strict
+        self.span = span
 
 
 # The carrier type of an equality is inferable from its endpoints, so the
 # parser leaves it as None and elaboration completes it; it is excluded from
 # structural comparison for the same reason.
 
-@dataclass(slots=True, unsafe_hash=True)
 class Id(Term):
-    ty: Optional[Term] = field(compare=False, repr=False)
-    lhs: Term
-    rhs: Term
-    strict: bool = field(**_STRICT)
+    __slots__ = ("ty", "lhs", "rhs", "strict")
+
+    def __init__(self, ty: Optional[Term], lhs: Term, rhs: Term, *, strict: bool = False,
+                 span: Optional[Span] = None) -> None:
+        self.ty = ty
+        self.lhs = lhs
+        self.rhs = rhs
+        self.strict = strict
+        self.span = span
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class Refl(Term):
-    strict: bool = field(**_STRICT)
+    __slots__ = ("strict",)
+
+    def __init__(self, *, strict: bool = False, span: Optional[Span] = None) -> None:
+        self.strict = strict
+        self.span = span
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class IdElim(Term):
-    motive: Term
-    refl_case: Term
-    lhs: Term
-    rhs: Term
-    proof: Term
-    strict: bool = field(**_STRICT)
+    __slots__ = ("motive", "refl_case", "lhs", "rhs", "proof", "strict")
+
+    def __init__(self, motive: Term, refl_case: Term, lhs: Term, rhs: Term, proof: Term, *,
+                 strict: bool = False, span: Optional[Span] = None) -> None:
+        self.motive = motive
+        self.refl_case = refl_case
+        self.lhs = lhs
+        self.rhs = rhs
+        self.proof = proof
+        self.strict = strict
+        self.span = span
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class UipS(Term):
-    p: Term
-    q: Term
+    __slots__ = ("p", "q")
+
+    def __init__(self, p: Term, q: Term, *, span: Optional[Span] = None) -> None:
+        self.p = p
+        self.q = q
+        self.span = span
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class Const(Term):
-    name: str
+    __slots__ = ("name",)
 
+    def __init__(self, name: str, *, span: Optional[Span] = None) -> None:
+        self.name = name
+        self.span = span
 
-# Fields that live under one extra binder.
-_BINDER_FIELDS = {
-    Pi: ("cod",),
-    Lam: ("body",),
-    Sigma: ("snd",),
-}
 
 _ATOMS = (Univ, Unit, Star, Nat, Zero, Empty, Refl, Const)
 
 
-# class -> ((field name, crosses-a-binder), ...) for the fields declared as
-# terms (`Term`, `Optional[Term]`), filled on first use of each class.
-_CHILD_FIELDS: dict[type, tuple[tuple[str, bool], ...]] = {}
-
-
-def _child_fields(cls: type) -> tuple[tuple[str, bool], ...]:
-    under = _BINDER_FIELDS.get(cls, ())
-    table = tuple((f.name, f.name in under) for f in dataclasses.fields(cls)
-                  if "Term" in str(f.type))
-    _CHILD_FIELDS[cls] = table
-    return table
-
-
 def term_children(t: Term) -> list[tuple[str, Term, bool]]:
     """(field name, child, crosses-a-binder) for every Term-valued child."""
-    table = _CHILD_FIELDS.get(type(t))
-    if table is None:
-        table = _child_fields(type(t))
     out = []
-    for name, under in table:
+    for name, under in t._children:
         child = getattr(t, name)
-        if isinstance(child, Term):
+        if child is not None:  # `Lam.ann` and `Id.ty` may be absent
             out.append((name, child, under))
     return out
 
 
-def _rebuild(t: Term, changes: dict[str, Term]) -> Term:
-    return dataclasses.replace(t, **changes) if changes else t
+def _rebuild(t: Term, changes: dict) -> Term:
+    """`t` with the fields named in `changes` replaced."""
+    if not changes:
+        return t
+    return type(t)(**({f: getattr(t, f) for f in t._fields} | changes))
 
 
 def shift(t: Term, amount: int, cutoff: int = 0) -> Term:
@@ -321,38 +435,36 @@ def shift(t: Term, amount: int, cutoff: int = 0) -> Term:
     return _rebuild(t, changes)
 
 
+
+
 # -- declarations and modules --------------------------------------------------
 
-@dataclass(frozen=True)
-class Definition:
+class Definition(NamedTuple):
     name: str
     ty: Term
     body: Term
-    span: Optional[Span] = field(**_SPAN)
+    span: Optional[Span] = None
 
 
-@dataclass(frozen=True)
-class Axiom:
+class Axiom(NamedTuple):
     name: str
     ty: Term
-    span: Optional[Span] = field(**_SPAN)
+    span: Optional[Span] = None
 
 
 CHECK, INFER, NORMALIZE, CONV, FAIL = "check", "infer", "normalize", "conv", "fail"
 
 
-@dataclass(frozen=True)
-class Pragma:
+class Pragma(NamedTuple):
     kind: str
     payload: tuple  # terms, or the wrapped item for #fail
     expect_code: Optional[str] = None  # pinned diagnostic code for #fail[CODE]
-    span: Optional[Span] = field(**_SPAN)
+    span: Optional[Span] = None
 
 
 Declaration = Definition | Axiom | Pragma
 
 
-@dataclass(frozen=True)
-class Module:
+class Module(NamedTuple):
     decls: tuple[Declaration, ...]
     path: str

@@ -11,8 +11,7 @@ strict naturals, sums and empty type as the fibrant ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from tltt import nbe
 from tltt import syntax as S
@@ -22,14 +21,12 @@ from tltt.printer import pretty_print
 from tltt.syntax import Sort, Span, Term, combine_sorts, fibrant, sort_sub, strict
 
 
-@dataclass(frozen=True)
-class Flags:
+class Flags(NamedTuple):
     strong: bool = False
     strict_pi: bool = False
 
 
-@dataclass(frozen=True)
-class Entry:
+class Entry(NamedTuple):
     name: Optional[str]
     ty: object  # Value
 
@@ -549,8 +546,7 @@ def _subsume(ctx: Context, actual, expected, span) -> None:
 
 # -- declarations ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckedDecl:
+class CheckedDecl(NamedTuple):
     name: str
     ty: Term
     body: Optional[Term]  # None for axioms

@@ -40,8 +40,7 @@ def step(t: Term, defs: dict[str, Term]) -> Optional[Term]:
     for name, child, _ in S.term_children(t):
         reduced = step(child, defs)
         if reduced is not None:
-            import dataclasses
-            return dataclasses.replace(t, **{name: reduced})
+            return S._rebuild(t, {name: reduced})
     return None
 
 

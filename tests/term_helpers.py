@@ -9,8 +9,6 @@ of them, so they live here rather than in `tltt.syntax`.
 
 from __future__ import annotations
 
-import dataclasses
-
 from tltt import syntax as S
 from tltt.syntax import (_ATOMS, Id, IdElim, Refl, Term, UipS, Univ, Var, _rebuild, shift,
                          term_children)
@@ -78,4 +76,4 @@ def merge_strict_formers(t: Term) -> Term:
             changes[name] = new
     if type(t) in _MERGED and t.strict:
         changes["strict"] = False
-    return dataclasses.replace(t, **changes) if changes else t
+    return _rebuild(t, changes)

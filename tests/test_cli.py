@@ -243,14 +243,28 @@ def test_huge_numeral_is_a_diagnostic_before_any_node_is_built(tmp_path):
 
 
 def test_huge_universe_level_is_a_diagnostic(tmp_path):
-    # a level of more digits than `int` converts (4300 in CPython) is
-    # reported at its token; a shorter one is checked as before
-    for digits, code, col in ((5000, "ResourceExhausted", "18"), (50, "UniverseError", "16")):
-        path = write(tmp_path, f"level{digits}.2lt", "def t : U 1 := U " + "9" * digits + "\n")
+    # a level of as many significant digits as `int` and `str` convert (4300
+    # in CPython) is reported at its token, so that `level + 1` can always be
+    # printed; a shorter one is checked as before
+    cases = (("def t : U 1 := U ", "9" * 5000, "18", "ResourceExhausted"),
+             ("def t : U 1 := U ", "9" * 4300, "18", "ResourceExhausted"),
+             ("#infer U ", "9" * 4300, "10", "ResourceExhausted"),
+             ("#infer U ", "0" * 5000 + "9" * 4300, "10", "ResourceExhausted"),
+             ("def t : U 1 := U ", "9" * 50, "16", "UniverseError"))
+    for n, (text, level, col, code) in enumerate(cases):
+        path = write(tmp_path, f"level{n}.2lt", text + level + "\n")
         proc = check_in_subprocess(path)
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert [f.split("\t")[:4] for f in proc.stdout.splitlines()] == [[path, "1", col, code]]
+
+
+def test_universe_level_one_digit_short_of_the_limit_is_printed(tmp_path):
+    for n, level in enumerate(("9" * 4299, "0" * 5000 + "9" * 4299)):
+        path = write(tmp_path, f"level{n}.2lt", f"#infer U {level}\n")
+        proc = check_in_subprocess(path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{path}\t1\t1\tINFER\tU 1{'0' * 4299}\n"
 
 
 def test_deeply_nested_parentheses_are_a_diagnostic(tmp_path):

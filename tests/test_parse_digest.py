@@ -12,7 +12,6 @@ file with
 only when a change to the parse trees is intended.
 """
 
-import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -38,8 +37,7 @@ def listing(root) -> str:
         label, x = stack.pop()
         if isinstance(x, _NODES):
             lines.append(f"{label}{type(x).__name__}")
-            stack.extend((f"{f.name}=", getattr(x, f.name))
-                         for f in reversed(dataclasses.fields(x)))
+            stack.extend((f"{name}=", getattr(x, name)) for name in reversed(x._fields))
         elif type(x) is tuple:
             lines.append(f"{label}tuple[{len(x)}]")
             stack.extend(("", item) for item in reversed(x))
@@ -81,15 +79,14 @@ def _merged(decl):
     """`decl` with the reference strong-mode merge applied to its terms and
     to the item a `#fail` wraps."""
     if isinstance(decl, S.Definition):
-        return dataclasses.replace(decl, ty=merge_strict_formers(decl.ty),
-                                   body=merge_strict_formers(decl.body))
+        return decl._replace(ty=merge_strict_formers(decl.ty),
+                             body=merge_strict_formers(decl.body))
     if isinstance(decl, S.Axiom):
-        return dataclasses.replace(decl, ty=merge_strict_formers(decl.ty))
+        return decl._replace(ty=merge_strict_formers(decl.ty))
     if decl.kind == S.FAIL:
         item = decl.payload[0]
-        return dataclasses.replace(
-            decl, payload=(item if isinstance(item, Diagnostic) else _merged(item),))
-    return dataclasses.replace(decl, payload=tuple(map(merge_strict_formers, decl.payload)))
+        return decl._replace(payload=(item if isinstance(item, Diagnostic) else _merged(item),))
+    return decl._replace(payload=tuple(map(merge_strict_formers, decl.payload)))
 
 
 def test_strong_parse_is_the_merged_default_parse():
@@ -99,7 +96,7 @@ def test_strong_parse_is_the_merged_default_parse():
     for entry in corpus.corpus_manifest():
         name, text = entry.path.name, entry.path.read_text(encoding="utf-8")
         default = parse_module(text, name, known)
-        merged = dataclasses.replace(default, decls=tuple(map(_merged, default.decls)))
+        merged = default._replace(decls=tuple(map(_merged, default.decls)))
         strong = listing(parse_module(text, name, known, strong=True))
         assert strong == listing(merged), name
         if strong != listing(default):

@@ -1,6 +1,9 @@
 """Core syntax: shift, subst, sort subsumption, structural alpha-equality."""
 
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import given, strategies as st
 
@@ -192,14 +195,93 @@ def test_combine_is_upper_bound(a, b):
 
 def test_alpha_equality_ignores_hints_spans_and_annotations():
     sp = S.Span("f", 1, 1, 1, 2)
-    assert Lam(Var(0), hint="x") == Lam(Var(0), hint="y")
-    assert Var(0, span=sp) == Var(0)
-    assert S.Id(Nat(), Zero(), Zero()) == S.Id(None, Zero(), Zero())
-    assert Lam(Var(0), ann=Nat()) == Lam(Var(0))
-    assert hash(Var(0, span=sp)) == hash(Var(0))
+    same = [
+        (Lam(Var(0), hint="x"), Lam(Var(0), hint="y")),
+        (Pi(Nat(), Var(0), "x", span=sp), Pi(Nat(), Var(0), "y")),
+        (S.Sigma(Nat(), Var(0), "x"), S.Sigma(Nat(), Var(0))),
+        (Var(0, span=sp), Var(0)),
+        (S.Id(Nat(), Zero(), Zero()), S.Id(None, Zero(), Zero())),
+        (S.Id(Nat(), Zero(), Zero(), strict=True), S.Id(Nat(strict=True), Zero(), Zero(),
+                                                       strict=True)),
+        (Lam(Var(0), ann=Nat()), Lam(Var(0))),
+        (Lam(Var(0), Nat(), "x", span=sp), Lam(Var(0), Nat(strict=True), "y")),
+    ]
+    for a, b in same:
+        assert a == b and not a != b, (a, b)
+        assert hash(a) == hash(b), (a, b)
+        assert repr(a) == repr(b), (a, b)
 
 
 def test_alpha_equality_is_structural():
     assert Lam(Lam(Var(1))) != Lam(Lam(Var(0)))
     assert Pi(Nat(), Var(0)) != Pi(Nat(), Nat())
     assert Nat() != Nat(strict=True)
+
+
+def test_strict_is_compared_and_hashed():
+    flagged = [Nat(), Zero(), S.Empty(), S.Refl(), S.Succ(Zero()),
+               S.Sum(Nat(), Nat()), S.Inl(Star()), S.Inr(Star()),
+               S.Id(None, Zero(), Zero()), S.NatElim(Nat(), Zero(), Star(), Zero()),
+               S.EmptyElim(Nat(), Star()), S.SumElim(Nat(), Star(), Star(), Star()),
+               S.IdElim(Nat(), Star(), Zero(), Zero(), S.Refl())]
+    for t in flagged:
+        flipped = S._rebuild(t, {"strict": True})
+        assert t != flipped and not t == flipped, t
+        assert hash(t) != hash(flipped), t
+        assert flipped == S._rebuild(t, {"strict": True})
+
+
+def test_a_different_class_compares_unequal():
+    # same field values, other class
+    assert S.Inl(Star()) != S.Inr(Star())
+    assert S.Fst(Var(0)) != S.Snd(Var(0))
+    assert S.Pair(Nat(), Nat()) != S.Sigma(Nat(), Nat())
+    assert S.Unit() != Star() and S.Unit() == S.Unit()
+    assert Var(0) != 0 and Zero() != (False,)
+
+
+def test_repr_shows_the_compared_fields_in_order():
+    sp = S.Span("f", 1, 1, 1, 2)
+    assert repr(Pi(Nat(), Var(0), "x", span=sp)) == "Pi(dom=Nat(strict=False), cod=Var(index=0))"
+    assert repr(S.Id(Nat(), Zero(), Zero(), strict=True)) == \
+        "Id(lhs=Zero(strict=False), rhs=Zero(strict=False), strict=True)"
+    assert repr(S.Univ(fibrant(2))) == "Univ(sort=Sort(fragment='fibrant', level=2))"
+    assert repr(S.Unit()) == "Unit()"
+
+
+def test_field_tables():
+    # span first, then the class's slots in order; children are the term fields
+    assert S.Lam._fields == ("span", "body", "ann", "hint")
+    assert S.Id._fields == ("span", "ty", "lhs", "rhs", "strict")
+    assert [(n, under) for n, _, under in S.term_children(Lam(Var(0), Nat()))] == \
+        [("body", True), ("ann", False)]
+    assert [n for n, _, _ in S.term_children(S.Id(None, Zero(), Zero()))] == ["lhs", "rhs"]
+    assert S.term_children(Var(0)) == [] and S.term_children(Const("c")) == []
+
+
+def test_rebuild_keeps_the_fields_it_does_not_replace():
+    sp = S.Span("f", 1, 1, 1, 2)
+    t = Pi(Nat(), Var(0), "x", span=sp)
+    assert S._rebuild(t, {}) is t
+    u = S._rebuild(t, {"dom": S.Unit()})
+    assert type(u) is Pi and (u.dom, u.cod, u.hint, u.span) == (S.Unit(), Var(0), "x", sp)
+    assert t.dom == Nat()  # the original is untouched
+
+
+def test_sort_is_a_value():
+    assert Sort("fibrant", 1) == fibrant(1) and hash(Sort("fibrant", 1)) == hash(fibrant(1))
+    assert fibrant(1) != strict(1) and fibrant(1) != ("fibrant", 1)
+    assert repr(strict(3)) == "Sort(fragment='strict', level=3)"
+    assert str(strict(3)) == "Us 3" and str(fibrant(0)) == "U 0"
+
+
+def test_importing_the_checker_loads_no_dataclasses():
+    # every run starts with this import; dataclass code generation made up
+    # about half of it
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, tltt.cli, tltt.corpus; print('dataclasses' in sys.modules)"],
+        capture_output=True, text=True, env={"PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
