@@ -269,6 +269,8 @@ def main(argv: Optional[list[str]] = None) -> int:
                               "unfolds; an unfold is spent when a constant's body "
                               "is needed, not when the constant is mentioned")
     args = parser.parse_args(argv)
+    if args.unfold_budget is not None and args.unfold_budget < 0:
+        checker.error("argument --unfold-budget: must be at least 0")
     sys.setrecursionlimit(max(sys.getrecursionlimit(), RECURSION_LIMIT))
 
     config = RunConfig(files=args.files, strong_mode=args.strong,

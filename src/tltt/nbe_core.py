@@ -24,9 +24,8 @@ can be observed and values stay immutable in substance.
 
 Conversion exploits sharing before it computes.  Values are never mutated
 and `evaluate` is deterministic, so two references to one value object are
-equal, and two closures with the same body over the same environment values
-instantiate to the same result under any argument.  Every mention of a
-constant evaluates to its one shared value, which makes both cases common.
+equal.  Every mention of a constant evaluates to its one shared value, which
+makes this common.
 """
 
 from tltt import syntax as S
@@ -75,13 +74,12 @@ class Signature:
 class Env:
     """Persistent environment: a cons list of values, threaded with the signature."""
 
-    __slots__ = ("value", "parent", "sig", "length")
+    __slots__ = ("value", "parent", "sig")
 
     def __init__(self, value, parent, sig):
         self.value = value
         self.parent = parent
         self.sig = sig
-        self.length = (parent.length + 1) if parent is not None else 1
 
     def lookup(self, index):
         node = self
@@ -96,19 +94,17 @@ def empty_env(sig):
 
 
 class _EmptyEnv:
-    __slots__ = ("sig", "length")
+    __slots__ = ("sig",)
 
     def __init__(self, sig):
         self.sig = sig
-        self.length = 0
 
     def lookup(self, index):
         raise EvalError("variable out of range")
 
 
 def extend(env, value):
-    parent = env if isinstance(env, Env) else None
-    return Env(value, parent, env.sig)
+    return Env(value, env, env.sig)
 
 
 class Closure:
@@ -121,44 +117,8 @@ class Closure:
         self.body = body
 
 
-class HostClosure:
-    """Closure given by a host-language function; used for synthesized types."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        self.fn = fn
-
-
 def inst(closure, value):
-    if isinstance(closure, HostClosure):
-        return closure.fn(value)
     return evaluate(closure.body, extend(closure.env, value))
-
-
-def _same_closure(c1, c2):
-    """Whether two closures are equal without instantiating either.
-
-    True for one closure object, or for two `Closure`s with the same body
-    term over environments holding the same value objects.  A `HostClosure`
-    matches only itself.  False means "not known equal", never "different".
-    """
-    if c1 is c2:
-        return True
-    if not (isinstance(c1, Closure) and isinstance(c2, Closure)):
-        return False
-    if c1.body is not c2.body:
-        return False
-    e1 = c1.env
-    e2 = c2.env
-    if e1.sig is not e2.sig or e1.length != e2.length:
-        return False
-    while e1 is not e2:
-        if not isinstance(e1, Env) or e1.value is not e2.value:
-            return False
-        e1 = e1.parent
-        e2 = e2.parent
-    return True
 
 
 # -- values --------------------------------------------------------------------
@@ -662,26 +622,23 @@ def _quote_neutral(depth, v, unfold):
 def conv(depth, a, b, ty, strict_pi=False):
     """Definitional equality of values `a` and `b` at type `ty`.
 
-    Type-directed at Pi (eta), Sigma (eta), Unit (all inhabitants equal) and,
-    under the proof-irrelevance flag, at strict equality types.  `ty` may be
+    Type-directed at Pi (eta), Sigma (eta), Unit (all inhabitants equal),
+    sums (an injection's payload at its summand) and, under the
+    proof-irrelevance flag, at strict equality types.  `ty` may be
     None inside neutral spines, where comparison falls back to structural
     form with untyped eta-expansion on lambda/pair mismatches.
 
-    Two sharing rules settle a comparison without instantiating anything:
-
-    - one value object is equal to itself (`a is b`), because values are
-      immutable and conversion is reflexive;
-    - the closures of two Pi codomains, Sigma second components or lambdas
-      are equal when `_same_closure` holds, because evaluating one body in
-      environments of the same values gives the same result.
+    One value object is equal to itself (`a is b`), because values are
+    immutable and conversion is reflexive; this settles a comparison without
+    instantiating anything.
 
     Two applications of one defined constant to the same number of arguments
     are equal when their arguments are; otherwise both sides are forced and
     compared again.
 
-    Otherwise the comparison instantiates and recurses as usual.  A shortcut
-    only ever answers True, so it never hides an inequality; it does skip the
-    unfolds the full comparison would spend against the budget.
+    Otherwise the comparison instantiates and recurses as usual.  Both
+    shortcuts only ever answer True, so they never hide an inequality; they
+    do skip the unfolds the full comparison would spend against the budget.
     """
     if a is b:
         return True
@@ -696,6 +653,12 @@ def conv(depth, a, b, ty, strict_pi=False):
             if not conv(depth, fa, do_fst(b), ty.fst, strict_pi):
                 return False
             return conv(depth, do_snd(a), do_snd(b), inst(ty.snd, fa), strict_pi)
+        if isinstance(ty, VSum):
+            a, b = force(a), force(b)
+            if isinstance(a, VInj) and isinstance(b, VInj):
+                return (a.is_left == b.is_left and a.strict == b.strict
+                        and conv(depth, a.value, b.value,
+                                 ty.left if a.is_left else ty.right, strict_pi))
         if isinstance(ty, VUnit):
             return True
         if strict_pi and isinstance(ty, VId) and ty.strict:
@@ -713,9 +676,6 @@ def _conv_whnf(depth, a, b, strict_pi):
         return a is b or _conv_whnf(depth, a, b, strict_pi)
     # eta: a lambda or pair meets a neutral of the corresponding shape
     if isinstance(a, VLam) or isinstance(b, VLam):
-        if (isinstance(a, VLam) and isinstance(b, VLam)
-                and _same_closure(a.closure, b.closure)):
-            return True
         x = fresh_var(depth)
         return conv(depth + 1, apply_value(a, x), apply_value(b, x), None, strict_pi)
     if isinstance(a, VPair) or isinstance(b, VPair):
@@ -728,15 +688,11 @@ def _conv_whnf(depth, a, b, strict_pi):
     if isinstance(a, VPi):
         if not (isinstance(b, VPi) and conv(depth, a.dom, b.dom, None, strict_pi)):
             return False
-        if _same_closure(a.cod, b.cod):
-            return True
         x = fresh_var(depth, a.dom)
         return conv(depth + 1, inst(a.cod, x), inst(b.cod, x), None, strict_pi)
     if isinstance(a, VSigma):
         if not (isinstance(b, VSigma) and conv(depth, a.fst, b.fst, None, strict_pi)):
             return False
-        if _same_closure(a.snd, b.snd):
-            return True
         x = fresh_var(depth, a.fst)
         return conv(depth + 1, inst(a.snd, x), inst(b.snd, x), None, strict_pi)
     if isinstance(a, VUnit):

@@ -316,17 +316,16 @@ def _check_motive_sort(ctx, sort: Sort, eliminator: str, span) -> None:
                    f"the motive lands in {sort}", span)
 
 
-def _peel_motive(ctx, m_ty, arity, span) -> Sort:
-    depth = ctx.depth
-    for _ in range(arity):
-        m_ty = nbe.force(m_ty)
-        if not isinstance(m_ty, nbe.VPi):
-            raise fail(D.UNIVERSE_ERROR, "motive has too few arguments", span,
-                       expected="a family over the eliminated data",
-                       actual=ctx.show(m_ty))
-        m_ty = nbe.inst(m_ty.cod, nbe.fresh_var(depth, m_ty.dom))
-        depth += 1
-    return _expect_universe_value(ctx, m_ty, span, "the motive")
+def _peel_motive(ctx, pi, span) -> Sort:
+    """The sort that a motive of Pi type `pi` lands in: its codomain's."""
+    cod = nbe.inst(pi.cod, nbe.fresh_var(ctx.depth, pi.dom))
+    return _expect_universe_value(ctx, cod, span, "the motive")
+
+
+def _case_type(ctx, m_v, dom, body: Term):
+    """The Pi type `(x : dom) -> body` of an eliminator case.  `body` sees
+    `x` as `Var 0` and the motive `m_v` as `Var 1`."""
+    return nbe.VPi(dom, nbe.Closure(nbe.extend(ctx.env, m_v), body))
 
 
 def _infer_natelim(ctx, t):
@@ -340,15 +339,14 @@ def _infer_natelim(ctx, t):
                    t.motive.span or t.span,
                    expected=("NatS -> ..." if is_strict else "Nat -> ..."),
                    actual=ctx.show(m_ty))
-    sort = _peel_motive(ctx, pi, 1, t.motive.span or t.span)
+    sort = _peel_motive(ctx, pi, t.motive.span or t.span)
     if not _motive_waived(ctx, is_strict):
         _check_motive_sort(ctx, sort, "natElim", t.motive.span or t.span)
     m_v = nbe.eval_in(ctx, motive2)
     zero = nbe.ZERO_S if is_strict else nbe.ZERO
     base2 = check(ctx, t.base, nbe.apply_value(m_v, zero))
-    step_ty = nbe.VPi(nat, nbe.HostClosure(
-        lambda n: nbe.VPi(nbe.apply_value(m_v, n), nbe.HostClosure(
-            lambda _r: nbe.apply_value(m_v, nbe.VSucc(n, is_strict))))))
+    step_ty = _case_type(ctx, m_v, nat, S.Pi(  # (n : Nat) -> P n -> P (succ n)
+        S.App(S.Var(1), S.Var(0)), S.App(S.Var(2), S.Succ(S.Var(1), strict=is_strict))))
     step2 = check(ctx, t.step, step_ty)
     target2 = check(ctx, t.target, nat)
     return (S.NatElim(motive2, base2, step2, target2, strict=is_strict, span=t.span),
@@ -375,14 +373,14 @@ def _infer_sumelim(ctx, t):
                    t.motive.span or t.span,
                    expected="(... +s ...) -> ..." if is_strict else "(... + ...) -> ...",
                    actual=ctx.show(m_ty))
-    sort = _peel_motive(ctx, pi, 1, t.motive.span or t.span)
+    sort = _peel_motive(ctx, pi, t.motive.span or t.span)
     if not _motive_waived(ctx, is_strict):
         _check_motive_sort(ctx, sort, "sumElim", t.motive.span or t.span)
     m_v = nbe.eval_in(ctx, motive2)
-    on_inl2 = check(ctx, t.on_inl, nbe.VPi(sum_ty.left, nbe.HostClosure(
-        lambda a: nbe.apply_value(m_v, nbe.VInj(a, True, is_strict)))))
-    on_inr2 = check(ctx, t.on_inr, nbe.VPi(sum_ty.right, nbe.HostClosure(
-        lambda b: nbe.apply_value(m_v, nbe.VInj(b, False, is_strict)))))
+    on_inl2 = check(ctx, t.on_inl, _case_type(  # (a : A) -> P (inl a)
+        ctx, m_v, sum_ty.left, S.App(S.Var(1), S.Inl(S.Var(0), strict=is_strict))))
+    on_inr2 = check(ctx, t.on_inr, _case_type(  # (b : B) -> P (inr b)
+        ctx, m_v, sum_ty.right, S.App(S.Var(1), S.Inr(S.Var(0), strict=is_strict))))
     if target2 is None:
         target2 = check(ctx, t.target, sum_ty)
     else:  # elaborated above; `check` would infer it again
@@ -404,7 +402,7 @@ def _infer_emptyelim(ctx, t):
                    t.motive.span or t.span,
                    expected="EmptyS -> ..." if is_strict else "Empty -> ...",
                    actual=ctx.show(m_ty))
-    sort = _peel_motive(ctx, pi, 1, t.motive.span or t.span)
+    sort = _peel_motive(ctx, pi, t.motive.span or t.span)
     if not _motive_waived(ctx, is_strict):
         _check_motive_sort(ctx, sort, "emptyElim", t.motive.span or t.span)
     m_v = nbe.eval_in(ctx, motive2)
@@ -454,9 +452,9 @@ def _infer_idelim(ctx, t):
         # J's motive restriction is never waived, even in strong mode.
         _check_motive_sort(ctx, sort, "J", t.motive.span or t.span)
     m_v = nbe.eval_in(ctx, motive2)
-    refl = nbe.REFL_S if is_strict else nbe.REFL
-    refl_case2 = check(ctx, t.refl_case, nbe.VPi(carrier, nbe.HostClosure(
-        lambda x: nbe.apply_many(m_v, x, x, refl))))
+    refl_case2 = check(ctx, t.refl_case, _case_type(  # (x : A) -> P x x refl
+        ctx, m_v, carrier,
+        S.App(S.App(S.App(S.Var(1), S.Var(0)), S.Var(0)), S.Refl(strict=is_strict))))
     if lhs2 is None:
         lhs2 = check(ctx, t.lhs, carrier)
     else:  # elaborated above; `check` would infer it again

@@ -127,7 +127,7 @@ def _value_objects(v) -> set[int]:
             while isinstance(env, nbe.Env):
                 stack.append(env.value)
                 env = env.parent
-        elif not isinstance(obj, nbe.HostClosure):
+        else:
             stack.extend(getattr(obj, name) for name in getattr(obj, "__slots__", ()))
     return seen
 

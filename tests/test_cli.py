@@ -150,12 +150,83 @@ axiom x2 : P2 p2
 
 
 @pytest.mark.xfail(strict=True, reason="conv compares spine arguments untyped, so Unit "
-                   "eta is lost under a neutral head; typed conversion, ROADMAP item 3")
-def test_unit_eta_under_a_spine(tmp_path):
-    path = write(tmp_path, "eta.2lt", "axiom A : U 0\naxiom f : Unit -> A\naxiom x : Unit\n"
-                                      "#conv f x ~ f star : A\n")
+                   "eta is lost under a neutral head; typed conversion, ROADMAP item 1")
+@pytest.mark.parametrize("text", [
+    "axiom A : U 0\naxiom f : Unit -> A\naxiom x : Unit\n#conv f x ~ f star : A\n",
+    "axiom Q : Unit + Nat -> U 0\naxiom a : Unit\n#conv Q (inl a) ~ Q (inl star) : U 0\n",
+], ids=["argument", "injection-argument"])
+def test_unit_eta_under_a_spine(tmp_path, text):
+    path = write(tmp_path, "eta.2lt", text)
     report = run(RunConfig(files=[path]))
     assert report.ok, [str(d) for _, d in report.diagnostics]
+
+
+def test_unit_eta_inside_an_injection_at_a_sum_type(tmp_path):
+    # the payload is compared at its summand, so Unit eta applies to it,
+    # also when one side is a definition that unfolds to an injection
+    text = """
+axiom a : Unit
+def i : Unit + Nat := inl a
+#conv inl a ~ inl star : Unit + Nat
+#conv inls a ~ inls star : Unit +s NatS
+#conv i ~ inl star : Unit + Nat
+#conv inr a ~ inr star : Nat + Unit
+#fail[ConversionFailure] #conv inl a ~ inr star : Unit + Unit
+#fail[ConversionFailure] #conv inls a ~ inrs star : Unit +s Unit
+#fail[ConversionFailure] #conv inl 0 ~ inl 1 : Nat + Unit
+"""
+    report = run(RunConfig(files=[write(tmp_path, "sum.2lt", text)]))
+    assert report.ok, [str(d) for _, d in report.diagnostics]
+    assert [r.text for r in report.pragma_results] == ["ok"] * 4 + \
+        ["ok [ConversionFailure]"] * 3
+
+
+ELIMINATOR_CASES = """
+axiom P : {Nat} -> {U} 0
+axiom p0 : P {zero}
+axiom step : (k : {Nat}) -> P k -> P ({succ} k)
+axiom st : {Nat} -> P {zero}
+axiom n : {Nat}
+def natOk : P n := {natElim} P p0 step n
+def natBad : P n := {natElim} P p0 st n
+axiom Q : Unit {plus} Unit -> {U} 0
+axiom gl : (z : Unit) -> Q ({inl} z)
+axiom gr : (z : Unit) -> Q ({inr} z)
+axiom s : Unit {plus} Unit
+def sumOk : Q s := {sumElim} Q gl gr s
+def sumBadInl : Q s := {sumElim} Q gr gr s
+def sumBadInr : Q s := {sumElim} Q gl gl s
+axiom A : U 0
+axiom R : (a b : A) -> a {eq} b -> {U} 0
+axiom r : (a : A) -> R a a {refl}
+axiom h : A -> Unit
+def idOk : (x y : A) -> (e : x {eq} y) -> R x y e := \\x. \\y. \\e. {J} R r x y e
+def idBad : (x y : A) -> (e : x {eq} y) -> R x y e := \\x. \\y. \\e. {J} R h x y e
+"""
+
+FIBRANT_WORDS = dict(Nat="Nat", U="U", zero="0", succ="succ", natElim="natElim",
+                     plus="+", inl="inl", inr="inr", sumElim="sumElim", eq="=",
+                     refl="refl", J="J")
+STRICT_WORDS = dict(Nat="NatS", U="Us", zero="0s", succ="succs", natElim="natElimS",
+                    plus="+s", inl="inls", inr="inrs", sumElim="sumElimS", eq="=s",
+                    refl="refls", J="Js")
+
+
+@pytest.mark.parametrize("words, expected", [
+    (FIBRANT_WORDS, ["(x : Nat) -> P x -> P (succ x)", "(x : Unit) -> Q (inl x)",
+                     "(x : Unit) -> Q (inr x)", "(x1 : A) -> R x1 x1 refl"]),
+    (STRICT_WORDS, ["(x : NatS) -> P x -> P (succs x)", "(x : Unit) -> Q (inls x)",
+                    "(x : Unit) -> Q (inrs x)", "(x1 : A) -> R x1 x1 refls"]),
+], ids=["fibrant", "strict"])
+def test_eliminator_case_types_in_diagnostics(tmp_path, words, expected):
+    # each failing case is checked against the type its eliminator builds
+    # from the motive: the natElim step, the sumElim cases and the J refl case
+    path = write(tmp_path, "elim.2lt", ELIMINATOR_CASES.format(**words))
+    text, code = emit_report(run(RunConfig(files=[path])), "human")
+    assert code == 1
+    assert re.findall(r"^  expected: (.*)$", text, re.M) == expected
+    assert text.count("error[ConversionFailure]: type mismatch") == 4
+    assert "FAILED: 4 errors (16 declarations, 0 pragmas)" in text
 
 
 def test_unfold_budget_flag(tmp_path):
@@ -190,6 +261,19 @@ def test_main_exit_codes(tmp_path, capsys):
     bad = write(tmp_path, "bad.2lt", BAD)
     assert main(["check", bad]) == 1
     assert main(["check", str(tmp_path / "missing.2lt")]) == 2
+    capsys.readouterr()
+
+
+def test_negative_unfold_budget_is_a_usage_error(tmp_path, capsys):
+    path = write(tmp_path, "ok.2lt", GOOD)
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--unfold-budget", "-3", path])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--unfold-budget: must be at least 0" in err
+    # zero is a budget, and `#normalize succ two` needs to unfold `two`
+    assert main(["check", "--unfold-budget", "0", path]) == 1
     capsys.readouterr()
 
 
