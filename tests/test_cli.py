@@ -229,6 +229,162 @@ def test_eliminator_case_types_in_diagnostics(tmp_path, words, expected):
     assert "FAILED: 4 errors (16 declarations, 0 pragmas)" in text
 
 
+MOTIVES = """\
+axiom A : U 0
+axiom a : A
+def S : U 0 := Nat + Nat
+def s1 : S := inl 0
+def sumNonSum : Nat := sumElim (\\s. Nat) (\\n. n) (\\n. n) a
+def sumOverA : Nat := sumElim ((\\s. Nat) : A -> U 0) (\\n. n) (\\n. n) s1
+def natOverA : Nat := natElim ((\\s. Nat) : A -> U 0) 0 (\\n. \\r. r) 0
+def emptyOverA : Nat := emptyElim ((\\s. Nat) : A -> U 0) a
+def jOne : Nat := J ((\\x. Nat) : A -> U 0) (\\x. 0) a a refl
+def jTwo : Nat := J ((\\x. \\y. Nat) : A -> A -> U 0) (\\x. 0) a a refl
+def jMixed : Nat := J ((\\x. \\y. \\z. Nat) : A -> Nat -> Nat -> U 0) (\\x. 0) a a refl
+def jFlipped : Nat := J ((\\x. \\y. \\p. Nat) : (x : A) -> (y : A) -> y = x -> U 0) (\\x. 0) a a refl
+def jNotFamily : Nat := J a (\\x. 0) a a refl
+def natNotFamily : Nat := natElim a 0 (\\n. \\r. r) 0
+def inNat : Nat := natElim ((\\n. 0) : Nat -> Nat) 0 (\\n. \\r. r) 0
+def inA : Nat := natElim ((\\n. a) : Nat -> A) 0 (\\n. \\r. r) 0
+def inSum : Nat := natElim ((\\n. inl 0) : Nat -> Nat + Nat) 0 (\\n. \\r. r) 0
+def bareInNat : Nat := natElim (\\n. 0) 0 (\\n. \\r. r) 0
+def natStrictMotive : Nat := natElim ((\\n. NatS) : Nat -> Us 0) 0 (\\n. \\r. r) 0
+def sumStrictMotive : Nat := sumElim ((\\s. NatS) : S -> Us 0) (\\n. n) (\\n. n) s1
+axiom void : Empty
+def emptyStrictMotive : Nat := emptyElim ((\\s. NatS) : Empty -> Us 0) void
+def jStrictMotive : Nat := J ((\\x. \\y. \\p. NatS) : (x : A) -> (y : A) -> x = y -> Us 0) (\\x. 0) a a refl
+def natSOverA : Nat := natElimS ((\\s. Nat) : A -> U 0) 0 (\\n. \\r. r) 0s
+def emptySOverA : Nat := emptyElimS ((\\s. Nat) : A -> U 0) a
+def sumSOverS : Nat := sumElimS ((\\s. Nat) : S -> U 0) (\\n. n) (\\n. n) s1
+def sumSBare : Nat := sumElimS (\\s. Nat) (\\n. n) (\\n. n) s1
+def jSFibrantProof : Nat := Js ((\\x. \\y. \\p. Nat) : (x : A) -> (y : A) -> x = y -> U 0) (\\x. 0) a a refls
+def jSOne : Nat := Js ((\\x. Nat) : A -> U 0) (\\x. 0) a a refls
+"""
+
+MOTIVE_REPORTS = {
+    "default": """\
+{path}:5:58: error[ConversionFailure]: sum elimination of a non-sum
+  actual:   A
+{path}:6:31: error[ConversionFailure]: the motive must be a family over a sum type
+  expected: (... + ...) -> ...
+  actual:   A -> U 0
+{path}:7:31: error[ConversionFailure]: the motive must be a family over the naturals
+  expected: Nat -> ...
+  actual:   A -> U 0
+{path}:8:35: error[ConversionFailure]: the motive must be a family over the empty type
+  expected: Empty -> ...
+  actual:   A -> U 0
+{path}:9:21: error[ConversionFailure]: the J motive must take two endpoints of the same type
+  actual:   A -> U 0
+{path}:10:21: error[ConversionFailure]: the J motive must abstract a proof between its endpoints
+  actual:   A -> A -> U 0
+{path}:11:23: error[ConversionFailure]: the J motive must take two endpoints of the same type
+  actual:   A -> Nat -> Nat -> U 0
+{path}:12:25: error[ConversionFailure]: the J motive must abstract a proof between its endpoints
+  actual:   (x : A) -> (y : A) -> y = x -> U 0
+{path}:13:27: error[ConversionFailure]: the J motive must abstract both endpoints and the proof
+  actual:   A
+{path}:14:35: error[ConversionFailure]: the motive must be a family over the naturals
+  expected: Nat -> ...
+  actual:   A
+{path}:15:28: error[UniverseError]: the motive must land in a universe
+  expected: a universe
+  actual:   Nat
+{path}:16:26: error[UniverseError]: the motive must land in a universe
+  expected: a universe
+  actual:   A
+{path}:17:28: error[UniverseError]: the motive must land in a universe
+  expected: a universe
+  actual:   Nat + Nat
+{path}:18:33: error[UniverseError]: the motive must land in a universe
+  expected: a universe
+  actual:   Nat
+{path}:19:38: error[NonFibrantMotive]: natElim can only eliminate into families of fibrant types; the motive lands in Us 0
+{path}:20:38: error[NonFibrantMotive]: sumElim can only eliminate into families of fibrant types; the motive lands in Us 0
+{path}:22:42: error[NonFibrantMotive]: emptyElim can only eliminate into families of fibrant types; the motive lands in Us 0
+{path}:23:30: error[NonFibrantMotive]: J can only eliminate into families of fibrant types; the motive lands in Us 0
+{path}:24:33: error[ConversionFailure]: the motive must be a family over the naturals
+  expected: NatS -> ...
+  actual:   A -> U 0
+{path}:25:37: error[ConversionFailure]: the motive must be a family over the empty type
+  expected: EmptyS -> ...
+  actual:   A -> U 0
+{path}:26:33: error[ConversionFailure]: the motive must be a family over a sum type
+  expected: (... +s ...) -> ...
+  actual:   Nat + Nat -> U 0
+{path}:27:58: error[ConversionFailure]: sum elimination of a non-sum
+  actual:   S
+{path}:28:32: error[ConversionFailure]: the Js motive must abstract a proof between its endpoints
+  actual:   (x : A) -> (y : A) -> x = y -> U 0
+{path}:29:23: error[ConversionFailure]: the Js motive must take two endpoints of the same type
+  actual:   A -> U 0
+FAILED: 24 errors (5 declarations, 0 pragmas)
+""",
+    "strong": """\
+{path}:5:58: error[ConversionFailure]: sum elimination of a non-sum
+  actual:   A
+{path}:6:31: error[ConversionFailure]: the motive must be a family over a sum type
+  expected: (... + ...) -> ...
+  actual:   A -> U 0
+{path}:7:31: error[ConversionFailure]: the motive must be a family over the naturals
+  expected: Nat -> ...
+  actual:   A -> U 0
+{path}:8:35: error[ConversionFailure]: the motive must be a family over the empty type
+  expected: Empty -> ...
+  actual:   A -> U 0
+{path}:9:21: error[ConversionFailure]: the J motive must take two endpoints of the same type
+  actual:   A -> U 0
+{path}:10:21: error[ConversionFailure]: the J motive must abstract a proof between its endpoints
+  actual:   A -> A -> U 0
+{path}:11:23: error[ConversionFailure]: the J motive must take two endpoints of the same type
+  actual:   A -> Nat -> Nat -> U 0
+{path}:12:25: error[ConversionFailure]: the J motive must abstract a proof between its endpoints
+  actual:   (x : A) -> (y : A) -> y = x -> U 0
+{path}:13:27: error[ConversionFailure]: the J motive must abstract both endpoints and the proof
+  actual:   A
+{path}:14:35: error[ConversionFailure]: the motive must be a family over the naturals
+  expected: Nat -> ...
+  actual:   A
+{path}:15:28: error[UniverseError]: the motive must land in a universe
+  expected: a universe
+  actual:   Nat
+{path}:16:26: error[UniverseError]: the motive must land in a universe
+  expected: a universe
+  actual:   A
+{path}:17:28: error[UniverseError]: the motive must land in a universe
+  expected: a universe
+  actual:   Nat + Nat
+{path}:18:33: error[UniverseError]: the motive must land in a universe
+  expected: a universe
+  actual:   Nat
+{path}:23:30: error[NonFibrantMotive]: J can only eliminate into families of fibrant types; the motive lands in Us 0
+{path}:24:33: error[ConversionFailure]: the motive must be a family over the naturals
+  expected: Nat -> ...
+  actual:   A -> U 0
+{path}:25:37: error[ConversionFailure]: the motive must be a family over the empty type
+  expected: Empty -> ...
+  actual:   A -> U 0
+{path}:28:32: error[ConversionFailure]: the Js motive must abstract a proof between its endpoints
+  actual:   (x : A) -> (y : A) -> x = y -> U 0
+{path}:29:23: error[ConversionFailure]: the Js motive must take two endpoints of the same type
+  actual:   A -> U 0
+FAILED: 19 errors (10 declarations, 0 pragmas)
+""",
+}
+
+@pytest.mark.parametrize("mode", ["default", "strong"])
+def test_eliminator_motive_diagnostics(tmp_path, mode):
+    # every way a motive can be rejected, for each eliminator and fragment:
+    # message, expected and actual types, and span; strong mode reads the
+    # strict formers as the fibrant ones and waives the fibrant-motive rule
+    # for every eliminator but J
+    path = write(tmp_path, "motives.2lt", MOTIVES)
+    config = RunConfig(files=[path], strong_mode=mode == "strong")
+    text, code = emit_report(run(config), "human")
+    assert code == 1
+    assert text == MOTIVE_REPORTS[mode].replace("{path}", path)
+
+
 def test_unfold_budget_flag(tmp_path):
     text = "def d : Nat := 3\ndef e : Nat := succ d\n#normalize succ e\n"
     path = write(tmp_path, "budget.2lt", text)
