@@ -11,7 +11,7 @@ strict naturals, sums and empty type as the fibrant ones.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from tltt import nbe
 from tltt import syntax as S
@@ -176,14 +176,8 @@ def infer(ctx: Context, t: Term) -> tuple[Term, object]:
         case S.Refl():
             raise fail(D.INFERENCE_FAILURE,
                        "cannot infer the endpoints of a reflexivity proof", t.span)
-        case S.NatElim():
-            return _infer_natelim(ctx, t)
-        case S.SumElim():
-            return _infer_sumelim(ctx, t)
-        case S.EmptyElim():
-            return _infer_emptyelim(ctx, t)
-        case S.IdElim():
-            return _infer_idelim(ctx, t)
+        case S.NatElim() | S.SumElim() | S.EmptyElim() | S.IdElim():
+            return _infer_elim(ctx, t)
         case S.UipS(p=p, q=q):
             p2, p_ty = infer(ctx, p)
             eq = nbe.force(p_ty)
@@ -281,191 +275,156 @@ def _infer_equality(ctx, t):
 
 
 # -- eliminators ------------------------------------------------------------------
+#
+# Every eliminator is checked by one rule, Dybjer's schema for inductive
+# families: a motive over the scrutinees' telescope, one case per constructor,
+# then the scrutinees against the telescope.  `_RULES` holds one row per
+# eliminator and fragment.  A row's templates are terms evaluated in the
+# context's environment extended by the carrier's pieces (the summands of a
+# sum, the carrier of an equality; none for the naturals and the empty type),
+# and then by the telescope's earlier entries, or by the motive in a case.
 
-def _infer_motive(ctx: Context, motive: Term, dom_builders) -> tuple[Term, object]:
+class _Rule(NamedTuple):
+    read: Optional[Callable]  # a type value's pieces, None if it is no carrier
+    not_a_carrier: str  # the diagnostic for a first scrutinee with no pieces
+    telescope: tuple  # the scrutinees' types
+    cases: tuple  # the type of each case
+    errors: tuple  # the diagnostic for a motive failing at each telescope position
+    expected: Optional[str]  # the motive's shape, shown with those diagnostics
+    fibrant_motive: Optional[str]  # the eliminator named if the motive lands in Us i
+    strong_waives: bool  # whether strong mode waives the fibrant-motive rule
+
+
+def _summands(strict_sum: bool) -> Callable:
+    """The pieces of a sum type: the type as given, then its summands."""
+    def read(v):
+        forced = nbe.force(v)
+        return ((v, forced.left, forced.right)
+                if isinstance(forced, nbe.VSum) and forced.strict == strict_sum else None)
+    return read
+
+
+def _rules() -> dict:
+    V, App = S.Var, S.App
+    rules = {}
+    for s in (False, True):
+        nat, empty, j = S.Nat(strict=s), S.Empty(strict=s), "Js" if s else "J"
+        rules[S.NatElim, s] = _Rule(
+            None, "", (nat,),
+            (App(V(0), S.Zero(strict=s)),  # P 0
+             S.Pi(nat, S.Pi(App(V(1), V(0)),  # (n : Nat) -> P n -> P (succ n)
+                            App(V(2), S.Succ(V(1), strict=s))))),
+            ("the motive must be a family over the naturals",),
+            "NatS -> ..." if s else "Nat -> ...", None if s else "natElim", True)
+        rules[S.SumElim, s] = _Rule(
+            _summands(s), "sum elimination of a non-sum",
+            (V(2),),  # A + B
+            (S.Pi(V(2), App(V(1), S.Inl(V(0), strict=s))),  # (a : A) -> P (inl a)
+             S.Pi(V(1), App(V(1), S.Inr(V(0), strict=s)))),  # (b : B) -> P (inr b)
+            ("the motive must be a family over a sum type",),
+            "(... +s ...) -> ..." if s else "(... + ...) -> ...",
+            None if s else "sumElim", True)
+        rules[S.EmptyElim, s] = _Rule(
+            None, "", (empty,), (),
+            ("the motive must be a family over the empty type",),
+            "EmptyS -> ..." if s else "Empty -> ...", None if s else "emptyElim", True)
+        rules[S.IdElim, s] = _Rule(
+            lambda v: (v,), "",
+            (V(0), V(1), S.Id(V(2), V(1), V(0), strict=s)),  # A, A, x = y
+            # (x : A) -> P x x refl
+            (S.Pi(V(1), App(App(App(V(1), V(0)), V(0)), S.Refl(strict=s))),),
+            (f"the {j} motive must abstract both endpoints and the proof",
+             f"the {j} motive must take two endpoints of the same type",
+             f"the {j} motive must abstract a proof between its endpoints"),
+            None, None if s else "J", False)
+    return rules
+
+
+_RULES = _rules()
+
+
+def _extend_all(env, values):
+    for v in values:
+        env = nbe.extend(env, v)
+    return env
+
+
+def _infer_motive(ctx: Context, motive: Term, telescope: tuple, env) -> tuple[Term, object]:
     """Infer an eliminator motive.  Bare lambdas are allowed: the eliminator
     dictates the family's domains, so only the codomain needs inference.
-    `dom_builders` produce each domain value from the context extended with
-    the preceding motive variables."""
-    if not (isinstance(motive, S.Lam) and motive.ann is None and dom_builders):
+    The domains are the `telescope` templates, each evaluated in `env`
+    extended by the motive variables before it."""
+    if not (isinstance(motive, S.Lam) and motive.ann is None and telescope):
         return infer(ctx, motive)
-    dom_v = dom_builders[0](ctx)
+    dom_v = nbe.evaluate(telescope[0], env)
     inner = ctx.extend(motive.hint, dom_v)
-    body2, body_ty = _infer_motive(inner, motive.body, dom_builders[1:])
+    body2, body_ty = _infer_motive(inner, motive.body, telescope[1:],
+                                   nbe.extend(env, inner.var_value(0)))
     cod_term = nbe.quote(inner.depth, body_ty)
     return (S.Lam(body2, ann=None, hint=motive.hint, span=motive.span),
             nbe.VPi(dom_v, nbe.Closure(ctx.env, cod_term), motive.hint))
 
 
-def _motive_waived(ctx: Context, is_strict: bool) -> bool:
-    return is_strict or ctx.flags.strong
-
-
-def _expect_universe_value(ctx, v, span, what):
-    univ = nbe.force(v)
-    if isinstance(univ, nbe.VUniv):
-        return univ.sort
-    raise fail(D.UNIVERSE_ERROR, f"{what} must land in a universe", span,
-               expected="a universe", actual=ctx.show(v))
-
-
-def _check_motive_sort(ctx, sort: Sort, eliminator: str, span) -> None:
-    if not sort.is_fibrant:
+def _infer_elim(ctx: Context, t: Term) -> tuple[Term, object]:
+    """Elaborate an eliminator by its row of `_RULES`: the motive, its Pi type
+    along the telescope, its codomain's universe, the cases, the scrutinees."""
+    rule = _RULES[type(t), t.strict]
+    motive, *parts = [getattr(t, f) for f, _ in t._children]
+    cases, scrutinees = parts[:len(rule.cases)], parts[len(rule.cases):]
+    span = motive.span or t.span
+    first = None  # the first scrutinee and its type, inferred for a bare motive
+    pieces = ()
+    if rule.read is not None and isinstance(motive, S.Lam) and motive.ann is None:
+        first = infer(ctx, scrutinees[0])
+        pieces = rule.read(first[1])
+        if pieces is None:
+            raise fail(D.CONVERSION_FAILURE, rule.not_a_carrier,
+                       scrutinees[0].span or t.span, actual=ctx.show(first[1]))
+    motive2, m_ty = _infer_motive(ctx, motive, rule.telescope,
+                                  _extend_all(ctx.env, pieces))
+    pi = nbe.force(m_ty)
+    if rule.read is not None:
+        pieces = rule.read(pi.dom) if isinstance(pi, nbe.VPi) else None
+        if pieces is None:
+            raise fail(D.CONVERSION_FAILURE, rule.errors[0], span,
+                       expected=rule.expected, actual=ctx.show(m_ty))
+    carrier_env = env = _extend_all(ctx.env, pieces)
+    inner = ctx  # extended by the motive's indices
+    for error, template in zip(rule.errors, rule.telescope):
+        if not (isinstance(pi, nbe.VPi) and nbe.conv(
+                inner.depth, nbe.evaluate(template, env), pi.dom, None, ctx.strict_pi)):
+            raise fail(D.CONVERSION_FAILURE, error, span,
+                       expected=rule.expected, actual=ctx.show(m_ty))
+        inner = inner.extend(pi.hint, pi.dom)
+        env = nbe.extend(env, inner.var_value(0))
+        cod = nbe.inst(pi.cod, inner.var_value(0))
+        pi = nbe.force(cod)
+    if not isinstance(pi, nbe.VUniv):
+        raise fail(D.UNIVERSE_ERROR, "the motive must land in a universe", span,
+                   expected="a universe", actual=inner.show(cod))
+    if not (rule.fibrant_motive is None or pi.sort.is_fibrant
+            or rule.strong_waives and ctx.flags.strong):
         raise fail(D.NON_FIBRANT_MOTIVE,
-                   f"{eliminator} can only eliminate into families of fibrant types; "
-                   f"the motive lands in {sort}", span)
-
-
-def _peel_motive(ctx, pi, span) -> Sort:
-    """The sort that a motive of Pi type `pi` lands in: its codomain's."""
-    cod = nbe.inst(pi.cod, nbe.fresh_var(ctx.depth, pi.dom))
-    return _expect_universe_value(ctx, cod, span, "the motive")
-
-
-def _case_type(ctx, m_v, dom, body: Term):
-    """The Pi type `(x : dom) -> body` of an eliminator case.  `body` sees
-    `x` as `Var 0` and the motive `m_v` as `Var 1`."""
-    return nbe.VPi(dom, nbe.Closure(nbe.extend(ctx.env, m_v), body))
-
-
-def _infer_natelim(ctx, t):
-    is_strict = t.strict
-    nat = nbe.NAT_S if is_strict else nbe.NAT
-    motive2, m_ty = _infer_motive(ctx, t.motive, [lambda c: nat])
-    pi = nbe.force(m_ty)
-    if not (isinstance(pi, nbe.VPi)
-            and nbe.conv(ctx.depth, pi.dom, nat, None, ctx.strict_pi)):
-        raise fail(D.CONVERSION_FAILURE, "the motive must be a family over the naturals",
-                   t.motive.span or t.span,
-                   expected=("NatS -> ..." if is_strict else "Nat -> ..."),
-                   actual=ctx.show(m_ty))
-    sort = _peel_motive(ctx, pi, t.motive.span or t.span)
-    if not _motive_waived(ctx, is_strict):
-        _check_motive_sort(ctx, sort, "natElim", t.motive.span or t.span)
+                   f"{rule.fibrant_motive} can only eliminate into families of fibrant "
+                   f"types; the motive lands in {pi.sort}", span)
     m_v = nbe.eval_in(ctx, motive2)
-    zero = nbe.ZERO_S if is_strict else nbe.ZERO
-    base2 = check(ctx, t.base, nbe.apply_value(m_v, zero))
-    step_ty = _case_type(ctx, m_v, nat, S.Pi(  # (n : Nat) -> P n -> P (succ n)
-        S.App(S.Var(1), S.Var(0)), S.App(S.Var(2), S.Succ(S.Var(1), strict=is_strict))))
-    step2 = check(ctx, t.step, step_ty)
-    target2 = check(ctx, t.target, nat)
-    return (S.NatElim(motive2, base2, step2, target2, strict=is_strict, span=t.span),
-            nbe.apply_value(m_v, nbe.eval_in(ctx, target2)))
-
-
-def _infer_sumelim(ctx, t):
-    is_strict = t.strict
-    builders = []
-    target2 = None
-    if isinstance(t.motive, S.Lam) and t.motive.ann is None:
-        # a bare-lambda motive: read the family's domain off the target
-        target2, target_ty = infer(ctx, t.target)
-        target_sum = nbe.force(target_ty)
-        if not (isinstance(target_sum, nbe.VSum) and target_sum.strict == is_strict):
-            raise fail(D.CONVERSION_FAILURE, "sum elimination of a non-sum",
-                       t.target.span or t.span, actual=ctx.show(target_ty))
-        builders = [lambda c: target_ty]
-    motive2, m_ty = _infer_motive(ctx, t.motive, builders)
-    pi = nbe.force(m_ty)
-    sum_ty = nbe.force(pi.dom) if isinstance(pi, nbe.VPi) else None
-    if not (isinstance(sum_ty, nbe.VSum) and sum_ty.strict == is_strict):
-        raise fail(D.CONVERSION_FAILURE, "the motive must be a family over a sum type",
-                   t.motive.span or t.span,
-                   expected="(... +s ...) -> ..." if is_strict else "(... + ...) -> ...",
-                   actual=ctx.show(m_ty))
-    sort = _peel_motive(ctx, pi, t.motive.span or t.span)
-    if not _motive_waived(ctx, is_strict):
-        _check_motive_sort(ctx, sort, "sumElim", t.motive.span or t.span)
-    m_v = nbe.eval_in(ctx, motive2)
-    on_inl2 = check(ctx, t.on_inl, _case_type(  # (a : A) -> P (inl a)
-        ctx, m_v, sum_ty.left, S.App(S.Var(1), S.Inl(S.Var(0), strict=is_strict))))
-    on_inr2 = check(ctx, t.on_inr, _case_type(  # (b : B) -> P (inr b)
-        ctx, m_v, sum_ty.right, S.App(S.Var(1), S.Inr(S.Var(0), strict=is_strict))))
-    if target2 is None:
-        target2 = check(ctx, t.target, sum_ty)
-    else:  # elaborated above; `check` would infer it again
-        _subsume(ctx, target_ty, sum_ty, t.target.span)
-    return (S.SumElim(motive2, on_inl2, on_inr2, target2, strict=is_strict,
-                      span=t.span),
-            nbe.apply_value(m_v, nbe.eval_in(ctx, target2)))
-
-
-def _infer_emptyelim(ctx, t):
-    is_strict = t.strict
-    empty = nbe.EMPTY_S if is_strict else nbe.EMPTY
-    motive2, m_ty = _infer_motive(ctx, t.motive, [lambda c: empty])
-    pi = nbe.force(m_ty)
-    if not (isinstance(pi, nbe.VPi)
-            and nbe.conv(ctx.depth, pi.dom, empty, None, ctx.strict_pi)):
-        raise fail(D.CONVERSION_FAILURE,
-                   "the motive must be a family over the empty type",
-                   t.motive.span or t.span,
-                   expected="EmptyS -> ..." if is_strict else "Empty -> ...",
-                   actual=ctx.show(m_ty))
-    sort = _peel_motive(ctx, pi, t.motive.span or t.span)
-    if not _motive_waived(ctx, is_strict):
-        _check_motive_sort(ctx, sort, "emptyElim", t.motive.span or t.span)
-    m_v = nbe.eval_in(ctx, motive2)
-    target2 = check(ctx, t.target, empty)
-    return (S.EmptyElim(motive2, target2, strict=is_strict, span=t.span),
-            nbe.apply_value(m_v, nbe.eval_in(ctx, target2)))
-
-
-def _infer_idelim(ctx, t):
-    is_strict = t.strict
-    name = "Js" if is_strict else "J"
-    builders = []
-    lhs2 = None
-    if isinstance(t.motive, S.Lam) and t.motive.ann is None:
-        # a bare-lambda motive: the endpoints dictate the family's carrier
-        lhs2, carrier_pre = infer(ctx, t.lhs)
-        builders = [lambda c: carrier_pre, lambda c: carrier_pre,
-                    lambda c: nbe.VId(carrier_pre, c.var_value(1), c.var_value(0),
-                                      is_strict)]
-    motive2, m_ty = _infer_motive(ctx, t.motive, builders)
-    pi = nbe.force(m_ty)
-    d = ctx.depth
-    if not isinstance(pi, nbe.VPi):
-        raise fail(D.CONVERSION_FAILURE, f"the {name} motive must abstract both "
-                   "endpoints and the proof", t.motive.span or t.span,
-                   actual=ctx.show(m_ty))
-    carrier = pi.dom
-    x1 = nbe.fresh_var(d, carrier)
-    ty1 = nbe.force(nbe.inst(pi.cod, x1))
-    if not (isinstance(ty1, nbe.VPi)
-            and nbe.conv(d + 1, ty1.dom, carrier, None, ctx.strict_pi)):
-        raise fail(D.CONVERSION_FAILURE, f"the {name} motive must take two endpoints "
-                   "of the same type", t.motive.span or t.span, actual=ctx.show(m_ty))
-    x2 = nbe.fresh_var(d + 1, carrier)
-    ty2 = nbe.force(nbe.inst(ty1.cod, x2))
-    eq = nbe.force(ty2.dom) if isinstance(ty2, nbe.VPi) else None
-    eq_ok = (isinstance(eq, nbe.VId) and eq.strict == is_strict
-             and nbe.conv(d + 2, eq.lhs, x1, carrier, ctx.strict_pi)
-             and nbe.conv(d + 2, eq.rhs, x2, carrier, ctx.strict_pi))
-    if not eq_ok:
-        raise fail(D.CONVERSION_FAILURE,
-                   f"the {name} motive must abstract a proof between its endpoints",
-                   t.motive.span or t.span, actual=ctx.show(m_ty))
-    cod = nbe.inst(ty2.cod, nbe.fresh_var(d + 2, ty2.dom))
-    sort = _expect_universe_value(ctx, cod, t.motive.span or t.span, "the motive")
-    if not is_strict:
-        # J's motive restriction is never waived, even in strong mode.
-        _check_motive_sort(ctx, sort, "J", t.motive.span or t.span)
-    m_v = nbe.eval_in(ctx, motive2)
-    refl_case2 = check(ctx, t.refl_case, _case_type(  # (x : A) -> P x x refl
-        ctx, m_v, carrier,
-        S.App(S.App(S.App(S.Var(1), S.Var(0)), S.Var(0)), S.Refl(strict=is_strict))))
-    if lhs2 is None:
-        lhs2 = check(ctx, t.lhs, carrier)
-    else:  # elaborated above; `check` would infer it again
-        _subsume(ctx, carrier_pre, carrier, t.lhs.span)
-    rhs2 = check(ctx, t.rhs, carrier)
-    lhs_v = nbe.eval_in(ctx, lhs2)
-    rhs_v = nbe.eval_in(ctx, rhs2)
-    proof2 = check(ctx, t.proof, nbe.VId(carrier, lhs_v, rhs_v, is_strict))
-    return (S.IdElim(motive2, refl_case2, lhs2, rhs2, proof2, strict=is_strict,
-                     span=t.span),
-            nbe.apply_many(m_v, lhs_v, rhs_v, nbe.eval_in(ctx, proof2)))
+    case_env = nbe.extend(carrier_env, m_v)
+    cases2 = [check(ctx, case, nbe.evaluate(template, case_env))
+              for case, template in zip(cases, rule.cases)]
+    env, scrutinees2, values = carrier_env, [], []
+    for scrutinee, template in zip(scrutinees, rule.telescope):
+        ty = nbe.evaluate(template, env)
+        if first is None:
+            scrutinee2 = check(ctx, scrutinee, ty)
+        else:  # elaborated above; `check` would infer it again
+            (scrutinee2, first_ty), first = first, None
+            _subsume(ctx, first_ty, ty, scrutinee.span)
+        value = nbe.eval_in(ctx, scrutinee2)
+        env = nbe.extend(env, value)
+        scrutinees2.append(scrutinee2)
+        values.append(value)
+    return (type(t)(motive2, *cases2, *scrutinees2, strict=t.strict, span=t.span),
+            nbe.apply_many(m_v, *values))
 
 
 # -- checking ----------------------------------------------------------------------

@@ -385,6 +385,19 @@ def test_eliminator_motive_diagnostics(tmp_path, mode):
     assert text == MOTIVE_REPORTS[mode].replace("{path}", path)
 
 
+@pytest.mark.parametrize("text, actual", [
+    ("axiom F : (n : Nat) -> n = n\naxiom b : 0 = 0\ndef t : Nat := natElim F b b 0\n",
+     "n = n"),
+    ("axiom A : U 0\naxiom F : (x : A) -> (y : A) -> x = y -> x = y\naxiom a : A\n"
+     "def t : Nat := J F F a a refl\n", "x = y"),
+], ids=["natElim", "J"])
+def test_motive_codomain_is_shown_in_the_context_of_its_indices(tmp_path, text, actual):
+    # the codomain mentions the motive's indices, named by its Pi hints
+    (_, diag), = run(RunConfig(files=[write(tmp_path, "cod.2lt", text)])).diagnostics
+    assert (diag.code, diag.message, diag.expected, diag.actual) == (
+        "UniverseError", "the motive must land in a universe", "a universe", actual)
+
+
 def test_unfold_budget_flag(tmp_path):
     text = "def d : Nat := 3\ndef e : Nat := succ d\n#normalize succ e\n"
     path = write(tmp_path, "budget.2lt", text)
