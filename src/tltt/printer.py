@@ -2,7 +2,9 @@
 
 Output reparses to an alpha-equal term.  Binder hints recorded by the
 parser are reused when present; generated names are deterministic, so
-identical terms always print identically.
+identical terms always print identically.  A binder never takes the name of
+a constant printed in its scope: when a constant turns out to share a bound
+name, the binder that bound it is printed again under the next fresh name.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ class _Printer:
     def __init__(self, names: Sequence[str]):
         self.names: list[str] = []  # innermost binder last
         self.count: dict[str, int] = {}  # name -> how often it is in `names`
+        self.consts: set[str] = set()  # constants printed while a binder had their name
         for name in names:
             self.push(name)
         # id of a binder node -> whether its body uses the bound variable
@@ -66,12 +69,13 @@ class _Printer:
         return mask
 
     def fresh(self, hint: Optional[str]) -> str:
-        """`hint` (or x) if unused, else the first of hint1, hint2, ... unused."""
+        """`hint` (or x) if unused, else the first of hint1, hint2, ... unused.
+        A name is used if it is bound or is a constant in `consts`."""
         base = hint or "x"
-        if base not in self.count:
+        if base not in self.count and base not in self.consts:
             return base
         i = 1
-        while f"{base}{i}" in self.count:
+        while f"{base}{i}" in self.count or f"{base}{i}" in self.consts:
             i += 1
         return f"{base}{i}"
 
@@ -85,11 +89,16 @@ class _Printer:
         if left:
             self.count[name] = left
 
-    def under(self, name: str, t: S.Term, prec: int) -> str:
-        self.push(name)
-        text = self.go(t, prec)
-        self.pop()
-        return text
+    def bind(self, hint: Optional[str], t: S.Term, prec: int) -> tuple[str, str]:
+        """A fresh name for a binder, and its body `t` printed under it; again
+        under another name while a constant in `t` has the binder's name."""
+        while True:
+            name = self.fresh(hint)
+            self.push(name)
+            text = self.go(t, prec)
+            self.pop()
+            if name not in self.consts:
+                return name, text
 
     def go(self, t: S.Term, prec: int) -> str:
         text, level = self.render(t)
@@ -109,8 +118,8 @@ class _Printer:
         if cls is S.Fst:
             return f"fst {self.atom(t.pair)}", APP
         if cls is S.Lam:
-            name = self.fresh(t.hint)
-            return f"\\{name}. {self.under(name, t.body, ARROW)}", ARROW
+            name, body = self.bind(t.hint, t.body, ARROW)
+            return f"\\{name}. {body}", ARROW
         if cls is S.Snd:
             return f"snd {self.atom(t.pair)}", APP
         if cls is S.Zero or cls is S.Succ:
@@ -120,6 +129,8 @@ class _Printer:
                 return (f"{n}s" if is_strict else str(n)), ATOM
             return f"{_word(t, 'succ', 's')} {self.atom(t.pred)}", APP
         if cls is S.Const:
+            if t.name in self.count:
+                self.consts.add(t.name)
             return t.name, ATOM
         if cls is S.Univ:
             word = "U" if t.sort.is_fibrant else "Us"
@@ -127,17 +138,17 @@ class _Printer:
         if cls is S.Pi:
             dom, level = self.render(t.dom)
             if self.dependent(t):
-                name = self.fresh(t.hint)
-                return f"({name} : {dom}) -> {self.under(name, t.cod, ARROW)}", ARROW
+                name, cod = self.bind(t.hint, t.cod, ARROW)
+                return f"({name} : {dom}) -> {cod}", ARROW
             dom = f"({dom})" if level < PROD else dom
-            return f"{dom} -> {self.under(self.fresh(None), t.cod, ARROW)}", ARROW
+            return f"{dom} -> {self.bind(None, t.cod, ARROW)[1]}", ARROW
         if cls is S.Sigma:
             fst, level = self.render(t.fst)
             if self.dependent(t):
-                name = self.fresh(t.hint)
-                return f"({name} : {fst}) * {self.under(name, t.snd, PROD)}", PROD
+                name, snd = self.bind(t.hint, t.snd, PROD)
+                return f"({name} : {fst}) * {snd}", PROD
             fst = f"({fst})" if level < EQ else fst
-            return f"{fst} * {self.under(self.fresh(None), t.snd, PROD)}", PROD
+            return f"{fst} * {self.bind(None, t.snd, PROD)[1]}", PROD
         if cls is S.Pair:
             return f"({self.go(t.fst, ARROW)}, {self.go(t.snd, ARROW)})", ATOM
         if cls is S.Unit:

@@ -398,6 +398,13 @@ def test_motive_codomain_is_shown_in_the_context_of_its_indices(tmp_path, text, 
         "UniverseError", "the motive must land in a universe", "a universe", actual)
 
 
+def test_case_type_binder_does_not_capture_a_constant(tmp_path):
+    text = ("axiom x : Nat\naxiom p0 : x = 0\naxiom st : Nat -> x = 0\n"
+            "def bad : x = 3 := natElim (\\k. x = k) p0 st 3\n")
+    (_, diag), = run(RunConfig(files=[write(tmp_path, "capture.2lt", text)])).diagnostics
+    assert diag.expected == "(x1 : Nat) -> x = x1 -> x = succ x1"
+
+
 def test_unfold_budget_flag(tmp_path):
     text = "def d : Nat := 3\ndef e : Nat := succ d\n#normalize succ e\n"
     path = write(tmp_path, "budget.2lt", text)

@@ -168,6 +168,16 @@ def test_round_trip_spec_cases():
     for text in cases:
         t = parse_term(text, scope=scope)
         assert parse_term(pretty_print(t, scope), scope=scope) == t
+    # a binder does not take the name of a constant printed in its scope
+    x = S.Const("x")
+    captures = {
+        S.Pi(S.Nat(), S.Pi(S.Id(None, x, S.Var(0)), S.Id(None, x, S.Succ(S.Var(1))))):
+            "(x1 : Nat) -> x = x1 -> x = succ x1",
+        S.Lam(S.Lam(S.App(x, S.Var(1)), hint="y"), hint="x"): "\\x1. \\y. x x1",
+    }
+    for t, text in captures.items():
+        assert pretty_print(t) == text
+        assert parse_term(text, known_names=["x"]) == t
 
 
 def test_round_trip_generated():
