@@ -280,9 +280,10 @@ def _infer_equality(ctx, t):
 # families: a motive over the scrutinees' telescope, one case per constructor,
 # then the scrutinees against the telescope.  `_RULES` holds one row per
 # eliminator and fragment.  A row's templates are terms evaluated in the
-# context's environment extended by the carrier's pieces (the summands of a
-# sum, the carrier of an equality; none for the naturals and the empty type),
-# and then by the telescope's earlier entries, or by the motive in a case.
+# context's environment extended by the carrier's pieces (a sum type as given
+# and its summands, the carrier of an equality; none for the naturals and the
+# empty type), and then by the telescope's earlier entries, or by the motive
+# in a case.
 
 class _Rule(NamedTuple):
     read: Optional[Callable]  # a type value's pieces, None if it is no carrier
@@ -318,7 +319,7 @@ def _rules() -> dict:
             "NatS -> ..." if s else "Nat -> ...", None if s else "natElim", True)
         rules[S.SumElim, s] = _Rule(
             _summands(s), "sum elimination of a non-sum",
-            (V(2),),  # A + B
+            (V(2),),  # A + B, as given
             (S.Pi(V(2), App(V(1), S.Inl(V(0), strict=s))),  # (a : A) -> P (inl a)
              S.Pi(V(1), App(V(1), S.Inr(V(0), strict=s)))),  # (b : B) -> P (inr b)
             ("the motive must be a family over a sum type",),
@@ -412,13 +413,13 @@ def _infer_elim(ctx: Context, t: Term) -> tuple[Term, object]:
     cases2 = [check(ctx, case, nbe.evaluate(template, case_env))
               for case, template in zip(cases, rule.cases)]
     env, scrutinees2, values = carrier_env, [], []
-    for scrutinee, template in zip(scrutinees, rule.telescope):
+    for i, (scrutinee, template) in enumerate(zip(scrutinees, rule.telescope)):
         ty = nbe.evaluate(template, env)
-        if first is None:
+        if i == 0 and first is not None:  # elaborated above; `check` would infer it again
+            scrutinee2 = first[0]
+            _subsume(ctx, first[1], ty, scrutinee.span)
+        else:
             scrutinee2 = check(ctx, scrutinee, ty)
-        else:  # elaborated above; `check` would infer it again
-            (scrutinee2, first_ty), first = first, None
-            _subsume(ctx, first_ty, ty, scrutinee.span)
         value = nbe.eval_in(ctx, scrutinee2)
         env = nbe.extend(env, value)
         scrutinees2.append(scrutinee2)
