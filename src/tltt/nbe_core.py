@@ -227,7 +227,7 @@ class VId(Value):
     __slots__ = ("ty", "lhs", "rhs", "strict")
 
     def __init__(self, ty, lhs, rhs, strict):
-        self.ty = ty  # Value or None (pre-elaboration / read back)
+        self.ty = ty  # Value: the carrier; None only for a term never elaborated
         self.lhs = lhs
         self.rhs = rhs
         self.strict = strict
@@ -583,8 +583,9 @@ def quote(depth, v, unfold=True):
         mk = S.Inl if v.is_left else S.Inr
         return mk(quote(depth, v.value, unfold), strict=v.strict)
     if isinstance(v, VId):
-        return S.Id(None, quote(depth, v.lhs, unfold), quote(depth, v.rhs, unfold),
-                    strict=v.strict)
+        # the carrier folded, as the checker elaborated it
+        return S.Id(quote(depth, v.ty, False), quote(depth, v.lhs, unfold),
+                    quote(depth, v.rhs, unfold), strict=v.strict)
     if isinstance(v, VRefl):
         return S.Refl(strict=v.strict)
     raise EvalError(f"cannot quote {type(v).__name__}")
@@ -653,17 +654,13 @@ def conv(depth, a, b, ty, strict_pi=False):
             if not conv(depth, fa, do_fst(b), ty.fst, strict_pi):
                 return False
             return conv(depth, do_snd(a), do_snd(b), inst(ty.snd, fa), strict_pi)
-        if isinstance(ty, VSum):
-            a, b = force(a), force(b)
-            if isinstance(a, VInj) and isinstance(b, VInj):
-                return (a.is_left == b.is_left and a.strict == b.strict
-                        and conv(depth, a.value, b.value,
-                                 ty.left if a.is_left else ty.right, strict_pi))
         if isinstance(ty, VUnit):
             return True
         if strict_pi and isinstance(ty, VId) and ty.strict:
             return True
-    return _conv_whnf(depth, a, b, strict_pi)
+        return _conv_whnf(depth, a, b, strict_pi)
+    return (_conv_whnf(depth, a, b, strict_pi)
+            or _irrelevant(a, strict_pi) and _irrelevant(b, strict_pi))
 
 
 def _conv_whnf(depth, a, b, strict_pi):
@@ -681,8 +678,6 @@ def _conv_whnf(depth, a, b, strict_pi):
     if isinstance(a, VPair) or isinstance(b, VPair):
         return (conv(depth, do_fst(a), do_fst(b), None, strict_pi)
                 and conv(depth, do_snd(a), do_snd(b), None, strict_pi))
-    if strict_pi and _has_strict_id_annotation(a) and _has_strict_id_annotation(b):
-        return True
     if isinstance(a, VUniv):
         return isinstance(b, VUniv) and a.sort == b.sort
     if isinstance(a, VPi):
@@ -719,12 +714,9 @@ def _conv_whnf(depth, a, b, strict_pi):
     if isinstance(a, VId):
         if not (isinstance(b, VId) and a.strict == b.strict):
             return False
-        at = a.ty if a.ty is not None else b.ty
-        if a.ty is not None and b.ty is not None:
-            if not conv(depth, a.ty, b.ty, None, strict_pi):
-                return False
-        return (conv(depth, a.lhs, b.lhs, at, strict_pi)
-                and conv(depth, a.rhs, b.rhs, at, strict_pi))
+        return (conv(depth, a.ty, b.ty, None, strict_pi)
+                and conv(depth, a.lhs, b.lhs, a.ty, strict_pi)
+                and conv(depth, a.rhs, b.rhs, a.ty, strict_pi))
     if isinstance(a, VRefl):
         return isinstance(b, VRefl) and a.strict == b.strict
     if isinstance(a, VNeutral):
@@ -734,10 +726,15 @@ def _conv_whnf(depth, a, b, strict_pi):
     raise EvalError(f"cannot compare {type(a).__name__}")
 
 
-def _has_strict_id_annotation(v):
+def _irrelevant(v, strict_pi):
+    """Whether the type of `v` has all its inhabitants equal: Unit, or a
+    strict equality under the flag.  A neutral's type is `neutral_type`;
+    `star` and `refls` are read off their form."""
     v = force(v)
-    ty = neutral_type(v) if isinstance(v, VNeutral) else None
-    return (isinstance(ty, VId) and ty.strict) or (isinstance(v, VRefl) and v.strict)
+    if isinstance(v, VNeutral):
+        ty = neutral_type(v)
+        return isinstance(ty, VUnit) or strict_pi and isinstance(ty, VId) and ty.strict
+    return isinstance(v, VStar) or strict_pi and isinstance(v, VRefl) and v.strict
 
 
 def _conv_head(depth, h1, h2, strict_pi):

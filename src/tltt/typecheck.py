@@ -233,7 +233,7 @@ def value_sort(ctx: Context, ty, depth: Optional[int] = None, span=None) -> Sort
             return strict(max(s1.level, s2.level))
         return combine_sorts(s1, s2)
     if isinstance(ty, nbe.VId):
-        level = value_sort(ctx, ty.ty, depth, span).level if ty.ty is not None else 0
+        level = value_sort(ctx, ty.ty, depth, span).level
         return strict(level) if ty.strict else fibrant(level)
     if isinstance(ty, nbe.VNeutral):
         ann = nbe.neutral_type(ty)

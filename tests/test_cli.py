@@ -149,8 +149,6 @@ axiom x2 : P2 p2
     assert [d.code for _, d in report.diagnostics] == ["ConversionFailure"] * 4
 
 
-@pytest.mark.xfail(strict=True, reason="conv compares spine arguments untyped, so Unit "
-                   "eta is lost under a neutral head; typed conversion, ROADMAP item 1")
 @pytest.mark.parametrize("text", [
     "axiom A : U 0\naxiom f : Unit -> A\naxiom x : Unit\n#conv f x ~ f star : A\n",
     "axiom Q : Unit + Nat -> U 0\naxiom a : Unit\n#conv Q (inl a) ~ Q (inl star) : U 0\n",
@@ -159,6 +157,100 @@ def test_unit_eta_under_a_spine(tmp_path, text):
     path = write(tmp_path, "eta.2lt", text)
     report = run(RunConfig(files=[path]))
     assert report.ok, [str(d) for _, d in report.diagnostics]
+
+
+@pytest.mark.xfail(strict=True, reason="a lambda compared without a type binds a variable "
+                   "without one, so Unit eta is lost under it; typed conversion, "
+                   "ROADMAP item 1")
+def test_unit_eta_under_an_untyped_binder(tmp_path):
+    text = """
+axiom A : U 0
+axiom B : U 0
+axiom f : Unit -> A
+axiom g : (Unit -> A) -> B
+#conv g (\\x. f x) ~ g (\\x. f star) : B
+"""
+    report = run(RunConfig(files=[write(tmp_path, "binder.2lt", text)]))
+    assert report.ok, [str(d) for _, d in report.diagnostics]
+
+
+IRRELEVANCE_DECLS = """
+axiom A : U 0
+axiom c : A
+axiom a : Unit
+axiom p : 0s =s 0s
+axiom q : 0s =s 0s
+axiom F : Unit -> A
+axiom G : (0s =s 0s) -> A
+axiom Q : Unit + Nat -> A
+axiom Qs : (0s =s 0s) +s NatS -> A
+axiom eu : a = a
+axiom ep : p =s p
+axiom u : Unit -> 0s =s 0s
+axiom H : (u a =s u a) -> A
+axiom K : (p =s p) -> A
+axiom W : Unit * Nat -> A
+axiom w : Unit * Nat
+axiom Ws : (0s =s 0s) * NatS -> A
+axiom ws : (0s =s 0s) * NatS
+axiom G2 : (0 = 0) -> A
+axiom p2 : 0 = 0
+axiom q2 : 0 = 0
+axiom Q2 : Unit + Unit -> A
+axiom Qs2 : (0s =s 0s) +s (0s =s 0s) -> A
+axiom N : Nat -> A
+axiom m : Nat
+"""
+
+
+# Each input is one #conv at a non-Unit type whose two sides differ only in an
+# inhabitant of Unit, or of a strict equality, reached in a position that
+# conversion compares without a type.  The flags say whether it holds without
+# and with --strict-proof-irrelevance; a failure is a ConversionFailure.  The
+# strict eliminator and Ks inputs are also ill-typed without the flag, since
+# there the proof's type mentions `q` where the other side's mentions `p`.
+@pytest.mark.parametrize("query, plain, spi", [
+    ("F a ~ F star", True, True),
+    ("G p ~ G q", False, True),
+    ("Q (inl a) ~ Q (inl star)", True, True),
+    ("Qs (inls p) ~ Qs (inls q)", False, True),
+    ("J (\\x. \\y. \\e. A) (\\x. c) a a eu ~ J (\\x. \\y. \\e. A) (\\x. c) star a eu",
+     True, True),
+    ("Js (\\x. \\y. \\e. A) (\\x. c) p p ep ~ Js (\\x. \\y. \\e. A) (\\x. c) q p ep",
+     False, True),
+    ("H (Ks (u a) (u a)) ~ H (Ks (u star) (u star))", True, True),
+    ("K (Ks p p) ~ K (Ks q p)", False, True),
+    ("W w ~ W (star, snd w)", True, True),
+    ("W (a, 0) ~ W (star, 0)", True, True),
+    ("Ws ws ~ Ws (q, snd ws)", False, True),
+    ("G2 p2 ~ G2 q2", False, False),
+    ("Q2 (inl a) ~ Q2 (inr star)", False, False),
+    ("Qs2 (inls p) ~ Qs2 (inrs q)", False, False),
+    ("N m ~ N 0", False, False),
+], ids=["argument", "argument-strict", "injection", "injection-strict",
+        "eliminator-argument", "eliminator-argument-strict", "ks-proofs",
+        "ks-proofs-strict", "pair-eta", "pair", "pair-eta-strict",
+        "fibrant-equality", "inl-inr", "inls-inrs", "neutral-numeral"])
+def test_irrelevance_in_each_untyped_position(tmp_path, query, plain, spi):
+    path = write(tmp_path, "irr.2lt", f"{IRRELEVANCE_DECLS}#conv {query} : A\n")
+    for flag, holds in ((False, plain), (True, spi)):
+        report = run(RunConfig(files=[path], strict_proof_irrelevance=flag))
+        codes = [d.code for _, d in report.diagnostics]
+        assert codes == ([] if holds else ["ConversionFailure"]), (flag, codes)
+
+
+@pytest.mark.parametrize("text", [
+    "axiom r : Nat = Nat\n#fail[UniverseError] #check ((r : Nat = Nat) = r) : U 0\n"
+    "#check ((r : Nat = Nat) = r) : U 1\n",
+    "axiom r : NatS =s NatS\n#fail[UniverseError] #check ((r : NatS =s NatS) =s r) : Us 0\n"
+    "#check ((r : NatS =s NatS) =s r) : Us 1\n",
+], ids=["fibrant", "strict"])
+def test_an_ascription_keeps_the_universe_of_an_equality(tmp_path, text):
+    # the ascribed type is read back with its carrier, U 0 or Us 0, so an
+    # equality between two proofs of it lives one level up
+    report = run(RunConfig(files=[write(tmp_path, "asc.2lt", text)]))
+    assert report.ok, [str(d) for _, d in report.diagnostics]
+    assert [r.text for r in report.pragma_results] == ["ok [UniverseError]", "ok"]
 
 
 def test_unit_eta_inside_an_injection_at_a_sum_type(tmp_path):

@@ -306,11 +306,12 @@ def _neutral_ctx():
     ("natElim (\\n. n = n) refl (\\k. \\r. refl) x", "x = x"),
     ("sumElim (\\t. t = t) (\\a. refl) (\\b. refl) s", "s = s"),
     ("emptyElim (\\t. t = t) e", "e = e"),
-    ("J (\\a. \\b. \\r. (a = b) * (r = r)) (\\a. star) 0 1 q", "(0 = 1) * (q = q)"),
+    ("J (\\a. \\b. \\r. (a = b) * (r = r)) (\\a. (refl, refl)) 0 1 q", "(0 = 1) * (q = q)"),
 ], ids=["app", "fst", "snd", "natElim", "sumElim", "emptyElim", "J"])
 def test_neutral_type_follows_each_frame(term, expected):
     ctx = _neutral_ctx()
-    v = nbe.eval_in(ctx, parse_term(term, scope=ctx.names()))
+    t, _ = tc.infer(ctx, parse_term(term, scope=ctx.names()))
+    v = nbe.eval_in(ctx, t)
     assert isinstance(v, nbe.VNeutral)
     ty = nbe.neutral_type(v)
     assert nbe.quote(ctx.depth, ty) == parse_term(expected, scope=ctx.names())
