@@ -111,7 +111,7 @@ def infer(ctx: Context, t: Term) -> tuple[Term, object]:
             dom_v = nbe.eval_in(ctx, ann2)
             inner = ctx.extend(t.hint, dom_v)
             body2, body_ty = infer(inner, body)
-            cod_term = nbe.quote(inner.depth, body_ty)
+            cod_term = nbe.quote(inner.depth, body_ty, unfold=False)
             return (S.Lam(body2, ann=ann2, hint=t.hint, span=t.span),
                     nbe.VPi(dom_v, nbe.Closure(ctx.env, cod_term), t.hint))
         case S.App(fn=fn, arg=arg):
@@ -361,7 +361,7 @@ def _infer_motive(ctx: Context, motive: Term, telescope: tuple, env) -> tuple[Te
     inner = ctx.extend(motive.hint, dom_v)
     body2, body_ty = _infer_motive(inner, motive.body, telescope[1:],
                                    nbe.extend(env, inner.var_value(0)))
-    cod_term = nbe.quote(inner.depth, body_ty)
+    cod_term = nbe.quote(inner.depth, body_ty, unfold=False)
     return (S.Lam(body2, ann=None, hint=motive.hint, span=motive.span),
             nbe.VPi(dom_v, nbe.Closure(ctx.env, cod_term), motive.hint))
 

@@ -403,7 +403,7 @@ MOTIVE_REPORTS = {
   actual:   A -> U 0
 {path}:26:33: error[ConversionFailure]: the motive must be a family over a sum type
   expected: (... +s ...) -> ...
-  actual:   Nat + Nat -> U 0
+  actual:   S -> U 0
 {path}:27:58: error[ConversionFailure]: sum elimination of a non-sum
   actual:   S
 {path}:28:32: error[ConversionFailure]: the Js motive must abstract a proof between its endpoints
