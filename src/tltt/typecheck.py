@@ -26,23 +26,19 @@ class Flags(NamedTuple):
     strict_pi: bool = False
 
 
-class Entry(NamedTuple):
-    name: Optional[str]
-    ty: object  # Value
-
-
 class Context:
-    """Telescope of binder entries over a global signature."""
+    """Telescope of binders over a global signature: their names, and an
+    environment of their variables, each of which records its type."""
 
-    def __init__(self, sig, flags: Flags = Flags(), entries: tuple = (), env=None):
+    def __init__(self, sig, flags: Flags = Flags(), binders: tuple = (), env=None):
         self.sig = sig
         self.flags = flags
-        self.entries = entries
+        self.binders = binders  # names, outermost first; None for an anonymous one
         self.env = env if env is not None else nbe.empty_env(sig)
 
     @property
     def depth(self) -> int:
-        return len(self.entries)
+        return len(self.binders)
 
     @property
     def strict_pi(self) -> bool:
@@ -50,17 +46,14 @@ class Context:
 
     def extend(self, name: Optional[str], ty) -> "Context":
         var = nbe.fresh_var(self.depth, ty)
-        return Context(self.sig, self.flags, self.entries + (Entry(name, ty),),
+        return Context(self.sig, self.flags, self.binders + (name,),
                        nbe.extend(self.env, var))
-
-    def lookup(self, index: int) -> Entry:
-        return self.entries[-1 - index]
 
     def var_value(self, index: int):
         return self.env.lookup(index)
 
     def names(self) -> list[str]:
-        return [e.name or "_" for e in self.entries]
+        return [name or "_" for name in self.binders]
 
     def show(self, v) -> str:
         """A value for a diagnostic, with constant applications left folded."""
@@ -83,7 +76,7 @@ def infer(ctx: Context, t: Term) -> tuple[Term, object]:
         case S.Var(index=i):
             if not 0 <= i < ctx.depth:
                 raise fail(D.UNBOUND_VARIABLE, f"variable index {i} out of scope", t.span)
-            return t, ctx.lookup(i).ty
+            return t, ctx.var_value(i).head.ty
         case S.Const(name=n):
             entry = ctx.sig.lookup(n)
             if entry is None:
