@@ -623,11 +623,12 @@ def _quote_neutral(depth, v, unfold):
 def conv(depth, a, b, ty, strict_pi=False):
     """Definitional equality of values `a` and `b` at type `ty`.
 
-    Type-directed at Pi (eta), Sigma (eta), Unit (all inhabitants equal),
-    sums (an injection's payload at its summand) and, under the
-    proof-irrelevance flag, at strict equality types.  `ty` may be
-    None inside neutral spines, where comparison falls back to structural
-    form with untyped eta-expansion on lambda/pair mismatches.
+    Type-directed at Pi (eta), Sigma (eta), Unit (all inhabitants equal)
+    and, under the proof-irrelevance flag, at strict equality types.  `ty`
+    may be None, as in spines, where comparison is structural with untyped
+    eta-expansion on lambda/pair mismatches.  Only when an untyped
+    comparison fails are the two types consulted: inhabitants of Unit, or
+    of a strict equality under the flag, are equal (`_irrelevant`).
 
     One value object is equal to itself (`a is b`), because values are
     immutable and conversion is reflexive; this settles a comparison without
@@ -712,9 +713,8 @@ def _conv_whnf(depth, a, b, strict_pi):
                 and a.strict == b.strict
                 and conv(depth, a.value, b.value, None, strict_pi))
     if isinstance(a, VId):
-        if not (isinstance(b, VId) and a.strict == b.strict):
-            return False
-        return (conv(depth, a.ty, b.ty, None, strict_pi)
+        return (isinstance(b, VId) and a.strict == b.strict
+                and conv(depth, a.ty, b.ty, None, strict_pi)
                 and conv(depth, a.lhs, b.lhs, a.ty, strict_pi)
                 and conv(depth, a.rhs, b.rhs, a.ty, strict_pi))
     if isinstance(a, VRefl):
@@ -728,9 +728,8 @@ def _conv_whnf(depth, a, b, strict_pi):
 
 def _irrelevant(v, strict_pi):
     """Whether the type of `v` has all its inhabitants equal: Unit, or a
-    strict equality under the flag.  A neutral's type is `neutral_type`;
-    `star` and `refls` are read off their form."""
-    v = force(v)
+    strict equality under the flag.  A neutral's type is `neutral_type`, so
+    a glued one is not unfolded; `star` and `refls` are read off their form."""
     if isinstance(v, VNeutral):
         ty = neutral_type(v)
         return isinstance(ty, VUnit) or strict_pi and isinstance(ty, VId) and ty.strict
