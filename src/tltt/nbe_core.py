@@ -227,7 +227,7 @@ class VId(Value):
     __slots__ = ("ty", "lhs", "rhs", "strict")
 
     def __init__(self, ty, lhs, rhs, strict):
-        self.ty = ty  # Value: the carrier; None only for a term never elaborated
+        self.ty = ty  # Value: the carrier, which elaboration fills in
         self.lhs = lhs
         self.rhs = rhs
         self.strict = strict
@@ -524,8 +524,8 @@ def evaluate(t, env):
         return do_sumelim(evaluate(t.motive, env), evaluate(t.on_inl, env),
                           evaluate(t.on_inr, env), evaluate(t.target, env), t.strict)
     if cls is S.Id:
-        return VId(evaluate(t.ty, env) if t.ty is not None else None,
-                   evaluate(t.lhs, env), evaluate(t.rhs, env), t.strict)
+        return VId(evaluate(t.ty, env), evaluate(t.lhs, env), evaluate(t.rhs, env),
+                   t.strict)
     if cls is S.Refl:
         return REFL_S if t.strict else REFL
     if cls is S.IdElim:
