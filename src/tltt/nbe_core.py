@@ -627,8 +627,8 @@ def conv(depth, a, b, ty, strict_pi=False):
     and, under the proof-irrelevance flag, at strict equality types.  `ty`
     may be None, as in spines, where comparison is structural with untyped
     eta-expansion on lambda/pair mismatches.  Only when an untyped
-    comparison fails are the two types consulted: inhabitants of Unit, or
-    of a strict equality under the flag, are equal (`_irrelevant`).
+    comparison fails are the two types consulted: two inhabitants of a type
+    whose inhabitants are all equal are equal (`_irrelevant`).
 
     One value object is equal to itself (`a is b`), because values are
     immutable and conversion is reflexive; this settles a comparison without
@@ -636,7 +636,10 @@ def conv(depth, a, b, ty, strict_pi=False):
 
     Two applications of one defined constant to the same number of arguments
     are equal when their arguments are; otherwise both sides are forced and
-    compared again.
+    compared again.  The arguments are compared with `strict_pi` None, under
+    which no type is consulted and no strict equality collapses: reading a
+    type could spend the unfolds this shortcut saves, and the forced
+    comparison applies both rules.
 
     Otherwise the comparison instantiates and recurses as usual.  Both
     shortcuts only ever answer True, so they never hide an inequality; they
@@ -661,13 +664,13 @@ def conv(depth, a, b, ty, strict_pi=False):
             return True
         return _conv_whnf(depth, a, b, strict_pi)
     return (_conv_whnf(depth, a, b, strict_pi)
-            or _irrelevant(a, strict_pi) and _irrelevant(b, strict_pi))
+            or strict_pi is not None and _irrelevant(depth, a, b, strict_pi))
 
 
 def _conv_whnf(depth, a, b, strict_pi):
     if _is_glued(a) or _is_glued(b):
         if (_is_glued(a) and _is_glued(b) and a.head.name == b.head.name
-                and _conv_spine(depth, a.spine, b.spine, strict_pi)):
+                and _conv_spine(depth, a.spine, b.spine, None)):
             return True
         a = force(a)
         b = force(b)
@@ -726,14 +729,36 @@ def _conv_whnf(depth, a, b, strict_pi):
     raise EvalError(f"cannot compare {type(a).__name__}")
 
 
-def _irrelevant(v, strict_pi):
-    """Whether the type of `v` has all its inhabitants equal: Unit, or a
-    strict equality under the flag.  A neutral's type is `neutral_type`, so
-    a glued one is not unfolded; `star` and `refls` are read off their form."""
+def _irrelevant(depth, a, b, strict_pi):
+    """Whether `a` and `b`, which compared unequal without a type, are equal
+    because their type has all its inhabitants equal (`_irrelevant_type`).
+    A neutral's type is `neutral_type`; any other value is read off its
+    form, `star` and `refls` being the only ones that qualify.  A value read
+    off its form is tested first, so a canonical side settles the question
+    without working out the other side's type."""
+    if isinstance(a, VNeutral):
+        a, b = b, a
+    return _irrelevant_value(depth, a, strict_pi) and _irrelevant_value(depth, b, strict_pi)
+
+
+def _irrelevant_value(depth, v, strict_pi):
     if isinstance(v, VNeutral):
-        ty = neutral_type(v)
-        return isinstance(ty, VUnit) or strict_pi and isinstance(ty, VId) and ty.strict
+        return _irrelevant_type(depth, neutral_type(v), strict_pi)
     return isinstance(v, VStar) or strict_pi and isinstance(v, VRefl) and v.strict
+
+
+def _irrelevant_type(depth, ty, strict_pi):
+    """Whether every two inhabitants of the forced type `ty` are equal: Unit,
+    a strict equality under the flag, a Pi type whose codomain is such a
+    type, or a Sigma type whose components both are."""
+    if isinstance(ty, VPi):
+        x = fresh_var(depth, ty.dom)
+        return _irrelevant_type(depth + 1, force(inst(ty.cod, x)), strict_pi)
+    if isinstance(ty, VSigma):
+        x = fresh_var(depth, ty.fst)
+        return (_irrelevant_type(depth, force(ty.fst), strict_pi)
+                and _irrelevant_type(depth + 1, force(inst(ty.snd, x)), strict_pi))
+    return isinstance(ty, VUnit) or strict_pi and isinstance(ty, VId) and ty.strict
 
 
 def _conv_head(depth, h1, h2, strict_pi):

@@ -214,12 +214,25 @@ axiom Q2 : Unit + Unit -> A
 axiom Qs2 : (0s =s 0s) +s (0s =s 0s) -> A
 axiom N : Nat -> A
 axiom m : Nat
+axiom Fu : (Nat -> Unit) -> A
+axiom f1 : Nat -> Unit
+axiom f2 : Nat -> Unit
+axiom Fp : (NatS -> 0s =s 0s) -> A
+axiom g1 : NatS -> 0s =s 0s
+axiom g2 : NatS -> 0s =s 0s
+axiom Uu : Unit * Unit -> A
+axiom u1 : Unit * Unit
+axiom u2 : Unit * Unit
+axiom Fn : (Unit -> Nat) -> A
+axiom n1 : Unit -> Nat
+axiom n2 : Unit -> Nat
 """
 
 
 # Each input is one #conv at a non-Unit type whose two sides differ only in an
-# inhabitant of Unit, or of a strict equality, reached in a position that
-# conversion compares without a type.  The flags say whether it holds without
+# inhabitant of Unit, or of a strict equality, or of a function or pair type
+# built from those, reached in a position that conversion compares without a
+# type.  The flags say whether it holds without
 # and with --strict-proof-irrelevance; a failure is a ConversionFailure.  The
 # strict eliminator and Ks inputs are also ill-typed without the flag, since
 # there the proof's type mentions `q` where the other side's mentions `p`.
@@ -241,10 +254,16 @@ axiom m : Nat
     ("Q2 (inl a) ~ Q2 (inr star)", False, False),
     ("Qs2 (inls p) ~ Qs2 (inrs q)", False, False),
     ("N m ~ N 0", False, False),
+    ("Fu f1 ~ Fu f2", True, True),
+    ("Fp g1 ~ Fp g2", False, True),
+    ("Uu u1 ~ Uu u2", True, True),
+    ("Fn n1 ~ Fn n2", False, False),
 ], ids=["argument", "argument-strict", "injection", "injection-strict",
         "eliminator-argument", "eliminator-argument-strict", "ks-proofs",
         "ks-proofs-strict", "pair-eta", "pair", "pair-eta-strict",
-        "fibrant-equality", "inl-inr", "inls-inrs", "neutral-numeral"])
+        "fibrant-equality", "inl-inr", "inls-inrs", "neutral-numeral",
+        "function-into-unit", "function-into-strict", "pair-of-units",
+        "function-into-nat"])
 def test_irrelevance_in_each_untyped_position(tmp_path, query, plain, spi):
     path = write(tmp_path, "irr.2lt", f"{IRRELEVANCE_DECLS}#conv {query} : A\n")
     for flag, holds in ((False, plain), (True, spi)):
@@ -268,23 +287,49 @@ def test_an_ascription_keeps_the_universe_of_an_equality(tmp_path, text):
 
 
 def test_unit_eta_inside_an_injection_at_a_sum_type(tmp_path):
-    # the payload is compared at its summand, so Unit eta applies to it,
-    # also when one side is a definition that unfolds to an injection
+    # the payload is compared without a type, so two payloads are equal when
+    # their type has all its inhabitants equal: Unit, a function into Unit or
+    # a pair of them; also when one side is a definition that unfolds to an
+    # injection, and for the endpoints of an equality over a sum
     text = """
 axiom a : Unit
 def i : Unit + Nat := inl a
+axiom f : Unit -> Unit
+axiom g : Unit -> Unit
+axiom w1 : Unit * Unit
+axiom w2 : Unit * Unit
+axiom v1 : (Nat -> Unit) * Unit
+axiom v2 : (Nat -> Unit) * Unit
 #conv inl a ~ inl star : Unit + Nat
 #conv inls a ~ inls star : Unit +s NatS
 #conv i ~ inl star : Unit + Nat
 #conv inr a ~ inr star : Nat + Unit
+#conv inl f ~ inl g : (Unit -> Unit) + Nat
+#conv inl w1 ~ inl w2 : (Unit * Unit) + Nat
+#conv inr v1 ~ inr v2 : Nat + ((Nat -> Unit) * Unit)
+#check refl : (inl f : (Unit -> Unit) + Nat) = inl g
 #fail[ConversionFailure] #conv inl a ~ inr star : Unit + Unit
 #fail[ConversionFailure] #conv inls a ~ inrs star : Unit +s Unit
 #fail[ConversionFailure] #conv inl 0 ~ inl 1 : Nat + Unit
 """
     report = run(RunConfig(files=[write(tmp_path, "sum.2lt", text)]))
     assert report.ok, [str(d) for _, d in report.diagnostics]
-    assert [r.text for r in report.pragma_results] == ["ok"] * 4 + \
+    assert [r.text for r in report.pragma_results] == ["ok"] * 8 + \
         ["ok [ConversionFailure]"] * 3
+
+
+def test_strict_proofs_of_a_family_inside_an_injection(tmp_path):
+    # under the flag a function into a strict equality has all its
+    # inhabitants equal, so two of them are equal payloads; without it not
+    text = """
+axiom h1 : NatS -> 0s =s 0s
+axiom h2 : NatS -> 0s =s 0s
+#conv inls h1 ~ inls h2 : (NatS -> 0s =s 0s) +s NatS
+"""
+    path = write(tmp_path, "family.2lt", text)
+    assert run(RunConfig(files=[path], strict_proof_irrelevance=True)).ok
+    report = run(RunConfig(files=[path]))
+    assert [d.code for _, d in report.diagnostics] == ["ConversionFailure"]
 
 
 ELIMINATOR_CASES = """
@@ -534,6 +579,27 @@ def test_an_inferred_equality_carrier_stays_folded(tmp_path):
     path = write(tmp_path, "carrier.2lt", text)
     assert run(RunConfig(files=[path], unfold_budget=1)).ok
     assert not run(RunConfig(files=[path], unfold_budget=0)).ok
+
+
+def test_a_failed_comparison_reads_a_type_only_when_it_can_decide(tmp_path):
+    # `F x ~ F y` compares the arguments `x` and `y`, fails, and unfolds both
+    # sides: two unfolds, with or without the flag.  Reading the type `S` of
+    # `x` first would spend a third.
+    text = ("def S : U 0 := Nat + Nat\ndef F : S -> Nat := \\z. 0\n"
+            "axiom x : S\naxiom y : S\n#conv F x ~ F y : Nat\n")
+    path = write(tmp_path, "spine.2lt", text)
+    for flag in (False, True):
+        assert run(RunConfig(files=[path], unfold_budget=2,
+                             strict_proof_irrelevance=flag)).ok
+        assert not run(RunConfig(files=[path], unfold_budget=1,
+                                 strict_proof_irrelevance=flag)).ok
+    # a numeral is read off its form, so the type `S` of `x` is not read
+    # and the one unfold goes to checking `x` against `Nat`
+    text = "def S : U 0 := Nat\naxiom x : S\naxiom A : U 0\naxiom N : Nat -> A\n" \
+        "#conv N x ~ N 0 : A\n"
+    report = run(RunConfig(files=[write(tmp_path, "numeral.2lt", text)], unfold_budget=1))
+    assert [d.message for _, d in report.diagnostics] == \
+        ["terms are not definitionally equal"]
 
 
 def test_main_exit_codes(tmp_path, capsys):
