@@ -623,12 +623,10 @@ def _quote_neutral(depth, v, unfold):
 def conv(depth, a, b, ty, strict_pi=False):
     """Definitional equality of values `a` and `b` at type `ty`.
 
-    Type-directed at Pi (eta), Sigma (eta), Unit (all inhabitants equal)
-    and, under the proof-irrelevance flag, at strict equality types.  `ty`
-    may be None, as in spines, where comparison is structural with untyped
-    eta-expansion on lambda/pair mismatches.  Only when an untyped
-    comparison fails are the two types consulted: two inhabitants of a type
-    whose inhabitants are all equal are equal (`_irrelevant`).
+    Type-directed at Pi and Sigma (eta) and at types whose inhabitants are
+    all equal (`_irrelevant_type`).  `ty` may be None, as in spines, where
+    comparison is structural with untyped eta-expansion on lambda/pair
+    mismatches, and the two types are consulted only if that fails.
 
     One value object is equal to itself (`a is b`), because values are
     immutable and conversion is reflexive; this settles a comparison without
@@ -636,10 +634,8 @@ def conv(depth, a, b, ty, strict_pi=False):
 
     Two applications of one defined constant to the same number of arguments
     are equal when their arguments are; otherwise both sides are forced and
-    compared again.  The arguments are compared with `strict_pi` None, under
-    which no type is consulted and no strict equality collapses: reading a
-    type could spend the unfolds this shortcut saves, and the forced
-    comparison applies both rules.
+    compared again.  The arguments are compared with `strict_pi` None: no
+    type is worked out and no strict equality collapses; the forced one does.
 
     Otherwise the comparison instantiates and recurses as usual.  Both
     shortcuts only ever answer True, so they never hide an inequality; they
@@ -658,11 +654,7 @@ def conv(depth, a, b, ty, strict_pi=False):
             if not conv(depth, fa, do_fst(b), ty.fst, strict_pi):
                 return False
             return conv(depth, do_snd(a), do_snd(b), inst(ty.snd, fa), strict_pi)
-        if isinstance(ty, VUnit):
-            return True
-        if strict_pi and isinstance(ty, VId) and ty.strict:
-            return True
-        return _conv_whnf(depth, a, b, strict_pi)
+        return _irrelevant_type(depth, ty, strict_pi) or _conv_whnf(depth, a, b, strict_pi)
     return (_conv_whnf(depth, a, b, strict_pi)
             or strict_pi is not None and _irrelevant(depth, a, b, strict_pi))
 
@@ -730,27 +722,19 @@ def _conv_whnf(depth, a, b, strict_pi):
 
 
 def _irrelevant(depth, a, b, strict_pi):
-    """Whether `a` and `b`, which compared unequal without a type, are equal
-    because their type has all its inhabitants equal (`_irrelevant_type`).
-    A neutral's type is `neutral_type`; any other value is read off its
-    form, `star` and `refls` being the only ones that qualify.  A value read
-    off its form is tested first, so a canonical side settles the question
-    without working out the other side's type."""
+    """Whether `a` and `b` inhabit a type whose inhabitants are all equal;
+    `star` and `refls` are read off their form, before a neutral's type."""
     if isinstance(a, VNeutral):
         a, b = b, a
-    return _irrelevant_value(depth, a, strict_pi) and _irrelevant_value(depth, b, strict_pi)
-
-
-def _irrelevant_value(depth, v, strict_pi):
-    if isinstance(v, VNeutral):
-        return _irrelevant_type(depth, neutral_type(v), strict_pi)
-    return isinstance(v, VStar) or strict_pi and isinstance(v, VRefl) and v.strict
+    return all(_irrelevant_type(depth, neutral_type(v), strict_pi)
+               if isinstance(v, VNeutral)
+               else isinstance(v, VStar) or strict_pi and isinstance(v, VRefl) and v.strict
+               for v in (a, b))
 
 
 def _irrelevant_type(depth, ty, strict_pi):
-    """Whether every two inhabitants of the forced type `ty` are equal: Unit,
-    a strict equality under the flag, a Pi type whose codomain is such a
-    type, or a Sigma type whose components both are."""
+    """Whether all inhabitants of the forced type `ty` are equal: Unit, a
+    strict equality under the flag, or a Pi or Sigma type built from them."""
     if isinstance(ty, VPi):
         x = fresh_var(depth, ty.dom)
         return _irrelevant_type(depth + 1, force(inst(ty.cod, x)), strict_pi)

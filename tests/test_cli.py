@@ -226,6 +226,9 @@ axiom u2 : Unit * Unit
 axiom Fn : (Unit -> Nat) -> A
 axiom n1 : Unit -> Nat
 axiom n2 : Unit -> Nat
+axiom Nu : Nat * Unit -> A
+axiom z1 : Nat * Unit
+axiom z2 : Nat * Unit
 """
 
 
@@ -258,12 +261,13 @@ axiom n2 : Unit -> Nat
     ("Fp g1 ~ Fp g2", False, True),
     ("Uu u1 ~ Uu u2", True, True),
     ("Fn n1 ~ Fn n2", False, False),
+    ("Nu z1 ~ Nu z2", False, False),
 ], ids=["argument", "argument-strict", "injection", "injection-strict",
         "eliminator-argument", "eliminator-argument-strict", "ks-proofs",
         "ks-proofs-strict", "pair-eta", "pair", "pair-eta-strict",
         "fibrant-equality", "inl-inr", "inls-inrs", "neutral-numeral",
         "function-into-unit", "function-into-strict", "pair-of-units",
-        "function-into-nat"])
+        "function-into-nat", "pair-with-a-number"])
 def test_irrelevance_in_each_untyped_position(tmp_path, query, plain, spi):
     path = write(tmp_path, "irr.2lt", f"{IRRELEVANCE_DECLS}#conv {query} : A\n")
     for flag, holds in ((False, plain), (True, spi)):
