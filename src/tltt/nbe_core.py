@@ -623,10 +623,12 @@ def _quote_neutral(depth, v, unfold):
 def conv(depth, a, b, ty, strict_pi=False):
     """Definitional equality of values `a` and `b` at type `ty`.
 
-    Type-directed at Pi and Sigma (eta) and at types whose inhabitants are
-    all equal (`_irrelevant_type`).  `ty` may be None, as in spines, where
-    comparison is structural with untyped eta-expansion on lambda/pair
-    mismatches, and the two types are consulted only if that fails.
+    Type-directed at Pi and Sigma (eta), sums (an injection's payload at its
+    summand, where a lambda's variable gets a type) and types whose
+    inhabitants are all equal (`_irrelevant_type`).  `ty` may be None, as in
+    spines, where comparison is structural with untyped eta-expansion on
+    lambda/pair mismatches, and the two types are consulted only if that
+    fails.
 
     One value object is equal to itself (`a is b`), because values are
     immutable and conversion is reflexive; this settles a comparison without
@@ -654,6 +656,12 @@ def conv(depth, a, b, ty, strict_pi=False):
             if not conv(depth, fa, do_fst(b), ty.fst, strict_pi):
                 return False
             return conv(depth, do_snd(a), do_snd(b), inst(ty.snd, fa), strict_pi)
+        if isinstance(ty, VSum):
+            a, b = force(a), force(b)
+            if isinstance(a, VInj) and isinstance(b, VInj):
+                return (a.is_left == b.is_left and a.strict == b.strict
+                        and conv(depth, a.value, b.value,
+                                 ty.left if a.is_left else ty.right, strict_pi))
         return _irrelevant_type(depth, ty, strict_pi) or _conv_whnf(depth, a, b, strict_pi)
     return (_conv_whnf(depth, a, b, strict_pi)
             or strict_pi is not None and _irrelevant(depth, a, b, strict_pi))

@@ -291,10 +291,10 @@ def test_an_ascription_keeps_the_universe_of_an_equality(tmp_path, text):
 
 
 def test_unit_eta_inside_an_injection_at_a_sum_type(tmp_path):
-    # the payload is compared without a type, so two payloads are equal when
-    # their type has all its inhabitants equal: Unit, a function into Unit or
-    # a pair of them; also when one side is a definition that unfolds to an
-    # injection, and for the endpoints of an equality over a sum
+    # the payload is compared at its summand, so Pi, Sigma and Unit eta apply
+    # to it, also to a lambda whose variable only the summand types, when one
+    # side is a definition that unfolds to an injection, and to the endpoints
+    # of an equality over a sum
     text = """
 axiom a : Unit
 def i : Unit + Nat := inl a
@@ -311,6 +311,9 @@ axiom v2 : (Nat -> Unit) * Unit
 #conv inl f ~ inl g : (Unit -> Unit) + Nat
 #conv inl w1 ~ inl w2 : (Unit * Unit) + Nat
 #conv inr v1 ~ inr v2 : Nat + ((Nat -> Unit) * Unit)
+#conv inl (\\x. x) ~ inl (\\x. star) : (Unit -> Unit) + Nat
+#conv inl (\\x. x) ~ inl f : (Unit -> Unit) + Nat
+#conv inl (star, \\x. x) ~ inl (star, \\x. star) : (Unit * (Unit -> Unit)) + Nat
 #check refl : (inl f : (Unit -> Unit) + Nat) = inl g
 #fail[ConversionFailure] #conv inl a ~ inr star : Unit + Unit
 #fail[ConversionFailure] #conv inls a ~ inrs star : Unit +s Unit
@@ -318,7 +321,7 @@ axiom v2 : (Nat -> Unit) * Unit
 """
     report = run(RunConfig(files=[write(tmp_path, "sum.2lt", text)]))
     assert report.ok, [str(d) for _, d in report.diagnostics]
-    assert [r.text for r in report.pragma_results] == ["ok"] * 8 + \
+    assert [r.text for r in report.pragma_results] == ["ok"] * 11 + \
         ["ok [ConversionFailure]"] * 3
 
 
