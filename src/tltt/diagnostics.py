@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from tltt.syntax import Span
+from tltt.syntax import Span, TermSpan
 
 UNBOUND_VARIABLE = "UnboundVariable"
 SYNTAX_ERROR = "SyntaxError"
@@ -54,7 +54,11 @@ class CheckError(Exception):
         self.diagnostic = diagnostic
 
 
-def fail(code: str, message: str, span: Optional[Span] = None, *,
+def fail(code: str, message: str, span: Optional[Span | TermSpan] = None, *,
          expected: Optional[str] = None, actual: Optional[str] = None) -> "CheckError":
+    """The error for a new diagnostic; a term's span is made the `Span` it
+    stands for."""
+    if type(span) is tuple:
+        span = Span._make(span)
     return CheckError(Diagnostic(code, message, span,
                                  expected=expected, actual=actual))

@@ -9,8 +9,8 @@ recursion.
 from __future__ import annotations
 
 from tltt.nbe_core import (  # noqa: F401
-    EMPTY, EMPTY_S, NAT, NAT_S, REFL, REFL_S, STAR, UNIT, ZERO, ZERO_S,
-    Closure, Env, EvalError, FApp, FElim, FFst, FSnd, HConst, HUip, HVar,
+    EMPTY, EMPTY_S, FST, NAT, NAT_S, REFL, REFL_S, SND, STAR, UNIT, ZERO, ZERO_S,
+    Closure, Env, EvalError, FElim, FFst, FSnd, HConst, HUip, HVar,
     SigEntry, Signature, Value, VEmpty, VId, VInj, VLam, VNat, VNeutral,
     VPair, VPi, VRefl, VSigma, VStar, VSucc, VSum, VUnit, VUniv, VZero,
     apply_many, apply_value, conv, do_emptyelim, do_fst, do_idelim, do_natelim,

@@ -143,11 +143,14 @@ class VPi(Value):
         self.hint = hint
 
 
-class VLam(Value):
-    __slots__ = ("closure", "hint")
+class VLam(Closure, Value):
+    """A lambda is its own closure: its body under the one binder it opens."""
 
-    def __init__(self, closure, hint=None):
-        self.closure = closure
+    __slots__ = ("hint",)
+
+    def __init__(self, env, body, hint=None):
+        self.env = env
+        self.body = body
         self.hint = hint
 
 
@@ -270,14 +273,8 @@ class HUip:
         self.q = q
 
 
-# elimination frames
-
-class FApp:
-    __slots__ = ("arg",)
-
-    def __init__(self, arg):
-        self.arg = arg
-
+# elimination frames: an application's frame is its argument, a `Value`;
+# a projection's is one of the two shared instances `FST` and `SND`
 
 class FFst:
     __slots__ = ()
@@ -285,6 +282,10 @@ class FFst:
 
 class FSnd:
     __slots__ = ()
+
+
+FST = FFst()
+SND = FSnd()
 
 
 class FElim:
@@ -304,7 +305,7 @@ class VNeutral(Value):
     carries no type; see `neutral_type`.
 
     Under a defined constant's head the value is glued, not stuck: its spine
-    holds only `FApp` frames and `force` unfolds it.  `unfolded` memoizes
+    holds only application arguments and `force` unfolds it.  `unfolded` memoizes
     that unfolding for a non-empty spine; it is written once, by `force`."""
 
     __slots__ = ("head", "spine", "unfolded")
@@ -360,8 +361,8 @@ def force(v):
         budget[0] -= 1
     sig.unfolds += 1
     result = head.body
-    for frame in v.spine:
-        result = apply_value(result, frame.arg)
+    for arg in v.spine:
+        result = apply_value(result, arg)
     result = force(result)
     if v.spine:
         v.unfolded = result
@@ -376,9 +377,9 @@ def _push(neutral, frame):
 
 def apply_value(fn, arg):
     if isinstance(fn, VLam):
-        return inst(fn.closure, arg)
+        return inst(fn, arg)
     if isinstance(fn, VNeutral):
-        return _push(fn, FApp(arg))
+        return _push(fn, arg)
     raise EvalError("application of a non-function value")
 
 
@@ -393,7 +394,7 @@ def do_fst(v):
     if isinstance(v, VPair):
         return v.fst
     if isinstance(v, VNeutral):
-        return _push(v, FFst())
+        return _push(v, FST)
     raise EvalError("first projection of a non-pair value")
 
 
@@ -402,7 +403,7 @@ def do_snd(v):
     if isinstance(v, VPair):
         return v.snd
     if isinstance(v, VNeutral):
-        return _push(v, FSnd())
+        return _push(v, SND)
     raise EvalError("second projection of a non-pair value")
 
 
@@ -455,11 +456,11 @@ def neutral_type(v):
     prefix = VNeutral(head, ())
     for frame in v.spine:
         ty = force(ty)
-        if isinstance(frame, FApp):
-            ty = inst(ty.cod, frame.arg) if isinstance(ty, VPi) else None
-        elif isinstance(frame, FFst):
+        if isinstance(frame, Value):
+            ty = inst(ty.cod, frame) if isinstance(ty, VPi) else None
+        elif frame is FST:
             ty = ty.fst if isinstance(ty, VSigma) else None
-        elif isinstance(frame, FSnd):
+        elif frame is SND:
             ty = inst(ty.snd, do_fst(prefix)) if isinstance(ty, VSigma) else None
         elif frame.former is S.IdElim:  # motive lhs rhs proof
             ty = apply_many(frame.args[0], *frame.args[2:], prefix)
@@ -479,7 +480,7 @@ def evaluate(t, env):
     if cls is S.App:
         return apply_value(evaluate(t.fn, env), evaluate(t.arg, env))
     if cls is S.Lam:
-        return VLam(Closure(env, t.body), t.hint)
+        return VLam(env, t.body, t.hint)
     if cls is S.Const:
         entry = env.sig.lookup(t.name)
         if entry is None:
@@ -550,7 +551,7 @@ def quote(depth, v, unfold=True):
         if isinstance(v, VNeutral):
             return _quote_neutral(depth, v, unfold)
     if isinstance(v, VLam):
-        return S.Lam(quote(depth + 1, inst(v.closure, fresh_var(depth)), unfold),
+        return S.Lam(quote(depth + 1, inst(v, fresh_var(depth)), unfold),
                      hint=v.hint)
     if isinstance(v, VPi):
         return S.Pi(quote(depth, v.dom, unfold),
@@ -604,11 +605,11 @@ def _quote_neutral(depth, v, unfold):
     else:
         raise EvalError("unknown neutral head")
     for frame in v.spine:
-        if isinstance(frame, FApp):
-            acc = S.App(acc, quote(depth, frame.arg, unfold))
-        elif isinstance(frame, FFst):
+        if isinstance(frame, Value):
+            acc = S.App(acc, quote(depth, frame, unfold))
+        elif frame is FST:
             acc = S.Fst(acc)
-        elif isinstance(frame, FSnd):
+        elif frame is SND:
             acc = S.Snd(acc)
         elif isinstance(frame, FElim):
             acc = frame.former(*[quote(depth, a, unfold) for a in frame.args], acc,
@@ -769,19 +770,16 @@ def _conv_spine(depth, s1, s2, strict_pi):
     if len(s1) != len(s2):
         return False
     for f1, f2 in zip(s1, s2):
-        if type(f1) is not type(f2):
-            return False
-        if isinstance(f1, FApp):
-            if not conv(depth, f1.arg, f2.arg, None, strict_pi):
+        if isinstance(f1, Value):
+            if not (isinstance(f2, Value) and conv(depth, f1, f2, None, strict_pi)):
                 return False
-        elif isinstance(f1, (FFst, FSnd)):
-            pass
         elif isinstance(f1, FElim):
-            if f1.former is not f2.former or f1.strict != f2.strict:
+            if not (isinstance(f2, FElim) and f1.former is f2.former
+                    and f1.strict == f2.strict):
                 return False
             for a1, a2 in zip(f1.args, f2.args):
                 if not conv(depth, a1, a2, None, strict_pi):
                     return False
-        else:
+        elif f1 is not f2:  # a projection against another frame
             return False
     return True

@@ -35,7 +35,7 @@ from typing import NamedTuple, Optional, Sequence
 from tltt import syntax as S
 from tltt import diagnostics as D
 from tltt.diagnostics import fail
-from tltt.syntax import Span, Term
+from tltt.syntax import Span, Term, TermSpan
 
 
 class Token(NamedTuple):
@@ -242,8 +242,6 @@ _ROLE = {
 # infix connective -> strict flag
 _EQUALITIES = {"=": False, "=s": True}
 
-_new_span = tuple.__new__  # Span's own constructor is a Python function
-
 
 def _is_name(text: str) -> bool:
     return text not in _ROLE and text[0] > "9"
@@ -289,11 +287,16 @@ class Parser:
         got = _shown(self.texts[self.pos]) or "end of input"
         return fail(D.SYNTAX_ERROR, f"{msg}, got {got!r}", self.span(self.pos, self.pos))
 
-    def span(self, first: int, last: int) -> Span:
-        """From the start of token `first` to the end of token `last`."""
+    def span(self, first: int, last: int) -> TermSpan:
+        """From the start of token `first` to the end of token `last`, as the
+        plain tuple a term keeps."""
         lines = self.lines
-        return _new_span(Span, (self.path, lines[first], self.cols[first], lines[last],
-                                self.end_cols[last]))
+        return (self.path, lines[first], self.cols[first], lines[last], self.end_cols[last])
+
+    def decl_span(self, start: int) -> Span:
+        """From token `start` to the last token read, as the `Span` a
+        declaration keeps."""
+        return Span._make(self.span(start, self.pos - 1))
 
     # -- terms --
     #
@@ -420,9 +423,8 @@ class Parser:
                     head = atom
                 elif elim is None:
                     last = pos - 1
-                    head = S.App(head, atom, span=_new_span(
-                        Span, (path, lines[app_start], cols[app_start], lines[last],
-                               end_cols[last])))
+                    head = S.App(head, atom, span=(path, lines[app_start], cols[app_start],
+                                                   lines[last], end_cols[last]))
                 else:
                     first, cls, arity, args = elim
                     args.append(atom)
@@ -490,7 +492,7 @@ class Parser:
             self.pos = pos
             return head
 
-    def close(self, former, dom: Term, body: Term, names, span: Span) -> Term:
+    def close(self, former, dom: Term, body: Term, names, span: TermSpan) -> Term:
         """`former` (Pi or Sigma) over `body`, for each of the binder's names
         (one anonymous binder if `names` is None); unbinds them."""
         if names is None:
@@ -602,13 +604,13 @@ class Parser:
             ty = self.term()
             self.eat(":=")
             body = self.term()
-            return S.Definition(name, ty, body, span=self.span(start, self.pos - 1))
+            return S.Definition(name, ty, body, span=self.decl_span(start))
         if word == "axiom":
             self.pos += 1
             name = self.eat_ident()
             self.eat(":")
             ty = self.term()
-            return S.Axiom(name, ty, span=self.span(start, self.pos - 1))
+            return S.Axiom(name, ty, span=self.decl_span(start))
         raise self.err("expected a declaration or pragma")
 
     def pragma(self):
@@ -619,18 +621,18 @@ class Parser:
             t = self.term()
             self.eat(":")
             ty = self.term()
-            return S.Pragma(S.CHECK, (t, ty), span=self.span(start, self.pos - 1))
+            return S.Pragma(S.CHECK, (t, ty), span=self.decl_span(start))
         if kind == "infer":
-            return S.Pragma(S.INFER, (self.term(),), span=self.span(start, self.pos - 1))
+            return S.Pragma(S.INFER, (self.term(),), span=self.decl_span(start))
         if kind == "normalize":
-            return S.Pragma(S.NORMALIZE, (self.term(),), span=self.span(start, self.pos - 1))
+            return S.Pragma(S.NORMALIZE, (self.term(),), span=self.decl_span(start))
         if kind == "conv":
             a = self.term()
             self.eat("~")
             b = self.term()
             self.eat(":")
             ty = self.term()
-            return S.Pragma(S.CONV, (a, b, ty), span=self.span(start, self.pos - 1))
+            return S.Pragma(S.CONV, (a, b, ty), span=self.decl_span(start))
         # #fail
         code = None
         if self.texts[self.pos] == "[":
@@ -654,13 +656,12 @@ class Parser:
             self.unbind(len(self.scope) - depth)
             self.resync()
             return S.Pragma(S.FAIL, (e.diagnostic,), expect_code=code,
-                            span=self.span(start, self.pos - 1))
+                            span=self.decl_span(start))
         if isinstance(inner, S.Pragma) and inner.kind == S.FAIL:
             raise fail(D.SYNTAX_ERROR, "#fail cannot wrap another #fail", inner.span)
         # a #fail'd declaration never extends the scope: it is expected to
         # be rejected, so later references to its name stay unbound
-        return S.Pragma(S.FAIL, (inner,), expect_code=code,
-                        span=self.span(start, self.pos - 1))
+        return S.Pragma(S.FAIL, (inner,), expect_code=code, span=self.decl_span(start))
 
     def resync(self) -> None:
         texts = self.texts

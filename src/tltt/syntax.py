@@ -99,6 +99,14 @@ class Span(NamedTuple):
         return f"{self.path}:{self.line}:{self.col}"
 
 
+# A term's span: the plain tuple (path, line, col, end_line, end_col) that a
+# `Span` is made from.  The parser builds one per node, and the garbage
+# collector stops tracking an exact tuple of strings and ints, but never a
+# `NamedTuple`.  Declarations and diagnostics keep a `Span`, which callers
+# read by field; `diagnostics.fail` turns a term's span into one.
+TermSpan = tuple
+
+
 # Fields that carry no semantic content: equality, hashing and `repr` leave
 # them out.  `ty` is the carrier of `Id`, inferable from its endpoints.
 _UNCOMPARED = frozenset({"span", "hint", "ann", "ty"})
@@ -119,7 +127,7 @@ class Term:
     __slots__ = ("span",)
     _under: tuple[str, ...] = ()
 
-    def __init__(self, *, span: Optional[Span] = None) -> None:
+    def __init__(self, *, span: Optional[TermSpan] = None) -> None:
         self.span = span
 
     def __init_subclass__(cls) -> None:
@@ -149,7 +157,7 @@ class Term:
 class Var(Term):
     __slots__ = ("index",)
 
-    def __init__(self, index: int, *, span: Optional[Span] = None) -> None:
+    def __init__(self, index: int, *, span: Optional[TermSpan] = None) -> None:
         self.index = index
         self.span = span
 
@@ -157,7 +165,7 @@ class Var(Term):
 class Univ(Term):
     __slots__ = ("sort",)
 
-    def __init__(self, sort: Sort, *, span: Optional[Span] = None) -> None:
+    def __init__(self, sort: Sort, *, span: Optional[TermSpan] = None) -> None:
         self.sort = sort
         self.span = span
 
@@ -167,7 +175,7 @@ class Pi(Term):
     _under = ("cod",)
 
     def __init__(self, dom: Term, cod: Term, hint: Optional[str] = None, *,
-                 span: Optional[Span] = None) -> None:
+                 span: Optional[TermSpan] = None) -> None:
         self.dom = dom
         self.cod = cod
         self.hint = hint
@@ -179,7 +187,7 @@ class Lam(Term):
     _under = ("body",)
 
     def __init__(self, body: Term, ann: Optional[Term] = None, hint: Optional[str] = None, *,
-                 span: Optional[Span] = None) -> None:
+                 span: Optional[TermSpan] = None) -> None:
         self.body = body
         self.ann = ann
         self.hint = hint
@@ -189,7 +197,7 @@ class Lam(Term):
 class App(Term):
     __slots__ = ("fn", "arg")
 
-    def __init__(self, fn: Term, arg: Term, *, span: Optional[Span] = None) -> None:
+    def __init__(self, fn: Term, arg: Term, *, span: Optional[TermSpan] = None) -> None:
         self.fn = fn
         self.arg = arg
         self.span = span
@@ -200,7 +208,7 @@ class Sigma(Term):
     _under = ("snd",)
 
     def __init__(self, fst: Term, snd: Term, hint: Optional[str] = None, *,
-                 span: Optional[Span] = None) -> None:
+                 span: Optional[TermSpan] = None) -> None:
         self.fst = fst
         self.snd = snd
         self.hint = hint
@@ -210,7 +218,7 @@ class Sigma(Term):
 class Pair(Term):
     __slots__ = ("fst", "snd")
 
-    def __init__(self, fst: Term, snd: Term, *, span: Optional[Span] = None) -> None:
+    def __init__(self, fst: Term, snd: Term, *, span: Optional[TermSpan] = None) -> None:
         self.fst = fst
         self.snd = snd
         self.span = span
@@ -219,7 +227,7 @@ class Pair(Term):
 class Fst(Term):
     __slots__ = ("pair",)
 
-    def __init__(self, pair: Term, *, span: Optional[Span] = None) -> None:
+    def __init__(self, pair: Term, *, span: Optional[TermSpan] = None) -> None:
         self.pair = pair
         self.span = span
 
@@ -227,7 +235,7 @@ class Fst(Term):
 class Snd(Term):
     __slots__ = ("pair",)
 
-    def __init__(self, pair: Term, *, span: Optional[Span] = None) -> None:
+    def __init__(self, pair: Term, *, span: Optional[TermSpan] = None) -> None:
         self.pair = pair
         self.span = span
 
@@ -247,7 +255,7 @@ class Star(Term):
 class Nat(Term):
     __slots__ = ("strict",)
 
-    def __init__(self, *, strict: bool = False, span: Optional[Span] = None) -> None:
+    def __init__(self, *, strict: bool = False, span: Optional[TermSpan] = None) -> None:
         self.strict = strict
         self.span = span
 
@@ -255,7 +263,7 @@ class Nat(Term):
 class Zero(Term):
     __slots__ = ("strict",)
 
-    def __init__(self, *, strict: bool = False, span: Optional[Span] = None) -> None:
+    def __init__(self, *, strict: bool = False, span: Optional[TermSpan] = None) -> None:
         self.strict = strict
         self.span = span
 
@@ -264,7 +272,7 @@ class Succ(Term):
     __slots__ = ("pred", "strict")
 
     def __init__(self, pred: Term, *, strict: bool = False,
-                 span: Optional[Span] = None) -> None:
+                 span: Optional[TermSpan] = None) -> None:
         self.pred = pred
         self.strict = strict
         self.span = span
@@ -274,7 +282,7 @@ class NatElim(Term):
     __slots__ = ("motive", "base", "step", "target", "strict")
 
     def __init__(self, motive: Term, base: Term, step: Term, target: Term, *,
-                 strict: bool = False, span: Optional[Span] = None) -> None:
+                 strict: bool = False, span: Optional[TermSpan] = None) -> None:
         self.motive = motive
         self.base = base
         self.step = step
@@ -286,7 +294,7 @@ class NatElim(Term):
 class Empty(Term):
     __slots__ = ("strict",)
 
-    def __init__(self, *, strict: bool = False, span: Optional[Span] = None) -> None:
+    def __init__(self, *, strict: bool = False, span: Optional[TermSpan] = None) -> None:
         self.strict = strict
         self.span = span
 
@@ -295,7 +303,7 @@ class EmptyElim(Term):
     __slots__ = ("motive", "target", "strict")
 
     def __init__(self, motive: Term, target: Term, *, strict: bool = False,
-                 span: Optional[Span] = None) -> None:
+                 span: Optional[TermSpan] = None) -> None:
         self.motive = motive
         self.target = target
         self.strict = strict
@@ -306,7 +314,7 @@ class Sum(Term):
     __slots__ = ("left", "right", "strict")
 
     def __init__(self, left: Term, right: Term, *, strict: bool = False,
-                 span: Optional[Span] = None) -> None:
+                 span: Optional[TermSpan] = None) -> None:
         self.left = left
         self.right = right
         self.strict = strict
@@ -317,7 +325,7 @@ class Inl(Term):
     __slots__ = ("value", "strict")
 
     def __init__(self, value: Term, *, strict: bool = False,
-                 span: Optional[Span] = None) -> None:
+                 span: Optional[TermSpan] = None) -> None:
         self.value = value
         self.strict = strict
         self.span = span
@@ -327,7 +335,7 @@ class Inr(Term):
     __slots__ = ("value", "strict")
 
     def __init__(self, value: Term, *, strict: bool = False,
-                 span: Optional[Span] = None) -> None:
+                 span: Optional[TermSpan] = None) -> None:
         self.value = value
         self.strict = strict
         self.span = span
@@ -337,7 +345,7 @@ class SumElim(Term):
     __slots__ = ("motive", "on_inl", "on_inr", "target", "strict")
 
     def __init__(self, motive: Term, on_inl: Term, on_inr: Term, target: Term, *,
-                 strict: bool = False, span: Optional[Span] = None) -> None:
+                 strict: bool = False, span: Optional[TermSpan] = None) -> None:
         self.motive = motive
         self.on_inl = on_inl
         self.on_inr = on_inr
@@ -354,7 +362,7 @@ class Id(Term):
     __slots__ = ("ty", "lhs", "rhs", "strict")
 
     def __init__(self, ty: Optional[Term], lhs: Term, rhs: Term, *, strict: bool = False,
-                 span: Optional[Span] = None) -> None:
+                 span: Optional[TermSpan] = None) -> None:
         self.ty = ty
         self.lhs = lhs
         self.rhs = rhs
@@ -365,7 +373,7 @@ class Id(Term):
 class Refl(Term):
     __slots__ = ("strict",)
 
-    def __init__(self, *, strict: bool = False, span: Optional[Span] = None) -> None:
+    def __init__(self, *, strict: bool = False, span: Optional[TermSpan] = None) -> None:
         self.strict = strict
         self.span = span
 
@@ -374,7 +382,7 @@ class IdElim(Term):
     __slots__ = ("motive", "refl_case", "lhs", "rhs", "proof", "strict")
 
     def __init__(self, motive: Term, refl_case: Term, lhs: Term, rhs: Term, proof: Term, *,
-                 strict: bool = False, span: Optional[Span] = None) -> None:
+                 strict: bool = False, span: Optional[TermSpan] = None) -> None:
         self.motive = motive
         self.refl_case = refl_case
         self.lhs = lhs
@@ -387,7 +395,7 @@ class IdElim(Term):
 class UipS(Term):
     __slots__ = ("p", "q")
 
-    def __init__(self, p: Term, q: Term, *, span: Optional[Span] = None) -> None:
+    def __init__(self, p: Term, q: Term, *, span: Optional[TermSpan] = None) -> None:
         self.p = p
         self.q = q
         self.span = span
@@ -396,7 +404,7 @@ class UipS(Term):
 class Const(Term):
     __slots__ = ("name",)
 
-    def __init__(self, name: str, *, span: Optional[Span] = None) -> None:
+    def __init__(self, name: str, *, span: Optional[TermSpan] = None) -> None:
         self.name = name
         self.span = span
 

@@ -16,6 +16,7 @@ import pytest
 from tltt import corpus
 from tltt.cli import RunConfig, emit_report, main, run
 from tltt.printer import pretty_print
+from tltt.syntax import Span
 
 from gen import rand_scoped
 
@@ -80,6 +81,9 @@ def _exit_code_of_run(files: list[str]) -> int:
         report = run(RunConfig(files=files))
     except OSError:  # unreadable or not UTF-8: `main` exits 2
         return 2
+    # a term's span is a plain tuple; no diagnostic may keep one
+    for _, d in report.diagnostics:
+        assert d.span is None or type(d.span) is Span, d
     for fmt in ("human", "lines"):
         text, code = emit_report(report, fmt)
         assert isinstance(text, str)

@@ -59,8 +59,71 @@ def test_quote_star_and_identity():
 
 
 def test_quote_level_to_index():
-    v = nbe.VNeutral(nbe.HVar(0), (nbe.FApp(nbe.STAR),))
+    v = nbe.VNeutral(nbe.HVar(0), (nbe.STAR,))
     assert nbe.quote(1, v) == S.App(S.Var(0), S.Star())
+
+
+# -- spines and lambdas ------------------------------------------------------------
+
+def test_an_application_frame_is_its_argument():
+    x, a = nbe.fresh_var(0), nbe.VSucc(nbe.ZERO, False)
+    assert nbe.apply_value(x, a).spine[-1] is a
+
+
+def test_projection_frames_are_shared():
+    x, y = nbe.fresh_var(0), nbe.fresh_var(1)
+    assert nbe.do_fst(x).spine[-1] is nbe.do_fst(y).spine[-1] is nbe.FST
+    assert nbe.do_snd(x).spine[-1] is nbe.do_snd(y).spine[-1] is nbe.SND
+
+
+def test_a_lambda_is_its_own_closure():
+    lam = ev(S.Lam(S.Succ(S.Var(0))))
+    assert isinstance(lam, nbe.Closure)
+    assert nbe.quote(0, nbe.inst(lam, nbe.ZERO)) == S.Succ(S.Zero())
+
+
+def _one_frame(kind, x):
+    """`x` under one frame of `kind`."""
+    if kind == "app":
+        return nbe.apply_value(x, nbe.ZERO)
+    if kind == "fst":
+        return nbe.do_fst(x)
+    if kind == "snd":
+        return nbe.do_snd(x)
+    return nbe.do_natelim(ev(S.Lam(S.Nat())), nbe.ZERO, ev(S.Lam(S.Lam(S.Var(0)))), x,
+                          False)
+
+
+@pytest.mark.parametrize("left, right", [
+    ("app", "fst"), ("app", "snd"), ("fst", "snd"), ("app", "natElim"), ("fst", "natElim"),
+])
+def test_conv_tells_frames_of_different_kinds_apart(left, right):
+    x = nbe.fresh_var(0)
+    a, b = _one_frame(left, x), _one_frame(right, x)
+    assert nbe.conv(1, a, _one_frame(left, x), None)
+    assert nbe.conv(1, b, _one_frame(right, x), None)
+    assert not nbe.conv(1, a, b, None)
+    assert not nbe.conv(1, b, a, None)
+
+
+@pytest.mark.parametrize("term, expected", [
+    ("natElim (\\n. n = n) refl (\\k. \\r. refl) (fst (g a))", "fst (g a) = fst (g a)"),
+    ("J (\\x. \\y. \\r. r = r) (\\x. refl) (fst (g a)) (fst (g a)) (snd (g a))",
+     "snd (g a) = snd (g a)"),
+], ids=["natElim-fst-app", "J-snd-app"])
+def test_neutral_type_and_quote_agree_on_a_mixed_spine(term, expected):
+    ctx = empty_ctx()
+    for name, text in [("g", "Nat -> (n : Nat) * (n = n)"), ("a", "Nat")]:
+        ty, _ = tc.infer_universe(ctx, parse_term(text, scope=ctx.names()))
+        ctx = ctx.extend(name, nbe.eval_in(ctx, ty))
+    t, ty = tc.infer(ctx, parse_term(term, scope=ctx.names()))
+    v = nbe.eval_in(ctx, t)
+    assert isinstance(v, nbe.VNeutral) and len(v.spine) >= 3
+    assert nbe.quote(ctx.depth, v) == t
+    # the type derived along the spine is the type the checker gives the read-back
+    _, read_back_ty = tc.infer(ctx, nbe.quote(ctx.depth, v))
+    assert nbe.quote(ctx.depth, nbe.neutral_type(v)) == nbe.quote(ctx.depth, read_back_ty) \
+        == nbe.quote(ctx.depth, ty) == parse_term(expected, scope=ctx.names())
 
 
 # Each eliminator with its arguments before the scrutinee, as pairs of
@@ -325,7 +388,7 @@ def test_neutral_type_is_none_without_a_typed_head():
     assert nbe.neutral_type(x) is None
     assert nbe.neutral_type(nbe.apply_value(x, nbe.ZERO)) is None
     # an eliminator's motive types its result whatever the scrutinee's type
-    stuck = nbe.do_emptyelim(nbe.VLam(nbe.Closure(ctx.env, S.Nat())), x, False)
+    stuck = nbe.do_emptyelim(nbe.VLam(ctx.env, S.Nat()), x, False)
     assert nbe.neutral_type(stuck) is nbe.NAT
 
 
@@ -361,7 +424,7 @@ def _closure_pair(ctx, body, values_a, values_b):
 
 def _bind(former, closure):
     if former is nbe.VLam:
-        return nbe.VLam(closure)
+        return nbe.VLam(closure.env, closure.body)
     return former(nbe.NAT, closure)
 
 

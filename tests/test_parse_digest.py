@@ -35,6 +35,8 @@ def listing(root) -> str:
     stack = [("", root)]
     while stack:
         label, x = stack.pop()
+        if label == "span=" and type(x) is tuple:
+            x = S.Span._make(x)  # a term's span, listed as the Span it stands for
         if isinstance(x, _NODES):
             lines.append(f"{label}{type(x).__name__}")
             stack.extend((f"{name}=", getattr(x, name)) for name in reversed(x._fields))

@@ -1,5 +1,6 @@
 """Surface grammar, scope resolution, spans, and printer round-trips."""
 
+import gc
 import json
 import random
 from pathlib import Path
@@ -9,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from tltt import syntax as S
 from tltt import diagnostics as D
-from tltt.corpus import CORPUS_DIR
+from tltt import typecheck as tc
+from tltt.corpus import CORPUS_DIR, corpus_manifest
 from tltt.diagnostics import CheckError
 from tltt.parser import Parser, parse_module, parse_term, tokenize
 from tltt.printer import pretty_print
@@ -403,3 +405,56 @@ def test_mutated_corpus_lines_parse_or_report(index, edits):
             else:
                 data[at] = byte
     _parses_or_reports(data.decode("utf-8", "replace"))
+
+
+def _term_nodes(decl):
+    """Every term node of a parsed declaration, the item a `#fail` wraps
+    included."""
+    if isinstance(decl, S.Definition):
+        stack = [decl.ty, decl.body]
+    elif isinstance(decl, S.Axiom):
+        stack = [decl.ty]
+    elif decl.kind == S.FAIL:
+        item = decl.payload[0]
+        return [] if isinstance(item, D.Diagnostic) else _term_nodes(item)
+    else:
+        stack = list(decl.payload)
+    nodes = []
+    while stack:
+        t = stack.pop()
+        nodes.append(t)
+        stack.extend(child for _, child, _ in S.term_children(t))
+    return nodes
+
+
+def test_term_spans_are_plain_tuples_the_collector_drops():
+    known: list[str] = []
+    nodes, spanned = [], []
+    for entry in corpus_manifest():
+        module = parse_module(entry.path.read_text(encoding="utf-8"), entry.path.name, known)
+        known += [d.name for d in module.decls if isinstance(d, (S.Definition, S.Axiom))]
+        for decl in module.decls:
+            nodes += _term_nodes(decl)
+            spanned.append(decl)
+            if isinstance(decl, S.Pragma) and decl.kind == S.FAIL:
+                spanned.append(decl.payload[0])  # a declaration or its diagnostic
+    gc.collect()
+    # every node but the lambda an ascription desugars to has a span
+    spans = [t.span for t in nodes if t.span is not None]
+    assert len(spans) > 5000
+    for span in spans:
+        assert type(span) is tuple and len(span) == 5, span
+        assert not gc.is_tracked(span), span
+    # declarations and diagnostics keep a `Span`, which callers read by field
+    assert any(isinstance(x, D.Diagnostic) for x in spanned)
+    assert all(type(x.span) is S.Span for x in spanned)
+
+
+def test_a_type_error_in_a_term_reports_its_span():
+    (decl,) = parse_module("def no : Nat := \\x. x", "t.2lt").decls
+    assert type(decl.body.span) is tuple
+    with pytest.raises(CheckError) as e:
+        tc.check_declaration(tc.new_context(), decl)
+    diag = e.value.diagnostic
+    assert type(diag.span) is S.Span
+    assert str(diag).startswith("t.2lt:1:17: error[ConversionFailure]")
