@@ -93,7 +93,8 @@ class _Runner:
 
     def reset_budget(self) -> None:
         if self.config.unfold_budget is not None:
-            self.ctx.sig.budget[0] = self.config.unfold_budget
+            sig = self.ctx.sig
+            sig.limit = sig.unfolds + self.config.unfold_budget
 
     def run_file(self, path: str, text: str) -> None:
         status = FileStatus(path)
@@ -209,7 +210,7 @@ def run(config: RunConfig) -> RunReport:
     for path in config.files:
         runner.trace(f"-- {path}")
         try:
-            with open(path, encoding="utf-8") as handle:
+            with open(path, encoding="utf-8-sig") as handle:  # a BOM is skipped
                 text = handle.read()
         except UnicodeDecodeError as e:
             raise OSError(f"{path}: not valid UTF-8") from e

@@ -10,23 +10,31 @@ Values carry no types and evaluation computes none: a neutral's head records
 its variable's or constant's type, and `neutral_type` derives the rest on
 demand.
 
+A former without parts (`Unit`, `star`, the naturals and zero, the empty
+type, `refl`, each in its fragment) evaluates to one interned `VAtom`, which
+holds the term it reads back as.  The ten atoms are the only instances, so
+conversion, the eliminators and the checker tell them apart by identity.
+
 Constants are glued.  `Const name` evaluates to the one value its
 `SigEntry` built, a neutral whose `HConst` head also holds the definition's
 body; applying it only pushes an argument.  `force` is the one place a
-constant unfolds: it applies the body along the spine, spending one unfold
-of the budget, and leaves every other value as it is.  Eliminators, read-back
-and the checker force what they take apart; conversion first compares two
-applications of one constant argument by argument, and forces both sides
-only when that fails.  A forced application memoizes its unfolding in the
-neutral's `unfolded` slot.  That slot is a cache written at most once with
-a value determined by the rest of the neutral, so it changes nothing that
-can be observed and values stay immutable in substance.
+constant unfolds: it applies the body along the spine, counting one unfold
+against the signature's limit, and leaves every other value as it is.
+Eliminators, read-back and the checker force what they take apart;
+conversion first compares two applications of one constant argument by
+argument, and forces both sides only when that fails.  A forced
+application memoizes its unfolding in the neutral's `unfolded` slot.  That
+slot is a cache written at most once with a value determined by the rest of
+the neutral, so it changes nothing that can be observed and values stay
+immutable in substance.
 
 Conversion exploits sharing before it computes.  Values are never mutated
 and `evaluate` is deterministic, so two references to one value object are
 equal.  Every mention of a constant evaluates to its one shared value, which
 makes this common.
 """
+
+import math
 
 from tltt import syntax as S
 
@@ -49,15 +57,15 @@ class SigEntry:
 
 
 class Signature:
-    """Global signature of checked declarations, the unfold budget and the
-    number of unfolds performed so far."""
+    """Global signature of checked declarations, the number of unfolds
+    performed so far and the count at which unfolding stops."""
 
-    __slots__ = ("entries", "budget", "unfolds")
+    __slots__ = ("entries", "unfolds", "limit")
 
-    def __init__(self, budget=None):
+    def __init__(self, limit=math.inf):
         self.entries = {}
-        self.budget = budget  # None (unlimited) or [remaining]
         self.unfolds = 0
+        self.limit = limit  # `force` raises once `unfolds` has reached it
 
     def define(self, name, ty, body, is_axiom=False):
         self.entries[name] = SigEntry(name, ty, body, is_axiom, self)
@@ -171,26 +179,15 @@ class VPair(Value):
         self.snd = snd
 
 
-class VUnit(Value):
-    __slots__ = ()
+class VAtom(Value):
+    """A value without parts, which reads back as `term`.  Only the ten
+    atoms below are ever built, one per former and fragment, so two atoms
+    are equal exactly when they are one object."""
 
+    __slots__ = ("term",)
 
-class VStar(Value):
-    __slots__ = ()
-
-
-class VNat(Value):
-    __slots__ = ("strict",)
-
-    def __init__(self, strict):
-        self.strict = strict
-
-
-class VZero(Value):
-    __slots__ = ("strict",)
-
-    def __init__(self, strict):
-        self.strict = strict
+    def __init__(self, term):
+        self.term = term
 
 
 class VSucc(Value):
@@ -198,13 +195,6 @@ class VSucc(Value):
 
     def __init__(self, pred, strict):
         self.pred = pred
-        self.strict = strict
-
-
-class VEmpty(Value):
-    __slots__ = ("strict",)
-
-    def __init__(self, strict):
         self.strict = strict
 
 
@@ -233,13 +223,6 @@ class VId(Value):
         self.ty = ty  # Value: the carrier, which elaboration fills in
         self.lhs = lhs
         self.rhs = rhs
-        self.strict = strict
-
-
-class VRefl(Value):
-    __slots__ = ("strict",)
-
-    def __init__(self, strict):
         self.strict = strict
 
 
@@ -316,16 +299,16 @@ class VNeutral(Value):
         self.unfolded = None
 
 
-UNIT = VUnit()
-STAR = VStar()
-NAT = VNat(False)
-NAT_S = VNat(True)
-ZERO = VZero(False)
-ZERO_S = VZero(True)
-EMPTY = VEmpty(False)
-EMPTY_S = VEmpty(True)
-REFL = VRefl(False)
-REFL_S = VRefl(True)
+UNIT = VAtom(S.Unit())
+STAR = VAtom(S.Star())
+NAT = VAtom(S.Nat())
+NAT_S = VAtom(S.Nat(strict=True))
+ZERO = VAtom(S.Zero())
+ZERO_S = VAtom(S.Zero(strict=True))
+EMPTY = VAtom(S.Empty())
+EMPTY_S = VAtom(S.Empty(strict=True))
+REFL = VAtom(S.Refl())
+REFL_S = VAtom(S.Refl(strict=True))
 
 
 def fresh_var(level, ty=None):
@@ -342,10 +325,10 @@ def _is_glued(v):
 def force(v):
     """`v` with its head constant unfolded, repeatedly, until it is not glued.
 
-    Each unfolding computed spends one unfold of the signature's budget.  An
-    application's unfolding is memoized in its `unfolded` slot.  A bare
-    constant's is not, since it is the head's `body` already: each force of
-    a bare constant spends an unfold."""
+    Each unfolding computed spends one unfold, up to the signature's
+    `limit`.  An application's unfolding is memoized in its `unfolded` slot.
+    A bare constant's is not, since it is the head's `body` already: each
+    force of a bare constant spends an unfold."""
     if type(v) is not VNeutral:
         return v
     head = v.head
@@ -354,11 +337,8 @@ def force(v):
     if v.unfolded is not None:
         return v.unfolded
     sig = head.sig
-    budget = sig.budget
-    if budget is not None:
-        if budget[0] <= 0:
-            raise EvalError("unfold budget exhausted")
-        budget[0] -= 1
+    if sig.unfolds >= sig.limit:
+        raise EvalError("unfold budget exhausted")
     sig.unfolds += 1
     result = head.body
     for arg in v.spine:
@@ -409,7 +389,7 @@ def do_snd(v):
 
 def do_natelim(motive, base, step, target, strict):
     target = force(target)
-    if isinstance(target, VZero):
+    if target is ZERO or target is ZERO_S:
         return base
     if isinstance(target, VSucc):
         pred = target.pred
@@ -438,7 +418,7 @@ def do_emptyelim(motive, target, strict):
 
 def do_idelim(motive, refl_case, lhs, rhs, proof, strict):
     proof = force(proof)
-    if isinstance(proof, VRefl):
+    if proof is REFL or proof is REFL_S:
         return apply_value(refl_case, lhs)
     if isinstance(proof, VNeutral):
         return _push(proof, FElim(S.IdElim, (motive, refl_case, lhs, rhs), strict))
@@ -565,18 +545,10 @@ def quote(depth, v, unfold=True):
         return S.Pair(quote(depth, v.fst, unfold), quote(depth, v.snd, unfold))
     if isinstance(v, VUniv):
         return S.Univ(v.sort)
-    if isinstance(v, VUnit):
-        return S.Unit()
-    if isinstance(v, VStar):
-        return S.Star()
-    if isinstance(v, VNat):
-        return S.Nat(strict=v.strict)
-    if isinstance(v, VZero):
-        return S.Zero(strict=v.strict)
+    if isinstance(v, VAtom):
+        return v.term
     if isinstance(v, VSucc):
         return S.Succ(quote(depth, v.pred, unfold), strict=v.strict)
-    if isinstance(v, VEmpty):
-        return S.Empty(strict=v.strict)
     if isinstance(v, VSum):
         return S.Sum(quote(depth, v.left, unfold), quote(depth, v.right, unfold),
                      strict=v.strict)
@@ -587,8 +559,6 @@ def quote(depth, v, unfold=True):
         # the carrier folded, as the checker elaborated it
         return S.Id(quote(depth, v.ty, False), quote(depth, v.lhs, unfold),
                     quote(depth, v.rhs, unfold), strict=v.strict)
-    if isinstance(v, VRefl):
-        return S.Refl(strict=v.strict)
     raise EvalError(f"cannot quote {type(v).__name__}")
 
 
@@ -695,19 +665,11 @@ def _conv_whnf(depth, a, b, strict_pi):
             return False
         x = fresh_var(depth, a.fst)
         return conv(depth + 1, inst(a.snd, x), inst(b.snd, x), None, strict_pi)
-    if isinstance(a, VUnit):
-        return isinstance(b, VUnit)
-    if isinstance(a, VStar):
-        return isinstance(b, VStar)
-    if isinstance(a, VNat):
-        return isinstance(b, VNat) and a.strict == b.strict
-    if isinstance(a, VZero):
-        return isinstance(b, VZero) and a.strict == b.strict
+    if isinstance(a, VAtom):
+        return a is b
     if isinstance(a, VSucc):
         return (isinstance(b, VSucc) and a.strict == b.strict
                 and conv(depth, a.pred, b.pred, None, strict_pi))
-    if isinstance(a, VEmpty):
-        return isinstance(b, VEmpty) and a.strict == b.strict
     if isinstance(a, VSum):
         return (isinstance(b, VSum) and a.strict == b.strict
                 and conv(depth, a.left, b.left, None, strict_pi)
@@ -721,8 +683,6 @@ def _conv_whnf(depth, a, b, strict_pi):
                 and conv(depth, a.ty, b.ty, None, strict_pi)
                 and conv(depth, a.lhs, b.lhs, a.ty, strict_pi)
                 and conv(depth, a.rhs, b.rhs, a.ty, strict_pi))
-    if isinstance(a, VRefl):
-        return isinstance(b, VRefl) and a.strict == b.strict
     if isinstance(a, VNeutral):
         return (isinstance(b, VNeutral)
                 and _conv_head(depth, a.head, b.head, strict_pi)
@@ -737,7 +697,7 @@ def _irrelevant(depth, a, b, strict_pi):
         a, b = b, a
     return all(_irrelevant_type(depth, neutral_type(v), strict_pi)
                if isinstance(v, VNeutral)
-               else isinstance(v, VStar) or strict_pi and isinstance(v, VRefl) and v.strict
+               else v is STAR or strict_pi and v is REFL_S
                for v in (a, b))
 
 
@@ -751,7 +711,7 @@ def _irrelevant_type(depth, ty, strict_pi):
         x = fresh_var(depth, ty.fst)
         return (_irrelevant_type(depth, force(ty.fst), strict_pi)
                 and _irrelevant_type(depth + 1, force(inst(ty.snd, x)), strict_pi))
-    return isinstance(ty, VUnit) or strict_pi and isinstance(ty, VId) and ty.strict
+    return ty is UNIT or strict_pi and isinstance(ty, VId) and ty.strict
 
 
 def _conv_head(depth, h1, h2, strict_pi):

@@ -203,28 +203,27 @@ def _strict(cls):
     return partial(cls, strict=True)
 
 
+# The formers whose strict twin strong mode keeps apart: equality's.
+_KEPT_APART = frozenset({S.Refl, S.IdElim})
+
+
 def _word_tables(strong: bool):
-    """What the former words build: eliminators and formers applied to
-    arguments, with their arity; atoms; and the strict flag of each sum
-    connective.  Strong mode identifies the strict naturals, empty type and
+    """What the words of `S.KEYWORDS` build: eliminators and formers applied
+    to arguments, with their arity (the number of term fields); atoms; and
+    the strict flag of each sum connective.  Strong mode identifies the strict naturals, empty type and
     sums with the fibrant ones, so there their words build the fibrant
     former; strict equality stays apart."""
-    merged = (lambda cls: cls) if strong else _strict
-    elims = {
-        "J": (S.IdElim, 5), "Js": (_strict(S.IdElim), 5), "Ks": (S.UipS, 2),
-        "natElim": (S.NatElim, 4), "natElimS": (merged(S.NatElim), 4),
-        "sumElim": (S.SumElim, 4), "sumElimS": (merged(S.SumElim), 4),
-        "emptyElim": (S.EmptyElim, 2), "emptyElimS": (merged(S.EmptyElim), 2),
-        "fst": (S.Fst, 1), "snd": (S.Snd, 1),
-        "succ": (S.Succ, 1), "succs": (merged(S.Succ), 1),
-        "inl": (S.Inl, 1), "inr": (S.Inr, 1),
-        "inls": (merged(S.Inl), 1), "inrs": (merged(S.Inr), 1),
-    }
-    atoms = {
-        "Nat": S.Nat, "NatS": merged(S.Nat), "Unit": S.Unit, "Empty": S.Empty,
-        "EmptyS": merged(S.Empty), "star": S.Star, "refl": S.Refl,
-        "refls": _strict(S.Refl),
-    }
+    elims, atoms = {}, {}
+    for cls, (word, mark) in S.KEYWORDS.items():
+        words = {word: cls}
+        if mark is not None:
+            merged = strong and cls not in _KEPT_APART
+            words[word + mark] = cls if merged else _strict(cls)
+        arity = len(cls._children)
+        if arity:
+            elims.update((w, (build, arity)) for w, build in words.items())
+        else:
+            atoms.update(words)
     return elims, atoms, {"+": False, "+s": not strong}
 
 

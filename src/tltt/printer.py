@@ -17,10 +17,10 @@ from tltt import syntax as S
 # sums, application, atoms.
 ARROW, PROD, EQ, SUM, APP, ATOM = range(6)
 
-
-def _word(t: S.Term, base: str, mark: str) -> str:
-    """The keyword of a former: `base`, plus `mark` for its strict twin."""
-    return base + mark if t.strict else base
+# former -> its word, its strict twin's word or None, and its argument fields
+_WORDS = {cls: (word, None if mark is None else word + mark,
+                tuple(field for field, _ in cls._children))
+          for cls, (word, mark) in S.KEYWORDS.items()}
 
 
 def _numeral(t: S.Term) -> Optional[tuple[int, bool]]:
@@ -115,19 +115,14 @@ class _Printer:
             return f"?v{t.index - len(self.names)}", ATOM
         if cls is S.App:
             return f"{self.go(t.fn, APP)} {self.atom(t.arg)}", APP
-        if cls is S.Fst:
-            return f"fst {self.atom(t.pair)}", APP
         if cls is S.Lam:
             name, body = self.bind(t.hint, t.body, ARROW)
             return f"\\{name}. {body}", ARROW
-        if cls is S.Snd:
-            return f"snd {self.atom(t.pair)}", APP
         if cls is S.Zero or cls is S.Succ:
             num = _numeral(t)
             if num is not None:
                 n, is_strict = num
                 return (f"{n}s" if is_strict else str(n)), ATOM
-            return f"{_word(t, 'succ', 's')} {self.atom(t.pred)}", APP
         if cls is S.Const:
             if t.name in self.count:
                 self.consts.add(t.name)
@@ -149,45 +144,24 @@ class _Printer:
                 return f"({name} : {fst}) * {snd}", PROD
             fst = f"({fst})" if level < EQ else fst
             return f"{fst} * {self.bind(None, t.snd, PROD)[1]}", PROD
+        words = _WORDS.get(cls)
+        if words is not None:
+            word, strict_word, fields = words
+            if strict_word is not None and t.strict:
+                word = strict_word
+            if not fields:
+                return word, ATOM
+            for field in fields:
+                word = f"{word} {self.atom(getattr(t, field))}"
+            return word, APP
         if cls is S.Pair:
             return f"({self.go(t.fst, ARROW)}, {self.go(t.snd, ARROW)})", ATOM
-        if cls is S.Unit:
-            return "Unit", ATOM
-        if cls is S.Star:
-            return "star", ATOM
-        if cls is S.Nat:
-            return _word(t, "Nat", "S"), ATOM
-        if cls is S.Empty:
-            return _word(t, "Empty", "S"), ATOM
-        if cls is S.NatElim:
-            parts = [_word(t, "natElim", "S"), self.atom(t.motive), self.atom(t.base),
-                     self.atom(t.step), self.atom(t.target)]
-            return " ".join(parts), APP
-        if cls is S.SumElim:
-            parts = [_word(t, "sumElim", "S"), self.atom(t.motive), self.atom(t.on_inl),
-                     self.atom(t.on_inr), self.atom(t.target)]
-            return " ".join(parts), APP
-        if cls is S.EmptyElim:
-            return (f"{_word(t, 'emptyElim', 'S')} {self.atom(t.motive)} "
-                    f"{self.atom(t.target)}"), APP
         if cls is S.Sum:
-            return (f"{self.go(t.left, APP)} {_word(t, '+', 's')} "
-                    f"{self.go(t.right, SUM)}"), SUM
-        if cls is S.Inl:
-            return f"{_word(t, 'inl', 's')} {self.atom(t.value)}", APP
-        if cls is S.Inr:
-            return f"{_word(t, 'inr', 's')} {self.atom(t.value)}", APP
+            op = "+s" if t.strict else "+"
+            return f"{self.go(t.left, APP)} {op} {self.go(t.right, SUM)}", SUM
         if cls is S.Id:
-            return (f"{self.go(t.lhs, SUM)} {_word(t, '=', 's')} "
-                    f"{self.go(t.rhs, SUM)}"), EQ
-        if cls is S.Refl:
-            return _word(t, "refl", "s"), ATOM
-        if cls is S.IdElim:
-            parts = [_word(t, "J", "s"), self.atom(t.motive), self.atom(t.refl_case),
-                     self.atom(t.lhs), self.atom(t.rhs), self.atom(t.proof)]
-            return " ".join(parts), APP
-        if cls is S.UipS:
-            return f"Ks {self.atom(t.p)} {self.atom(t.q)}", APP
+            op = "=s" if t.strict else "="
+            return f"{self.go(t.lhs, SUM)} {op} {self.go(t.rhs, SUM)}", EQ
         raise TypeError(f"cannot print {type(t).__name__}")
 
 

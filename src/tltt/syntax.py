@@ -16,8 +16,10 @@ The outer (strict) naturals, empty type, sums and equality are the same
 formers as the inner (fibrant) ones, living in the other fragment, so each
 is one class with a `strict` flag rather than a twin class.  The surface
 language spells the strict former with an `S`/`s` suffix (`NatS`, `succs`,
-`+s`, `=s`, `Js`, ...).  The flag takes part in comparison: alpha-equality
-tells the fragments apart.  `UipS` has no inner twin and stays a class.
+`+s`, `=s`, `Js`, ...).  `KEYWORDS` holds the words of the prefix and
+nullary formers, once for the parser and the printer.  The flag takes part
+in comparison: alpha-equality tells the fragments apart.  `UipS` has no
+inner twin and stays a class.
 
 Declarations, modules and sorts are records: `NamedTuple`s, except `Sort`,
 which checks its fields.
@@ -410,6 +412,18 @@ class Const(Term):
 
 
 _ATOMS = (Univ, Unit, Star, Nat, Zero, Empty, Refl, Const)
+
+# The word of each prefix or nullary former, and the mark that spells its
+# strict twin (None for a former with no twin): the parser reads these words
+# and the printer writes them.  Universes, numerals, `+` and `=` have syntax
+# of their own.
+KEYWORDS = {
+    Unit: ("Unit", None), Star: ("star", None), Nat: ("Nat", "S"),
+    Empty: ("Empty", "S"), Refl: ("refl", "s"), Fst: ("fst", None),
+    Snd: ("snd", None), Succ: ("succ", "s"), Inl: ("inl", "s"), Inr: ("inr", "s"),
+    NatElim: ("natElim", "S"), SumElim: ("sumElim", "S"),
+    EmptyElim: ("emptyElim", "S"), IdElim: ("J", "s"), UipS: ("Ks", None),
+}
 
 
 def term_children(t: Term) -> list[tuple[str, Term, bool]]:

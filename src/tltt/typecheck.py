@@ -64,7 +64,7 @@ class Context:
 
 
 def new_context(flags: Flags = Flags(), budget: Optional[int] = None) -> Context:
-    sig = nbe.Signature([budget] if budget is not None else None)
+    sig = nbe.Signature() if budget is None else nbe.Signature(budget)
     return Context(sig, flags)
 
 
@@ -215,10 +215,10 @@ def value_sort(ctx: Context, ty, depth: Optional[int] = None, span=None) -> Sort
         s2 = value_sort(ctx, nbe.inst(ty.snd, nbe.fresh_var(depth, ty.fst)),
                         depth + 1, span)
         return combine_sorts(s1, s2)
-    if isinstance(ty, (nbe.VUnit, nbe.VStar)):
+    if ty is nbe.UNIT or ty is nbe.NAT or ty is nbe.EMPTY:
         return fibrant(0)
-    if isinstance(ty, (nbe.VNat, nbe.VEmpty)):
-        return strict(0) if ty.strict else fibrant(0)
+    if ty is nbe.NAT_S or ty is nbe.EMPTY_S:
+        return strict(0)
     if isinstance(ty, nbe.VSum):
         s1 = value_sort(ctx, ty.left, depth, span)
         s2 = value_sort(ctx, ty.right, depth, span)

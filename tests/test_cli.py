@@ -641,6 +641,30 @@ def test_non_utf8_input_is_an_io_error(tmp_path, capsys):
     assert err == f"tltt: {path}: not valid UTF-8\n"
 
 
+def test_a_byte_order_mark_is_skipped(tmp_path, capsys):
+    bom = "\ufeff".encode("utf-8")
+    ok = tmp_path / "bom.2lt"
+    ok.write_bytes(bom + GOOD.encode("utf-8"))
+    assert main(["check", str(ok)]) == 0
+    capsys.readouterr()
+    # the diagnostics point where they point without the mark, on line 1 too
+    texts = {"types.2lt": "def x : Nat := star\n#check (2 : Nat) : NatS\n",
+             "names.2lt": "def y : Nat := zilch\n"}
+    for name, text in texts.items():
+        reports = []
+        for prefix in (b"", bom):
+            path = tmp_path / name
+            path.write_bytes(prefix + text.encode("utf-8"))
+            assert main(["check", "--format=lines", str(path)]) == 1
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        assert f"{name}\t1\t16\t" in reports[0]
+    not_utf8 = tmp_path / "latin1.2lt"
+    not_utf8.write_bytes(bom + b"-- caf\xe9\n")
+    assert main(["check", str(not_utf8)]) == 2
+    capsys.readouterr()
+
+
 def check_in_subprocess(path: str, address_space: int = 0) -> subprocess.CompletedProcess:
     """`tltt check --format=lines path`, its address space capped at
     `address_space` bytes if that is given."""

@@ -1,10 +1,11 @@
 """Evaluation, read-back, and conversion."""
 
+import math
 import random
 
 import pytest
 
-from tltt import corpus, nbe, syntax as S, typecheck as tc
+from tltt import corpus, nbe, nbe_core, syntax as S, typecheck as tc
 from tltt.parser import parse_module, parse_term
 from tltt.printer import pretty_print
 
@@ -23,7 +24,7 @@ def ev(t, ctx=None):
 
 
 def test_beta():
-    assert isinstance(ev(S.App(S.Lam(S.Var(0)), S.Star())), nbe.VStar)
+    assert ev(S.App(S.Lam(S.Var(0)), S.Star())) is nbe.STAR
 
 
 def test_strict_nat_eliminator_addition():
@@ -39,7 +40,7 @@ def test_strict_nat_eliminator_addition():
     count = 0
     while isinstance(v, nbe.VSucc):
         v, count = v.pred, count + 1
-    assert isinstance(v, nbe.VZero) and v.strict
+    assert v is nbe.ZERO_S
     assert count == reference_add(0, 2)
 
 
@@ -194,6 +195,32 @@ def test_axioms_and_uip_stay_neutral():
     assert isinstance(nbe.eval_in(ctx2, t2), nbe.VNeutral)
 
 
+ATOMS = [(S.Unit(), nbe.UNIT), (S.Star(), nbe.STAR),
+         (S.Nat(), nbe.NAT), (S.Nat(strict=True), nbe.NAT_S),
+         (S.Zero(), nbe.ZERO), (S.Zero(strict=True), nbe.ZERO_S),
+         (S.Empty(), nbe.EMPTY), (S.Empty(strict=True), nbe.EMPTY_S),
+         (S.Refl(), nbe.REFL), (S.Refl(strict=True), nbe.REFL_S)]
+
+
+@pytest.mark.parametrize("term, atom", ATOMS, ids=[repr(t) for t, _ in ATOMS])
+def test_an_atom_evaluates_to_its_one_value_and_reads_back_as_its_term(term, atom):
+    assert type(atom) is nbe.VAtom and ev(term) is atom
+    assert atom.term == term
+    for depth in (0, 3):
+        assert nbe.quote(depth, atom) is atom.term
+
+
+def test_distinct_atoms_are_not_convertible():
+    atoms = [atom for _, atom in ATOMS]
+    others = [nbe.fresh_var(0), nbe.fresh_var(0, nbe.NAT), nbe.VUniv(S.fibrant(0))]
+    for a in atoms:
+        # equal to itself also where no caller has tested identity first
+        assert nbe_core._conv_whnf(1, a, a, False)
+        for b in atoms + others:
+            if b is not a:
+                assert not nbe.conv(1, a, b, None) and not nbe.conv(1, b, a, None)
+
+
 def test_definitions_unfold_axioms_do_not():
     ctx = empty_ctx()
     ctx.sig.define("two", nbe.NAT, ev(S.Succ(S.Succ(S.Zero()))), is_axiom=False)
@@ -207,7 +234,7 @@ def test_unfold_budget():
     assert nbe.force(nbe.evaluate(S.Const("d"), ctx.env)) is nbe.ZERO
     with pytest.raises(nbe.EvalError):
         nbe.force(nbe.evaluate(S.Const("d"), ctx.env))
-    ctx.sig.budget = [0]
+    ctx.sig.limit = ctx.sig.unfolds
     nbe.evaluate(S.Const("d"), ctx.env)
 
 
@@ -242,11 +269,11 @@ def _conv_text(ctx, a, b, ty):
 
 def test_same_constant_applications_compare_without_unfolding(sst_ctx):
     # each SST 5s has its own numeral objects, so no sharing rule applies
-    sst_ctx.sig.budget = [0]
+    sst_ctx.sig.limit = sst_ctx.sig.unfolds
     try:
         assert _conv_text(sst_ctx, "SST 5s", "SST 5s", "U 1")
     finally:
-        sst_ctx.sig.budget = None
+        sst_ctx.sig.limit = math.inf
 
 
 def test_same_constant_applications_unfold_after_a_spine_mismatch():
@@ -343,11 +370,11 @@ def test_stuck_application_spends_no_unfolds_on_its_type():
     ctx = empty_ctx()
     for decl in parse_module("def T : U 0 := Nat\naxiom f : Nat -> T", "<test>").decls:
         tc.check_declaration(ctx, decl)
-    ctx.sig.budget = [0]
+    ctx.sig.limit = unfolds = ctx.sig.unfolds
     v = nbe.evaluate(S.App(S.Const("f"), S.Zero()), ctx.env)
-    assert isinstance(v, nbe.VNeutral) and ctx.sig.budget == [0]
+    assert isinstance(v, nbe.VNeutral) and ctx.sig.unfolds == unfolds
     assert nbe.quote(0, v) == S.App(S.Const("f"), S.Zero())
-    ctx.sig.budget = None
+    ctx.sig.limit = math.inf
     assert nbe.neutral_type(v) is nbe.NAT
 
 
@@ -409,7 +436,7 @@ def test_conv_of_a_value_with_itself_spends_no_unfolds():
     assert nbe.conv(0, pi, pi, nbe.VUniv(S.fibrant(0)))
     f = ev(S.Lam(S.Refl()), ctx)
     assert nbe.conv(0, f, f, pi)
-    assert ctx.sig.budget == [0]
+    assert ctx.sig.unfolds == 0
 
 
 def _closure_pair(ctx, body, values_a, values_b):
@@ -440,7 +467,7 @@ def test_closures_over_identical_environments_are_not_instantiated(former):
     ca, cb = _closure_pair(ctx, body, [shared, nbe.ZERO], [shared, nbe.ZERO])
     assert ca is not cb and ca.env is not cb.env
     assert nbe.conv(0, _bind(former, ca), _bind(former, cb), None)
-    assert ctx.sig.budget == [0]
+    assert ctx.sig.unfolds == 0
 
 
 @pytest.mark.parametrize("former", [nbe.VLam, nbe.VPi, nbe.VSigma],

@@ -348,6 +348,22 @@ def test_strong_mode_reads_every_merged_word_as_fibrant():
     assert strict_constructors(strong) == {"UnivS", "IdElimS", "IdS", "ReflS", "UipS"}
 
 
+@pytest.mark.parametrize("former", list(S.KEYWORDS), ids=lambda cls: cls.__name__)
+def test_every_keyword_prints_and_parses_back(former):
+    # each argument a different variable, so that a swapped field shows
+    names = ["a", "b", "c", "d", "e"]
+    args = [S.Var(i) for i in range(len(former._children))]
+    word, mark = S.KEYWORDS[former]
+    terms = [former(*args)]
+    if mark is not None:
+        terms.append(former(*args, strict=True))
+    for t in terms:
+        text = pretty_print(t, names)
+        assert text.split()[0] == (word + mark if getattr(t, "strict", False) else word)
+        assert parse_term(text, scope=names) == t
+        assert parse_term(text, scope=names, strong=True) == merge_strict_formers(t)
+
+
 def test_lexing_diagnostics_keep_their_spans():
     cases = {
         "def x : Nat := 0 -": ("stray '-' (use '-- ' for comments, '->' for arrows)", 1, 18),

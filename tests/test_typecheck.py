@@ -169,14 +169,14 @@ def test_nat_elim_motive_restriction_and_strong_waiver():
     strong = ctx_default(strong=True)
     t = parse_term(text, strong=True)
     _, ty = tc.infer(strong, t)
-    assert isinstance(ty, nbe.VNat)
+    assert ty is nbe.NAT
 
 
 def test_check_motive_fibrancy_operation():
     ctx = ctx_default()
     good = parse_term("natElim ((\\n. Nat) : Nat -> U 1) 0 (\\n. \\r. succ r) 2")
     _, ty = tc.infer(ctx, good)
-    assert isinstance(ty, nbe.VNat) and not ty.strict
+    assert ty is nbe.NAT
     bad = parse_term("natElim ((\\n. NatS) : Nat -> Us 0) 0s (\\n. \\r. succs r) 2")
     with pytest.raises(CheckError) as e:
         tc.infer(ctx, bad)
