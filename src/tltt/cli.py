@@ -40,28 +40,18 @@ class PragmaResult(NamedTuple):
     text: str
 
 
-class FileStatus:
-    __slots__ = ("path", "decls", "pragmas")
-
-    def __init__(self, path: str, decls: int = 0, pragmas: int = 0) -> None:
-        self.path = path
-        self.decls = decls
-        self.pragmas = pragmas
-
-
 class RunReport:
-    __slots__ = ("files", "diagnostics", "pragma_results", "checked", "context")
+    __slots__ = ("diagnostics", "pragma_results", "checked", "context", "pragmas")
 
-    def __init__(self, files: Optional[list[FileStatus]] = None,
-                 diagnostics: Optional[list[tuple[str, Diagnostic]]] = None,
+    def __init__(self, diagnostics: Optional[list[tuple[str, Diagnostic]]] = None,
                  pragma_results: Optional[list[PragmaResult]] = None,
                  checked: Optional[list[tc.CheckedDecl]] = None,
                  context: Optional[tc.Context] = None) -> None:
-        self.files = [] if files is None else files
         self.diagnostics = [] if diagnostics is None else diagnostics
         self.pragma_results = [] if pragma_results is None else pragma_results
         self.checked = [] if checked is None else checked
         self.context = context  # the final typing context, for tooling
+        self.pragmas = 0  # pragmas run, whether they succeeded or not
 
     @property
     def error_count(self) -> int:
@@ -93,12 +83,10 @@ class _Runner:
 
     def reset_budget(self) -> None:
         if self.config.unfold_budget is not None:
-            sig = self.ctx.sig
-            sig.limit = sig.unfolds + self.config.unfold_budget
+            budget = self.ctx.sig.budget
+            budget.limit = budget.unfolds + self.config.unfold_budget
 
     def run_file(self, path: str, text: str) -> None:
-        status = FileStatus(path)
-        self.report.files.append(status)
         try:
             module = parse_module(text, path, known_names=self.ctx.sig.entries.keys(),
                                   strong=self.config.strong_mode)
@@ -112,17 +100,17 @@ class _Runner:
             self.reset_budget()
             try:
                 if isinstance(decl, S.Pragma):
-                    status.pragmas += 1
+                    self.report.pragmas += 1
                     self.run_pragma(path, decl)
                 else:
                     self.trace(f"checking {decl.name}")
-                    started, unfolds = time.perf_counter(), self.ctx.sig.unfolds
+                    budget = self.ctx.sig.budget
+                    started, unfolds = time.perf_counter(), budget.unfolds
                     checked = tc.check_declaration(self.ctx, decl)
                     self.trace(f"checked {decl.name} in "
                                f"{(time.perf_counter() - started) * 1000:.1f} ms, "
-                               f"{self.ctx.sig.unfolds - unfolds} unfolds")
+                               f"{budget.unfolds - unfolds} unfolds")
                     self.report.checked.append(checked)
-                    status.decls += 1
             except CheckError as e:
                 self.diag(path, e.diagnostic)
             except nbe.EvalError as e:
@@ -236,8 +224,7 @@ def emit_report(report: RunReport, output_format: str = "human") -> tuple[str, i
         lines.append(f"{res.path}:{res.line}:{res.col}: #{res.kind.lower()}: {res.text}")
     for path, d in report.diagnostics:
         lines.append(str(d) if d.span else f"{path}: error[{d.code}]: {d.message}")
-    decls = sum(f.decls for f in report.files)
-    pragmas = sum(f.pragmas for f in report.files)
+    decls, pragmas = len(report.checked), report.pragmas
     if report.ok:
         lines.append(f"OK: {decls} declarations, {pragmas} pragmas")
     else:

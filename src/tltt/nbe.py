@@ -9,12 +9,12 @@ recursion.
 from __future__ import annotations
 
 from tltt.nbe_core import (  # noqa: F401
-    EMPTY, EMPTY_S, FST, NAT, NAT_S, REFL, REFL_S, SND, STAR, UNIT, ZERO, ZERO_S,
-    Closure, Env, EvalError, FElim, FFst, FSnd, HConst, HUip, HVar,
-    SigEntry, Signature, Value, VAtom, VId, VInj, VLam, VNeutral, VPair, VPi,
-    VSigma, VSucc, VSum, VUniv,
+    EMPTY, EMPTY_ENV, EMPTY_S, FST, NAT, NAT_S, REFL, REFL_S, SND, STAR, UNIT,
+    ZERO, ZERO_S, Closure, Env, EvalError, FElim, FFst, FSnd, HConst, HUip, HVar,
+    Signature, Value, VAtom, VId, VInj, VLam, VNeutral, VPair, VPi, VSigma, VSucc,
+    VSum, VUniv,
     apply_many, apply_value, conv, do_emptyelim, do_fst, do_idelim, do_natelim,
-    do_snd, do_sumelim, empty_env, evaluate, extend, force, fresh_var, inst,
+    do_snd, do_sumelim, evaluate, extend, force, fresh_var, inst,
     neutral_type, quote,
 )
 

@@ -15,11 +15,12 @@ type, `refl`, each in its fragment) evaluates to one interned `VAtom`, which
 holds the term it reads back as.  The ten atoms are the only instances, so
 conversion, the eliminators and the checker tell them apart by identity.
 
-Constants are glued.  `Const name` evaluates to the one value its
-`SigEntry` built, a neutral whose `HConst` head also holds the definition's
-body; applying it only pushes an argument.  `force` is the one place a
-constant unfolds: it applies the body along the spine, counting one unfold
-against the signature's limit, and leaves every other value as it is.
+Constants are glued.  Elaboration resolves each `Const name` to the one
+value the signature holds for the name, and the mention evaluates to it: a
+neutral whose `HConst` head also holds the definition's body; applying it
+only pushes an argument.  `force` is the one place a constant unfolds: it
+applies the body along the spine, counting one unfold against the
+signature's budget, and leaves every other value as it is.
 Eliminators, read-back and the checker force what they take apart;
 conversion first compares two applications of one constant argument by
 argument, and forces both sides only when that fails.  A forced
@@ -30,8 +31,8 @@ immutable in substance.
 
 Conversion exploits sharing before it computes.  Values are never mutated
 and `evaluate` is deterministic, so two references to one value object are
-equal.  Every mention of a constant evaluates to its one shared value, which
-makes this common.
+equal.  Every elaborated mention of a constant evaluates to its one shared
+value, which makes this common.
 """
 
 import math
@@ -45,30 +46,33 @@ class EvalError(Exception):
 
 # -- signature ----------------------------------------------------------------
 
-class SigEntry:
-    __slots__ = ("ty", "is_axiom", "value")
+class Budget:
+    """The number of unfolds performed so far and the count at which
+    unfolding stops.  Every constant's head points here; it points at
+    nothing, so a signature and its values hold no reference cycle."""
 
-    def __init__(self, name, ty, body, is_axiom, sig):
-        self.ty = ty  # Value: the declared type
-        self.is_axiom = is_axiom
-        # what every `Const name` evaluates to: glued to `body` (the evaluated
-        # definition), or stuck for an axiom, whose `body` is None
-        self.value = VNeutral(HConst(name, ty, body, sig), ())
-
-
-class Signature:
-    """Global signature of checked declarations, the number of unfolds
-    performed so far and the count at which unfolding stops."""
-
-    __slots__ = ("entries", "unfolds", "limit")
+    __slots__ = ("unfolds", "limit")
 
     def __init__(self, limit=math.inf):
-        self.entries = {}
         self.unfolds = 0
         self.limit = limit  # `force` raises once `unfolds` has reached it
 
-    def define(self, name, ty, body, is_axiom=False):
-        self.entries[name] = SigEntry(name, ty, body, is_axiom, self)
+
+class Signature:
+    """Global signature of checked declarations: each name's value, which
+    its elaborated mentions hold (`Const.resolved`), and the unfold budget
+    its definitions spend."""
+
+    __slots__ = ("entries", "budget")
+
+    def __init__(self, limit=math.inf):
+        self.entries = {}
+        self.budget = Budget(limit)
+
+    def define(self, name, ty, body):
+        """Glue `name : ty` to `body` (the evaluated definition), or leave it
+        stuck if `body` is None: an axiom."""
+        self.entries[name] = VNeutral(HConst(name, ty, body, self.budget), ())
 
     def lookup(self, name):
         return self.entries.get(name)
@@ -80,14 +84,13 @@ class Signature:
 # -- environments and closures --------------------------------------------------
 
 class Env:
-    """Persistent environment: a cons list of values, threaded with the signature."""
+    """Persistent environment: a cons list of variables' values."""
 
-    __slots__ = ("value", "parent", "sig")
+    __slots__ = ("value", "parent")
 
-    def __init__(self, value, parent, sig):
+    def __init__(self, value, parent):
         self.value = value
         self.parent = parent
-        self.sig = sig
 
     def lookup(self, index):
         node = self
@@ -97,22 +100,18 @@ class Env:
         return node.value
 
 
-def empty_env(sig):
-    return _EmptyEnv(sig)
-
-
 class _EmptyEnv:
-    __slots__ = ("sig",)
-
-    def __init__(self, sig):
-        self.sig = sig
+    __slots__ = ()
 
     def lookup(self, index):
         raise EvalError("variable out of range")
 
 
+EMPTY_ENV = _EmptyEnv()
+
+
 def extend(env, value):
-    return Env(value, env, env.sig)
+    return Env(value, env)
 
 
 class Closure:
@@ -239,13 +238,13 @@ class HVar:
 class HConst:
     """A constant: an axiom (`body` None) or a definition, glued to its body."""
 
-    __slots__ = ("name", "ty", "body", "sig")
+    __slots__ = ("name", "ty", "body", "budget")
 
-    def __init__(self, name, ty, body, sig):
+    def __init__(self, name, ty, body, budget):
         self.name = name
         self.ty = ty
         self.body = body
-        self.sig = sig
+        self.budget = budget
 
 
 class HUip:
@@ -336,10 +335,10 @@ def force(v):
         return v
     if v.unfolded is not None:
         return v.unfolded
-    sig = head.sig
-    if sig.unfolds >= sig.limit:
+    budget = head.budget
+    if budget.unfolds >= budget.limit:
         raise EvalError("unfold budget exhausted")
-    sig.unfolds += 1
+    budget.unfolds += 1
     result = head.body
     for arg in v.spine:
         result = apply_value(result, arg)
@@ -462,10 +461,9 @@ def evaluate(t, env):
     if cls is S.Lam:
         return VLam(env, t.body, t.hint)
     if cls is S.Const:
-        entry = env.sig.lookup(t.name)
-        if entry is None:
-            raise EvalError(f"undeclared constant {t.name}")
-        return entry.value
+        if t.resolved is None:
+            raise EvalError(f"unresolved constant {t.name}")
+        return t.resolved
     if cls is S.Pi:
         return VPi(evaluate(t.dom, env), Closure(env, t.cod), t.hint)
     if cls is S.Sigma:
@@ -569,7 +567,7 @@ def _quote_neutral(depth, v, unfold):
             raise EvalError("variable level out of range during read-back")
         acc = S.Var(depth - 1 - head.level)
     elif isinstance(head, HConst):
-        acc = S.Const(head.name)
+        acc = S.Const(head.name, v if not v.spine else VNeutral(head, ()))
     elif isinstance(head, HUip):
         acc = S.UipS(quote(depth, head.p, unfold), quote(depth, head.q, unfold))
     else:

@@ -203,10 +203,6 @@ def _strict(cls):
     return partial(cls, strict=True)
 
 
-# The formers whose strict twin strong mode keeps apart: equality's.
-_KEPT_APART = frozenset({S.Refl, S.IdElim})
-
-
 def _word_tables(strong: bool):
     """What the words of `S.KEYWORDS` build: eliminators and formers applied
     to arguments, with their arity (the number of term fields); atoms; and
@@ -217,7 +213,7 @@ def _word_tables(strong: bool):
     for cls, (word, mark) in S.KEYWORDS.items():
         words = {word: cls}
         if mark is not None:
-            merged = strong and cls not in _KEPT_APART
+            merged = strong and cls not in S.KEPT_APART
             words[word + mark] = cls if merged else _strict(cls)
         arity = len(cls._children)
         if arity:

@@ -110,10 +110,11 @@ TermSpan = tuple
 
 
 # Fields that carry no semantic content: equality, hashing and `repr` leave
-# them out.  `ty` is the carrier of `Id`, inferable from its endpoints.
-_UNCOMPARED = frozenset({"span", "hint", "ann", "ty"})
+# them out.  `ty` is the carrier of `Id`, inferable from its endpoints;
+# `resolved` is the value a constant's name stands for.
+_UNCOMPARED = frozenset({"span", "hint", "ann", "ty", "resolved"})
 # Fields that hold no term.
-_NOT_TERMS = frozenset({"span", "hint", "strict", "index", "sort", "name"})
+_NOT_TERMS = frozenset({"span", "hint", "strict", "index", "sort", "name", "resolved"})
 
 
 class Term:
@@ -404,10 +405,16 @@ class UipS(Term):
 
 
 class Const(Term):
-    __slots__ = ("name",)
+    """A mention of a declared constant.  The parser leaves `resolved` None;
+    elaboration and read-back fill in the value the name stands for, which
+    is what the mention evaluates to."""
 
-    def __init__(self, name: str, *, span: Optional[TermSpan] = None) -> None:
+    __slots__ = ("name", "resolved")
+
+    def __init__(self, name: str, resolved=None, *,
+                 span: Optional[TermSpan] = None) -> None:
         self.name = name
+        self.resolved = resolved
         self.span = span
 
 
@@ -424,6 +431,16 @@ KEYWORDS = {
     NatElim: ("natElim", "S"), SumElim: ("sumElim", "S"),
     EmptyElim: ("emptyElim", "S"), IdElim: ("J", "s"), UipS: ("Ks", None),
 }
+
+# The formers whose strict twin strong mode keeps apart: equality's.  Strong
+# mode reads every other strict word as the fibrant former.
+KEPT_APART = frozenset({Refl, IdElim})
+
+
+def keyword(cls: type, strict: bool = False) -> str:
+    """The word of the former `cls`, or of its strict twin."""
+    word, mark = KEYWORDS[cls]
+    return word + mark if strict else word
 
 
 def term_children(t: Term) -> list[tuple[str, Term, bool]]:

@@ -34,7 +34,7 @@ class Context:
         self.sig = sig
         self.flags = flags
         self.binders = binders  # names, outermost first; None for an anonymous one
-        self.env = env if env is not None else nbe.empty_env(sig)
+        self.env = nbe.EMPTY_ENV if env is None else env
 
     @property
     def depth(self) -> int:
@@ -78,10 +78,10 @@ def infer(ctx: Context, t: Term) -> tuple[Term, object]:
                 raise fail(D.UNBOUND_VARIABLE, f"variable index {i} out of scope", t.span)
             return t, ctx.var_value(i).head.ty
         case S.Const(name=n):
-            entry = ctx.sig.lookup(n)
-            if entry is None:
+            value = ctx.sig.lookup(n)
+            if value is None:
                 raise fail(D.UNBOUND_VARIABLE, f"unknown constant {n}", t.span)
-            return t, entry.ty
+            return S.Const(n, value, span=t.span), value.head.ty
         case S.Univ(sort=s):
             return t, nbe.VUniv(Sort(s.fragment, s.level + 1))
         case S.Pi(dom=dom, cod=cod):
@@ -176,8 +176,9 @@ def infer(ctx: Context, t: Term) -> tuple[Term, object]:
             eq = nbe.force(p_ty)
             if not (isinstance(eq, nbe.VId) and eq.strict):
                 raise fail(D.CONVERSION_FAILURE,
-                           "Ks expects proofs of a strict equality", t.span,
-                           expected="a strict equality type", actual=ctx.show(p_ty))
+                           f"{S.keyword(S.UipS)} expects proofs of a strict equality",
+                           t.span, expected="a strict equality type",
+                           actual=ctx.show(p_ty))
             q2 = check(ctx, q, p_ty)
             return (S.UipS(p2, q2, span=t.span),
                     nbe.VId(p_ty, nbe.eval_in(ctx, p2), nbe.eval_in(ctx, q2), True))
@@ -285,8 +286,6 @@ class _Rule(NamedTuple):
     cases: tuple  # the type of each case
     errors: tuple  # the diagnostic for a motive failing at each telescope position
     expected: Optional[str]  # the motive's shape, shown with those diagnostics
-    fibrant_motive: Optional[str]  # the eliminator named if the motive lands in Us i
-    strong_waives: bool  # whether strong mode waives the fibrant-motive rule
 
 
 def _summands(strict_sum: bool) -> Callable:
@@ -302,26 +301,25 @@ def _rules() -> dict:
     V, App = S.Var, S.App
     rules = {}
     for s in (False, True):
-        nat, empty, j = S.Nat(strict=s), S.Empty(strict=s), "Js" if s else "J"
+        nat, empty, j = S.Nat(strict=s), S.Empty(strict=s), S.keyword(S.IdElim, s)
         rules[S.NatElim, s] = _Rule(
             None, "", (nat,),
             (App(V(0), S.Zero(strict=s)),  # P 0
              S.Pi(nat, S.Pi(App(V(1), V(0)),  # (n : Nat) -> P n -> P (succ n)
                             App(V(2), S.Succ(V(1), strict=s))))),
             ("the motive must be a family over the naturals",),
-            "NatS -> ..." if s else "Nat -> ...", None if s else "natElim", True)
+            f"{S.keyword(S.Nat, s)} -> ...")
         rules[S.SumElim, s] = _Rule(
             _summands(s), "sum elimination of a non-sum",
             (V(2),),  # A + B, as given
             (S.Pi(V(2), App(V(1), S.Inl(V(0), strict=s))),  # (a : A) -> P (inl a)
              S.Pi(V(1), App(V(1), S.Inr(V(0), strict=s)))),  # (b : B) -> P (inr b)
             ("the motive must be a family over a sum type",),
-            "(... +s ...) -> ..." if s else "(... + ...) -> ...",
-            None if s else "sumElim", True)
+            "(... +s ...) -> ..." if s else "(... + ...) -> ...")
         rules[S.EmptyElim, s] = _Rule(
             None, "", (empty,), (),
             ("the motive must be a family over the empty type",),
-            "EmptyS -> ..." if s else "Empty -> ...", None if s else "emptyElim", True)
+            f"{S.keyword(S.Empty, s)} -> ...")
         rules[S.IdElim, s] = _Rule(
             lambda v: (v,), "",
             (V(0), V(1), S.Id(V(2), V(1), V(0), strict=s)),  # A, A, x = y
@@ -330,7 +328,7 @@ def _rules() -> dict:
             (f"the {j} motive must abstract both endpoints and the proof",
              f"the {j} motive must take two endpoints of the same type",
              f"the {j} motive must abstract a proof between its endpoints"),
-            None, None if s else "J", False)
+            None)
     return rules
 
 
@@ -396,10 +394,12 @@ def _infer_elim(ctx: Context, t: Term) -> tuple[Term, object]:
     if not isinstance(pi, nbe.VUniv):
         raise fail(D.UNIVERSE_ERROR, "the motive must land in a universe", span,
                    expected="a universe", actual=inner.show(cod))
-    if not (rule.fibrant_motive is None or pi.sort.is_fibrant
-            or rule.strong_waives and ctx.flags.strong):
+    # a fibrant eliminator's motive lands in a fibrant universe; strong mode
+    # waives this for the formers it merges with their strict twins
+    if not (t.strict or pi.sort.is_fibrant
+            or ctx.flags.strong and type(t) not in S.KEPT_APART):
         raise fail(D.NON_FIBRANT_MOTIVE,
-                   f"{rule.fibrant_motive} can only eliminate into families of fibrant "
+                   f"{S.keyword(type(t))} can only eliminate into families of fibrant "
                    f"types; the motive lands in {pi.sort}", span)
     m_v = nbe.eval_in(ctx, motive2)
     case_env = nbe.extend(carrier_env, m_v)
@@ -452,7 +452,7 @@ def check(ctx: Context, t: Term, expected) -> Term:
             snd2 = check(ctx, snd, nbe.inst(sigma.snd, nbe.eval_in(ctx, fst2)))
             return S.Pair(fst2, snd2, span=t.span)
         case S.Refl():
-            word = "refls" if t.strict else "refl"
+            word = S.keyword(S.Refl, t.strict)
             eq = nbe.force(expected)
             if not (isinstance(eq, nbe.VId) and eq.strict == t.strict):
                 raise fail(D.CONVERSION_FAILURE,
@@ -501,7 +501,6 @@ class CheckedDecl(NamedTuple):
     name: str
     ty: Term
     body: Optional[Term]  # None for axioms
-    is_axiom: bool
     span: Optional[Span] = None
 
 
@@ -513,9 +512,9 @@ def check_declaration(ctx: Context, decl) -> CheckedDecl:
     ty2, _sort = infer_universe(ctx, decl.ty)
     ty_v = nbe.eval_in(ctx, ty2)
     if isinstance(decl, S.Axiom):
-        ctx.sig.define(decl.name, ty_v, None, is_axiom=True)
-        return CheckedDecl(decl.name, ty2, None, True, decl.span)
+        ctx.sig.define(decl.name, ty_v, None)
+        return CheckedDecl(decl.name, ty2, None, decl.span)
     body2 = check(ctx, decl.body, ty_v)
     body_v = nbe.eval_in(ctx, body2)
-    ctx.sig.define(decl.name, ty_v, body_v, is_axiom=False)
-    return CheckedDecl(decl.name, ty2, body2, False, decl.span)
+    ctx.sig.define(decl.name, ty_v, body_v)
+    return CheckedDecl(decl.name, ty2, body2, decl.span)

@@ -182,8 +182,8 @@ def test_normalize_beta_iota():
 
 def test_axioms_and_uip_stay_neutral():
     ctx = empty_ctx()
-    ctx.sig.define("ax", ev(S.Pi(S.Nat(), S.Nat()), ctx), None, is_axiom=True)
-    t = S.App(S.Const("ax"), S.Zero())
+    ctx.sig.define("ax", ev(S.Pi(S.Nat(), S.Nat()), ctx), None)
+    t = S.App(S.Const("ax", ctx.sig.lookup("ax")), S.Zero())
     nf = nbe.normalize(ctx, t)
     assert nf == S.App(S.Const("ax"), S.Zero())
     # Ks never computes, even on identical canonical proofs
@@ -223,19 +223,20 @@ def test_distinct_atoms_are_not_convertible():
 
 def test_definitions_unfold_axioms_do_not():
     ctx = empty_ctx()
-    ctx.sig.define("two", nbe.NAT, ev(S.Succ(S.Succ(S.Zero()))), is_axiom=False)
-    assert nbe.normalize(ctx, S.Const("two")) == parse_term("2")
+    ctx.sig.define("two", nbe.NAT, ev(S.Succ(S.Succ(S.Zero()))))
+    assert nbe.normalize(ctx, S.Const("two", ctx.sig.lookup("two"))) == parse_term("2")
 
 
 def test_unfold_budget():
     # forcing a constant spends an unfold; evaluating a mention of it does not
     ctx = tc.new_context(budget=1)
     ctx.sig.define("d", nbe.NAT, nbe.ZERO)
-    assert nbe.force(nbe.evaluate(S.Const("d"), ctx.env)) is nbe.ZERO
+    d = S.Const("d", ctx.sig.lookup("d"))
+    assert nbe.force(nbe.evaluate(d, ctx.env)) is nbe.ZERO
     with pytest.raises(nbe.EvalError):
-        nbe.force(nbe.evaluate(S.Const("d"), ctx.env))
-    ctx.sig.limit = ctx.sig.unfolds
-    nbe.evaluate(S.Const("d"), ctx.env)
+        nbe.force(nbe.evaluate(d, ctx.env))
+    ctx.sig.budget.limit = ctx.sig.budget.unfolds
+    nbe.evaluate(d, ctx.env)
 
 
 # -- glued constants ----------------------------------------------------------------
@@ -257,6 +258,19 @@ def sst_ctx():
                           for name in ("prelude.2lt", "fin.2lt", "sst.2lt")))
 
 
+def test_a_mention_evaluates_to_the_value_it_resolved_to():
+    ctx = _checked_ctx("axiom f : Nat -> Nat\ndef d : Nat := f 0")
+    d, _ = tc.infer(ctx, parse_term("d", known_names=["f", "d"]))
+    assert nbe.eval_in(ctx, d) is ctx.sig.lookup("d")
+    # read back, an applied constant is resolved too, to a head of its own
+    f0 = nbe.quote(0, nbe.eval_in(ctx, d))
+    assert f0 == S.App(S.Const("f"), S.Zero())
+    assert nbe.eval_in(ctx, f0).head is ctx.sig.lookup("f").head
+    # the parser resolves nothing
+    with pytest.raises(nbe.EvalError, match="unresolved constant d"):
+        nbe.eval_in(ctx, parse_term("d", known_names=["d"]))
+
+
 def _conv_text(ctx, a, b, ty):
     """Elaborate `a` and `b` independently at the type `ty` and compare them."""
     names = ctx.sig.entries.keys()
@@ -269,11 +283,12 @@ def _conv_text(ctx, a, b, ty):
 
 def test_same_constant_applications_compare_without_unfolding(sst_ctx):
     # each SST 5s has its own numeral objects, so no sharing rule applies
-    sst_ctx.sig.limit = sst_ctx.sig.unfolds
+    budget = sst_ctx.sig.budget
+    budget.limit = budget.unfolds
     try:
         assert _conv_text(sst_ctx, "SST 5s", "SST 5s", "U 1")
     finally:
-        sst_ctx.sig.limit = math.inf
+        budget.limit = math.inf
 
 
 def test_same_constant_applications_unfold_after_a_spine_mismatch():
@@ -370,11 +385,12 @@ def test_stuck_application_spends_no_unfolds_on_its_type():
     ctx = empty_ctx()
     for decl in parse_module("def T : U 0 := Nat\naxiom f : Nat -> T", "<test>").decls:
         tc.check_declaration(ctx, decl)
-    ctx.sig.limit = unfolds = ctx.sig.unfolds
-    v = nbe.evaluate(S.App(S.Const("f"), S.Zero()), ctx.env)
-    assert isinstance(v, nbe.VNeutral) and ctx.sig.unfolds == unfolds
+    budget = ctx.sig.budget
+    budget.limit = unfolds = budget.unfolds
+    v = nbe.evaluate(S.App(S.Const("f", ctx.sig.lookup("f")), S.Zero()), ctx.env)
+    assert isinstance(v, nbe.VNeutral) and budget.unfolds == unfolds
     assert nbe.quote(0, v) == S.App(S.Const("f"), S.Zero())
-    ctx.sig.limit = math.inf
+    budget.limit = math.inf
     assert nbe.neutral_type(v) is nbe.NAT
 
 
@@ -432,11 +448,12 @@ def test_conv_of_a_value_with_itself_spends_no_unfolds():
     # `(n : Nat) -> d = n` and `\n. refl` at that type: comparing either
     # with itself would instantiate the codomain and unfold `d`
     ctx = _budget_ctx_with_constant()
-    pi = ev(S.Pi(S.Nat(), S.Id(S.Nat(), S.Const("d"), S.Var(0))), ctx)
+    d = S.Const("d", ctx.sig.lookup("d"))
+    pi = ev(S.Pi(S.Nat(), S.Id(S.Nat(), d, S.Var(0))), ctx)
     assert nbe.conv(0, pi, pi, nbe.VUniv(S.fibrant(0)))
     f = ev(S.Lam(S.Refl()), ctx)
     assert nbe.conv(0, f, f, pi)
-    assert ctx.sig.unfolds == 0
+    assert ctx.sig.budget.unfolds == 0
 
 
 def _closure_pair(ctx, body, values_a, values_b):
@@ -463,11 +480,11 @@ def test_closures_over_identical_environments_are_not_instantiated(former):
     # no unfold, and the two mentions are then one value object
     ctx = _budget_ctx_with_constant()
     shared = nbe.VSucc(nbe.ZERO, False)
-    body = S.Id(S.Nat(), S.Const("d"), S.Var(1))
+    body = S.Id(S.Nat(), S.Const("d", ctx.sig.lookup("d")), S.Var(1))
     ca, cb = _closure_pair(ctx, body, [shared, nbe.ZERO], [shared, nbe.ZERO])
     assert ca is not cb and ca.env is not cb.env
     assert nbe.conv(0, _bind(former, ca), _bind(former, cb), None)
-    assert ctx.sig.unfolds == 0
+    assert ctx.sig.budget.unfolds == 0
 
 
 @pytest.mark.parametrize("former", [nbe.VLam, nbe.VPi, nbe.VSigma],

@@ -56,14 +56,41 @@ def test_uninferable_carrier_message(text, message):
     assert e.value.diagnostic.message == message + "; ascribe one endpoint"
 
 
-def test_carrier_sort_is_read_off_the_value_not_its_read_back():
-    # `e`'s type reads back as `(\x. x) =s (\x. x)`, which has no carrier to
-    # infer; the carrier value `Nat -> Nat` still has a sort
-    ctx = ctx_default()
-    module = parse_module("def idf : Nat -> Nat := \\x. x\naxiom e : idf =s idf", "<test>")
-    for decl in module.decls:
+def _declare(ctx, text):
+    names = list(ctx.sig.entries)
+    for decl in parse_module(text, "<test>", known_names=names).decls:
         tc.check_declaration(ctx, decl)
-    assert infer_code(ctx, parse_term("e =s e", known_names=["e"])) == "Us 0"
+    return list(ctx.sig.entries)
+
+
+def test_carrier_sort_is_read_off_the_value_not_its_read_back():
+    # the carrier of `e =s e` is `e`'s type, which reads back folded as
+    # `idf =s idf`; its sort is read off the carrier value (`value_sort`),
+    # not by elaborating that read-back again
+    ctx = ctx_default()
+    names = _declare(ctx, "def idf : Nat -> Nat := \\x. x\naxiom e : idf =s idf")
+    assert infer_code(ctx, parse_term("e =s e", known_names=names)) == "Us 0"
+
+
+def test_carrier_sort_sees_through_a_defined_carrier():
+    # `t`'s type reads back folded as `T`, whose declared type is `U 1`; the
+    # value `Nat` is in `U 0`, and so is `t = t`
+    ctx = ctx_default()
+    names = _declare(ctx, "def T : U 1 := Nat\naxiom t : T")
+    t_eq_t = parse_term("t = t", known_names=names)
+    assert infer_code(ctx, t_eq_t) == "U 0"
+    assert check_code(ctx, t_eq_t, "U 0") == "ok"
+
+
+def test_carrier_sort_of_a_stuck_carrier_is_its_neutral_type():
+    # `t`'s type is a `J` stuck on the axiom `p`, whose read-back has a bare
+    # lambda motive and no inferable type; the neutral's type is `U 0`
+    ctx = ctx_default()
+    names = _declare(ctx, "axiom g : Nat -> Nat\n"
+                          "axiom p : ((\\x. x) : Nat -> Nat) = g\n"
+                          "axiom t : J (\\x. \\y. \\q. U 0) (\\f. Nat) "
+                          "((\\x. x) : Nat -> Nat) g p")
+    assert infer_code(ctx, parse_term("t = t", known_names=names)) == "U 0"
 
 
 def test_pi_preserves_fibrancy_and_strict_pieces_demote():
@@ -191,7 +218,7 @@ def test_check_declaration_and_duplicates():
     checked = tc.check_declaration(ctx, m.decls[0])
     assert checked.body == parse_term("2")
     tc.check_declaration(ctx, m.decls[1])
-    assert ctx.sig.lookup("oracle").is_axiom
+    assert ctx.sig.lookup("oracle").head.body is None
     with pytest.raises(CheckError) as e:
         tc.check_declaration(ctx, m.decls[0])
     assert e.value.diagnostic.code == D.DUPLICATE_NAME
