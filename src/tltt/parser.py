@@ -5,8 +5,7 @@ text of each token, and its line, column and end column.  It builds no
 object per token; `tokenize` turns the arrays into `Token`s for callers
 that want them.  The parser indexes the arrays and dispatches on token
 text.  Names are resolved to de Bruijn indices here; unbound identifiers
-are rejected with a span.  Ascriptions ``(t : A)`` desugar to an annotated
-beta-redex so the core needs no extra node.
+are rejected with a span.  An ascription ``(t : A)`` is one ``Ann`` node.
 
 One loop, `Parser.term`, parses every precedence level of a term: lambda
 binders, then a right-nested chain of arrows over right-nested chains of
@@ -582,8 +581,8 @@ class Parser:
         return head
 
     def ascription(self, start: int, t: Term, ty: Term) -> Term:
-        """``(t : ty)``, its ``)`` eaten, as an annotated redex."""
-        return S.App(S.Lam(S.Var(0), ann=ty, hint="x"), t, span=self.span(start, self.pos - 1))
+        """``(t : ty)``, its ``)`` eaten."""
+        return S.Ann(t, ty, span=self.span(start, self.pos - 1))
 
     # -- declarations --
 

@@ -35,6 +35,17 @@ def _numeral(t: S.Term) -> Optional[tuple[int, bool]]:
     return None
 
 
+def _reads_as_binder(dom: S.Term) -> bool:
+    """Whether the domain `dom` ends in an ascription of names, ``(a b : A)``,
+    which before ``->`` or ``*`` would read as a binder."""
+    while type(dom) is S.Sigma:
+        dom = dom.snd
+    t = dom.term if type(dom) is S.Ann else None
+    while type(t) is S.App and type(t.arg) in (S.Var, S.Const):
+        t = t.fn
+    return type(t) in (S.Var, S.Const)
+
+
 class _Printer:
     def __init__(self, names: Sequence[str]):
         self.names: list[str] = []  # innermost binder last
@@ -130,20 +141,16 @@ class _Printer:
         if cls is S.Univ:
             word = "U" if t.sort.is_fibrant else "Us"
             return f"{word} {t.sort.level}", APP
-        if cls is S.Pi:
-            dom, level = self.render(t.dom)
+        if cls is S.Pi or cls is S.Sigma:
+            dom, body, op, prec = ((t.dom, t.cod, "->", ARROW) if cls is S.Pi
+                                   else (t.fst, t.snd, "*", PROD))
+            text, level = self.render(dom)
             if self.dependent(t):
-                name, cod = self.bind(t.hint, t.cod, ARROW)
-                return f"({name} : {dom}) -> {cod}", ARROW
-            dom = f"({dom})" if level < PROD else dom
-            return f"{dom} -> {self.bind(None, t.cod, ARROW)[1]}", ARROW
-        if cls is S.Sigma:
-            fst, level = self.render(t.fst)
-            if self.dependent(t):
-                name, snd = self.bind(t.hint, t.snd, PROD)
-                return f"({name} : {fst}) * {snd}", PROD
-            fst = f"({fst})" if level < EQ else fst
-            return f"{fst} * {self.bind(None, t.snd, PROD)[1]}", PROD
+                name, rest = self.bind(t.hint, body, prec)
+                return f"({name} : {text}) {op} {rest}", prec
+            if level <= prec or _reads_as_binder(dom):
+                text = f"({text})"
+            return f"{text} {op} {self.bind(None, body, prec)[1]}", prec
         words = _WORDS.get(cls)
         if words is not None:
             word, strict_word, fields = words
@@ -154,6 +161,8 @@ class _Printer:
             for field in fields:
                 word = f"{word} {self.atom(getattr(t, field))}"
             return word, APP
+        if cls is S.Ann:
+            return f"({self.go(t.term, ARROW)} : {self.go(t.type, ARROW)})", ATOM
         if cls is S.Pair:
             return f"({self.go(t.fst, ARROW)}, {self.go(t.snd, ARROW)})", ATOM
         if cls is S.Sum:

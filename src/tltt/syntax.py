@@ -5,8 +5,9 @@ indices, structural equality *is* alpha-equality.  A term class's
 `__slots__` is its field table: `Term` derives equality, hashing, `repr`,
 `term_children` and `_rebuild` from it when the class is created, and each
 class writes its `__init__` out as plain slot stores.  Fields that carry no
-semantic content (source spans, binder-name hints, inferable type
-annotations) are excluded from comparison so that equality stays alpha.
+semantic content (source spans, binder-name hints, an equality's inferable
+carrier, a constant's value) are excluded from comparison so that equality
+stays alpha.  Elaboration erases an ascription `(t : A)`, the node `Ann`.
 
 Terms are immutable by convention: no code assigns a field after
 construction.  Nothing enforces it, because a guard would be paid on every
@@ -112,7 +113,7 @@ TermSpan = tuple
 # Fields that carry no semantic content: equality, hashing and `repr` leave
 # them out.  `ty` is the carrier of `Id`, inferable from its endpoints;
 # `resolved` is the value a constant's name stands for.
-_UNCOMPARED = frozenset({"span", "hint", "ann", "ty", "resolved"})
+_UNCOMPARED = frozenset({"span", "hint", "ty", "resolved"})
 # Fields that hold no term.
 _NOT_TERMS = frozenset({"span", "hint", "strict", "index", "sort", "name", "resolved"})
 
@@ -186,13 +187,12 @@ class Pi(Term):
 
 
 class Lam(Term):
-    __slots__ = ("body", "ann", "hint")
+    __slots__ = ("body", "hint")
     _under = ("body",)
 
-    def __init__(self, body: Term, ann: Optional[Term] = None, hint: Optional[str] = None, *,
+    def __init__(self, body: Term, hint: Optional[str] = None, *,
                  span: Optional[TermSpan] = None) -> None:
         self.body = body
-        self.ann = ann
         self.hint = hint
         self.span = span
 
@@ -203,6 +203,15 @@ class App(Term):
     def __init__(self, fn: Term, arg: Term, *, span: Optional[TermSpan] = None) -> None:
         self.fn = fn
         self.arg = arg
+        self.span = span
+
+
+class Ann(Term):
+    __slots__ = ("term", "type")
+
+    def __init__(self, term: Term, type: Term, *, span: Optional[TermSpan] = None) -> None:
+        self.term = term
+        self.type = type
         self.span = span
 
 
@@ -448,7 +457,7 @@ def term_children(t: Term) -> list[tuple[str, Term, bool]]:
     out = []
     for name, under in t._children:
         child = getattr(t, name)
-        if child is not None:  # `Lam.ann` and `Id.ty` may be absent
+        if child is not None:  # `Id.ty` may be absent
             out.append((name, child, under))
     return out
 

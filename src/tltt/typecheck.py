@@ -84,29 +84,19 @@ def infer(ctx: Context, t: Term) -> tuple[Term, object]:
             return S.Const(n, value, span=t.span), value.head.ty
         case S.Univ(sort=s):
             return t, nbe.VUniv(Sort(s.fragment, s.level + 1))
-        case S.Pi(dom=dom, cod=cod):
+        case S.Pi(dom=dom, cod=cod) | S.Sigma(fst=dom, snd=cod):
             dom2, s1 = infer_universe(ctx, dom)
             inner = ctx.extend(t.hint, nbe.eval_in(ctx, dom2))
             cod2, s2 = infer_universe(inner, cod)
-            return (S.Pi(dom2, cod2, hint=t.hint, span=t.span),
+            return (type(t)(dom2, cod2, hint=t.hint, span=t.span),
                     nbe.VUniv(combine_sorts(s1, s2)))
-        case S.Sigma(fst=fst, snd=snd):
-            fst2, s1 = infer_universe(ctx, fst)
-            inner = ctx.extend(t.hint, nbe.eval_in(ctx, fst2))
-            snd2, s2 = infer_universe(inner, snd)
-            return (S.Sigma(fst2, snd2, hint=t.hint, span=t.span),
-                    nbe.VUniv(combine_sorts(s1, s2)))
-        case S.Lam(body=body, ann=ann):
-            if ann is None:
-                raise fail(D.INFERENCE_FAILURE,
-                           "cannot infer the type of an unannotated lambda", t.span)
-            ann2, _ = infer_universe(ctx, ann)
-            dom_v = nbe.eval_in(ctx, ann2)
-            inner = ctx.extend(t.hint, dom_v)
-            body2, body_ty = infer(inner, body)
-            cod_term = nbe.quote(inner.depth, body_ty, unfold=False)
-            return (S.Lam(body2, ann=ann2, hint=t.hint, span=t.span),
-                    nbe.VPi(dom_v, nbe.Closure(ctx.env, cod_term), t.hint))
+        case S.Lam():
+            raise fail(D.INFERENCE_FAILURE,
+                       "cannot infer the type of an unannotated lambda", t.span)
+        case S.Ann(term=term, type=ty):
+            ty2, _ = infer_universe(ctx, ty)
+            ty_v = nbe.eval_in(ctx, ty2)
+            return check(ctx, term, ty_v), ty_v
         case S.App(fn=fn, arg=arg):
             fn2, fn_ty = infer(ctx, fn)
             pi = nbe.force(fn_ty)
@@ -346,14 +336,14 @@ def _infer_motive(ctx: Context, motive: Term, telescope: tuple, env) -> tuple[Te
     dictates the family's domains, so only the codomain needs inference.
     The domains are the `telescope` templates, each evaluated in `env`
     extended by the motive variables before it."""
-    if not (isinstance(motive, S.Lam) and motive.ann is None and telescope):
+    if not (isinstance(motive, S.Lam) and telescope):
         return infer(ctx, motive)
     dom_v = nbe.evaluate(telescope[0], env)
     inner = ctx.extend(motive.hint, dom_v)
     body2, body_ty = _infer_motive(inner, motive.body, telescope[1:],
                                    nbe.extend(env, inner.var_value(0)))
     cod_term = nbe.quote(inner.depth, body_ty, unfold=False)
-    return (S.Lam(body2, ann=None, hint=motive.hint, span=motive.span),
+    return (S.Lam(body2, hint=motive.hint, span=motive.span),
             nbe.VPi(dom_v, nbe.Closure(ctx.env, cod_term), motive.hint))
 
 
@@ -366,7 +356,7 @@ def _infer_elim(ctx: Context, t: Term) -> tuple[Term, object]:
     span = motive.span or t.span
     first = None  # the first scrutinee and its type, inferred for a bare motive
     pieces = ()
-    if rule.read is not None and isinstance(motive, S.Lam) and motive.ann is None:
+    if rule.read is not None and isinstance(motive, S.Lam):
         first = infer(ctx, scrutinees[0])
         pieces = rule.read(first[1])
         if pieces is None:
@@ -426,23 +416,15 @@ def _infer_elim(ctx: Context, t: Term) -> tuple[Term, object]:
 def check(ctx: Context, t: Term, expected) -> Term:
     """Check `t` against the type value `expected`, elaborating as needed."""
     match t:
-        case S.Lam(body=body, ann=ann):
+        case S.Lam(body=body):
             pi = nbe.force(expected)
             if not isinstance(pi, nbe.VPi):
                 raise fail(D.CONVERSION_FAILURE, "lambda checked at a non-function type",
                            t.span, expected=ctx.show(expected), actual="a lambda")
-            if ann is not None:
-                ann2, _ = infer_universe(ctx, ann)
-                ann_v = nbe.eval_in(ctx, ann2)
-                if not nbe.conv(ctx.depth, ann_v, pi.dom, None, ctx.strict_pi):
-                    raise fail(D.CONVERSION_FAILURE,
-                               "lambda annotation does not match the expected domain",
-                               t.span, expected=ctx.show(pi.dom),
-                               actual=ctx.show(ann_v))
             inner = ctx.extend(t.hint, pi.dom)
             var = inner.var_value(0)
             body2 = check(inner, body, nbe.inst(pi.cod, var))
-            return S.Lam(body2, ann=ann, hint=t.hint, span=t.span)
+            return S.Lam(body2, hint=t.hint, span=t.span)
         case S.Pair(fst=fst, snd=snd):
             sigma = nbe.force(expected)
             if not isinstance(sigma, nbe.VSigma):

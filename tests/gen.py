@@ -32,7 +32,7 @@ def rand_scoped(rng: random.Random, depth: int = 0, size: int = 6) -> Term:
             return S.Var(rng.randrange(depth))
         return rng.choice(atoms)
     part = lambda k=2: max(1, (size - 1) // k)
-    pick = rng.randrange(14)
+    pick = rng.randrange(15)
     if pick == 0:
         return S.Lam(rand_scoped(rng, depth + 1, size - 1), hint="x")
     if pick == 1:
@@ -68,6 +68,8 @@ def rand_scoped(rng: random.Random, depth: int = 0, size: int = 6) -> Term:
     if pick == 12:
         mk = rng.choice([S.IdElim, _strict(S.IdElim)])
         return mk(*(rand_scoped(rng, depth, part(5)) for _ in range(5)))
+    if pick == 13:
+        return S.Ann(rand_scoped(rng, depth, part()), rand_scoped(rng, depth, part()))
     return S.UipS(rand_scoped(rng, depth, part()), rand_scoped(rng, depth, part()))
 
 
@@ -122,9 +124,11 @@ def _fibrant_type(rng: random.Random, ctx: list[Term], size: int) -> Term:
 def gen_term(rng: random.Random, ctx: list[Term], ty: Term, size: int) -> Term:
     """An inhabitant of `ty` (as produced by gen_type) in `ctx`."""
     if size > 1 and rng.random() < 0.12:
-        # wrap in an ascribed beta redex, preserving the type
+        # wrap in a beta redex whose function is ascribed, preserving the
+        # type; elaboration erases the ascription and keeps the redex
         inner = gen_term(rng, ctx, ty, size - 1)
-        return S.App(S.Lam(S.Var(0), ann=ty, hint="x"), inner)
+        identity = S.Ann(S.Lam(S.Var(0), hint="x"), S.Pi(ty, shift(ty, 1), hint="x"))
+        return S.App(identity, inner)
     if rng.random() < 0.3:
         for index, entry_ty in _ctx_types(ctx):
             if entry_ty == ty:
@@ -139,9 +143,8 @@ def gen_term(rng: random.Random, ctx: list[Term], ty: Term, size: int) -> Term:
                 t = S.Succ(t, strict=strict)
             if size > 2 and rng.random() < 0.2:
                 # eliminate a smaller numeral instead of writing one directly
-                motive = S.Lam(shift(ty, 1), ann=ty, hint="n")
-                stp = S.Lam(S.Lam(S.Succ(S.Var(0), strict=strict), hint="r"),
-                            ann=ty, hint="n")
+                motive = S.Lam(shift(ty, 1), hint="n")
+                stp = S.Lam(S.Lam(S.Succ(S.Var(0), strict=strict), hint="r"), hint="n")
                 return S.NatElim(motive, t, stp, gen_term(rng, ctx, ty, size // 2),
                                  strict=strict)
             return t

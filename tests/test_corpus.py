@@ -7,7 +7,7 @@ import pytest
 from tltt import corpus, nbe, syntax as S, typecheck as tc
 from tltt.cli import RunConfig, emit_report, run
 from tltt.corpus.__main__ import main as corpus_main
-from tltt.parser import parse_term
+from tltt.parser import parse_module, parse_term
 from tltt.printer import pretty_print
 
 from reference_norm import normalize_ref
@@ -153,6 +153,25 @@ def test_every_default_file_also_passes_strong(strong_report):
     default_names = {e.path.name for e in corpus.corpus_manifest()
                      if e.mode == "any"}
     assert default_names <= strong_names
+
+
+def _classes(t: S.Term) -> set:
+    found, stack = set(), [t]
+    while stack:
+        u = stack.pop()
+        found.add(type(u))
+        stack.extend(child for _, child, _ in S.term_children(u))
+    return found
+
+
+def test_elaboration_erases_every_ascription(default_report, strong_report):
+    # the library writes ascriptions, and no checked declaration keeps one
+    prelude = (corpus.CORPUS_DIR / "prelude.2lt").read_text(encoding="utf-8")
+    assert any(S.Ann in _classes(d.body) for d in parse_module(prelude, "prelude.2lt").decls
+               if isinstance(d, S.Definition))
+    for decl in default_report.checked + strong_report.checked:
+        for t in (decl.ty, decl.body):
+            assert t is None or S.Ann not in _classes(t), decl.name
 
 
 def test_axiom_heads_stay_neutral_in_corpus(default_report):

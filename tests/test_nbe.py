@@ -34,7 +34,7 @@ def test_strict_nat_eliminator_addition():
 
     nat, zero = S.Nat(strict=True), S.Zero(strict=True)
     two = S.Succ(S.Succ(zero, strict=True), strict=True)
-    t = S.NatElim(S.Lam(nat, ann=nat), zero,
+    t = S.NatElim(S.Lam(nat), zero,
                   S.Lam(S.Lam(S.Succ(S.Var(0), strict=True))), two, strict=True)
     v = ev(t)
     count = 0

@@ -1,4 +1,4 @@
-"""Parse trees pinned by digest: every node, with its span, hint and annotation.
+"""Parse trees pinned by digest: every node, with its span and hint.
 
 `tests/golden/parse_digest.txt` holds one sha256 per input: each corpus
 file, parsed in manifest order with the names of the files before it known,

@@ -93,11 +93,11 @@ def test_eliminators_take_exact_arity():
         parse_term("f natElim", scope=["f"])  # eliminator in argument position
 
 
-def test_ascription_desugars_to_annotated_redex():
+def test_an_ascription_is_one_node_spanning_its_brackets():
     t = parse_term("(star : Unit)")
-    assert isinstance(t, S.App)
-    assert isinstance(t.fn, S.Lam) and t.fn.ann == S.Unit()
-    assert t.arg == S.Star()
+    assert t == S.Ann(S.Star(), S.Unit())
+    assert t.span == ("<term>", 1, 1, 1, 14)
+    assert t.term.span == ("<term>", 1, 2, 1, 6)
 
 
 def test_nested_pairs_are_right_nested():
@@ -170,6 +170,16 @@ def test_round_trip_spec_cases():
     for text in cases:
         t = parse_term(text, scope=scope)
         assert parse_term(pretty_print(t, scope), scope=scope) == t
+    # an ascription prints as written; one of names that is a domain keeps
+    # the parentheses that stop it reading as a binder
+    ascriptions = [
+        "(star : Unit)", "f (x : Nat)", "((f x : Nat) : Nat)",
+        "((X : Us 0)) -> Nat", "((X : Us 0)) * Nat", "(a * (X : Us 0)) -> Nat",
+        "(\\z. z : Nat -> Nat) 0",
+    ]
+    for text in ascriptions:
+        names = scope + ["f", "X"]
+        assert pretty_print(parse_term(text, scope=names), names) == text
     # a binder does not take the name of a constant printed in its scope
     x = S.Const("x")
     captures = {
@@ -231,8 +241,8 @@ def test_nested_ascriptions_parse_each_bracket_once(monkeypatch):
     t = parse_term(text, scope=names)
     assert terms[0] == depth + 1  # the whole term, then each bracket's type
     for k in range(depth):
-        assert t == S.App(S.Lam(S.Var(0)), S.Var(depth - 1 - k))
-        t = t.fn.ann
+        assert type(t) is S.Ann and t.term == S.Var(depth - 1 - k)
+        t = t.type
     assert t == S.Nat()
 
 
@@ -244,7 +254,7 @@ def test_a_bracket_is_a_binder_only_where_a_telescope_may_start():
         S.Sigma(S.Univ(S.fibrant(0)), S.Var(0))
     # in argument position the same bracket is an ascription
     t = parse_term("f (a : U 0) -> b", scope=["f", "a", "b"])
-    assert t == S.Pi(S.App(S.Var(2), S.App(S.Lam(S.Var(0)), a)), S.Var(1))
+    assert t == S.Pi(S.App(S.Var(2), S.Ann(a, S.Univ(S.fibrant(0)))), S.Var(1))
     with pytest.raises(CheckError) as e:
         parse_term("a * (x : U 0) -> x", scope=["a"])
     assert "arrow binder needs parentheses" in e.value.diagnostic.message
@@ -253,7 +263,7 @@ def test_a_bracket_is_a_binder_only_where_a_telescope_may_start():
         parse_term("(zz : nope)", scope=["a"])
     assert e.value.diagnostic.message == "unbound identifier zz"
     assert parse_term("(a b : U 0)", scope=["a", "b"]) == \
-        S.App(S.Lam(S.Var(0)), S.App(a, b))
+        S.Ann(S.App(a, b), S.Univ(S.fibrant(0)))
 
 
 def test_printing_a_long_chain_walks_each_node_once(monkeypatch):
@@ -455,8 +465,7 @@ def test_term_spans_are_plain_tuples_the_collector_drops():
             if isinstance(decl, S.Pragma) and decl.kind == S.FAIL:
                 spanned.append(decl.payload[0])  # a declaration or its diagnostic
     gc.collect()
-    # every node but the lambda an ascription desugars to has a span
-    spans = [t.span for t in nodes if t.span is not None]
+    spans = [t.span for t in nodes]
     assert len(spans) > 5000
     for span in spans:
         assert type(span) is tuple and len(span) == 5, span

@@ -203,8 +203,8 @@ def test_alpha_equality_ignores_hints_spans_and_annotations():
         (S.Id(Nat(), Zero(), Zero()), S.Id(None, Zero(), Zero())),
         (S.Id(Nat(), Zero(), Zero(), strict=True), S.Id(Nat(strict=True), Zero(), Zero(),
                                                        strict=True)),
-        (Lam(Var(0), ann=Nat()), Lam(Var(0))),
-        (Lam(Var(0), Nat(), "x", span=sp), Lam(Var(0), Nat(strict=True), "y")),
+        (Lam(Var(0), "x", span=sp), Lam(Var(0), "y")),
+        (S.Ann(Var(0), Nat(), span=sp), S.Ann(Var(0, span=sp), Nat())),
     ]
     for a, b in same:
         assert a == b and not a != b, (a, b)
@@ -216,6 +216,10 @@ def test_alpha_equality_is_structural():
     assert Lam(Lam(Var(1))) != Lam(Lam(Var(0)))
     assert Pi(Nat(), Var(0)) != Pi(Nat(), Nat())
     assert Nat() != Nat(strict=True)
+    # an ascription's type is compared, unlike the carrier of an equality
+    assert S.Ann(Var(0), Nat()) != S.Ann(Var(0), Nat(strict=True))
+    assert S.Ann(Var(0), Nat()) != S.Ann(Var(1), Nat())
+    assert hash(S.Ann(Var(0), Nat())) != hash(S.Ann(Var(0), Nat(strict=True)))
 
 
 def test_strict_is_compared_and_hashed():
@@ -251,10 +255,12 @@ def test_repr_shows_the_compared_fields_in_order():
 
 def test_field_tables():
     # span first, then the class's slots in order; children are the term fields
-    assert S.Lam._fields == ("span", "body", "ann", "hint")
+    assert S.Lam._fields == ("span", "body", "hint")
+    assert S.Ann._fields == ("span", "term", "type")
     assert S.Id._fields == ("span", "ty", "lhs", "rhs", "strict")
-    assert [(n, under) for n, _, under in S.term_children(Lam(Var(0), Nat()))] == \
-        [("body", True), ("ann", False)]
+    assert [(n, under) for n, _, under in S.term_children(Lam(Var(0)))] == [("body", True)]
+    assert [(n, under) for n, _, under in S.term_children(S.Ann(Var(0), Nat()))] == \
+        [("term", False), ("type", False)]
     assert [n for n, _, _ in S.term_children(S.Id(None, Zero(), Zero()))] == ["lhs", "rhs"]
     assert S.term_children(Var(0)) == [] and S.term_children(Const("c")) == []
 

@@ -108,6 +108,18 @@ def test_strict_sum_is_never_fibrant():
     assert infer_code(ctx, parse_term("NatS + Nat")) == D.FIBRANCY_VIOLATION
 
 
+def test_an_ascription_infers_its_type_and_is_erased():
+    ctx = ctx_default()
+    t2, ty = tc.infer(ctx, parse_term("((\\x. x : Nat -> Nat) : Nat -> Nat) 0"))
+    assert t2 == parse_term("(\\x. x) 0") and ty is nbe.NAT
+    # checking goes through the ascription: its type is inferred, then subsumed
+    assert tc.check(ctx, parse_term("(0 : Nat)"), nbe.NAT) == S.Zero()
+    unit_to_unit = nbe.eval_in(ctx, parse_term("Unit -> Unit"))
+    with pytest.raises(CheckError) as e:
+        tc.check(ctx, parse_term("(\\x. x : Nat -> Nat)"), unit_to_unit)
+    assert e.value.diagnostic.message == "type mismatch"
+
+
 def test_unannotated_lambda_does_not_infer():
     ctx = ctx_default()
     assert infer_code(ctx, parse_term("\\x. x")) == D.INFERENCE_FAILURE
@@ -360,7 +372,7 @@ def test_bare_lambda_motives_elaborate_the_scrutinee_once(monkeypatch):
     ctx = ctx_default()
     sum_elim = "sumElim (\\s. Nat) (\\a. 0) (\\b. 1) {}"
     assert count_infer_calls(
-        monkeypatch, ctx, sum_elim.format("((inl star) : Unit + Unit)")) == 12
+        monkeypatch, ctx, sum_elim.format("((inl star) : Unit + Unit)")) == 10
     # nested scrutinees cost the same number of calls per level, not 2^depth
     nestings = {
         sum_elim: ("((inl star) : Unit + Unit)",
