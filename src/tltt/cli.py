@@ -113,9 +113,8 @@ class _Runner:
                     self.report.checked.append(checked)
             except CheckError as e:
                 self.diag(path, e.diagnostic)
-            except nbe.EvalError as e:
-                self.diag(path, Diagnostic(D.CONVERSION_FAILURE,
-                                           f"evaluation failed: {e}", decl.span))
+            except (nbe.EvalError, nbe.BudgetExhausted) as e:
+                self.diag(path, _evaluation_failed(e, decl.span))
             except RecursionError:
                 self.diag(path, _too_deep("checking", decl.span))
 
@@ -174,8 +173,9 @@ class _Runner:
             except CheckError as e:
                 observed = e.diagnostic
             except nbe.EvalError as e:
-                observed = Diagnostic(D.CONVERSION_FAILURE,
-                                      f"evaluation failed: {e}", pragma.span)
+                observed = _evaluation_failed(e, pragma.span)
+            # an exhausted unfold budget or recursion limit is no failure of
+            # the item, so it is not absorbed: `run_file` reports it
         if observed is None:
             raise D.fail(EXPECTED_FAILURE,
                          "item was expected to fail but succeeded", pragma.span)
@@ -184,6 +184,13 @@ class _Runner:
                          f"expected failure code {expect}, got {observed.code}: "
                          f"{observed.message}", pragma.span)
         record("FAIL", f"ok [{observed.code}]")
+
+
+def _evaluation_failed(e: Exception, span) -> Diagnostic:
+    """The diagnostic for an evaluation that stopped: an ill-typed redex, or
+    a spent unfold budget, which is no verdict on the input's type."""
+    code = D.RESOURCE_EXHAUSTED if isinstance(e, nbe.BudgetExhausted) else D.CONVERSION_FAILURE
+    return Diagnostic(code, f"evaluation failed: {e}", span)
 
 
 def _too_deep(stage: str, span) -> Diagnostic:

@@ -15,7 +15,8 @@ NON_FIBRANT_MOTIVE = "NonFibrantMotive"
 NON_FIBRANT_EQUALITY_FORMATION = "NonFibrantEqualityFormation"
 INFERENCE_FAILURE = "InferenceFailure"
 DUPLICATE_NAME = "DuplicateName"
-RESOURCE_EXHAUSTED = "ResourceExhausted"  # input too deep to check, not ill-typed
+# input too deep to check, or a spent unfold budget: not ill-typed
+RESOURCE_EXHAUSTED = "ResourceExhausted"
 
 # The frame budget `tltt check` runs with.  Parsing and structural recursion
 # over terms go deeper than CPython's default on nested input; input deeper

@@ -41,7 +41,12 @@ from tltt import syntax as S
 
 
 class EvalError(Exception):
-    """Raised on ill-typed redexes or an exhausted unfold budget."""
+    """Raised on ill-typed redexes."""
+
+
+class BudgetExhausted(Exception):
+    """Raised by `force` once the unfold budget is spent: no verdict on the
+    term, so not an `EvalError`."""
 
 
 # -- signature ----------------------------------------------------------------
@@ -337,7 +342,7 @@ def force(v):
         return v.unfolded
     budget = head.budget
     if budget.unfolds >= budget.limit:
-        raise EvalError("unfold budget exhausted")
+        raise BudgetExhausted("unfold budget exhausted")
     budget.unfolds += 1
     result = head.body
     for arg in v.spine:

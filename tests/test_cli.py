@@ -571,6 +571,22 @@ def test_unfold_budget_flag(tmp_path):
     assert not report.ok
 
 
+def test_an_exhausted_budget_is_no_verdict(tmp_path):
+    # `a ~ 1` holds, but deciding it unfolds `a`: under a budget of 0 both
+    # comparisons run out, and the `#fail` must not pass the true equation
+    # off as an expected failure
+    path = write(tmp_path, "spent.2lt",
+                 "def a : Nat := 1\n#conv a ~ 1 : Nat\n#fail #conv a ~ 1 : Nat\n")
+    report = run(RunConfig(files=[path], unfold_budget=0))
+    assert [(d.span.line, d.code, d.message) for _, d in report.diagnostics] == [
+        (line, "ResourceExhausted", "evaluation failed: unfold budget exhausted")
+        for line in (2, 3)]
+    assert report.pragma_results == []
+    # with the unfold it needs, the equation holds and the `#fail` fails
+    report = run(RunConfig(files=[path], unfold_budget=1))
+    assert [d.code for _, d in report.diagnostics] == ["ExpectedFailure"]
+
+
 def test_checking_a_lambda_spends_no_unfolds_on_its_domain(tmp_path):
     # only `refl` needs `d` unfolded; the lambda's domain mentions `d` as well
     text = "def d : Nat := 0\ndef g : ((n : Nat) -> d = n) -> d = 0 := \\f. refl\n"

@@ -233,7 +233,7 @@ def test_unfold_budget():
     ctx.sig.define("d", nbe.NAT, nbe.ZERO)
     d = S.Const("d", ctx.sig.lookup("d"))
     assert nbe.force(nbe.evaluate(d, ctx.env)) is nbe.ZERO
-    with pytest.raises(nbe.EvalError):
+    with pytest.raises(nbe.BudgetExhausted, match="unfold budget exhausted"):
         nbe.force(nbe.evaluate(d, ctx.env))
     ctx.sig.budget.limit = ctx.sig.budget.unfolds
     nbe.evaluate(d, ctx.env)
