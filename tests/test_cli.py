@@ -283,11 +283,23 @@ def test_irrelevance_in_each_untyped_position(tmp_path, query, plain, spi):
     "#check ((r : NatS =s NatS) =s r) : Us 1\n",
 ], ids=["fibrant", "strict"])
 def test_an_ascription_keeps_the_universe_of_an_equality(tmp_path, text):
-    # the ascribed type is read back with its carrier, U 0 or Us 0, so an
-    # equality between two proofs of it lives one level up
+    # the ascription's type is the value of `Nat = Nat` (or `NatS =s NatS`),
+    # whose carrier is U 0 (or Us 0), so an equality between two proofs of
+    # it lives one level up
     report = run(RunConfig(files=[write(tmp_path, "asc.2lt", text)]))
     assert report.ok, [str(d) for _, d in report.diagnostics]
     assert [r.text for r in report.pragma_results] == ["ok [UniverseError]", "ok"]
+
+
+def test_diagnostics_show_the_users_ascription(tmp_path):
+    # the parsed term prints the ascription as written; the elaborated one
+    # has it erased
+    text = ("axiom X : Us 0\n#check ((X : Us 0) + Nat) : Us 0\n"
+            "#conv (X : Us 0) ~ Nat : Us 0\n")
+    report = run(RunConfig(files=[write(tmp_path, "shown.2lt", text)]))
+    (_, summand), (_, conv) = report.diagnostics
+    assert (summand.code, summand.actual) == ("FibrancyViolation", "(X : Us 0)")
+    assert (conv.code, conv.expected, conv.actual) == ("ConversionFailure", "X", "Nat")
 
 
 def test_unit_eta_inside_an_injection_at_a_sum_type(tmp_path):
