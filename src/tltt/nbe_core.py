@@ -146,13 +146,20 @@ class VUniv(Value):
         self.sort = sort
 
 
-class VPi(Value):
+class VBinder(Value):
+    """A Pi or Sigma type: a domain, and a codomain closed over one variable
+    of it."""
+
     __slots__ = ("dom", "cod", "hint")
 
     def __init__(self, dom, cod, hint=None):
         self.dom = dom
         self.cod = cod
         self.hint = hint
+
+
+class VPi(VBinder):
+    __slots__ = ()
 
 
 class VLam(Closure, Value):
@@ -166,13 +173,8 @@ class VLam(Closure, Value):
         self.hint = hint
 
 
-class VSigma(Value):
-    __slots__ = ("fst", "snd", "hint")
-
-    def __init__(self, fst, snd, hint=None):
-        self.fst = fst
-        self.snd = snd
-        self.hint = hint
+class VSigma(VBinder):
+    __slots__ = ()
 
 
 class VPair(Value):
@@ -391,42 +393,31 @@ def do_snd(v):
     raise EvalError("second projection of a non-pair value")
 
 
-def do_natelim(motive, base, step, target, strict):
+_NO_IOTA = {  # the message for a scrutinee of the wrong form, an ill-typed redex
+    S.NatElim: "natural-number elimination of a non-numeral",
+    S.SumElim: "sum elimination of a non-injection",
+    S.EmptyElim: "empty elimination of a canonical value",
+    S.IdElim: "equality elimination of a non-proof",
+}
+
+
+def eliminate(former, args, target, strict):
+    """The eliminator `former` on the scrutinee `target`, given the arguments
+    before it (as in `FElim`): the iota rule on a constructor, a stuck
+    `FElim` frame on a neutral."""
     target = force(target)
-    if target is ZERO or target is ZERO_S:
-        return base
-    if isinstance(target, VSucc):
-        pred = target.pred
-        return apply_value(apply_value(step, pred),
-                           do_natelim(motive, base, step, pred, strict))
+    if former is S.NatElim and (target is ZERO or target is ZERO_S):
+        return args[1]
+    if former is S.NatElim and isinstance(target, VSucc):
+        return apply_value(apply_value(args[2], target.pred),
+                           eliminate(former, args, target.pred, strict))
+    if former is S.SumElim and isinstance(target, VInj):
+        return apply_value(args[1] if target.is_left else args[2], target.value)
+    if former is S.IdElim and (target is REFL or target is REFL_S):
+        return apply_value(args[1], args[2])
     if isinstance(target, VNeutral):
-        return _push(target, FElim(S.NatElim, (motive, base, step), strict))
-    raise EvalError("natural-number elimination of a non-numeral")
-
-
-def do_sumelim(motive, on_inl, on_inr, target, strict):
-    target = force(target)
-    if isinstance(target, VInj):
-        return apply_value(on_inl if target.is_left else on_inr, target.value)
-    if isinstance(target, VNeutral):
-        return _push(target, FElim(S.SumElim, (motive, on_inl, on_inr), strict))
-    raise EvalError("sum elimination of a non-injection")
-
-
-def do_emptyelim(motive, target, strict):
-    target = force(target)
-    if isinstance(target, VNeutral):
-        return _push(target, FElim(S.EmptyElim, (motive,), strict))
-    raise EvalError("empty elimination of a canonical value")
-
-
-def do_idelim(motive, refl_case, lhs, rhs, proof, strict):
-    proof = force(proof)
-    if proof is REFL or proof is REFL_S:
-        return apply_value(refl_case, lhs)
-    if isinstance(proof, VNeutral):
-        return _push(proof, FElim(S.IdElim, (motive, refl_case, lhs, rhs), strict))
-    raise EvalError("equality elimination of a non-proof")
+        return _push(target, FElim(former, args, strict))
+    raise EvalError(_NO_IOTA[former])
 
 
 def neutral_type(v):
@@ -443,9 +434,9 @@ def neutral_type(v):
         if isinstance(frame, Value):
             ty = inst(ty.cod, frame) if isinstance(ty, VPi) else None
         elif frame is FST:
-            ty = ty.fst if isinstance(ty, VSigma) else None
+            ty = ty.dom if isinstance(ty, VSigma) else None
         elif frame is SND:
-            ty = inst(ty.snd, do_fst(prefix)) if isinstance(ty, VSigma) else None
+            ty = inst(ty.cod, do_fst(prefix)) if isinstance(ty, VSigma) else None
         elif frame.former is S.IdElim:  # motive lhs rhs proof
             ty = apply_many(frame.args[0], *frame.args[2:], prefix)
         else:
@@ -492,12 +483,12 @@ def evaluate(t, env):
     if cls is S.Succ:
         return VSucc(evaluate(t.pred, env), t.strict)
     if cls is S.NatElim:
-        return do_natelim(evaluate(t.motive, env), evaluate(t.base, env),
-                          evaluate(t.step, env), evaluate(t.target, env), t.strict)
+        return eliminate(cls, (evaluate(t.motive, env), evaluate(t.base, env),
+                               evaluate(t.step, env)), evaluate(t.target, env), t.strict)
     if cls is S.Empty:
         return EMPTY_S if t.strict else EMPTY
     if cls is S.EmptyElim:
-        return do_emptyelim(evaluate(t.motive, env), evaluate(t.target, env), t.strict)
+        return eliminate(cls, (evaluate(t.motive, env),), evaluate(t.target, env), t.strict)
     if cls is S.Sum:
         return VSum(evaluate(t.left, env), evaluate(t.right, env), t.strict)
     if cls is S.Inl:
@@ -505,16 +496,16 @@ def evaluate(t, env):
     if cls is S.Inr:
         return VInj(evaluate(t.value, env), False, t.strict)
     if cls is S.SumElim:
-        return do_sumelim(evaluate(t.motive, env), evaluate(t.on_inl, env),
-                          evaluate(t.on_inr, env), evaluate(t.target, env), t.strict)
+        return eliminate(cls, (evaluate(t.motive, env), evaluate(t.on_inl, env),
+                               evaluate(t.on_inr, env)), evaluate(t.target, env), t.strict)
     if cls is S.Id:
         return VId(evaluate(t.ty, env), evaluate(t.lhs, env), evaluate(t.rhs, env),
                    t.strict)
     if cls is S.Refl:
         return REFL_S if t.strict else REFL
     if cls is S.IdElim:
-        return do_idelim(evaluate(t.motive, env), evaluate(t.refl_case, env),
-                         evaluate(t.lhs, env), evaluate(t.rhs, env),
+        return eliminate(cls, (evaluate(t.motive, env), evaluate(t.refl_case, env),
+                               evaluate(t.lhs, env), evaluate(t.rhs, env)),
                          evaluate(t.proof, env), t.strict)
     if cls is S.UipS:
         return VNeutral(HUip(evaluate(t.p, env), evaluate(t.q, env)), ())
@@ -536,14 +527,11 @@ def quote(depth, v, unfold=True):
     if isinstance(v, VLam):
         return S.Lam(quote(depth + 1, inst(v, fresh_var(depth)), unfold),
                      hint=v.hint)
-    if isinstance(v, VPi):
-        return S.Pi(quote(depth, v.dom, unfold),
-                    quote(depth + 1, inst(v.cod, fresh_var(depth, v.dom)), unfold),
-                    hint=v.hint)
-    if isinstance(v, VSigma):
-        return S.Sigma(quote(depth, v.fst, unfold),
-                       quote(depth + 1, inst(v.snd, fresh_var(depth, v.fst)), unfold),
-                       hint=v.hint)
+    if isinstance(v, VBinder):
+        mk = S.Pi if isinstance(v, VPi) else S.Sigma
+        return mk(quote(depth, v.dom, unfold),
+                  quote(depth + 1, inst(v.cod, fresh_var(depth, v.dom)), unfold),
+                  hint=v.hint)
     if isinstance(v, VPair):
         return S.Pair(quote(depth, v.fst, unfold), quote(depth, v.snd, unfold))
     if isinstance(v, VUniv):
@@ -627,9 +615,9 @@ def conv(depth, a, b, ty, strict_pi=False):
                         inst(ty.cod, x), strict_pi)
         if isinstance(ty, VSigma):
             fa = do_fst(a)
-            if not conv(depth, fa, do_fst(b), ty.fst, strict_pi):
+            if not conv(depth, fa, do_fst(b), ty.dom, strict_pi):
                 return False
-            return conv(depth, do_snd(a), do_snd(b), inst(ty.snd, fa), strict_pi)
+            return conv(depth, do_snd(a), do_snd(b), inst(ty.cod, fa), strict_pi)
         if isinstance(ty, VSum):
             a, b = force(a), force(b)
             if isinstance(a, VInj) and isinstance(b, VInj):
@@ -658,16 +646,11 @@ def _conv_whnf(depth, a, b, strict_pi):
                 and conv(depth, do_snd(a), do_snd(b), None, strict_pi))
     if isinstance(a, VUniv):
         return isinstance(b, VUniv) and a.sort == b.sort
-    if isinstance(a, VPi):
-        if not (isinstance(b, VPi) and conv(depth, a.dom, b.dom, None, strict_pi)):
+    if isinstance(a, VBinder):
+        if not (type(b) is type(a) and conv(depth, a.dom, b.dom, None, strict_pi)):
             return False
         x = fresh_var(depth, a.dom)
         return conv(depth + 1, inst(a.cod, x), inst(b.cod, x), None, strict_pi)
-    if isinstance(a, VSigma):
-        if not (isinstance(b, VSigma) and conv(depth, a.fst, b.fst, None, strict_pi)):
-            return False
-        x = fresh_var(depth, a.fst)
-        return conv(depth + 1, inst(a.snd, x), inst(b.snd, x), None, strict_pi)
     if isinstance(a, VAtom):
         return a is b
     if isinstance(a, VSucc):
@@ -706,14 +689,11 @@ def _irrelevant(depth, a, b, strict_pi):
 
 def _irrelevant_type(depth, ty, strict_pi):
     """Whether all inhabitants of the forced type `ty` are equal: Unit, a
-    strict equality under the flag, or a Pi or Sigma type built from them."""
-    if isinstance(ty, VPi):
+    strict equality under the flag, a Pi type into one, or a Sigma type of two."""
+    if isinstance(ty, VBinder):
         x = fresh_var(depth, ty.dom)
-        return _irrelevant_type(depth + 1, force(inst(ty.cod, x)), strict_pi)
-    if isinstance(ty, VSigma):
-        x = fresh_var(depth, ty.fst)
-        return (_irrelevant_type(depth, force(ty.fst), strict_pi)
-                and _irrelevant_type(depth + 1, force(inst(ty.snd, x)), strict_pi))
+        return ((isinstance(ty, VPi) or _irrelevant_type(depth, force(ty.dom), strict_pi))
+                and _irrelevant_type(depth + 1, force(inst(ty.cod, x)), strict_pi))
     return ty is UNIT or strict_pi and isinstance(ty, VId) and ty.strict
 
 

@@ -109,21 +109,17 @@ def infer(ctx: Context, t: Term) -> tuple[Term, object]:
         case S.Pair():
             raise fail(D.INFERENCE_FAILURE,
                        "cannot infer the type of a bare pair; ascribe it", t.span)
-        case S.Fst(pair=p):
+        case S.Fst(pair=p) | S.Snd(pair=p):
+            first = isinstance(t, S.Fst)
             p2, p_ty = infer(ctx, p)
             sigma = nbe.force(p_ty)
             if not isinstance(sigma, nbe.VSigma):
-                raise fail(D.CONVERSION_FAILURE, "first projection of a non-pair",
+                raise fail(D.CONVERSION_FAILURE,
+                           f"{'first' if first else 'second'} projection of a non-pair",
                            t.span, expected="a pair type", actual=ctx.show(p_ty))
-            return S.Fst(p2, span=t.span), sigma.fst
-        case S.Snd(pair=p):
-            p2, p_ty = infer(ctx, p)
-            sigma = nbe.force(p_ty)
-            if not isinstance(sigma, nbe.VSigma):
-                raise fail(D.CONVERSION_FAILURE, "second projection of a non-pair",
-                           t.span, expected="a pair type", actual=ctx.show(p_ty))
-            return (S.Snd(p2, span=t.span),
-                    nbe.inst(sigma.snd, nbe.do_fst(nbe.eval_in(ctx, p2))))
+            return type(t)(p2, span=t.span), (
+                sigma.dom if first
+                else nbe.inst(sigma.cod, nbe.do_fst(nbe.eval_in(ctx, p2))))
         case S.Unit():
             return t, nbe.VUniv(fibrant(0))
         case S.Nat() | S.Empty():
@@ -196,14 +192,9 @@ def value_sort(ctx: Context, ty, depth: Optional[int] = None, span=None) -> Sort
     ty = nbe.force(ty)
     if isinstance(ty, nbe.VUniv):
         return Sort(ty.sort.fragment, ty.sort.level + 1)
-    if isinstance(ty, nbe.VPi):
+    if isinstance(ty, nbe.VBinder):
         s1 = value_sort(ctx, ty.dom, depth, span)
         s2 = value_sort(ctx, nbe.inst(ty.cod, nbe.fresh_var(depth, ty.dom)),
-                        depth + 1, span)
-        return combine_sorts(s1, s2)
-    if isinstance(ty, nbe.VSigma):
-        s1 = value_sort(ctx, ty.fst, depth, span)
-        s2 = value_sort(ctx, nbe.inst(ty.snd, nbe.fresh_var(depth, ty.fst)),
                         depth + 1, span)
         return combine_sorts(s1, s2)
     if ty is nbe.UNIT or ty is nbe.NAT or ty is nbe.EMPTY:
@@ -430,8 +421,8 @@ def check(ctx: Context, t: Term, expected) -> Term:
             if not isinstance(sigma, nbe.VSigma):
                 raise fail(D.CONVERSION_FAILURE, "pair checked at a non-pair type",
                            t.span, expected=ctx.show(expected), actual="a pair")
-            fst2 = check(ctx, fst, sigma.fst)
-            snd2 = check(ctx, snd, nbe.inst(sigma.snd, nbe.eval_in(ctx, fst2)))
+            fst2 = check(ctx, fst, sigma.dom)
+            snd2 = check(ctx, snd, nbe.inst(sigma.cod, nbe.eval_in(ctx, fst2)))
             return S.Pair(fst2, snd2, span=t.span)
         case S.Refl():
             word = S.keyword(S.Refl, t.strict)

@@ -808,6 +808,11 @@ def test_diagnostics_print_constants_folded(tmp_path):
                  "def Pt : U 1 := (A : U 0) * A\naxiom p : Pt\ndef bad : Nat := p\n")
     (_, diag), = run(RunConfig(files=[path])).diagnostics
     assert (diag.code, diag.expected, diag.actual) == ("ConversionFailure", "Nat", "Pt")
+    path = write(tmp_path, "injection.2lt", "def x : Nat := inl 0\n")
+    (_, diag), = run(RunConfig(files=[path])).diagnostics
+    assert (diag.code, diag.message, diag.span.line, diag.span.col) == (
+        "ConversionFailure", "injection checked at a non-sum type", 1, 16)
+    assert (diag.expected, diag.actual) == ("Nat", "an injection")
 
 
 def test_type_error_span_points_into_the_file(tmp_path):

@@ -91,8 +91,21 @@ def _one_frame(kind, x):
         return nbe.do_fst(x)
     if kind == "snd":
         return nbe.do_snd(x)
-    return nbe.do_natelim(ev(S.Lam(S.Nat())), nbe.ZERO, ev(S.Lam(S.Lam(S.Var(0)))), x,
-                          False)
+    return nbe.eliminate(S.NatElim, (ev(S.Lam(S.Nat())), nbe.ZERO,
+                                      ev(S.Lam(S.Lam(S.Var(0))))), x, False)
+
+
+@pytest.mark.parametrize("former, args, target, message", [
+    (S.NatElim, (None, None, None), nbe.STAR, "natural-number elimination of a non-numeral"),
+    (S.SumElim, (None, None, None), nbe.ZERO, "sum elimination of a non-injection"),
+    (S.EmptyElim, (None,), nbe.STAR, "empty elimination of a canonical value"),
+    (S.IdElim, (None, None, None, None), nbe.ZERO, "equality elimination of a non-proof"),
+], ids=["natElim", "sumElim", "emptyElim", "J"])
+def test_an_eliminator_on_a_foreign_constructor_is_an_ill_typed_redex(
+        former, args, target, message):
+    with pytest.raises(nbe.EvalError) as e:
+        nbe.eliminate(former, args, target, False)
+    assert str(e.value) == message
 
 
 @pytest.mark.parametrize("left, right", [
@@ -431,7 +444,7 @@ def test_neutral_type_is_none_without_a_typed_head():
     assert nbe.neutral_type(x) is None
     assert nbe.neutral_type(nbe.apply_value(x, nbe.ZERO)) is None
     # an eliminator's motive types its result whatever the scrutinee's type
-    stuck = nbe.do_emptyelim(nbe.VLam(ctx.env, S.Nat()), x, False)
+    stuck = nbe.eliminate(S.EmptyElim, (nbe.VLam(ctx.env, S.Nat()),), x, False)
     assert nbe.neutral_type(stuck) is nbe.NAT
 
 

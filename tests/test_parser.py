@@ -114,6 +114,9 @@ def x : Nat := 1 {- inline {- nested -} block -}
 """
     m = parse_module(text, "t.2lt")
     assert len(m.decls) == 2
+    # a `{-` inside a line comment opens no block comment
+    assert len(parse_module("def a : Nat := 0 -- {- x\ndef b : Nat := a", "t").decls) == 2
+    assert len(parse_module("def a : Nat := 0 -- {-", "t").decls) == 1
 
 
 def test_pragmas():
@@ -175,7 +178,7 @@ def test_round_trip_spec_cases():
     ascriptions = [
         "(star : Unit)", "f (x : Nat)", "((f x : Nat) : Nat)",
         "((X : Us 0)) -> Nat", "((X : Us 0)) * Nat", "(a * (X : Us 0)) -> Nat",
-        "(\\z. z : Nat -> Nat) 0",
+        "(\\z. z : Nat -> Nat) 0", "((f X : Us 0)) -> Nat",
     ]
     for text in ascriptions:
         names = scope + ["f", "X"]
@@ -262,6 +265,17 @@ def test_a_bracket_is_a_binder_only_where_a_telescope_may_start():
     with pytest.raises(CheckError) as e:
         parse_term("(zz : nope)", scope=["a"])
     assert e.value.diagnostic.message == "unbound identifier zz"
+    # and before an error in its type or a missing `)`
+    for text, scope, message, col in [
+        ("(x b : Nat", ["a", "b"], "unbound identifier x", 2),
+        ("(a b : Nat", [], "unbound identifier a", 2),
+        ("(a b : Nat", ["a", "b"], "expected ')', got 'end of input'", 11),
+        ("(a b : Nat ->)", ["a", "b"], "expected a term, got ')'", 14),
+    ]:
+        with pytest.raises(CheckError) as e:
+            parse_term(text, scope=scope)
+        diag = e.value.diagnostic
+        assert (diag.message, diag.span.line, diag.span.col) == (message, 1, col), text
     assert parse_term("(a b : U 0)", scope=["a", "b"]) == \
         S.Ann(S.App(a, b), S.Univ(S.fibrant(0)))
 

@@ -43,6 +43,20 @@ def test_inner_equality_requires_fibrant_carrier():
     assert infer_code(ctx, parse_term("0s = 0s")) == D.NON_FIBRANT_EQUALITY_FORMATION
     assert infer_code(ctx, parse_term("0s =s 0s")) == "Us 0"
     assert infer_code(ctx, parse_term("0 = 0")) == "U 0"
+    # the carrier's sort is read off its value: each binder and sum former
+    for text, sort in [
+        ("(\\x. x : Nat -> Nat) = (\\x. x)", "U 0"),
+        ("(\\x. 0 : NatS -> Nat) = (\\x. 0)", D.NON_FIBRANT_EQUALITY_FORMATION),
+        ("(\\x. 0 : NatS -> Nat) =s (\\x. 0)", "Us 0"),
+        ("((0, 0) : Nat * Nat) = (0, 0)", "U 0"),
+        ("((0s, 0) : NatS * Nat) = (0s, 0)", D.NON_FIBRANT_EQUALITY_FORMATION),
+        ("((0s, 0) : NatS * Nat) =s (0s, 0)", "Us 0"),
+        ("(inl 0 : Nat + Nat) = inl 0", "U 0"),
+        ("(inls 0 : Nat +s Nat) = inls 0", D.NON_FIBRANT_EQUALITY_FORMATION),
+        ("(inls 0s : NatS +s NatS) =s inls 0s", "Us 0"),
+        ("(Nat : U 0) = Nat", "U 1"),
+    ]:
+        assert infer_code(ctx, parse_term(text)) == sort, text
 
 
 @pytest.mark.parametrize("text, message", [
