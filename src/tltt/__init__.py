@@ -9,4 +9,4 @@ is shared between the fragments.
 
 __version__ = "0.1.0"
 
-from tltt.syntax import Sort, Term, fibrant, sort_sub, strict  # noqa: F401
+from tltt.syntax import Term  # noqa: F401

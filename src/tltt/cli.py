@@ -43,13 +43,11 @@ class PragmaResult(NamedTuple):
 class RunReport:
     __slots__ = ("diagnostics", "pragma_results", "checked", "context", "pragmas")
 
-    def __init__(self, diagnostics: Optional[list[tuple[str, Diagnostic]]] = None,
-                 pragma_results: Optional[list[PragmaResult]] = None,
-                 checked: Optional[list[tc.CheckedDecl]] = None,
+    def __init__(self, pragma_results: Optional[list[PragmaResult]] = None,
                  context: Optional[tc.Context] = None) -> None:
-        self.diagnostics = [] if diagnostics is None else diagnostics
+        self.diagnostics: list[tuple[str, Diagnostic]] = []
         self.pragma_results = [] if pragma_results is None else pragma_results
-        self.checked = [] if checked is None else checked
+        self.checked: list[tc.CheckedDecl] = []
         self.context = context  # the final typing context, for tooling
         self.pragmas = 0  # pragmas run, whether they succeeded or not
 

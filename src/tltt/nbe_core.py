@@ -140,10 +140,13 @@ class Value:
 
 
 class VUniv(Value):
-    __slots__ = ("sort",)
+    """The universe `U level`, or `Us level` when `strict`."""
 
-    def __init__(self, sort):
-        self.sort = sort
+    __slots__ = ("level", "strict")
+
+    def __init__(self, level, strict=False):
+        self.level = level
+        self.strict = strict
 
 
 class VBinder(Value):
@@ -471,7 +474,7 @@ def evaluate(t, env):
     if cls is S.Snd:
         return do_snd(evaluate(t.pair, env))
     if cls is S.Univ:
-        return VUniv(t.sort)
+        return VUniv(t.level, t.strict)
     if cls is S.Unit:
         return UNIT
     if cls is S.Star:
@@ -535,7 +538,7 @@ def quote(depth, v, unfold=True):
     if isinstance(v, VPair):
         return S.Pair(quote(depth, v.fst, unfold), quote(depth, v.snd, unfold))
     if isinstance(v, VUniv):
-        return S.Univ(v.sort)
+        return S.Univ(v.level, strict=v.strict)
     if isinstance(v, VAtom):
         return v.term
     if isinstance(v, VSucc):
@@ -645,7 +648,7 @@ def _conv_whnf(depth, a, b, strict_pi):
         return (conv(depth, do_fst(a), do_fst(b), None, strict_pi)
                 and conv(depth, do_snd(a), do_snd(b), None, strict_pi))
     if isinstance(a, VUniv):
-        return isinstance(b, VUniv) and a.sort == b.sort
+        return isinstance(b, VUniv) and a.level == b.level and a.strict == b.strict
     if isinstance(a, VBinder):
         if not (type(b) is type(a) and conv(depth, a.dom, b.dom, None, strict_pi)):
             return False

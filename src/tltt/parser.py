@@ -15,11 +15,14 @@ after an application decides how many of them are complete.  Only a
 parenthesized term and a lambda in argument position call `term` again,
 so one level of nesting costs one Python frame.
 
-Both passes are linear in the input.  The parser never shifts a parsed
-term: the right side of ``A -> B`` and ``A * B`` is parsed under an
-anonymous binder, so its free indices come out displaced already.  It
-parses a bracket ``( NAME+ : T )`` once, and the token after the closing
-parenthesis decides between a binder telescope and an ascription.
+Both passes are linear in the input, except for one copy.  A telescope
+``(x y ... : A)`` of k names binds each name to its own copy of ``A``, and
+`Parser.close` shifts ``A`` once for each name after the first, so the
+telescope costs O(k·|A|).  That is the only shift of a parsed term: the
+right side of ``A -> B`` and ``A * B`` is parsed under an anonymous binder,
+so its free indices come out displaced already.  It parses a bracket
+``( NAME+ : T )`` once, and the token after the closing parenthesis decides
+between a binder telescope and an ascription.
 """
 
 from __future__ import annotations
@@ -401,9 +404,8 @@ class Parser:
                         raise fail(D.RESOURCE_EXHAUSTED,
                                    f"universe level of {limit} digits or more",
                                    self.span(pos + 1, pos + 1))
-                    level = int(digits)
-                    sort = S.fibrant(level) if word == "U" else S.strict(level)
-                    atom = S.Univ(sort, span=self.span(pos, pos + 1))
+                    atom = S.Univ(int(digits), strict=word == "Us",
+                                  span=self.span(pos, pos + 1))
                     pos += 2
                 elif head is None and elim is None:  # an eliminator
                     cls, arity = elims[word]

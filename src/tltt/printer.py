@@ -139,8 +139,7 @@ class _Printer:
                 self.consts.add(t.name)
             return t.name, ATOM
         if cls is S.Univ:
-            word = "U" if t.sort.is_fibrant else "Us"
-            return f"{word} {t.sort.level}", APP
+            return f"{'Us' if t.strict else 'U'} {t.level}", APP
         if cls is S.Pi or cls is S.Sigma:
             dom, body, op, prec = ((t.dom, t.cod, "->", ARROW) if cls is S.Pi
                                    else (t.fst, t.snd, "*", PROD))

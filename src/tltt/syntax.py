@@ -1,4 +1,4 @@
-"""Core term language: sorts, de Bruijn terms, declarations, shifting.
+"""Core term language: de Bruijn terms, declarations, shifting.
 
 Terms are plain slotted classes compared structurally; with de Bruijn
 indices, structural equality *is* alpha-equality.  A term class's
@@ -13,80 +13,23 @@ Terms are immutable by convention: no code assigns a field after
 construction.  Nothing enforces it, because a guard would be paid on every
 node the parser, `quote` and substitution build.
 
-The outer (strict) naturals, empty type, sums and equality are the same
-formers as the inner (fibrant) ones, living in the other fragment, so each
-is one class with a `strict` flag rather than a twin class.  The surface
-language spells the strict former with an `S`/`s` suffix (`NatS`, `succs`,
-`+s`, `=s`, `Js`, ...).  `KEYWORDS` holds the words of the prefix and
+The outer (strict) universes, naturals, empty type, sums and equality are
+the same formers as the inner (fibrant) ones, living in the other fragment,
+so each is one class with a `strict` flag rather than a twin class.  A
+universe is `Univ(level, strict=...)`: `U i` or `Us i`.  The surface
+language spells the strict former with an `S`/`s` suffix (`Us`, `NatS`,
+`succs`, `+s`, `=s`, `Js`, ...).  `KEYWORDS` holds the words of the prefix and
 nullary formers, once for the parser and the printer.  The flag takes part
 in comparison: alpha-equality tells the fragments apart.  `UipS` has no
 inner twin and stays a class.
 
-Declarations, modules and sorts are records: `NamedTuple`s, except `Sort`,
-which checks its fields.
+Declarations and modules are records: `NamedTuple`s.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
 from typing import NamedTuple, Optional
-
-
-FIBRANT = "fibrant"
-STRICT = "strict"
-
-
-class Sort:
-    """Universe classifier: fragment (fibrant or strict) crossed with a level."""
-
-    __slots__ = ("fragment", "level")
-
-    def __init__(self, fragment: str, level: int) -> None:
-        if fragment not in (FIBRANT, STRICT):
-            raise ValueError(f"bad fragment {fragment!r}")
-        if level < 0:
-            raise ValueError("universe level must be non-negative")
-        self.fragment = fragment
-        self.level = level
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.fragment == other.fragment and self.level == other.level
-
-    def __hash__(self) -> int:
-        return hash((self.fragment, self.level))
-
-    def __repr__(self) -> str:
-        return f"Sort(fragment={self.fragment!r}, level={self.level!r})"
-
-    @property
-    def is_fibrant(self) -> bool:
-        return self.fragment == FIBRANT
-
-    def __str__(self) -> str:
-        return ("U " if self.is_fibrant else "Us ") + str(self.level)
-
-
-def fibrant(level: int) -> Sort:
-    return Sort(FIBRANT, level)
-
-
-def strict(level: int) -> Sort:
-    return Sort(STRICT, level)
-
-
-def sort_sub(a: Sort, b: Sort) -> bool:
-    """Cumulative subsumption: levels rise, and fibrant embeds into strict."""
-    if a.level > b.level:
-        return False
-    return a.fragment == b.fragment or (a.is_fibrant and not b.is_fibrant)
-
-
-def combine_sorts(a: Sort, b: Sort) -> Sort:
-    """Least sort of a Pi/Sigma built from pieces of sorts `a` and `b`."""
-    frag = FIBRANT if (a.is_fibrant and b.is_fibrant) else STRICT
-    return Sort(frag, max(a.level, b.level))
 
 
 class Span(NamedTuple):
@@ -115,7 +58,7 @@ TermSpan = tuple
 # `resolved` is the value a constant's name stands for.
 _UNCOMPARED = frozenset({"span", "hint", "ty", "resolved"})
 # Fields that hold no term.
-_NOT_TERMS = frozenset({"span", "hint", "strict", "index", "sort", "name", "resolved"})
+_NOT_TERMS = frozenset({"span", "hint", "strict", "index", "level", "name", "resolved"})
 
 
 class Term:
@@ -167,10 +110,12 @@ class Var(Term):
 
 
 class Univ(Term):
-    __slots__ = ("sort",)
+    __slots__ = ("level", "strict")
 
-    def __init__(self, sort: Sort, *, span: Optional[TermSpan] = None) -> None:
-        self.sort = sort
+    def __init__(self, level: int, *, strict: bool = False,
+                 span: Optional[TermSpan] = None) -> None:
+        self.level = level
+        self.strict = strict
         self.span = span
 
 

@@ -1,12 +1,14 @@
 """Bidirectional elaboration with fibrancy tracking.
 
-Type inference returns the least sort of every type expression; check mode
-applies cumulative subsumption (fibrant universes embed in strict ones,
-levels rise).  Inner equality, sums, naturals and the empty type insist on
-fibrant data; their strict twins accept any pretype.  Eliminator motives
-into the inner layer must land in a fibrant universe unless the strict
-eliminator is used or strong mode is on.  In strong mode the parser reads the
-strict naturals, sums and empty type as the fibrant ones.
+Type inference returns the least universe of every type expression, a
+`VUniv` value: `U i` for a fibrant type, `Us i` for a pretype.  Check mode
+applies cumulativity, `univ_below` (levels rise, and fibrant universes embed
+in strict ones); a former built from pieces lands in their `univ_join`.
+Inner equality, sums, naturals and the empty type insist on fibrant data;
+their strict twins accept any pretype.  Eliminator motives into the inner
+layer must land in a fibrant universe unless the strict eliminator is used
+or strong mode is on.  In strong mode the parser reads the strict naturals,
+sums and empty type as the fibrant ones.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from tltt import syntax as S
 from tltt import diagnostics as D
 from tltt.diagnostics import CheckError, fail
 from tltt.printer import pretty_print
-from tltt.syntax import Sort, Span, Term, combine_sorts, fibrant, sort_sub, strict
+from tltt.syntax import Span, Term
 
 
 class Flags(NamedTuple):
@@ -82,14 +84,13 @@ def infer(ctx: Context, t: Term) -> tuple[Term, object]:
             if value is None:
                 raise fail(D.UNBOUND_VARIABLE, f"unknown constant {n}", t.span)
             return S.Const(n, value, span=t.span), value.head.ty
-        case S.Univ(sort=s):
-            return t, nbe.VUniv(Sort(s.fragment, s.level + 1))
+        case S.Univ():
+            return t, nbe.VUniv(t.level + 1, t.strict)
         case S.Pi(dom=dom, cod=cod) | S.Sigma(fst=dom, snd=cod):
             dom2, s1 = infer_universe(ctx, dom)
             inner = ctx.extend(t.hint, nbe.eval_in(ctx, dom2))
             cod2, s2 = infer_universe(inner, cod)
-            return (type(t)(dom2, cod2, hint=t.hint, span=t.span),
-                    nbe.VUniv(combine_sorts(s1, s2)))
+            return type(t)(dom2, cod2, hint=t.hint, span=t.span), univ_join(s1, s2)
         case S.Lam():
             raise fail(D.INFERENCE_FAILURE,
                        "cannot infer the type of an unannotated lambda", t.span)
@@ -121,9 +122,9 @@ def infer(ctx: Context, t: Term) -> tuple[Term, object]:
                 sigma.dom if first
                 else nbe.inst(sigma.cod, nbe.do_fst(nbe.eval_in(ctx, p2))))
         case S.Unit():
-            return t, nbe.VUniv(fibrant(0))
+            return t, nbe.VUniv(0)
         case S.Nat() | S.Empty():
-            return t, nbe.VUniv(strict(0) if t.strict else fibrant(0))
+            return t, nbe.VUniv(0, t.strict)
         case S.Star():
             return t, nbe.UNIT
         case S.Zero():
@@ -134,19 +135,14 @@ def infer(ctx: Context, t: Term) -> tuple[Term, object]:
         case S.Sum(left=l, right=r):
             l2, s1 = infer_universe(ctx, l)
             r2, s2 = infer_universe(ctx, r)
-            if t.strict:
-                sort = strict(max(s1.level, s2.level))
-            elif not ctx.flags.strong:
-                for side, s in ((l, s1), (r, s2)):
-                    if not s.is_fibrant:
-                        raise fail(D.FIBRANCY_VIOLATION,
-                                   "sum formation requires fibrant summands",
-                                   side.span or t.span, expected="a fibrant type",
-                                   actual=ctx.show_term(side))
-                sort = fibrant(max(s1.level, s2.level))
-            else:
-                sort = combine_sorts(s1, s2)
-            return S.Sum(l2, r2, strict=t.strict, span=t.span), nbe.VUniv(sort)
+            for side, s in ((l, s1), (r, s2)):
+                if s.strict and not (t.strict or ctx.flags.strong):
+                    raise fail(D.FIBRANCY_VIOLATION,
+                               "sum formation requires fibrant summands",
+                               side.span or t.span, expected="a fibrant type",
+                               actual=ctx.show_term(side))
+            return (S.Sum(l2, r2, strict=t.strict, span=t.span),
+                    univ_join(s1, s2, t.strict))
         case S.Inl() | S.Inr():
             raise fail(D.INFERENCE_FAILURE,
                        "cannot infer the type of an injection; ascribe it", t.span)
@@ -171,49 +167,56 @@ def infer(ctx: Context, t: Term) -> tuple[Term, object]:
     raise fail(D.INFERENCE_FAILURE, f"cannot infer {type(t).__name__}", t.span)
 
 
-def infer_universe(ctx: Context, t: Term) -> tuple[Term, Sort]:
-    """Elaborate a term expected to be a type; returns it with its least sort."""
+def univ_below(a, b) -> bool:
+    """Cumulativity of the universes `a` and `b`: levels rise, and fibrant
+    embeds into strict."""
+    return a.level <= b.level and (b.strict or not a.strict)
+
+
+def univ_join(a, b, strict: bool = False):
+    """The least universe above `a` and `b`, strict if `strict` is: where a
+    Pi, Sigma or sum type of pieces in `a` and `b` lands."""
+    return nbe.VUniv(max(a.level, b.level), strict or a.strict or b.strict)
+
+
+def infer_universe(ctx: Context, t: Term) -> tuple[Term, object]:
+    """Elaborate a term expected to be a type; returns it with its least
+    universe."""
     t2, ty = infer(ctx, t)
     univ = nbe.force(ty)
     if isinstance(univ, nbe.VUniv):
-        return t2, univ.sort
+        return t2, univ
     raise fail(D.UNIVERSE_ERROR, "expected a type", t.span,
                expected="an element of some universe", actual=ctx.show(ty))
 
 
-def value_sort(ctx: Context, ty, depth: Optional[int] = None, span=None) -> Sort:
-    """Least sort of a type value, mirroring inference on the value level.
+def value_sort(ty, depth: int, span=None):
+    """Least universe of a type value at `depth`, mirroring inference on the
+    value level.
 
     A neutral is classified by its type, `nbe.neutral_type`: a variable
-    X : U i classifies as Fibrant i, X : Us i as Strict i.
+    X : U i lands in U i, X : Us i in Us i.
     """
-    if depth is None:
-        depth = ctx.depth
     ty = nbe.force(ty)
     if isinstance(ty, nbe.VUniv):
-        return Sort(ty.sort.fragment, ty.sort.level + 1)
+        return nbe.VUniv(ty.level + 1, ty.strict)
     if isinstance(ty, nbe.VBinder):
-        s1 = value_sort(ctx, ty.dom, depth, span)
-        s2 = value_sort(ctx, nbe.inst(ty.cod, nbe.fresh_var(depth, ty.dom)),
-                        depth + 1, span)
-        return combine_sorts(s1, s2)
+        s1 = value_sort(ty.dom, depth, span)
+        s2 = value_sort(nbe.inst(ty.cod, nbe.fresh_var(depth, ty.dom)), depth + 1, span)
+        return univ_join(s1, s2)
     if ty is nbe.UNIT or ty is nbe.NAT or ty is nbe.EMPTY:
-        return fibrant(0)
+        return nbe.VUniv(0)
     if ty is nbe.NAT_S or ty is nbe.EMPTY_S:
-        return strict(0)
+        return nbe.VUniv(0, True)
     if isinstance(ty, nbe.VSum):
-        s1 = value_sort(ctx, ty.left, depth, span)
-        s2 = value_sort(ctx, ty.right, depth, span)
-        if ty.strict:
-            return strict(max(s1.level, s2.level))
-        return combine_sorts(s1, s2)
+        return univ_join(value_sort(ty.left, depth, span),
+                         value_sort(ty.right, depth, span), ty.strict)
     if isinstance(ty, nbe.VId):
-        level = value_sort(ctx, ty.ty, depth, span).level
-        return strict(level) if ty.strict else fibrant(level)
+        return nbe.VUniv(value_sort(ty.ty, depth, span).level, ty.strict)
     if isinstance(ty, nbe.VNeutral):
         ann = nbe.neutral_type(ty)
         if isinstance(ann, nbe.VUniv):
-            return ann.sort
+            return ann
         raise fail(D.UNIVERSE_ERROR,
                    "cannot determine the universe of a neutral type", span)
     raise fail(D.UNIVERSE_ERROR, "expected a type value", span)
@@ -234,19 +237,19 @@ def _infer_equality(ctx, t):
         # folded, so that conversion can compare the carrier of each
         # evaluation of this equality without unfolding it
         ty2 = nbe.quote(ctx.depth, carrier, unfold=False)
-        sort = value_sort(ctx, carrier, span=t.span)
+        sort = value_sort(carrier, ctx.depth, t.span)
     else:
         ty2, sort = infer_universe(ctx, ty)
         carrier = nbe.eval_in(ctx, ty2)
         lhs2 = check(ctx, lhs, carrier)
-    if not is_strict and not sort.is_fibrant:
+    if sort.strict and not is_strict:
         raise fail(D.NON_FIBRANT_EQUALITY_FORMATION,
                    "the inner equality can only be formed over a fibrant type",
                    t.span, expected="a fibrant type",
-                   actual=f"{ctx.show_term(ty2)} : {sort}")
+                   actual=f"{ctx.show_term(ty2)} : {ctx.show(sort)}")
     rhs2 = check(ctx, rhs, carrier)
-    result_sort = strict(sort.level) if is_strict else fibrant(sort.level)
-    return S.Id(ty2, lhs2, rhs2, strict=is_strict, span=t.span), nbe.VUniv(result_sort)
+    return (S.Id(ty2, lhs2, rhs2, strict=is_strict, span=t.span),
+            nbe.VUniv(sort.level, is_strict))
 
 
 # -- eliminators ------------------------------------------------------------------
@@ -377,11 +380,10 @@ def _infer_elim(ctx: Context, t: Term) -> tuple[Term, object]:
                    expected="a universe", actual=inner.show(cod))
     # a fibrant eliminator's motive lands in a fibrant universe; strong mode
     # waives this for the formers it merges with their strict twins
-    if not (t.strict or pi.sort.is_fibrant
-            or ctx.flags.strong and type(t) not in S.KEPT_APART):
+    if pi.strict and not (t.strict or ctx.flags.strong and type(t) not in S.KEPT_APART):
         raise fail(D.NON_FIBRANT_MOTIVE,
                    f"{S.keyword(type(t))} can only eliminate into families of fibrant "
-                   f"types; the motive lands in {pi.sort}", span)
+                   f"types; the motive lands in {ctx.show(pi)}", span)
     m_v = nbe.eval_in(ctx, motive2)
     case_env = nbe.extend(carrier_env, m_v)
     cases2 = [check(ctx, case, nbe.evaluate(template, case_env))
@@ -456,14 +458,14 @@ def _subsume(ctx: Context, actual, expected, span) -> None:
         return
     u_actual, u_expected = nbe.force(actual), nbe.force(expected)
     if isinstance(u_actual, nbe.VUniv) and isinstance(u_expected, nbe.VUniv):
-        if sort_sub(u_actual.sort, u_expected.sort):
+        if univ_below(u_actual, u_expected):
             return
-        if u_actual.sort.level <= u_expected.sort.level:
+        if u_actual.level <= u_expected.level:
             raise fail(D.FIBRANCY_VIOLATION,
                        "a pretype cannot be used where a fibrant type is required",
-                       span, expected=str(u_expected.sort), actual=str(u_actual.sort))
+                       span, expected=ctx.show(u_expected), actual=ctx.show(u_actual))
         raise fail(D.UNIVERSE_ERROR, "universe level too large", span,
-                   expected=str(u_expected.sort), actual=str(u_actual.sort))
+                   expected=ctx.show(u_expected), actual=ctx.show(u_actual))
     raise fail(D.CONVERSION_FAILURE, "type mismatch", span,
                expected=ctx.show(expected), actual=ctx.show(actual))
 
@@ -482,7 +484,7 @@ def check_declaration(ctx: Context, decl) -> CheckedDecl:
     must be top level (empty telescope)."""
     if decl.name in ctx.sig:
         raise fail(D.DUPLICATE_NAME, f"{decl.name} is already declared", decl.span)
-    ty2, _sort = infer_universe(ctx, decl.ty)
+    ty2, _ = infer_universe(ctx, decl.ty)
     ty_v = nbe.eval_in(ctx, ty2)
     if isinstance(decl, S.Axiom):
         ctx.sig.define(decl.name, ty_v, None)

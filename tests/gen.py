@@ -26,7 +26,7 @@ def rand_scoped(rng: random.Random, depth: int = 0, size: int = 6) -> Term:
     atoms = [S.Star(), S.Zero(), S.Zero(strict=True), S.Unit(), S.Nat(),
              S.Nat(strict=True), S.Empty(), S.Empty(strict=True), S.Refl(),
              S.Refl(strict=True),
-             S.Univ(S.fibrant(rng.randrange(3))), S.Univ(S.strict(rng.randrange(3)))]
+             S.Univ(rng.randrange(3)), S.Univ(rng.randrange(3), strict=True)]
     if size <= 1:
         if depth and rng.random() < 0.5:
             return S.Var(rng.randrange(depth))

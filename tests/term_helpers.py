@@ -10,7 +10,7 @@ of them, so they live here rather than in `tltt.syntax`.
 from __future__ import annotations
 
 from tltt import syntax as S
-from tltt.syntax import (_ATOMS, Id, IdElim, Refl, Term, UipS, Univ, Var, _rebuild, shift,
+from tltt.syntax import (_ATOMS, Id, IdElim, Refl, Term, UipS, Var, _rebuild, shift,
                          term_children)
 
 
@@ -34,8 +34,8 @@ def subst(t: Term, index: int, replacement: Term) -> Term:
 
 def strict_constructors(t: Term) -> set[str]:
     """Names of strict-fragment constructors occurring anywhere in `t`: the
-    class name plus `S` for a flagged former (`NatS`, `IdElimS`), `UipS`, and
-    `UnivS` for a strict universe."""
+    class name plus `S` for a flagged former (`UnivS`, `NatS`, `IdElimS`), and
+    `UipS`."""
     found = set()
 
     def go(u: Term) -> None:
@@ -43,8 +43,6 @@ def strict_constructors(t: Term) -> set[str]:
             found.add(type(u).__name__ + "S")
         if isinstance(u, UipS):
             found.add("UipS")
-        if isinstance(u, Univ) and not u.sort.is_fibrant:
-            found.add("UnivS")
         for _, child, _ in term_children(u):
             go(child)
 

@@ -291,6 +291,67 @@ def test_an_ascription_keeps_the_universe_of_an_equality(tmp_path, text):
     assert [r.text for r in report.pragma_results] == ["ok [UniverseError]", "ok"]
 
 
+UNIVERSES = """axiom A : Us 0
+axiom x : A
+def pretype : U 0 := NatS
+def level : U 1 := U 1
+def strictLevel : Us 0 := Us 0
+def sum : U 0 := Nat + NatS
+def eq : U 0 := x = x
+def motive : Us 0 := natElim ((\\n. Us 0) : Nat -> Us 1) NatS (\\n. \\r. r) 2
+#infer Us 1 -> U 0
+#infer (X : U 0) * (X + X)
+#infer (Nat : U 0) = Nat
+#infer (NatS : Us 0) =s NatS
+"""
+
+UNIVERSE_INFERENCES = """u.2lt:9:1: #infer: Us 2
+u.2lt:10:1: #infer: U 1
+u.2lt:11:1: #infer: U 1
+u.2lt:12:1: #infer: Us 1
+"""
+
+UNIVERSE_LEVELS = """u.2lt:4:20: error[UniverseError]: universe level too large
+  expected: U 1
+  actual:   U 2
+u.2lt:5:27: error[UniverseError]: universe level too large
+  expected: Us 0
+  actual:   Us 1
+"""
+
+UNIVERSE_EQUALITY = """u.2lt:7:17: error[NonFibrantEqualityFormation]: \
+the inner equality can only be formed over a fibrant type
+  expected: a fibrant type
+  actual:   A : Us 0
+"""
+
+
+@pytest.mark.parametrize("strong, expected", [
+    (False, UNIVERSE_INFERENCES + """\
+u.2lt:3:22: error[FibrancyViolation]: a pretype cannot be used where a fibrant type is required
+  expected: U 0
+  actual:   Us 0
+""" + UNIVERSE_LEVELS + """\
+u.2lt:6:24: error[FibrancyViolation]: sum formation requires fibrant summands
+  expected: a fibrant type
+  actual:   NatS
+""" + UNIVERSE_EQUALITY + """\
+u.2lt:8:30: error[NonFibrantMotive]: natElim can only eliminate into families of fibrant \
+types; the motive lands in Us 1
+FAILED: 6 errors (2 declarations, 4 pragmas)\n"""),
+    (True, UNIVERSE_INFERENCES + UNIVERSE_LEVELS + UNIVERSE_EQUALITY
+     + "FAILED: 3 errors (5 declarations, 4 pragmas)\n"),
+], ids=["default", "strong"])
+def test_universe_diagnostics(tmp_path, strong, expected):
+    # every diagnostic that names a universe, byte for byte: cumulativity
+    # (fibrancy, then level), a sum's summand, an equality's carrier, and
+    # the universe a motive lands in
+    path = write(tmp_path, "u.2lt", UNIVERSES)
+    text, code = emit_report(run(RunConfig(files=[path], strong_mode=strong)), "human")
+    assert code == 1
+    assert text.replace(path, "u.2lt") == expected
+
+
 def test_diagnostics_show_the_users_ascription(tmp_path):
     # the parsed term prints the ascription as written; the elaborated one
     # has it erased

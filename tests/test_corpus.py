@@ -213,7 +213,7 @@ def test_sst_stage_one_structural_form(default_report):
     ctx = default_report.context
     t, _ = tc.infer(ctx, parse_term("SST 1s", known_names=ctx.sig.entries.keys()))
     assert nbe.normalize(ctx, t) == S.Sigma(
-        S.Unit(), S.Pi(S.Unit(), S.Univ(S.fibrant(0))))
+        S.Unit(), S.Pi(S.Unit(), S.Univ(0)))
 
 
 def test_oracle_normal_forms_reparse_and_renormalize(default_report):

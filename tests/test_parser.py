@@ -26,7 +26,7 @@ def test_module_with_definition():
     assert isinstance(d, S.Definition)
     assert d.name == "id"
     assert d.body == S.Lam(S.Lam(S.Var(0)))
-    assert d.ty == S.Pi(S.Univ(S.fibrant(0)), S.Pi(S.Var(0), S.Var(1)))
+    assert d.ty == S.Pi(S.Univ(0), S.Pi(S.Var(0), S.Var(1)))
 
 
 def test_unbound_identifier_has_span():
@@ -49,7 +49,7 @@ def test_axiom_declaration():
 def test_simple_terms():
     assert parse_term("(x : Nat) -> Nat") == S.Pi(S.Nat(), S.Nat())
     assert parse_term("(x : NatS) * Us 0") == \
-        S.Sigma(S.Nat(strict=True), S.Univ(S.strict(0)))
+        S.Sigma(S.Nat(strict=True), S.Univ(0, strict=True))
     assert parse_term("refls") == S.Refl(strict=True)
     assert parse_term("star") == S.Star()
 
@@ -76,7 +76,7 @@ def test_precedences():
     assert t == S.Id(None, S.App(S.Var(2), S.Lam(S.Id(None, S.Var(0), S.Var(2)))), S.Var(0))
     # a product telescope ends at `->`, whose domain is the whole product
     t = parse_term("(a : U 0) * b * c -> d", scope=["b", "c", "d"])
-    assert t == S.Pi(S.Sigma(S.Univ(S.fibrant(0)), S.Sigma(S.Var(3), S.Var(3))), S.Var(1))
+    assert t == S.Pi(S.Sigma(S.Univ(0), S.Sigma(S.Var(3), S.Var(3))), S.Var(1))
 
 
 def test_multi_name_binder():
@@ -252,12 +252,12 @@ def test_nested_ascriptions_parse_each_bracket_once(monkeypatch):
 def test_a_bracket_is_a_binder_only_where_a_telescope_may_start():
     a, b = S.Var(1), S.Var(0)
     assert parse_term("(a b : U 0) -> a", scope=["A"]) == \
-        S.Pi(S.Univ(S.fibrant(0)), S.Pi(S.Univ(S.fibrant(0)), S.Var(1)))
+        S.Pi(S.Univ(0), S.Pi(S.Univ(0), S.Var(1)))
     assert parse_term("(a : U 0) * a", scope=["A"]) == \
-        S.Sigma(S.Univ(S.fibrant(0)), S.Var(0))
+        S.Sigma(S.Univ(0), S.Var(0))
     # in argument position the same bracket is an ascription
     t = parse_term("f (a : U 0) -> b", scope=["f", "a", "b"])
-    assert t == S.Pi(S.App(S.Var(2), S.Ann(a, S.Univ(S.fibrant(0)))), S.Var(1))
+    assert t == S.Pi(S.App(S.Var(2), S.Ann(a, S.Univ(0))), S.Var(1))
     with pytest.raises(CheckError) as e:
         parse_term("a * (x : U 0) -> x", scope=["a"])
     assert "arrow binder needs parentheses" in e.value.diagnostic.message
@@ -277,7 +277,7 @@ def test_a_bracket_is_a_binder_only_where_a_telescope_may_start():
         diag = e.value.diagnostic
         assert (diag.message, diag.span.line, diag.span.col) == (message, 1, col), text
     assert parse_term("(a b : U 0)", scope=["a", "b"]) == \
-        S.Ann(S.App(a, b), S.Univ(S.fibrant(0)))
+        S.Ann(S.App(a, b), S.Univ(0))
 
 
 def test_printing_a_long_chain_walks_each_node_once(monkeypatch):

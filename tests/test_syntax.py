@@ -1,15 +1,12 @@
-"""Core syntax: shift, subst, sort subsumption, structural alpha-equality."""
+"""Core syntax: shift, subst, structural alpha-equality."""
 
 import random
 import subprocess
 import sys
 from pathlib import Path
 
-from hypothesis import given, strategies as st
-
 from tltt import syntax as S
-from tltt.syntax import (Sort, Var, Lam, App, Pi, Const, Star, Nat, Zero,
-                         combine_sorts, fibrant, shift, sort_sub, strict)
+from tltt.syntax import Var, Lam, App, Pi, Const, Star, Nat, Zero, shift
 
 from term_helpers import subst
 
@@ -151,46 +148,6 @@ def test_subst_against_named_reference_sampled():
         assert from_named(named, ["a"]) == subst(body, 0, repl)
 
 
-# -- sorts --------------------------------------------------------------------
-
-def test_sort_sub_examples():
-    assert sort_sub(fibrant(0), strict(0))
-    assert not sort_sub(strict(0), fibrant(0))
-    assert not sort_sub(fibrant(1), fibrant(0))
-    assert sort_sub(fibrant(0), fibrant(2))
-    assert sort_sub(strict(1), strict(3))
-
-
-sorts = st.builds(Sort,
-                  st.sampled_from([S.FIBRANT, S.STRICT]),
-                  st.integers(min_value=0, max_value=5))
-
-
-@given(sorts)
-def test_sort_sub_reflexive(a):
-    assert sort_sub(a, a)
-
-
-@given(sorts, sorts, sorts)
-def test_sort_sub_transitive(a, b, c):
-    if sort_sub(a, b) and sort_sub(b, c):
-        assert sort_sub(a, c)
-
-
-@given(sorts, sorts)
-def test_sort_sub_antisymmetric(a, b):
-    if sort_sub(a, b) and sort_sub(b, a):
-        assert a == b
-
-
-@given(sorts, sorts)
-def test_combine_is_upper_bound(a, b):
-    c = combine_sorts(a, b)
-    assert sort_sub(a, c) or not a.is_fibrant
-    assert c.level == max(a.level, b.level)
-    assert c.is_fibrant == (a.is_fibrant and b.is_fibrant)
-
-
 # -- structural equality is alpha-equality -------------------------------------
 
 def test_alpha_equality_ignores_hints_spans_and_annotations():
@@ -223,7 +180,7 @@ def test_alpha_equality_is_structural():
 
 
 def test_strict_is_compared_and_hashed():
-    flagged = [Nat(), Zero(), S.Empty(), S.Refl(), S.Succ(Zero()),
+    flagged = [S.Univ(0), Nat(), Zero(), S.Empty(), S.Refl(), S.Succ(Zero()),
                S.Sum(Nat(), Nat()), S.Inl(Star()), S.Inr(Star()),
                S.Id(None, Zero(), Zero()), S.NatElim(Nat(), Zero(), Star(), Zero()),
                S.EmptyElim(Nat(), Star()), S.SumElim(Nat(), Star(), Star(), Star()),
@@ -249,7 +206,7 @@ def test_repr_shows_the_compared_fields_in_order():
     assert repr(Pi(Nat(), Var(0), "x", span=sp)) == "Pi(dom=Nat(strict=False), cod=Var(index=0))"
     assert repr(S.Id(Nat(), Zero(), Zero(), strict=True)) == \
         "Id(lhs=Zero(strict=False), rhs=Zero(strict=False), strict=True)"
-    assert repr(S.Univ(fibrant(2))) == "Univ(sort=Sort(fragment='fibrant', level=2))"
+    assert repr(S.Univ(2)) == "Univ(level=2, strict=False)"
     assert repr(S.Unit()) == "Unit()"
 
 
@@ -274,11 +231,12 @@ def test_rebuild_keeps_the_fields_it_does_not_replace():
     assert t.dom == Nat()  # the original is untouched
 
 
-def test_sort_is_a_value():
-    assert Sort("fibrant", 1) == fibrant(1) and hash(Sort("fibrant", 1)) == hash(fibrant(1))
-    assert fibrant(1) != strict(1) and fibrant(1) != ("fibrant", 1)
-    assert repr(strict(3)) == "Sort(fragment='strict', level=3)"
-    assert str(strict(3)) == "Us 3" and str(fibrant(0)) == "U 0"
+def test_a_universe_compares_and_hashes_its_level():
+    # its `strict` flag is checked with the other flagged formers'
+    sp = S.Span("f", 1, 1, 1, 2)
+    assert S.Univ(1, span=sp) == S.Univ(1) and hash(S.Univ(1, span=sp)) == hash(S.Univ(1))
+    assert S.Univ(1) != S.Univ(2) and hash(S.Univ(1)) != hash(S.Univ(2))
+    assert S.Univ(0) != (0, False) and S.term_children(S.Univ(3, strict=True)) == []
 
 
 def test_importing_the_checker_loads_no_dataclasses():

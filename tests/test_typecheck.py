@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tltt import nbe, syntax as S, typecheck as tc
 from tltt import diagnostics as D
@@ -143,8 +144,8 @@ def test_unannotated_lambda_does_not_infer():
 
 def test_universes():
     ctx = ctx_default()
-    assert infer_code(ctx, S.Univ(S.fibrant(0))) == "U 1"
-    assert infer_code(ctx, S.Univ(S.strict(2))) == "Us 3"
+    assert infer_code(ctx, S.Univ(0)) == "U 1"
+    assert infer_code(ctx, S.Univ(2, strict=True)) == "Us 3"
 
 
 # -- checking and subsumption ----------------------------------------------------
@@ -155,7 +156,7 @@ def test_check_examples():
     assert check_code(ctx, S.Nat(), "Us 0") == "ok"
     assert check_code(ctx, S.Nat(strict=True), "U 0") == D.FIBRANCY_VIOLATION
     assert check_code(ctx, S.Nat(), "Us 4") == "ok"
-    assert check_code(ctx, S.Univ(S.fibrant(1)), "U 1") == D.UNIVERSE_ERROR
+    assert check_code(ctx, S.Univ(1), "U 1") == D.UNIVERSE_ERROR
     assert check_code(ctx, S.Star(), "Nat") == D.CONVERSION_FAILURE
 
 
@@ -176,26 +177,81 @@ def test_subsumption_monotonicity():
             assert check_code(ctx, t, f"Us {level}") == "ok"
 
 
+# -- the universe order ---------------------------------------------------------------
+
+def U(level, strict=False):
+    return nbe.VUniv(level, strict)
+
+
+def same(a, b):
+    return (a.level, a.strict) == (b.level, b.strict)
+
+
+def test_univ_below_examples():
+    assert tc.univ_below(U(0), U(0, True))
+    assert not tc.univ_below(U(0, True), U(0))
+    assert not tc.univ_below(U(1), U(0))
+    assert tc.univ_below(U(0), U(2))
+    assert tc.univ_below(U(1, True), U(3, True))
+    assert same(tc.univ_join(U(2), U(1, True)), U(2, True))
+    assert same(tc.univ_join(U(0), U(1), True), U(1, True))
+
+
+universes = st.builds(nbe.VUniv, st.integers(min_value=0, max_value=5), st.booleans())
+
+
+@given(universes)
+def test_univ_below_reflexive(a):
+    assert tc.univ_below(a, a)
+
+
+@given(universes, universes, universes)
+def test_univ_below_transitive(a, b, c):
+    if tc.univ_below(a, b) and tc.univ_below(b, c):
+        assert tc.univ_below(a, c)
+
+
+@given(universes, universes)
+def test_univ_below_antisymmetric(a, b):
+    if tc.univ_below(a, b) and tc.univ_below(b, a):
+        assert same(a, b)
+
+
+@given(universes, universes, universes, st.booleans())
+def test_univ_join_is_the_least_upper_bound(a, b, c, strict):
+    # the join of `a`, `b` and, when `strict`, the strict universe `Us 0`
+    bounds = (a, b, U(0, strict))
+    j = tc.univ_join(a, b, strict)
+    assert all(tc.univ_below(x, j) for x in bounds)
+    if all(tc.univ_below(x, c) for x in bounds):
+        assert tc.univ_below(j, c)
+
+
 # -- classification ----------------------------------------------------------------
+
+def universe_of(ctx, t):
+    """The least universe of the type `t`, read back as a term."""
+    return nbe.quote(ctx.depth, tc.infer_universe(ctx, t)[1])
+
 
 def test_classify_examples():
     ctx = ctx_default()
-    assert tc.infer_universe(ctx, parse_term("(n : Nat) * (n = 0)"))[1] == S.fibrant(0)
-    assert tc.infer_universe(ctx, parse_term("(n : Nat) -> n =s 0"))[1] == S.strict(0)
-    assert tc.infer_universe(ctx, S.Univ(S.fibrant(0)))[1] == S.fibrant(1)
-    assert tc.infer_universe(ctx, parse_term("NatS"))[1] == S.strict(0)
+    assert universe_of(ctx, parse_term("(n : Nat) * (n = 0)")) == S.Univ(0)
+    assert universe_of(ctx, parse_term("(n : Nat) -> n =s 0")) == S.Univ(0, strict=True)
+    assert universe_of(ctx, S.Univ(0)) == S.Univ(1)
+    assert universe_of(ctx, parse_term("NatS")) == S.Univ(0, strict=True)
 
 
 def test_classify_of_neutral_types_uses_the_variable_sort():
     ctx = ctx_default()
-    c1 = ctx.extend("X", nbe.VUniv(S.fibrant(0)))
-    assert tc.infer_universe(c1, S.Var(0))[1] == S.fibrant(0)
-    c2 = ctx.extend("X", nbe.VUniv(S.strict(0)))
-    assert tc.infer_universe(c2, S.Var(0))[1] == S.strict(0)
+    c1 = ctx.extend("X", nbe.VUniv(0))
+    assert universe_of(c1, S.Var(0)) == S.Univ(0)
+    c2 = ctx.extend("X", nbe.VUniv(0, True))
+    assert universe_of(c2, S.Var(0)) == S.Univ(0, strict=True)
     # a fibrant-valued family applied to a variable stays fibrant
     c3 = ctx.extend("Y", nbe.eval_in(ctx, parse_term("NatS -> U 0")))
     c3 = c3.extend("n", nbe.NAT_S)
-    assert tc.infer_universe(c3, S.App(S.Var(1), S.Var(0)))[1] == S.fibrant(0)
+    assert universe_of(c3, S.App(S.Var(1), S.Var(0))) == S.Univ(0)
 
 
 # -- motive restrictions -------------------------------------------------------------
