@@ -1,11 +1,14 @@
 """Surface-language parser for `.2lt` files.
 
-The lexer is one regular-expression pass that fills parallel arrays: the
-text of each token, and its line, column and end column.  It builds no
-object per token; `tokenize` turns the arrays into `Token`s for callers
-that want them.  The parser indexes the arrays and dispatches on token
-text.  Names are resolved to de Bruijn indices here; unbound identifiers
-are rejected with a span.  An ascription ``(t : A)`` is one ``Ann`` node.
+The lexer first blanks the comments: it replaces each with spaces and
+keeps its newlines, so that every token keeps its offset, line and column.
+Then one regular-expression pass over the whole text fills parallel
+arrays: the text of each token, and its line, column and end column.  It
+builds no object per token; `tokenize` turns the arrays into `Token`s for
+callers that want them.  The parser indexes the arrays and dispatches on
+token text.  Names are resolved to de Bruijn indices here; unbound
+identifiers are rejected with a span.  An ascription ``(t : A)`` is one
+``Ann`` node.
 
 One loop, `Parser.term`, parses every precedence level of a term: lambda
 binders, then a right-nested chain of arrows over right-nested chains of
@@ -15,14 +18,15 @@ after an application decides how many of them are complete.  Only a
 parenthesized term and a lambda in argument position call `term` again,
 so one level of nesting costs one Python frame.
 
-Both passes are linear in the input, except for one copy.  A telescope
-``(x y ... : A)`` of k names binds each name to its own copy of ``A``, and
-`Parser.close` shifts ``A`` once for each name after the first, so the
-telescope costs O(k·|A|).  That is the only shift of a parsed term: the
-right side of ``A -> B`` and ``A * B`` is parsed under an anonymous binder,
-so its free indices come out displaced already.  It parses a bracket
-``( NAME+ : T )`` once, and the token after the closing parenthesis decides
-between a binder telescope and an ascription.
+The blanking pass, the tokenizing pass and the parse are each linear in
+the input, except for one copy.  A telescope ``(x y ... : A)`` of k names
+binds each name to its own copy of ``A``, and `Parser.close` shifts ``A``
+once for each name after the first, so the telescope costs O(k·|A|).  That
+is the only shift of a parsed term: the right side of ``A -> B`` and
+``A * B`` is parsed under an anonymous binder, so its free indices come out
+displaced already.  It parses a bracket ``( NAME+ : T )`` once, and the
+token after the closing parenthesis decides between a binder telescope and
+an ascription.
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ from __future__ import annotations
 import re
 import sys
 from functools import partial
-from itertools import accumulate, compress, count, repeat
-from operator import add, not_, sub
+from itertools import accumulate, count, repeat
+from operator import add, sub
 from typing import NamedTuple, Optional, Sequence
 
 from tltt import syntax as S
@@ -49,16 +53,15 @@ class Token(NamedTuple):
     end_col: int
 
 
-# One match per token or line comment, with the whitespace before it.
-# Identifier characters are `\w` (letters, digits and other numerals, `_`)
-# and `'`; numerals are ASCII digits.  The last line matches what is not a
-# token: an identifier that starts with a non-ASCII character (a token if
-# that character is a letter), `=s`/`+s` glued to a name, and any other
-# character.  A block comment, which nests, is skipped by `_scan` itself.
+# One match per token, with the whitespace before it; comments are blanked
+# to spaces before this runs.  Identifier characters are `\w` (letters,
+# digits and other numerals, `_`) and `'`; numerals are ASCII digits.  The
+# last line matches what is not a token: an identifier that starts with a
+# non-ASCII character (a token if that character is a letter), `=s`/`+s`
+# glued to a name, and any other character.
 _PIECE = re.compile(r"""
     [ \t\r\n]*
     (?: [A-Za-z_][\w']* | [()\\.,*~\[\]] | -> | :=?
-      | --[^\n]*
       | [0-9]+ s (?![\w']) | [0-9]+
       | [+=]s (?![\w']) | [+=] (?! s[\w'] )
       | \#(?:check|infer|normalize|conv|fail)
@@ -66,6 +69,11 @@ _PIECE = re.compile(r"""
       | [^\W0-9][\w']* | [+=]s[\w'] | . )""", re.VERBOSE | re.DOTALL)
 
 _WHITESPACE = " \t\r\n"
+
+# A line comment, to the end of its line, or the start of a block comment;
+# without DOTALL, `.` matches every character but a newline.
+_COMMENT = re.compile(r"--.*|\{-")
+_NOT_NEWLINE = re.compile(".")
 
 # The most digits `int` and `str` convert, 0 for no limit (Python before
 # 3.10.7 sets none).
@@ -77,87 +85,63 @@ _PRAGMAS = frozenset({"#check", "#infer", "#normalize", "#conv", "#fail"})
 
 
 def _is_token(text: str) -> bool:
-    """Whether a piece's text is a token (or a line comment), not an error."""
+    """Whether a piece's text is a token, not an error."""
     return (text in _PUNCT or text in _PRAGMAS or not text or text[0] in "0123456789_"
-            or text[0].isalpha() or text.startswith("--"))
+            or text[0].isalpha())
 
 
-def _block_comment(text: str, pos: int) -> int:
-    """Offset of the first ``{-`` at or after `pos` that opens a block
-    comment rather than sitting in a line comment; the length of `text` if
-    there is none.  Outside block comments every ``--`` opens a line
-    comment, since no token contains two dashes."""
-    n = len(text)
-    at = text.find("{-", pos)
-    while at >= 0:
-        line_start = max(pos, text.rfind("\n", pos, at) + 1)
-        if text.find("--", line_start, at) < 0:
-            return at
-        eol = text.find("\n", at)
-        if eol < 0:
-            break
-        at = text.find("{-", eol)
-    return n
+def _blank_comments(text: str, path: str) -> str:
+    """`text` with each comment replaced by spaces, its newlines kept, so
+    that every token keeps its offset, line and column.  Comments are found
+    in source order: ``--`` runs to the end of its line, and ``{-`` to its
+    matching ``-}``.  Block comments nest, and inside one only ``{-`` and
+    ``-}`` count."""
+    parts: list[str] = []
+    pos = 0  # text[:pos] is in `parts`
+    while (comment := _COMMENT.search(text, pos)) is not None:
+        start, end = comment.span()
+        depth = int(comment.group() == "{-")  # 0: a line comment ends where it matched
+        while depth:
+            opening, closing = text.find("{-", end), text.find("-}", end)
+            if closing < 0:
+                _scan("".join(parts) + text[pos:start], path)  # a bad character first
+                raise fail(D.SYNTAX_ERROR, "unterminated block comment", Span(
+                    path, text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start),
+                    text.count("\n") + 1, len(text) - text.rfind("\n")))
+            if 0 <= opening < closing:
+                depth, end = depth + 1, opening + 2
+            else:
+                depth, end = depth - 1, closing + 2
+        parts += text[pos:start], _NOT_NEWLINE.sub(" ", text[start:end])
+        pos = end
+    parts.append(text[pos:])
+    return "".join(parts)
 
 
 def _scan(text: str, path: str):
     """The tokens of `text`, ending with the empty EOF token, as four
     parallel lists: text, line, column and end column (1-based, the end
     exclusive).  A character that starts no token is a SyntaxError."""
-    n = len(text)
+    if "--" in text or "{-" in text:
+        text = _blank_comments(text, path)
     # base[line] is the offset just before that line's first character
     base = [0, -1, *map(add, accumulate(map(len, text.split("\n"))), count())]
-    texts: list[str] = []
-    lines: list[int] = []
-    ends: list[int] = []  # offsets, the end exclusive
-    pos, line = 0, 1  # `line` is the line of offset `pos`
-    while True:
-        stop = _block_comment(text, pos)
-        pieces = _PIECE.findall(text, pos, stop)
-        words = list(map(str.lstrip, pieces, repeat(_WHITESPACE)))
-        if len(words) > 1 and not words[-2]:
-            del pieces[-1], words[-1]  # `\Z` matched again after trailing whitespace
-        piece_ends = list(accumulate(map(len, pieces), initial=pos))
-        del piece_ends[0]
-        if text.find("\n", pos, stop) < 0:
-            piece_lines = [line] * len(pieces)
-        else:
-            piece_lines = list(accumulate(map(str.count, pieces, repeat("\n")), initial=line))
-            del piece_lines[0]
-        bad = [word for word in set(words) if not _is_token(word)]
-        if bad:
-            at = min(map(words.index, bad))
-            raise _bad_token(words[at], path, piece_lines[at],
-                             piece_ends[at] - len(words[at]) - base[piece_lines[at]])
-        if stop < n:
-            del words[-1], piece_ends[-1], piece_lines[-1]  # `\Z` at `stop`
-        del pieces
-        if texts:
-            texts += words
-            ends += piece_ends
-            lines += piece_lines
-        else:
-            texts, ends, lines = words, piece_ends, piece_lines
-        if stop == n:
-            break
-        line += text.count("\n", pos, stop)
-        depth, pos = 1, stop + 2
-        while depth:
-            opening, closing = text.find("{-", pos), text.find("-}", pos)
-            if closing < 0:
-                nl = text.rfind("\n", stop)
-                raise fail(D.SYNTAX_ERROR, "unterminated block comment",
-                           Span(path, line, stop - base[line],
-                                line + text.count("\n", stop),
-                                n - (nl if nl >= 0 else base[line])))
-            if 0 <= opening < closing:
-                depth, pos = depth + 1, opening + 2
-            else:
-                depth, pos = depth - 1, closing + 2
-        line += text.count("\n", stop, pos)
-    if "--" in text:  # drop the line comments
-        keep = list(map(not_, map(str.startswith, texts, repeat("--"))))
-        texts, lines, ends = (list(compress(xs, keep)) for xs in (texts, lines, ends))
+    pieces = _PIECE.findall(text)
+    texts = list(map(str.lstrip, pieces, repeat(_WHITESPACE)))
+    if len(texts) > 1 and not texts[-2]:
+        del pieces[-1], texts[-1]  # `\Z` matched again after trailing whitespace
+    ends = list(accumulate(map(len, pieces)))  # offsets, the end exclusive
+    if "\n" in text:
+        lines = list(accumulate(map(str.count, pieces, repeat("\n")), initial=1))
+        del lines[0]
+    else:
+        lines = [1] * len(pieces)
+    del pieces
+    bad = [word for word in set(texts) if not _is_token(word)]
+    if bad:
+        at = min(map(texts.index, bad))
+        raise _bad_token(texts[at], path, lines[at],
+                         ends[at] - len(texts[at]) - base[lines[at]])
     end_cols = list(map(sub, ends, map(base.__getitem__, lines)))
     cols = list(map(sub, end_cols, map(len, texts)))
     return texts, lines, cols, end_cols
@@ -200,23 +184,18 @@ def tokenize(text: str, path: str) -> list[Token]:
                     lines, end_cols))
 
 
-def _strict(cls):
-    """Constructor of the strict twin of a former: `cls` with its flag set."""
-    return partial(cls, strict=True)
-
-
 def _word_tables(strong: bool):
     """What the words of `S.KEYWORDS` build: eliminators and formers applied
     to arguments, with their arity (the number of term fields); atoms; and
-    the strict flag of each sum connective.  Strong mode identifies the strict naturals, empty type and
-    sums with the fibrant ones, so there their words build the fibrant
-    former; strict equality stays apart."""
+    the strict flag of each sum connective.  Strong mode identifies the
+    strict naturals, empty type and sums with the fibrant ones, so there
+    their words build the fibrant former; strict equality stays apart."""
     elims, atoms = {}, {}
     for cls, (word, mark) in S.KEYWORDS.items():
         words = {word: cls}
         if mark is not None:
             merged = strong and cls not in S.KEPT_APART
-            words[word + mark] = cls if merged else _strict(cls)
+            words[word + mark] = cls if merged else partial(cls, strict=True)
         arity = len(cls._children)
         if arity:
             elims.update((w, (build, arity)) for w, build in words.items())
@@ -238,6 +217,9 @@ _ROLE = {
 
 # infix connective -> strict flag
 _EQUALITIES = {"=": False, "=s": True}
+
+# the separators between the terms of each pragma but `#fail`
+_SEPARATORS = {S.CHECK: (":",), S.INFER: (), S.NORMALIZE: (), S.CONV: ("~", ":")}
 
 
 def _is_name(text: str) -> bool:
@@ -541,7 +523,7 @@ class Parser:
             self.pos += 1
             ty = self.term()
             self.eat(")")
-            return self.ascription(start, t, ty)
+            return S.Ann(t, ty, span=self.span(start, self.pos - 1))
         parts = [t]
         while texts[self.pos] == ",":
             self.pos += 1
@@ -572,7 +554,7 @@ class Parser:
         self.pos += 1
         if binder_ok and self.texts[self.pos] in ("->", "*"):
             return _Binder([self.texts[at] for at in names], ty)
-        return self.ascription(start, self.applied(names), ty)
+        return S.Ann(self.applied(names), ty, span=self.span(start, self.pos - 1))
 
     def applied(self, names: range) -> Term:
         """``a b c`` as a term: the first name applied to the others."""
@@ -582,10 +564,6 @@ class Parser:
             head = S.App(head, self.resolve(at), span=self.span(first, at))
         return head
 
-    def ascription(self, start: int, t: Term, ty: Term) -> Term:
-        """``(t : ty)``, its ``)`` eaten."""
-        return S.Ann(t, ty, span=self.span(start, self.pos - 1))
-
     # -- declarations --
 
     def declaration(self):
@@ -593,42 +571,29 @@ class Parser:
         word = self.texts[start]
         if word in _PRAGMAS:
             return self.pragma()
-        if word == "def":
-            self.pos += 1
-            name = self.eat_ident()
-            self.eat(":")
-            ty = self.term()
-            self.eat(":=")
-            body = self.term()
-            return S.Definition(name, ty, body, span=self.decl_span(start))
+        if word not in ("def", "axiom"):
+            raise self.err("expected a declaration or pragma")
+        self.pos += 1
+        name = self.eat_ident()
+        self.eat(":")
+        ty = self.term()
         if word == "axiom":
-            self.pos += 1
-            name = self.eat_ident()
-            self.eat(":")
-            ty = self.term()
             return S.Axiom(name, ty, span=self.decl_span(start))
-        raise self.err("expected a declaration or pragma")
+        self.eat(":=")
+        body = self.term()
+        return S.Definition(name, ty, body, span=self.decl_span(start))
 
     def pragma(self):
         start = self.pos
         self.pos += 1
         kind = self.texts[start][1:]
-        if kind == "check":
-            t = self.term()
-            self.eat(":")
-            ty = self.term()
-            return S.Pragma(S.CHECK, (t, ty), span=self.decl_span(start))
-        if kind == "infer":
-            return S.Pragma(S.INFER, (self.term(),), span=self.decl_span(start))
-        if kind == "normalize":
-            return S.Pragma(S.NORMALIZE, (self.term(),), span=self.decl_span(start))
-        if kind == "conv":
-            a = self.term()
-            self.eat("~")
-            b = self.term()
-            self.eat(":")
-            ty = self.term()
-            return S.Pragma(S.CONV, (a, b, ty), span=self.decl_span(start))
+        separators = _SEPARATORS.get(kind)
+        if separators is not None:
+            terms = [self.term()]
+            for separator in separators:
+                self.eat(separator)
+                terms.append(self.term())
+            return S.Pragma(kind, tuple(terms), span=self.decl_span(start))
         # #fail
         code = None
         if self.texts[self.pos] == "[":
@@ -641,6 +606,8 @@ class Parser:
                 raise fail(D.SYNTAX_ERROR, f"unknown diagnostic code {_shown(code)!r}",
                            self.span(at, at))
             self.eat("]")
+        if not self.texts[self.pos]:  # nothing to wrap: an error of the file
+            raise self.err("expected a declaration or pragma")
         depth = len(self.scope)
         try:
             inner = self.declaration()

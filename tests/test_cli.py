@@ -90,6 +90,19 @@ def test_fail_with_wrong_code_is_an_error(tmp_path):
     assert "FibrancyViolation" in report.diagnostics[0][1].message
 
 
+@pytest.mark.parametrize("text, line, col", [
+    ("#fail", 1, 6),
+    ("def a : Nat := 0\n#fail[SyntaxError]\n", 3, 1),
+], ids=["bare", "with-code"])
+def test_a_fail_with_nothing_to_wrap_is_a_syntax_error(tmp_path, capsys, text, line, col):
+    # the missing item is an error of the file, not the failure `#fail` expects
+    path = write(tmp_path, "f.2lt", text)
+    assert main(["check", "--format=lines", path]) == 1
+    assert capsys.readouterr().out == (
+        f"{path}\t{line}\t{col}\tSyntaxError\t"
+        "expected a declaration or pragma, got 'end of input'\n")
+
+
 def test_files_share_one_signature(tmp_path):
     a = write(tmp_path, "a.2lt", "def one : Nat := 1\n")
     b = write(tmp_path, "b.2lt", "def two : Nat := succ one\n#normalize two\n")

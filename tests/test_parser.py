@@ -3,6 +3,7 @@
 import gc
 import json
 import random
+from itertools import accumulate, cycle
 from pathlib import Path
 
 import pytest
@@ -117,6 +118,13 @@ def x : Nat := 1 {- inline {- nested -} block -}
     # a `{-` inside a line comment opens no block comment
     assert len(parse_module("def a : Nat := 0 -- {- x\ndef b : Nat := a", "t").decls) == 2
     assert len(parse_module("def a : Nat := 0 -- {-", "t").decls) == 1
+    # a line comment may end the input, and needs no space after its dashes
+    assert len(parse_module("def a : Nat := 0 -- end", "t").decls) == 1
+    assert [t.text for t in tokenize("x--y", "t")] == ["x", ""]
+    # a block comment on line 3, after a line comment, keeps the columns
+    toks = tokenize("a -- {- b\n\t-- c\nd {- e\n-} f", "t")
+    assert [(t.text, t.line, t.col) for t in toks] == [
+        ("a", 1, 1), ("d", 3, 1), ("f", 4, 4), ("", 4, 5)]
 
 
 def test_pragmas():
@@ -144,6 +152,19 @@ def test_syntax_error_has_expected_token():
         parse_module("def x Nat := 1", "t.2lt")
     assert e.value.diagnostic.code == D.SYNTAX_ERROR
     assert "':'" in e.value.diagnostic.message
+    # a declaration or pragma missing a separator, reported at the token after
+    for text, message, span in [
+        ("#check t A", "expected ':', got 'end of input'", (1, 11, 1, 11)),
+        ("#conv a b : A", "expected '~', got ':'", (1, 11, 1, 12)),
+        ("#conv a ~ b A", "expected ':', got 'end of input'", (1, 14, 1, 14)),
+        ("axiom x Nat", "expected ':', got 'Nat'", (1, 9, 1, 12)),
+        ("def x : Nat 0", "expected ':=', got 'end of input'", (1, 14, 1, 14)),
+    ]:
+        with pytest.raises(CheckError) as e:
+            parse_module(text, "t.2lt", ["t", "a", "b", "A"])
+        diag = e.value.diagnostic
+        assert (diag.code, diag.message, tuple(diag.span)[1:]) == \
+            (D.SYNTAX_ERROR, message, span), text
 
 
 def test_deterministic_parse():
@@ -323,13 +344,34 @@ def test_fresh_names_are_the_first_unused_ones():
 
 # -- the lexer ---------------------------------------------------------------------
 
-def _sources():
+def _corpus_sources():
     for path in sorted(CORPUS_DIR.glob("*.2lt")):
         yield path.name, path.read_text(encoding="utf-8")
     oracles = Path(__file__).resolve().parent.parent / "perfbench" / "oracles"
     forms = json.loads((oracles / "reference_normal_forms.json").read_text())
     for n in range(5):
         yield f"SST {n}s", forms["normal_forms"][f"SST {n}s"]
+
+
+# Comments that hold comment delimiters, tabs, carriage returns and newlines.
+_COMMENTS = (" -- a line comment with {- and -} and --\t\r\n",
+             "{- a {- nested -- block -}\r\n\t-- comment -}",
+             " {-\t-} ", "{--}", "--\n", "\t{- {- -} -- {- \n -} -}")
+
+
+def _commented(text: str, path: str) -> str:
+    """`text` with one of `_COMMENTS`, in turn, after each token."""
+    starts = [0, *accumulate(len(line) + 1 for line in text.split("\n"))]
+    cuts = [starts[t.line - 1] + t.end_col - 1 for t in tokenize(text, path)[:-1]]
+    pieces = [text[i:j] for i, j in zip([0, *cuts], [*cuts, len(text)])]
+    return "".join(map(str.__add__, pieces[:-1], cycle(_COMMENTS))) + pieces[-1]
+
+
+def _sources():
+    sources = list(_corpus_sources())
+    yield from sources
+    for name, text in sources:
+        yield f"{name} commented", _commented(text, name)
 
 
 @pytest.mark.parametrize("name, text", [pytest.param(*s, id=s[0]) for s in _sources()])
@@ -394,6 +436,11 @@ def test_lexing_diagnostics_keep_their_spans():
         "#bogus": ("unknown pragma", 1, 1),
         "a =sb": ("bad token =sb", 1, 5),
         "x\t{ y": ("unexpected character '{'", 1, 3),
+        # after `x--y` and before a line comment that ends the input
+        "x--y\n\t- -- end": ("stray '-' (use '-- ' for comments, '->' for arrows)", 2, 2),
+        "{- a -} -- b\n$ -- end": ("unexpected character '$'", 2, 1),
+        # a bad character before an unterminated block comment comes first
+        "a\n$ {- open": ("unexpected character '$'", 2, 1),
     }
     for text, (message, line, col) in cases.items():
         with pytest.raises(CheckError) as e:
@@ -407,9 +454,16 @@ def test_lexing_diagnostics_keep_their_spans():
     assert (span.line, span.col, span.end_line, span.end_col) == (1, 3, 2, 3)
     toks = tokenize("{- a {- b -} -}\n{--}x", "t")
     assert toks[0] == ("IDENT", "x", 2, 5, 2, 6)
+    # an unterminated block comment on line 3, after a line comment, spans
+    # from its `{-` to the end of the input
+    with pytest.raises(CheckError) as e:
+        tokenize("a -- {- b\n\t-- c\nd {- e\n f", "t")
+    diag = e.value.diagnostic
+    assert (diag.message, diag.span.line, diag.span.col, diag.span.end_line,
+            diag.span.end_col) == ("unterminated block comment", 3, 3, 4, 3)
 
 
-_CORPUS_LINES = [line for _, text in _sources() if "\n" in text
+_CORPUS_LINES = [line for _, text in _corpus_sources() if "\n" in text
                  for line in text.splitlines() if line.strip()]
 
 
@@ -445,6 +499,30 @@ def test_mutated_corpus_lines_parse_or_report(index, edits):
             else:
                 data[at] = byte
     _parses_or_reports(data.decode("utf-8", "replace"))
+
+
+# A line comment, and a block comment whose body nests more of them; the
+# texts hold no brace but the comment delimiters' own.
+_LINE_COMMENT = st.text(st.sampled_from("a -{}\t\r"), max_size=8).map(lambda s: f"--{s}\n")
+_BLOCK_COMMENT = st.recursive(
+    st.text(st.sampled_from("a -\t\r\n"), max_size=8),
+    lambda body: st.lists(body, max_size=3).map(lambda parts: "{-" + "".join(parts) + "-}"),
+    max_leaves=6).map(lambda body: "{-" + body + "-}")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, len(_CORPUS_LINES) - 1),
+       st.lists(st.tuples(st.integers(0, 200), st.one_of(_LINE_COMMENT, _BLOCK_COMMENT)),
+                max_size=5))
+def test_comments_between_tokens_leave_the_tokens(index, comments):
+    line = _CORPUS_LINES[index]
+    toks = tokenize(line, "f.2lt")
+    # before and after each token, never inside a comment the line ends with
+    gaps = [0, *(t.col - 1 for t in toks[:-1]), *(t.end_col - 1 for t in toks[:-1])]
+    text = line
+    for at, comment in sorted(((gaps[at % len(gaps)], c) for at, c in comments), reverse=True):
+        text = text[:at] + comment + text[at:]
+    assert [t.text for t in tokenize(text, "f.2lt")] == [t.text for t in toks]
 
 
 def _term_nodes(decl):
