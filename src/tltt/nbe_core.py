@@ -281,8 +281,9 @@ SND = FSnd()
 
 
 class FElim:
-    """A stuck eliminator: its term class, its arguments before the scrutinee
-    (every eliminator takes its scrutinee last) and its fragment."""
+    """A stuck eliminator: its former (`S.Nat`, `S.Sum`, `S.Empty` or
+    `S.Id`), its arguments before the scrutinee as in `S.Elim.args` (the
+    motive, the cases, the indices) and its fragment."""
 
     __slots__ = ("former", "args", "strict")
 
@@ -397,26 +398,26 @@ def do_snd(v):
 
 
 _NO_IOTA = {  # the message for a scrutinee of the wrong form, an ill-typed redex
-    S.NatElim: "natural-number elimination of a non-numeral",
-    S.SumElim: "sum elimination of a non-injection",
-    S.EmptyElim: "empty elimination of a canonical value",
-    S.IdElim: "equality elimination of a non-proof",
+    S.Nat: "natural-number elimination of a non-numeral",
+    S.Sum: "sum elimination of a non-injection",
+    S.Empty: "empty elimination of a canonical value",
+    S.Id: "equality elimination of a non-proof",
 }
 
 
 def eliminate(former, args, target, strict):
-    """The eliminator `former` on the scrutinee `target`, given the arguments
-    before it (as in `FElim`): the iota rule on a constructor, a stuck
-    `FElim` frame on a neutral."""
+    """The eliminator of `former` on the scrutinee `target`, given the
+    arguments before it (as in `FElim`): the iota rule on a constructor, a
+    stuck `FElim` frame on a neutral."""
     target = force(target)
-    if former is S.NatElim and (target is ZERO or target is ZERO_S):
+    if former is S.Nat and (target is ZERO or target is ZERO_S):
         return args[1]
-    if former is S.NatElim and isinstance(target, VSucc):
+    if former is S.Nat and isinstance(target, VSucc):
         return apply_value(apply_value(args[2], target.pred),
                            eliminate(former, args, target.pred, strict))
-    if former is S.SumElim and isinstance(target, VInj):
+    if former is S.Sum and isinstance(target, VInj):
         return apply_value(args[1] if target.is_left else args[2], target.value)
-    if former is S.IdElim and (target is REFL or target is REFL_S):
+    if former is S.Id and (target is REFL or target is REFL_S):
         return apply_value(args[1], args[2])
     if isinstance(target, VNeutral):
         return _push(target, FElim(former, args, strict))
@@ -425,10 +426,12 @@ def eliminate(former, args, target, strict):
 
 def neutral_type(v):
     """The type of the neutral `v`: its head's type taken along its spine,
-    each frame by its eliminator's typing rule on the prefix before it.
-    None for a `Ks` head, a variable bound without a type, or an application
-    or projection of a prefix with no Pi or Sigma type.  The type is forced
-    at each step, and so is the result."""
+    each frame by its eliminator's typing rule on the prefix before it.  An
+    eliminator's frame gets its motive applied to its indices (the arguments
+    after the cases) and the prefix.  None for a `Ks` head, a variable
+    bound without a type, or an application or projection of a prefix with
+    no Pi or Sigma type.  The type is forced at each step, and so is the
+    result."""
     head = v.head
     ty = None if isinstance(head, HUip) else head.ty
     prefix = VNeutral(head, ())
@@ -440,10 +443,9 @@ def neutral_type(v):
             ty = ty.dom if isinstance(ty, VSigma) else None
         elif frame is SND:
             ty = inst(ty.cod, do_fst(prefix)) if isinstance(ty, VSigma) else None
-        elif frame.former is S.IdElim:  # motive lhs rhs proof
-            ty = apply_many(frame.args[0], *frame.args[2:], prefix)
         else:
-            ty = apply_value(frame.args[0], prefix)
+            cases = S.ELIMINATORS[frame.former, frame.strict].cases
+            ty = apply_many(frame.args[0], *frame.args[1 + len(cases):], prefix)
         prefix = _push(prefix, frame)
     return force(ty)
 
@@ -485,33 +487,24 @@ def evaluate(t, env):
         return ZERO_S if t.strict else ZERO
     if cls is S.Succ:
         return VSucc(evaluate(t.pred, env), t.strict)
-    if cls is S.NatElim:
-        return eliminate(cls, (evaluate(t.motive, env), evaluate(t.base, env),
-                               evaluate(t.step, env)), evaluate(t.target, env), t.strict)
     if cls is S.Empty:
         return EMPTY_S if t.strict else EMPTY
-    if cls is S.EmptyElim:
-        return eliminate(cls, (evaluate(t.motive, env),), evaluate(t.target, env), t.strict)
     if cls is S.Sum:
         return VSum(evaluate(t.left, env), evaluate(t.right, env), t.strict)
     if cls is S.Inl:
         return VInj(evaluate(t.value, env), True, t.strict)
     if cls is S.Inr:
         return VInj(evaluate(t.value, env), False, t.strict)
-    if cls is S.SumElim:
-        return eliminate(cls, (evaluate(t.motive, env), evaluate(t.on_inl, env),
-                               evaluate(t.on_inr, env)), evaluate(t.target, env), t.strict)
     if cls is S.Id:
         return VId(evaluate(t.ty, env), evaluate(t.lhs, env), evaluate(t.rhs, env),
                    t.strict)
     if cls is S.Refl:
         return REFL_S if t.strict else REFL
-    if cls is S.IdElim:
-        return eliminate(cls, (evaluate(t.motive, env), evaluate(t.refl_case, env),
-                               evaluate(t.lhs, env), evaluate(t.rhs, env)),
-                         evaluate(t.proof, env), t.strict)
     if cls is S.UipS:
         return VNeutral(HUip(evaluate(t.p, env), evaluate(t.q, env)), ())
+    if cls is S.Elim:
+        return eliminate(t.former, tuple([evaluate(a, env) for a in t.args]),
+                         evaluate(t.target, env), t.strict)
     raise EvalError(f"cannot evaluate {cls.__name__}")
 
 
@@ -576,8 +569,8 @@ def _quote_neutral(depth, v, unfold):
         elif frame is SND:
             acc = S.Snd(acc)
         elif isinstance(frame, FElim):
-            acc = frame.former(*[quote(depth, a, unfold) for a in frame.args], acc,
-                               strict=frame.strict)
+            acc = S.Elim(frame.former, tuple([quote(depth, a, unfold) for a in frame.args]),
+                         acc, strict=frame.strict)
         else:
             raise EvalError("unknown spine frame")
     return acc

@@ -184,9 +184,14 @@ def tokenize(text: str, path: str) -> list[Token]:
                     lines, end_cols))
 
 
+def _eliminator(former: type, strict: bool, *args: Term, span: TermSpan) -> Term:
+    return S.Elim(former, args[:-1], args[-1], strict=strict, span=span)
+
+
 def _word_tables(strong: bool):
-    """What the words of `S.KEYWORDS` build: eliminators and formers applied
-    to arguments, with their arity (the number of term fields); atoms; and
+    """What the words of `S.KEYWORDS` and `S.ELIMINATORS` build: eliminators
+    and formers applied to arguments, with their arity (the number of term
+    fields, or of an eliminator's motive, cases and scrutinees); atoms; and
     the strict flag of each sum connective.  Strong mode identifies the
     strict naturals, empty type and sums with the fibrant ones, so there
     their words build the fibrant former; strict equality stays apart."""
@@ -201,6 +206,10 @@ def _word_tables(strong: bool):
             elims.update((w, (build, arity)) for w, build in words.items())
         else:
             atoms.update(words)
+    for (former, strict), row in S.ELIMINATORS.items():
+        strict = strict and not (strong and former not in S.KEPT_APART)
+        elims[row.word] = (partial(_eliminator, former, strict),
+                           1 + len(row.cases) + len(row.telescope))
     return elims, atoms, {"+": False, "+s": not strong}
 
 

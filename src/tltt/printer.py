@@ -160,6 +160,11 @@ class _Printer:
             for field in fields:
                 word = f"{word} {self.atom(getattr(t, field))}"
             return word, APP
+        if cls is S.Elim:
+            word = S.ELIMINATORS[t.former, t.strict].word
+            for arg in (*t.args, t.target):
+                word = f"{word} {self.atom(arg)}"
+            return word, APP
         if cls is S.Ann:
             return f"({self.go(t.term, ARROW)} : {self.go(t.type, ARROW)})", ATOM
         if cls is S.Pair:

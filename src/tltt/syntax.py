@@ -23,6 +23,11 @@ nullary formers, once for the parser and the printer.  The flag takes part
 in comparison: alpha-equality tells the fragments apart.  `UipS` has no
 inner twin and stays a class.
 
+The four eliminators are one class, `Elim(former, args, target)`, shaped
+like the kernel's `FElim` frame.  `ELIMINATORS` states each eliminator's
+schema once, per former and fragment: its word, its telescope and its
+cases.  The parser, the printer, the evaluator and the checker all read it.
+
 Declarations and modules are records: `NamedTuple`s.
 """
 
@@ -58,7 +63,8 @@ TermSpan = tuple
 # `resolved` is the value a constant's name stands for.
 _UNCOMPARED = frozenset({"span", "hint", "ty", "resolved"})
 # Fields that hold no term.
-_NOT_TERMS = frozenset({"span", "hint", "strict", "index", "level", "name", "resolved"})
+_NOT_TERMS = frozenset({"span", "hint", "strict", "index", "level", "name", "resolved",
+                        "former"})
 
 
 class Term:
@@ -235,34 +241,10 @@ class Succ(Term):
         self.span = span
 
 
-class NatElim(Term):
-    __slots__ = ("motive", "base", "step", "target", "strict")
-
-    def __init__(self, motive: Term, base: Term, step: Term, target: Term, *,
-                 strict: bool = False, span: Optional[TermSpan] = None) -> None:
-        self.motive = motive
-        self.base = base
-        self.step = step
-        self.target = target
-        self.strict = strict
-        self.span = span
-
-
 class Empty(Term):
     __slots__ = ("strict",)
 
     def __init__(self, *, strict: bool = False, span: Optional[TermSpan] = None) -> None:
-        self.strict = strict
-        self.span = span
-
-
-class EmptyElim(Term):
-    __slots__ = ("motive", "target", "strict")
-
-    def __init__(self, motive: Term, target: Term, *, strict: bool = False,
-                 span: Optional[TermSpan] = None) -> None:
-        self.motive = motive
-        self.target = target
         self.strict = strict
         self.span = span
 
@@ -298,19 +280,6 @@ class Inr(Term):
         self.span = span
 
 
-class SumElim(Term):
-    __slots__ = ("motive", "on_inl", "on_inr", "target", "strict")
-
-    def __init__(self, motive: Term, on_inl: Term, on_inr: Term, target: Term, *,
-                 strict: bool = False, span: Optional[TermSpan] = None) -> None:
-        self.motive = motive
-        self.on_inl = on_inl
-        self.on_inr = on_inr
-        self.target = target
-        self.strict = strict
-        self.span = span
-
-
 # The carrier type of an equality is inferable from its endpoints, so the
 # parser leaves it as None and elaboration completes it; it is excluded from
 # structural comparison for the same reason.
@@ -335,16 +304,20 @@ class Refl(Term):
         self.span = span
 
 
-class IdElim(Term):
-    __slots__ = ("motive", "refl_case", "lhs", "rhs", "proof", "strict")
+# -- eliminators -------------------------------------------------------------
 
-    def __init__(self, motive: Term, refl_case: Term, lhs: Term, rhs: Term, proof: Term, *,
-                 strict: bool = False, span: Optional[TermSpan] = None) -> None:
-        self.motive = motive
-        self.refl_case = refl_case
-        self.lhs = lhs
-        self.rhs = rhs
-        self.proof = proof
+class Elim(Term):
+    """The eliminator of `former` (`Nat`, `Sum`, `Empty` or `Id`): `args` is
+    the motive, the cases and the indices, and `target` the scrutinee, as in
+    the kernel's `FElim`.  `ELIMINATORS[former, strict]` is its schema."""
+
+    __slots__ = ("former", "args", "target", "strict")
+
+    def __init__(self, former: type, args: tuple, target: Term, *, strict: bool = False,
+                 span: Optional[TermSpan] = None) -> None:
+        self.former = former
+        self.args = args
+        self.target = target
         self.strict = strict
         self.span = span
 
@@ -376,19 +349,57 @@ _ATOMS = (Univ, Unit, Star, Nat, Zero, Empty, Refl, Const)
 
 # The word of each prefix or nullary former, and the mark that spells its
 # strict twin (None for a former with no twin): the parser reads these words
-# and the printer writes them.  Universes, numerals, `+` and `=` have syntax
-# of their own.
+# and the printer writes them.  Universes, numerals, `+`, `=` and the
+# eliminators have syntax of their own.
 KEYWORDS = {
     Unit: ("Unit", None), Star: ("star", None), Nat: ("Nat", "S"),
     Empty: ("Empty", "S"), Refl: ("refl", "s"), Fst: ("fst", None),
     Snd: ("snd", None), Succ: ("succ", "s"), Inl: ("inl", "s"), Inr: ("inr", "s"),
-    NatElim: ("natElim", "S"), SumElim: ("sumElim", "S"),
-    EmptyElim: ("emptyElim", "S"), IdElim: ("J", "s"), UipS: ("Ks", None),
+    UipS: ("Ks", None),
 }
 
-# The formers whose strict twin strong mode keeps apart: equality's.  Strong
-# mode reads every other strict word as the fibrant former.
-KEPT_APART = frozenset({Refl, IdElim})
+# The formers whose strict twin strong mode keeps apart: equality's, and so
+# its eliminator's.  Strong mode reads every other strict word as fibrant.
+KEPT_APART = frozenset({Id, Refl})
+
+
+class Eliminator(NamedTuple):
+    """The schema of one eliminator in one fragment, Dybjer's for inductive
+    families: a motive over the scrutinees' telescope, one case per
+    constructor, then the scrutinees, the last of which is `Elim.target`.
+    The templates are terms evaluated in an environment of the carrier's
+    pieces (a sum type as given and its summands, the carrier of an
+    equality; none for the naturals and the empty type), extended by the
+    telescope's earlier entries, or by the motive in a case."""
+
+    word: str
+    telescope: tuple  # the scrutinees' types
+    cases: tuple  # the type of each case
+
+
+def _eliminators() -> dict:
+    rows = {}
+    for s in (False, True):
+        nat, mark = Nat(strict=s), "S" if s else ""
+        rows[Nat, s] = Eliminator(
+            "natElim" + mark, (nat,),
+            (App(Var(0), Zero(strict=s)),  # P 0
+             Pi(nat, Pi(App(Var(1), Var(0)),  # (n : Nat) -> P n -> P (succ n)
+                        App(Var(2), Succ(Var(1), strict=s))))))
+        rows[Sum, s] = Eliminator(
+            "sumElim" + mark, (Var(2),),  # A + B, as given
+            (Pi(Var(2), App(Var(1), Inl(Var(0), strict=s))),  # (a : A) -> P (inl a)
+             Pi(Var(1), App(Var(1), Inr(Var(0), strict=s)))))  # (b : B) -> P (inr b)
+        rows[Empty, s] = Eliminator("emptyElim" + mark, (Empty(strict=s),), ())
+        rows[Id, s] = Eliminator(
+            "Js" if s else "J",
+            (Var(0), Var(1), Id(Var(2), Var(1), Var(0), strict=s)),  # A, A, x = y
+            # (x : A) -> P x x refl
+            (Pi(Var(1), App(App(App(Var(1), Var(0)), Var(0)), Refl(strict=s))),))
+    return rows
+
+
+ELIMINATORS = _eliminators()  # (former, strict) -> the schema of its eliminator
 
 
 def keyword(cls: type, strict: bool = False) -> str:
@@ -397,21 +408,32 @@ def keyword(cls: type, strict: bool = False) -> str:
     return word + mark if strict else word
 
 
-def term_children(t: Term) -> list[tuple[str, Term, bool]]:
-    """(field name, child, crosses-a-binder) for every Term-valued child."""
+def term_children(t: Term) -> list[tuple[object, Term, bool]]:
+    """(key, child, crosses-a-binder) for every Term-valued child.  The key
+    is the field's name, or (name, position) for an element of a tuple of
+    terms (`Elim.args`)."""
     out = []
     for name, under in t._children:
         child = getattr(t, name)
-        if child is not None:  # `Id.ty` may be absent
+        if type(child) is tuple:
+            out += (((name, i), c, under) for i, c in enumerate(child))
+        elif child is not None:  # `Id.ty` may be absent
             out.append((name, child, under))
     return out
 
 
 def _rebuild(t: Term, changes: dict) -> Term:
-    """`t` with the fields named in `changes` replaced."""
+    """`t` with the children keyed in `changes`, as `term_children` keys
+    them, replaced."""
     if not changes:
         return t
-    return type(t)(**({f: getattr(t, f) for f in t._fields} | changes))
+    fields = {f: getattr(t, f) for f in t._fields}
+    for key, new in changes.items():
+        if type(key) is tuple:  # (name, position) in a tuple of terms
+            key, i = key
+            new = fields[key][:i] + (new,) + fields[key][i + 1:]
+        fields[key] = new
+    return type(t)(**fields)
 
 
 def shift(t: Term, amount: int, cutoff: int = 0) -> Term:

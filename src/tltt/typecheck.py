@@ -151,7 +151,7 @@ def infer(ctx: Context, t: Term) -> tuple[Term, object]:
         case S.Refl():
             raise fail(D.INFERENCE_FAILURE,
                        "cannot infer the endpoints of a reflexivity proof", t.span)
-        case S.NatElim() | S.SumElim() | S.EmptyElim() | S.IdElim():
+        case S.Elim():
             return _infer_elim(ctx, t)
         case S.UipS(p=p, q=q):
             p2, p_ty = infer(ctx, p)
@@ -254,20 +254,14 @@ def _infer_equality(ctx, t):
 
 # -- eliminators ------------------------------------------------------------------
 #
-# Every eliminator is checked by one rule, Dybjer's schema for inductive
-# families: a motive over the scrutinees' telescope, one case per constructor,
-# then the scrutinees against the telescope.  `_RULES` holds one row per
-# eliminator and fragment.  A row's templates are terms evaluated in the
-# context's environment extended by the carrier's pieces (a sum type as given
-# and its summands, the carrier of an equality; none for the naturals and the
-# empty type), and then by the telescope's earlier entries, or by the motive
-# in a case.
+# Every eliminator is checked by one rule over its schema, `S.ELIMINATORS`.
+# `_RULES` adds what only the checker needs, per eliminator and fragment:
+# how to read the carrier's pieces from a type value, and the diagnostics
+# for a motive of the wrong shape.
 
 class _Rule(NamedTuple):
     read: Optional[Callable]  # a type value's pieces, None if it is no carrier
     not_a_carrier: str  # the diagnostic for a first scrutinee with no pieces
-    telescope: tuple  # the scrutinees' types
-    cases: tuple  # the type of each case
     errors: tuple  # the diagnostic for a motive failing at each telescope position
     expected: Optional[str]  # the motive's shape, shown with those diagnostics
 
@@ -282,33 +276,19 @@ def _summands(strict_sum: bool) -> Callable:
 
 
 def _rules() -> dict:
-    V, App = S.Var, S.App
     rules = {}
     for s in (False, True):
-        nat, empty, j = S.Nat(strict=s), S.Empty(strict=s), S.keyword(S.IdElim, s)
-        rules[S.NatElim, s] = _Rule(
-            None, "", (nat,),
-            (App(V(0), S.Zero(strict=s)),  # P 0
-             S.Pi(nat, S.Pi(App(V(1), V(0)),  # (n : Nat) -> P n -> P (succ n)
-                            App(V(2), S.Succ(V(1), strict=s))))),
-            ("the motive must be a family over the naturals",),
-            f"{S.keyword(S.Nat, s)} -> ...")
-        rules[S.SumElim, s] = _Rule(
-            _summands(s), "sum elimination of a non-sum",
-            (V(2),),  # A + B, as given
-            (S.Pi(V(2), App(V(1), S.Inl(V(0), strict=s))),  # (a : A) -> P (inl a)
-             S.Pi(V(1), App(V(1), S.Inr(V(0), strict=s)))),  # (b : B) -> P (inr b)
-            ("the motive must be a family over a sum type",),
-            "(... +s ...) -> ..." if s else "(... + ...) -> ...")
-        rules[S.EmptyElim, s] = _Rule(
-            None, "", (empty,), (),
-            ("the motive must be a family over the empty type",),
-            f"{S.keyword(S.Empty, s)} -> ...")
-        rules[S.IdElim, s] = _Rule(
+        j = S.ELIMINATORS[S.Id, s].word
+        rules[S.Nat, s] = _Rule(None, "", ("the motive must be a family over the naturals",),
+                                f"{S.keyword(S.Nat, s)} -> ...")
+        rules[S.Sum, s] = _Rule(_summands(s), "sum elimination of a non-sum",
+                                ("the motive must be a family over a sum type",),
+                                "(... +s ...) -> ..." if s else "(... + ...) -> ...")
+        rules[S.Empty, s] = _Rule(None, "",
+                                  ("the motive must be a family over the empty type",),
+                                  f"{S.keyword(S.Empty, s)} -> ...")
+        rules[S.Id, s] = _Rule(
             lambda v: (v,), "",
-            (V(0), V(1), S.Id(V(2), V(1), V(0), strict=s)),  # A, A, x = y
-            # (x : A) -> P x x refl
-            (S.Pi(V(1), App(App(App(V(1), V(0)), V(0)), S.Refl(strict=s))),),
             (f"the {j} motive must abstract both endpoints and the proof",
              f"the {j} motive must take two endpoints of the same type",
              f"the {j} motive must abstract a proof between its endpoints"),
@@ -341,12 +321,13 @@ def _infer_motive(ctx: Context, motive: Term, telescope: tuple, env) -> tuple[Te
             nbe.VPi(dom_v, nbe.Closure(ctx.env, cod_term), motive.hint))
 
 
-def _infer_elim(ctx: Context, t: Term) -> tuple[Term, object]:
-    """Elaborate an eliminator by its row of `_RULES`: the motive, its Pi type
-    along the telescope, its codomain's universe, the cases, the scrutinees."""
-    rule = _RULES[type(t), t.strict]
-    motive, *parts = [getattr(t, f) for f, _ in t._children]
-    cases, scrutinees = parts[:len(rule.cases)], parts[len(rule.cases):]
+def _infer_elim(ctx: Context, t: S.Elim) -> tuple[Term, object]:
+    """Elaborate an eliminator by its schema and its row of `_RULES`: the
+    motive, its Pi type along the telescope, its codomain's universe, the
+    cases, the scrutinees."""
+    row, rule = S.ELIMINATORS[t.former, t.strict], _RULES[t.former, t.strict]
+    motive, *parts = *t.args, t.target
+    cases, scrutinees = parts[:len(row.cases)], parts[len(row.cases):]
     span = motive.span or t.span
     first = None  # the first scrutinee and its type, inferred for a bare motive
     pieces = ()
@@ -356,7 +337,7 @@ def _infer_elim(ctx: Context, t: Term) -> tuple[Term, object]:
         if pieces is None:
             raise fail(D.CONVERSION_FAILURE, rule.not_a_carrier,
                        scrutinees[0].span or t.span, actual=ctx.show(first[1]))
-    motive2, m_ty = _infer_motive(ctx, motive, rule.telescope,
+    motive2, m_ty = _infer_motive(ctx, motive, row.telescope,
                                   _extend_all(ctx.env, pieces))
     pi = nbe.force(m_ty)
     if rule.read is not None:
@@ -366,7 +347,7 @@ def _infer_elim(ctx: Context, t: Term) -> tuple[Term, object]:
                        expected=rule.expected, actual=ctx.show(m_ty))
     carrier_env = env = _extend_all(ctx.env, pieces)
     inner = ctx  # extended by the motive's indices
-    for error, template in zip(rule.errors, rule.telescope):
+    for error, template in zip(rule.errors, row.telescope):
         if not (isinstance(pi, nbe.VPi) and nbe.conv(
                 inner.depth, nbe.evaluate(template, env), pi.dom, None, ctx.strict_pi)):
             raise fail(D.CONVERSION_FAILURE, error, span,
@@ -380,16 +361,16 @@ def _infer_elim(ctx: Context, t: Term) -> tuple[Term, object]:
                    expected="a universe", actual=inner.show(cod))
     # a fibrant eliminator's motive lands in a fibrant universe; strong mode
     # waives this for the formers it merges with their strict twins
-    if pi.strict and not (t.strict or ctx.flags.strong and type(t) not in S.KEPT_APART):
+    if pi.strict and not (t.strict or ctx.flags.strong and t.former not in S.KEPT_APART):
         raise fail(D.NON_FIBRANT_MOTIVE,
-                   f"{S.keyword(type(t))} can only eliminate into families of fibrant "
+                   f"{row.word} can only eliminate into families of fibrant "
                    f"types; the motive lands in {ctx.show(pi)}", span)
     m_v = nbe.eval_in(ctx, motive2)
     case_env = nbe.extend(carrier_env, m_v)
     cases2 = [check(ctx, case, nbe.evaluate(template, case_env))
-              for case, template in zip(cases, rule.cases)]
+              for case, template in zip(cases, row.cases)]
     env, scrutinees2, values = carrier_env, [], []
-    for i, (scrutinee, template) in enumerate(zip(scrutinees, rule.telescope)):
+    for i, (scrutinee, template) in enumerate(zip(scrutinees, row.telescope)):
         ty = nbe.evaluate(template, env)
         if i == 0 and first is not None:  # elaborated above; `check` would infer it again
             scrutinee2 = first[0]
@@ -400,7 +381,8 @@ def _infer_elim(ctx: Context, t: Term) -> tuple[Term, object]:
         env = nbe.extend(env, value)
         scrutinees2.append(scrutinee2)
         values.append(value)
-    return (type(t)(motive2, *cases2, *scrutinees2, strict=t.strict, span=t.span),
+    return (S.Elim(t.former, (motive2, *cases2, *scrutinees2[:-1]), scrutinees2[-1],
+                   strict=t.strict, span=t.span),
             nbe.apply_many(m_v, *values))
 
 

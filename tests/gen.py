@@ -59,15 +59,11 @@ def rand_scoped(rng: random.Random, depth: int = 0, size: int = 6) -> Term:
         mk = rng.choice([S.Id, _strict(S.Id)])
         return mk(None, rand_scoped(rng, depth, part()),
                   rand_scoped(rng, depth, part()))
-    if pick == 10:
-        mk = rng.choice([S.NatElim, _strict(S.NatElim)])
-        return mk(*(rand_scoped(rng, depth, part(4)) for _ in range(4)))
-    if pick == 11:
-        mk = rng.choice([S.SumElim, _strict(S.SumElim)])
-        return mk(*(rand_scoped(rng, depth, part(4)) for _ in range(4)))
-    if pick == 12:
-        mk = rng.choice([S.IdElim, _strict(S.IdElim)])
-        return mk(*(rand_scoped(rng, depth, part(5)) for _ in range(5)))
+    if 10 <= pick <= 12:
+        former, arity = [(S.Nat, 4), (S.Sum, 4), (S.Id, 5)][pick - 10]
+        strict = rng.choice([False, True])
+        *args, target = (rand_scoped(rng, depth, part(arity)) for _ in range(arity))
+        return S.Elim(former, tuple(args), target, strict=strict)
     if pick == 13:
         return S.Ann(rand_scoped(rng, depth, part()), rand_scoped(rng, depth, part()))
     return S.UipS(rand_scoped(rng, depth, part()), rand_scoped(rng, depth, part()))
@@ -145,8 +141,8 @@ def gen_term(rng: random.Random, ctx: list[Term], ty: Term, size: int) -> Term:
                 # eliminate a smaller numeral instead of writing one directly
                 motive = S.Lam(shift(ty, 1), hint="n")
                 stp = S.Lam(S.Lam(S.Succ(S.Var(0), strict=strict), hint="r"), hint="n")
-                return S.NatElim(motive, t, stp, gen_term(rng, ctx, ty, size // 2),
-                                 strict=strict)
+                return S.Elim(S.Nat, (motive, t, stp), gen_term(rng, ctx, ty, size // 2),
+                              strict=strict)
             return t
         case S.Pi(dom=dom, cod=cod):
             body = gen_term(rng, ctx + [dom], cod, max(1, size - 1))

@@ -27,15 +27,15 @@ def step(t: Term, defs: dict[str, Term]) -> Optional[Term]:
         case S.Snd(pair=S.Pair(snd=b)):
             return b
         # the rules hold in both fragments; a rebuilt node keeps its flag
-        case S.NatElim(motive=m, base=z, step=s, target=S.Zero()):
+        case S.Elim(former=S.Nat, args=(_, z, _), target=S.Zero()):
             return z
-        case S.NatElim(motive=m, base=z, step=s, target=S.Succ(pred=n), strict=k):
-            return S.App(S.App(s, n), S.NatElim(m, z, s, n, strict=k))
-        case S.SumElim(on_inl=l, target=S.Inl(value=v)):
+        case S.Elim(former=S.Nat, args=(_, _, s) as args, target=S.Succ(pred=n), strict=k):
+            return S.App(S.App(s, n), S.Elim(S.Nat, args, n, strict=k))
+        case S.Elim(former=S.Sum, args=(_, l, _), target=S.Inl(value=v)):
             return S.App(l, v)
-        case S.SumElim(on_inr=r, target=S.Inr(value=v)):
+        case S.Elim(former=S.Sum, args=(_, _, r), target=S.Inr(value=v)):
             return S.App(r, v)
-        case S.IdElim(refl_case=c, lhs=a, proof=S.Refl()):
+        case S.Elim(former=S.Id, args=(_, c, a, _), target=S.Refl()):
             return S.App(c, a)
     for name, child, _ in S.term_children(t):
         reduced = step(child, defs)

@@ -10,8 +10,7 @@ of them, so they live here rather than in `tltt.syntax`.
 from __future__ import annotations
 
 from tltt import syntax as S
-from tltt.syntax import (_ATOMS, Id, IdElim, Refl, Term, UipS, Var, _rebuild, shift,
-                         term_children)
+from tltt.syntax import _ATOMS, Elim, Id, Refl, Term, UipS, Var, _rebuild, shift, term_children
 
 
 def subst(t: Term, index: int, replacement: Term) -> Term:
@@ -34,13 +33,13 @@ def subst(t: Term, index: int, replacement: Term) -> Term:
 
 def strict_constructors(t: Term) -> set[str]:
     """Names of strict-fragment constructors occurring anywhere in `t`: the
-    class name plus `S` for a flagged former (`UnivS`, `NatS`, `IdElimS`), and
-    `UipS`."""
+    class name plus `S` for a flagged former (`UnivS`, `NatS`), `Elim` and
+    its former's name plus `S` for an eliminator (`ElimIdS`), and `UipS`."""
     found = set()
 
     def go(u: Term) -> None:
         if getattr(u, "strict", False):
-            found.add(type(u).__name__ + "S")
+            found.add(type(u).__name__ + (u.former.__name__ if type(u) is Elim else "") + "S")
         if isinstance(u, UipS):
             found.add("UipS")
         for _, child, _ in term_children(u):
@@ -52,15 +51,14 @@ def strict_constructors(t: Term) -> set[str]:
 
 def mentions_inner_id(t: Term) -> bool:
     """True if the fibrant equality former (or its intro/elim) occurs in `t`."""
-    if isinstance(t, (Id, Refl, IdElim)) and not t.strict:
+    if (isinstance(t, (Id, Refl)) or isinstance(t, Elim) and t.former is Id) and not t.strict:
         return True
     return any(mentions_inner_id(c) for _, c, _ in term_children(t))
 
 
-# The formers strong mode identifies across the fragments; equality is not
-# among them.
-_MERGED = frozenset({S.Nat, S.Zero, S.Succ, S.NatElim, S.Empty, S.EmptyElim,
-                     S.Sum, S.Inl, S.Inr, S.SumElim})
+# The formers strong mode identifies across the fragments, with their
+# eliminators; equality is not among them.
+_MERGED = frozenset({S.Nat, S.Zero, S.Succ, S.Empty, S.Sum, S.Inl, S.Inr})
 
 
 def merge_strict_formers(t: Term) -> Term:
@@ -72,6 +70,6 @@ def merge_strict_formers(t: Term) -> Term:
         new = merge_strict_formers(child)
         if new is not child:
             changes[name] = new
-    if type(t) in _MERGED and t.strict:
+    if (t.former if type(t) is Elim else type(t)) in _MERGED and t.strict:
         changes["strict"] = False
     return _rebuild(t, changes)

@@ -4,6 +4,7 @@ import re
 import resource
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -776,7 +777,8 @@ def check_in_subprocess(path: str, address_space: int = 0) -> subprocess.Complet
     return subprocess.run(
         [sys.executable, "-m", "tltt.cli", "check", "--format=lines", path],
         capture_output=True, text=True, preexec_fn=cap if address_space else None,
-        env={"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")})
+        env={"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
+             "PYTHONDONTWRITEBYTECODE": "1"})
 
 
 def test_cli_subprocess_entry(tmp_path):
@@ -849,6 +851,40 @@ def test_five_thousand_nested_parentheses_check(tmp_path):
     proc = check_in_subprocess(path)
     assert proc.returncode == 0
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("text, codes", [
+    ("def a : Nat := " + "succ (" * 12000 + "0" + ")" * 12000, []),
+    ("def t : Unit := " + "(" * 25000 + "star" + ")" * 25000, []),
+    ("axiom f : Nat -> Nat\ndef a : Nat := " + "f (" * 20000 + "0" + ")" * 20000,
+     ["ResourceExhausted"]),
+    ("def t : Unit := " + "(" * 50000 + "star" + ")" * 50000, ["ResourceExhausted"]),
+], ids=["succ-12000", "parens-25000", "apps-20000", "parens-50000"])
+def test_deep_input_is_checked_or_reported_not_a_crash(tmp_path, text, codes):
+    # each of these overflowed the C stack of the main thread under
+    # CPython 3.10, which killed the process with a signal
+    path = write(tmp_path, "deep.2lt", text + "\n")
+    proc = check_in_subprocess(path)
+    assert proc.returncode == (1 if codes else 0), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert [f.split("\t")[3] for f in proc.stdout.splitlines()] == codes
+
+
+def test_main_restores_the_recursion_limit_and_the_thread_stack_size(tmp_path, capsys):
+    # the check itself runs under the raised limit: 5000 parentheses need it
+    path = write(tmp_path, "parens.2lt",
+                 "def t : Unit := " + "(" * 5000 + "star" + ")" * 5000 + "\n")
+    limit = sys.getrecursionlimit()
+    size = threading.stack_size(32 * 2**20)
+    try:
+        sys.setrecursionlimit(3000)
+        assert main(["check", path]) == 0
+        assert sys.getrecursionlimit() == 3000
+        assert threading.stack_size(size) == 32 * 2**20
+    finally:
+        sys.setrecursionlimit(limit)
+        threading.stack_size(size)
+    assert capsys.readouterr().out == "OK: 1 declarations, 0 pragmas\n"
 
 
 def test_non_ascii_digit_is_a_syntax_error(tmp_path):

@@ -34,8 +34,8 @@ def test_strict_nat_eliminator_addition():
 
     nat, zero = S.Nat(strict=True), S.Zero(strict=True)
     two = S.Succ(S.Succ(zero, strict=True), strict=True)
-    t = S.NatElim(S.Lam(nat), zero,
-                  S.Lam(S.Lam(S.Succ(S.Var(0), strict=True))), two, strict=True)
+    t = S.Elim(S.Nat, (S.Lam(nat), zero, S.Lam(S.Lam(S.Succ(S.Var(0), strict=True)))), two,
+               strict=True)
     v = ev(t)
     count = 0
     while isinstance(v, nbe.VSucc):
@@ -91,15 +91,15 @@ def _one_frame(kind, x):
         return nbe.do_fst(x)
     if kind == "snd":
         return nbe.do_snd(x)
-    return nbe.eliminate(S.NatElim, (ev(S.Lam(S.Nat())), nbe.ZERO,
-                                      ev(S.Lam(S.Lam(S.Var(0))))), x, False)
+    return nbe.eliminate(S.Nat, (ev(S.Lam(S.Nat())), nbe.ZERO,
+                                 ev(S.Lam(S.Lam(S.Var(0))))), x, False)
 
 
 @pytest.mark.parametrize("former, args, target, message", [
-    (S.NatElim, (None, None, None), nbe.STAR, "natural-number elimination of a non-numeral"),
-    (S.SumElim, (None, None, None), nbe.ZERO, "sum elimination of a non-injection"),
-    (S.EmptyElim, (None,), nbe.STAR, "empty elimination of a canonical value"),
-    (S.IdElim, (None, None, None, None), nbe.ZERO, "equality elimination of a non-proof"),
+    (S.Nat, (None, None, None), nbe.STAR, "natural-number elimination of a non-numeral"),
+    (S.Sum, (None, None, None), nbe.ZERO, "sum elimination of a non-injection"),
+    (S.Empty, (None,), nbe.STAR, "empty elimination of a canonical value"),
+    (S.Id, (None, None, None, None), nbe.ZERO, "equality elimination of a non-proof"),
 ], ids=["natElim", "sumElim", "emptyElim", "J"])
 def test_an_eliminator_on_a_foreign_constructor_is_an_ill_typed_redex(
         former, args, target, message):
@@ -407,12 +407,15 @@ def test_stuck_application_spends_no_unfolds_on_its_type():
     assert nbe.neutral_type(v) is nbe.NAT
 
 
-def _neutral_ctx():
-    """A context of variables of every eliminable shape."""
+def _neutral_ctx(strict=False):
+    """A context of variables of every eliminable shape, in one fragment."""
     ctx = empty_ctx()
     for name, text in [("f", "(n : Nat) -> n = n"), ("p", "(n : Nat) * (n = n)"),
                        ("x", "Nat"), ("s", "Nat + Nat"), ("e", "Empty"),
                        ("q", "0 = 1")]:
+        if strict:
+            text = text.replace("Nat", "NatS").replace("Empty", "EmptyS").replace(
+                "+", "+s").replace("=", "=s").replace("0", "0s").replace("1", "1s")
         ty, _ = tc.infer_universe(ctx, parse_term(text, scope=ctx.names()))
         ctx = ctx.extend(name, nbe.eval_in(ctx, ty))
     return ctx
@@ -426,9 +429,16 @@ def _neutral_ctx():
     ("sumElim (\\t. t = t) (\\a. refl) (\\b. refl) s", "s = s"),
     ("emptyElim (\\t. t = t) e", "e = e"),
     ("J (\\a. \\b. \\r. (a = b) * (r = r)) (\\a. (refl, refl)) 0 1 q", "(0 = 1) * (q = q)"),
-], ids=["app", "fst", "snd", "natElim", "sumElim", "emptyElim", "J"])
+    ("natElimS (\\n. n =s n) refls (\\k. \\r. refls) x", "x =s x"),
+    ("sumElimS (\\t. t =s t) (\\a. refls) (\\b. refls) s", "s =s s"),
+    ("emptyElimS (\\t. t =s t) e", "e =s e"),
+    ("Js (\\a. \\b. \\r. (a =s b) * (r =s r)) (\\a. (refls, refls)) 0s 1s q",
+     "(0s =s 1s) * (q =s q)"),
+], ids=["app", "fst", "snd", "natElim", "sumElim", "emptyElim", "J",
+        "natElimS", "sumElimS", "emptyElimS", "Js"])
 def test_neutral_type_follows_each_frame(term, expected):
-    ctx = _neutral_ctx()
+    # the strict eliminators eliminate variables of the strict formers
+    ctx = _neutral_ctx(strict="=s" in term)
     t, _ = tc.infer(ctx, parse_term(term, scope=ctx.names()))
     v = nbe.eval_in(ctx, t)
     assert isinstance(v, nbe.VNeutral)
@@ -444,7 +454,7 @@ def test_neutral_type_is_none_without_a_typed_head():
     assert nbe.neutral_type(x) is None
     assert nbe.neutral_type(nbe.apply_value(x, nbe.ZERO)) is None
     # an eliminator's motive types its result whatever the scrutinee's type
-    stuck = nbe.eliminate(S.EmptyElim, (nbe.VLam(ctx.env, S.Nat()),), x, False)
+    stuck = nbe.eliminate(S.Empty, (nbe.VLam(ctx.env, S.Nat()),), x, False)
     assert nbe.neutral_type(stuck) is nbe.NAT
 
 

@@ -87,7 +87,7 @@ def test_multi_name_binder():
 
 def test_eliminators_take_exact_arity():
     t = parse_term("natElim m z s 2", scope=["m", "z", "s"])
-    assert isinstance(t, S.NatElim)
+    assert isinstance(t, S.Elim) and t.former is S.Nat
     with pytest.raises(CheckError):
         parse_term("natElim m z s", scope=["m", "z", "s"])
     with pytest.raises(CheckError):
@@ -406,12 +406,12 @@ def test_strong_mode_reads_every_merged_word_as_fibrant():
             " (Js (\\x. \\y. \\p. x =s y) (\\x. refls) 1s 1s (Ks refls refls))")
     default = parse_term(text)
     assert strict_constructors(default) == {
-        "SumElimS", "SumS", "NatS", "EmptyS", "NatElimS", "InlS", "ZeroS", "InrS", "SuccS",
-        "EmptyElimS", "UnivS", "IdElimS", "IdS", "ReflS", "UipS"}
+        "ElimSumS", "SumS", "NatS", "EmptyS", "ElimNatS", "InlS", "ZeroS", "InrS", "SuccS",
+        "ElimEmptyS", "UnivS", "ElimIdS", "IdS", "ReflS", "UipS"}
     strong = parse_term(text, strong=True)
     assert strong == merge_strict_formers(default)
     # strict equality and the strict universe stay strict
-    assert strict_constructors(strong) == {"UnivS", "IdElimS", "IdS", "ReflS", "UipS"}
+    assert strict_constructors(strong) == {"UnivS", "ElimIdS", "IdS", "ReflS", "UipS"}
 
 
 @pytest.mark.parametrize("former", list(S.KEYWORDS), ids=lambda cls: cls.__name__)
@@ -428,6 +428,27 @@ def test_every_keyword_prints_and_parses_back(former):
         assert text.split()[0] == (word + mark if getattr(t, "strict", False) else word)
         assert parse_term(text, scope=names) == t
         assert parse_term(text, scope=names, strong=True) == merge_strict_formers(t)
+
+
+@pytest.mark.parametrize("key", list(S.ELIMINATORS), ids=lambda key: S.ELIMINATORS[key].word)
+def test_every_eliminator_word_prints_and_parses_back(key):
+    former, strict = key
+    row = S.ELIMINATORS[key]
+    arity = 1 + len(row.cases) + len(row.telescope)
+    # each argument a different variable, so that a swapped argument shows
+    names = ["a", "b", "c", "d", "e"]
+    args = [S.Var(i) for i in range(arity)]
+    t = S.Elim(former, tuple(args[:-1]), args[-1], strict=strict)
+    text = pretty_print(t, names)
+    assert text.split() == [row.word] + names[::-1][:arity]
+    assert parse_term(text, scope=names) == t
+    assert parse_term(text, scope=names, strong=True) == merge_strict_formers(t)
+    # one argument short
+    with pytest.raises(CheckError) as e:
+        parse_term(text.rsplit(" ", 1)[0], scope=names)
+    diag = e.value.diagnostic
+    assert (diag.message, diag.span.col, diag.span.end_col) == \
+        (f"{row.word} expects {arity} arguments, got {arity - 1}", 1, 1 + len(row.word))
 
 
 def test_lexing_diagnostics_keep_their_spans():

@@ -182,9 +182,9 @@ def test_alpha_equality_is_structural():
 def test_strict_is_compared_and_hashed():
     flagged = [S.Univ(0), Nat(), Zero(), S.Empty(), S.Refl(), S.Succ(Zero()),
                S.Sum(Nat(), Nat()), S.Inl(Star()), S.Inr(Star()),
-               S.Id(None, Zero(), Zero()), S.NatElim(Nat(), Zero(), Star(), Zero()),
-               S.EmptyElim(Nat(), Star()), S.SumElim(Nat(), Star(), Star(), Star()),
-               S.IdElim(Nat(), Star(), Zero(), Zero(), S.Refl())]
+               S.Id(None, Zero(), Zero()), S.Elim(S.Nat, (Nat(), Zero(), Star()), Zero()),
+               S.Elim(S.Empty, (Nat(),), Star()), S.Elim(S.Sum, (Nat(), Star(), Star()), Star()),
+               S.Elim(S.Id, (Nat(), Star(), Zero(), Zero()), S.Refl())]
     for t in flagged:
         flipped = S._rebuild(t, {"strict": True})
         assert t != flipped and not t == flipped, t
@@ -220,6 +220,11 @@ def test_field_tables():
         [("term", False), ("type", False)]
     assert [n for n, _, _ in S.term_children(S.Id(None, Zero(), Zero()))] == ["lhs", "rhs"]
     assert S.term_children(Var(0)) == [] and S.term_children(Const("c")) == []
+    # an eliminator's arguments are keyed by their position in the tuple
+    assert S.Elim._fields == ("span", "former", "args", "target", "strict")
+    elim = S.Elim(S.Nat, (Var(0), Var(1), Var(2)), Var(3))
+    assert [(key, child) for key, child, _ in S.term_children(elim)] == \
+        [(("args", 0), Var(0)), (("args", 1), Var(1)), (("args", 2), Var(2)), ("target", Var(3))]
 
 
 def test_rebuild_keeps_the_fields_it_does_not_replace():
@@ -229,6 +234,10 @@ def test_rebuild_keeps_the_fields_it_does_not_replace():
     u = S._rebuild(t, {"dom": S.Unit()})
     assert type(u) is Pi and (u.dom, u.cod, u.hint, u.span) == (S.Unit(), Var(0), "x", sp)
     assert t.dom == Nat()  # the original is untouched
+    elim = S.Elim(S.Id, (Var(0), Var(1), Var(2), Var(3)), Var(4), strict=True, span=sp)
+    new = S._rebuild(elim, {("args", 1): Star(), ("args", 3): Zero(), "target": Nat()})
+    assert (new.former, new.args, new.target, new.strict, new.span) == \
+        (S.Id, (Var(0), Star(), Var(2), Zero()), Nat(), True, sp)
 
 
 def test_a_universe_compares_and_hashes_its_level():
@@ -246,6 +255,6 @@ def test_importing_the_checker_loads_no_dataclasses():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, tltt.cli, tltt.corpus; print('dataclasses' in sys.modules)"],
-        capture_output=True, text=True, env={"PYTHONPATH": src})
+        capture_output=True, text=True, env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"

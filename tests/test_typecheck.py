@@ -317,7 +317,7 @@ def test_forward_reference_is_an_error():
 def test_strong_mode_merges_formers():
     merged = parse_term("natElimS ((\\n. Us 0) : NatS -> Us 1) EmptyS (\\k. \\r. Unit +s r) 2s",
                         strong=True)
-    assert isinstance(merged, S.NatElim) and not merged.strict
+    assert isinstance(merged, S.Elim) and merged.former is S.Nat and not merged.strict
     assert strict_constructors(merged) <= {"UnivS"}
     # strict equality stays strict in strong mode
     eq = parse_term("0s =s 0s", strong=True)
