@@ -100,7 +100,10 @@ class _Runner:
             try:
                 if isinstance(decl, S.Pragma):
                     self.report.pragmas += 1
-                    self.run_pragma(path, decl)
+                    kind, text = self.run_pragma(path, decl)
+                    span = decl.span
+                    self.report.pragma_results.append(PragmaResult(
+                        path, span.line if span else 0, span.col if span else 0, kind, text))
                 else:
                     self.trace(f"checking {decl.name}")
                     budget = self.ctx.sig.budget
@@ -117,28 +120,21 @@ class _Runner:
             except RecursionError:
                 self.diag(path, _too_deep("checking", decl.span))
 
-    def run_pragma(self, path: str, pragma: S.Pragma) -> None:
+    def run_pragma(self, path: str, pragma: S.Pragma) -> tuple[str, str]:
+        """Run one pragma; its result's kind and text."""
         ctx = self.ctx
-        span = pragma.span
-        line = span.line if span else 0
-        col = span.col if span else 0
-
-        def record(kind: str, text: str) -> None:
-            self.report.pragma_results.append(
-                PragmaResult(path, line, col, kind, text))
-
         if pragma.kind == S.CHECK:
             t, ty = pragma.payload
             ty2, _ = tc.infer_universe(ctx, ty)
             tc.check(ctx, t, nbe.eval_in(ctx, ty2))
-            record("CHECK", "ok")
-        elif pragma.kind == S.INFER:
+            return "CHECK", "ok"
+        if pragma.kind == S.INFER:
             _, ty_v = tc.infer(ctx, pragma.payload[0])
-            record("INFER", pretty_print(nbe.quote(0, ty_v)))
-        elif pragma.kind == S.NORMALIZE:
+            return "INFER", pretty_print(nbe.quote(0, ty_v))
+        if pragma.kind == S.NORMALIZE:
             t2, _ = tc.infer(ctx, pragma.payload[0])
-            record("NORMALIZE", pretty_print(nbe.normalize(ctx, t2)))
-        elif pragma.kind == S.CONV:
+            return "NORMALIZE", pretty_print(nbe.normalize(ctx, t2))
+        if pragma.kind == S.CONV:
             a, b, ty = pragma.payload
             ty2, _ = tc.infer_universe(ctx, ty)
             ty_v = nbe.eval_in(ctx, ty2)
@@ -146,15 +142,14 @@ class _Runner:
             b2 = tc.check(ctx, b, ty_v)
             if not nbe.conv_in(ctx, nbe.eval_in(ctx, a2), nbe.eval_in(ctx, b2), ty_v):
                 raise D.fail(D.CONVERSION_FAILURE,
-                             "terms are not definitionally equal", span,
+                             "terms are not definitionally equal", pragma.span,
                              expected=ctx.show_term(a2), actual=ctx.show_term(b2))
-            record("CONV", "ok")
-        elif pragma.kind == S.FAIL:
-            self.run_fail(path, pragma, record)
-        else:
-            raise D.fail(D.SYNTAX_ERROR, f"unknown pragma {pragma.kind}", span)
+            return "CONV", "ok"
+        if pragma.kind == S.FAIL:
+            return self.run_fail(path, pragma)
+        raise D.fail(D.SYNTAX_ERROR, f"unknown pragma {pragma.kind}", pragma.span)
 
-    def run_fail(self, path: str, pragma: S.Pragma, record) -> None:
+    def run_fail(self, path: str, pragma: S.Pragma) -> tuple[str, str]:
         item = pragma.payload[0]
         expect = pragma.expect_code
         if isinstance(item, Diagnostic):
@@ -163,9 +158,7 @@ class _Runner:
             observed = None
             try:
                 if isinstance(item, S.Pragma):
-                    self.run_pragma(path, item)
-                    # drop the inner pragma's own result record
-                    self.report.pragma_results.pop()
+                    self.run_pragma(path, item)  # its own result is not reported
                 else:
                     tc.check_declaration(self.ctx, item)
                     self.ctx.sig.entries.pop(item.name, None)
@@ -182,7 +175,7 @@ class _Runner:
             raise D.fail(EXPECTED_FAILURE,
                          f"expected failure code {expect}, got {observed.code}: "
                          f"{observed.message}", pragma.span)
-        record("FAIL", f"ok [{observed.code}]")
+        return "FAIL", f"ok [{observed.code}]"
 
 
 def _evaluation_failed(e: Exception, span) -> Diagnostic:

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from tltt.nbe_core import (  # noqa: F401
     EMPTY, EMPTY_ENV, EMPTY_S, FST, NAT, NAT_S, REFL, REFL_S, SND, STAR, UNIT,
-    ZERO, ZERO_S, BudgetExhausted, Closure, Env, EvalError, FElim, FFst, FSnd,
-    HConst, HUip, HVar, Signature, Value, VAtom, VBinder, VId, VInj, VLam, VNeutral,
-    VPair, VPi, VSigma, VSucc, VSum, VUniv,
+    ZERO, ZERO_S, BudgetExhausted, Env, EvalError, FElim, FProj, HConst, HUip, HVar,
+    Signature, Value, VAtom, VBinder, VId, VInj, VLam, VNeutral, VPair, VPi, VSigma,
+    VSucc, VSum, VUniv,
     apply_many, apply_value, conv, do_fst, do_snd, eliminate, evaluate, extend, force,
     fresh_var, inst, neutral_type, quote,
 )

@@ -86,7 +86,7 @@ class Signature:
         return name in self.entries
 
 
-# -- environments and closures --------------------------------------------------
+# -- environments ----------------------------------------------------------------
 
 class Env:
     """Persistent environment: a cons list of variables' values."""
@@ -119,18 +119,9 @@ def extend(env, value):
     return Env(value, env)
 
 
-class Closure:
-    """A suspended body under one binder, closed over its environment."""
-
-    __slots__ = ("env", "body")
-
-    def __init__(self, env, body):
-        self.env = env
-        self.body = body
-
-
-def inst(closure, value):
-    return evaluate(closure.body, extend(closure.env, value))
+def inst(lam, value):
+    """The body of the lambda value `lam` with its variable bound to `value`."""
+    return evaluate(lam.body, extend(lam.env, value))
 
 
 # -- values --------------------------------------------------------------------
@@ -150,25 +141,25 @@ class VUniv(Value):
 
 
 class VBinder(Value):
-    """A Pi or Sigma type: a domain, and a codomain closed over one variable
-    of it."""
+    """A Pi or Sigma type: a domain, and its codomain as a lambda value over
+    one variable of it, whose hint names the binder."""
 
-    __slots__ = ("dom", "cod", "hint")
+    __slots__ = ("dom", "cod")
 
-    def __init__(self, dom, cod, hint=None):
+    def __init__(self, dom, cod):
         self.dom = dom
         self.cod = cod
-        self.hint = hint
 
 
 class VPi(VBinder):
     __slots__ = ()
 
 
-class VLam(Closure, Value):
-    """A lambda is its own closure: its body under the one binder it opens."""
+class VLam(Value):
+    """A lambda is its own closure: its body under the one binder it opens,
+    closed over its environment."""
 
-    __slots__ = ("hint",)
+    __slots__ = ("env", "body", "hint")
 
     def __init__(self, env, body, hint=None):
         self.env = env
@@ -268,16 +259,12 @@ class HUip:
 # elimination frames: an application's frame is its argument, a `Value`;
 # a projection's is one of the two shared instances `FST` and `SND`
 
-class FFst:
+class FProj:
     __slots__ = ()
 
 
-class FSnd:
-    __slots__ = ()
-
-
-FST = FFst()
-SND = FSnd()
+FST = FProj()
+SND = FProj()
 
 
 class FElim:
@@ -466,9 +453,9 @@ def evaluate(t, env):
             raise EvalError(f"unresolved constant {t.name}")
         return t.resolved
     if cls is S.Pi:
-        return VPi(evaluate(t.dom, env), Closure(env, t.cod), t.hint)
+        return VPi(evaluate(t.dom, env), VLam(env, t.cod, t.hint))
     if cls is S.Sigma:
-        return VSigma(evaluate(t.fst, env), Closure(env, t.snd), t.hint)
+        return VSigma(evaluate(t.dom, env), VLam(env, t.cod, t.hint))
     if cls is S.Pair:
         return VPair(evaluate(t.fst, env), evaluate(t.snd, env))
     if cls is S.Fst:
@@ -527,7 +514,7 @@ def quote(depth, v, unfold=True):
         mk = S.Pi if isinstance(v, VPi) else S.Sigma
         return mk(quote(depth, v.dom, unfold),
                   quote(depth + 1, inst(v.cod, fresh_var(depth, v.dom)), unfold),
-                  hint=v.hint)
+                  hint=v.cod.hint)
     if isinstance(v, VPair):
         return S.Pair(quote(depth, v.fst, unfold), quote(depth, v.snd, unfold))
     if isinstance(v, VUniv):

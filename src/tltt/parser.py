@@ -609,10 +609,11 @@ class Parser:
             self.pos += 1
             at = self.pos
             code = self.texts[at]
-            if code:
-                self.pos += 1  # taken even if unknown: a `#fail` resyncs after it
+            if not _is_name(code):
+                raise self.err("expected a diagnostic code")
+            self.pos += 1  # taken even if unknown: a `#fail` resyncs after it
             if code not in D.ALL_CODES:
-                raise fail(D.SYNTAX_ERROR, f"unknown diagnostic code {_shown(code)!r}",
+                raise fail(D.SYNTAX_ERROR, f"unknown diagnostic code {code!r}",
                            self.span(at, at))
             self.eat("]")
         if not self.texts[self.pos]:  # nothing to wrap: an error of the file

@@ -39,7 +39,7 @@ def _reads_as_binder(dom: S.Term) -> bool:
     """Whether the domain `dom` ends in an ascription of names, ``(a b : A)``,
     which before ``->`` or ``*`` would read as a binder."""
     while type(dom) is S.Sigma:
-        dom = dom.snd
+        dom = dom.cod
     t = dom.term if type(dom) is S.Ann else None
     while type(t) is S.App and type(t.arg) in (S.Var, S.Const):
         t = t.fn
@@ -141,15 +141,14 @@ class _Printer:
         if cls is S.Univ:
             return f"{'Us' if t.strict else 'U'} {t.level}", APP
         if cls is S.Pi or cls is S.Sigma:
-            dom, body, op, prec = ((t.dom, t.cod, "->", ARROW) if cls is S.Pi
-                                   else (t.fst, t.snd, "*", PROD))
-            text, level = self.render(dom)
+            op, prec = ("->", ARROW) if cls is S.Pi else ("*", PROD)
+            text, level = self.render(t.dom)
             if self.dependent(t):
-                name, rest = self.bind(t.hint, body, prec)
+                name, rest = self.bind(t.hint, t.cod, prec)
                 return f"({name} : {text}) {op} {rest}", prec
-            if level <= prec or _reads_as_binder(dom):
+            if level <= prec or _reads_as_binder(t.dom):
                 text = f"({text})"
-            return f"{text} {op} {self.bind(None, body, prec)[1]}", prec
+            return f"{text} {op} {self.bind(None, t.cod, prec)[1]}", prec
         words = _WORDS.get(cls)
         if words is not None:
             word, strict_word, fields = words

@@ -4,10 +4,13 @@ Terms are plain slotted classes compared structurally; with de Bruijn
 indices, structural equality *is* alpha-equality.  A term class's
 `__slots__` is its field table: `Term` derives equality, hashing, `repr`,
 `term_children` and `_rebuild` from it when the class is created, and each
-class writes its `__init__` out as plain slot stores.  Fields that carry no
-semantic content (source spans, binder-name hints, an equality's inferable
-carrier, a constant's value) are excluded from comparison so that equality
-stays alpha.  Elaboration erases an ascription `(t : A)`, the node `Ann`.
+class writes its `__init__` out as plain slot stores.  Twins share one
+shape, stated once: `Sigma` takes `Pi`'s fields and constructor, `Snd`
+`Fst`'s, `Inr` `Inl`'s, and `Zero`, `Empty` and `Refl` `Nat`'s.  Fields that
+carry no semantic content (source spans, binder-name hints, an equality's
+inferable carrier, a constant's value) are excluded from comparison so that
+equality stays alpha.  Elaboration erases an ascription `(t : A)`, the node
+`Ann`.
 
 Terms are immutable by convention: no code assigns a field after
 construction.  Nothing enforces it, because a guard would be paid on every
@@ -167,15 +170,9 @@ class Ann(Term):
 
 
 class Sigma(Term):
-    __slots__ = ("fst", "snd", "hint")
-    _under = ("snd",)
-
-    def __init__(self, fst: Term, snd: Term, hint: Optional[str] = None, *,
-                 span: Optional[TermSpan] = None) -> None:
-        self.fst = fst
-        self.snd = snd
-        self.hint = hint
-        self.span = span
+    __slots__ = Pi.__slots__
+    _under = Pi._under
+    __init__ = Pi.__init__
 
 
 class Pair(Term):
@@ -196,11 +193,8 @@ class Fst(Term):
 
 
 class Snd(Term):
-    __slots__ = ("pair",)
-
-    def __init__(self, pair: Term, *, span: Optional[TermSpan] = None) -> None:
-        self.pair = pair
-        self.span = span
+    __slots__ = Fst.__slots__
+    __init__ = Fst.__init__
 
 
 # -- unit --------------------------------------------------------------------
@@ -224,11 +218,8 @@ class Nat(Term):
 
 
 class Zero(Term):
-    __slots__ = ("strict",)
-
-    def __init__(self, *, strict: bool = False, span: Optional[TermSpan] = None) -> None:
-        self.strict = strict
-        self.span = span
+    __slots__ = Nat.__slots__
+    __init__ = Nat.__init__
 
 
 class Succ(Term):
@@ -242,11 +233,8 @@ class Succ(Term):
 
 
 class Empty(Term):
-    __slots__ = ("strict",)
-
-    def __init__(self, *, strict: bool = False, span: Optional[TermSpan] = None) -> None:
-        self.strict = strict
-        self.span = span
+    __slots__ = Nat.__slots__
+    __init__ = Nat.__init__
 
 
 class Sum(Term):
@@ -271,13 +259,8 @@ class Inl(Term):
 
 
 class Inr(Term):
-    __slots__ = ("value", "strict")
-
-    def __init__(self, value: Term, *, strict: bool = False,
-                 span: Optional[TermSpan] = None) -> None:
-        self.value = value
-        self.strict = strict
-        self.span = span
+    __slots__ = Inl.__slots__
+    __init__ = Inl.__init__
 
 
 # The carrier type of an equality is inferable from its endpoints, so the
@@ -297,11 +280,8 @@ class Id(Term):
 
 
 class Refl(Term):
-    __slots__ = ("strict",)
-
-    def __init__(self, *, strict: bool = False, span: Optional[TermSpan] = None) -> None:
-        self.strict = strict
-        self.span = span
+    __slots__ = Nat.__slots__
+    __init__ = Nat.__init__
 
 
 # -- eliminators -------------------------------------------------------------

@@ -86,7 +86,7 @@ def infer(ctx: Context, t: Term) -> tuple[Term, object]:
             return S.Const(n, value, span=t.span), value.head.ty
         case S.Univ():
             return t, nbe.VUniv(t.level + 1, t.strict)
-        case S.Pi(dom=dom, cod=cod) | S.Sigma(fst=dom, snd=cod):
+        case S.Pi(dom=dom, cod=cod) | S.Sigma(dom=dom, cod=cod):
             dom2, s1 = infer_universe(ctx, dom)
             inner = ctx.extend(t.hint, nbe.eval_in(ctx, dom2))
             cod2, s2 = infer_universe(inner, cod)
@@ -318,7 +318,7 @@ def _infer_motive(ctx: Context, motive: Term, telescope: tuple, env) -> tuple[Te
                                    nbe.extend(env, inner.var_value(0)))
     cod_term = nbe.quote(inner.depth, body_ty, unfold=False)
     return (S.Lam(body2, hint=motive.hint, span=motive.span),
-            nbe.VPi(dom_v, nbe.Closure(ctx.env, cod_term), motive.hint))
+            nbe.VPi(dom_v, nbe.VLam(ctx.env, cod_term, motive.hint)))
 
 
 def _infer_elim(ctx: Context, t: S.Elim) -> tuple[Term, object]:
@@ -352,7 +352,7 @@ def _infer_elim(ctx: Context, t: S.Elim) -> tuple[Term, object]:
                 inner.depth, nbe.evaluate(template, env), pi.dom, None, ctx.strict_pi)):
             raise fail(D.CONVERSION_FAILURE, error, span,
                        expected=rule.expected, actual=ctx.show(m_ty))
-        inner = inner.extend(pi.hint, pi.dom)
+        inner = inner.extend(pi.cod.hint, pi.dom)
         env = nbe.extend(env, inner.var_value(0))
         cod = nbe.inst(pi.cod, inner.var_value(0))
         pi = nbe.force(cod)

@@ -94,9 +94,9 @@ def gen_type(rng: random.Random, ctx: list[Term], size: int) -> Term:
         cod = gen_type(rng, ctx + [dom], part)
         return S.Pi(dom, cod, hint="x")
     if pick == 1:
-        fst = gen_type(rng, ctx, part)
-        snd = gen_type(rng, ctx + [fst], part)
-        return S.Sigma(fst, snd, hint="p")
+        dom = gen_type(rng, ctx, part)
+        cod = gen_type(rng, ctx + [dom], part)
+        return S.Sigma(dom=dom, cod=cod, hint="p")
     if pick == 2:
         return S.Sum(_fibrant_type(rng, ctx, part), _fibrant_type(rng, ctx, part))
     if pick == 3:
@@ -147,9 +147,9 @@ def gen_term(rng: random.Random, ctx: list[Term], ty: Term, size: int) -> Term:
         case S.Pi(dom=dom, cod=cod):
             body = gen_term(rng, ctx + [dom], cod, max(1, size - 1))
             return S.Lam(body, hint="x")
-        case S.Sigma(fst=fst, snd=snd):
-            a = gen_term(rng, ctx, fst, max(1, size // 2))
-            return S.Pair(a, gen_term(rng, ctx, subst(snd, 0, a), max(1, size // 2)))
+        case S.Sigma(dom=dom, cod=cod):
+            a = gen_term(rng, ctx, dom, max(1, size // 2))
+            return S.Pair(a, gen_term(rng, ctx, subst(cod, 0, a), max(1, size // 2)))
         case S.Sum(left=l, right=r):
             if rng.random() < 0.5:
                 return S.Inl(gen_term(rng, ctx, l, max(1, size - 1)))

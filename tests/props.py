@@ -109,8 +109,8 @@ _SHARED_LEAVES = frozenset(id(v) for v in (
 
 
 def _value_objects(v) -> set[int]:
-    """Ids of the values and closures reachable from `v`, module-level
-    constants (leaves with no parts) left out."""
+    """Ids of the values reachable from `v`, module-level constants (leaves
+    with no parts) left out."""
     seen: set[int] = set()
     stack = [v]
     while stack:
@@ -120,9 +120,9 @@ def _value_objects(v) -> set[int]:
             continue
         if id(obj) in seen or id(obj) in _SHARED_LEAVES:
             continue
-        if isinstance(obj, (nbe.Value, nbe.Closure)):
+        if isinstance(obj, nbe.Value):
             seen.add(id(obj))
-        if isinstance(obj, nbe.Closure):
+        if isinstance(obj, nbe.VLam):
             env = obj.env
             while isinstance(env, nbe.Env):
                 stack.append(env.value)

@@ -79,7 +79,7 @@ def test_projection_frames_are_shared():
 
 def test_a_lambda_is_its_own_closure():
     lam = ev(S.Lam(S.Succ(S.Var(0))))
-    assert isinstance(lam, nbe.Closure)
+    assert isinstance(lam, nbe.VLam)
     assert nbe.quote(0, nbe.inst(lam, nbe.ZERO)) == S.Succ(S.Zero())
 
 
@@ -480,19 +480,17 @@ def test_conv_of_a_value_with_itself_spends_no_unfolds():
 
 
 def _closure_pair(ctx, body, values_a, values_b):
-    """Two distinct closures over `body` in freshly built environments."""
+    """Two distinct lambda values over `body` in freshly built environments."""
     def build(values):
         env = ctx.env
         for v in values:
             env = nbe.extend(env, v)
-        return nbe.Closure(env, body)
+        return nbe.VLam(env, body)
     return build(values_a), build(values_b)
 
 
 def _bind(former, closure):
-    if former is nbe.VLam:
-        return nbe.VLam(closure.env, closure.body)
-    return former(nbe.NAT, closure)
+    return closure if former is nbe.VLam else former(nbe.NAT, closure)
 
 
 @pytest.mark.parametrize("former", [nbe.VLam, nbe.VPi, nbe.VSigma],

@@ -68,7 +68,7 @@ def test_precedences():
     t = parse_term("Nat + Unit = Nat + Unit")
     assert isinstance(t, S.Id) and isinstance(t.lhs, S.Sum)
     t = parse_term("a =s b * c =s d", scope=["a", "b", "c", "d"])
-    assert isinstance(t, S.Sigma) and isinstance(t.fst, S.Id) and t.fst.strict
+    assert isinstance(t, S.Sigma) and isinstance(t.dom, S.Id) and t.dom.strict
     t = parse_term("f x y", scope=["f", "x", "y"])
     assert t == S.App(S.App(S.Var(2), S.Var(1)), S.Var(0))
     # an argument lambda's body ends at a second `=`, which the equation
@@ -159,6 +159,9 @@ def test_syntax_error_has_expected_token():
         ("#conv a ~ b A", "expected ':', got 'end of input'", (1, 14, 1, 14)),
         ("axiom x Nat", "expected ':', got 'Nat'", (1, 9, 1, 12)),
         ("def x : Nat 0", "expected ':=', got 'end of input'", (1, 14, 1, 14)),
+        # a `#fail[` whose code is missing
+        ("#fail[\n", "expected a diagnostic code, got 'end of input'", (2, 1, 2, 1)),
+        ("#fail[]", "expected a diagnostic code, got ']'", (1, 7, 1, 8)),
     ]:
         with pytest.raises(CheckError) as e:
             parse_module(text, "t.2lt", ["t", "a", "b", "A"])
@@ -250,7 +253,7 @@ def test_long_chains_parse_without_shifting(monkeypatch, connective, former):
     assert shifts[0] == 0
     for k in range(n - 1):
         assert type(t) is former
-        first, t = (t.dom, t.cod) if former is S.Pi else (t.fst, t.snd)
+        first, t = t.dom, t.cod
         assert first == S.Var(k)
     assert t == S.Var(n - 1)
 

@@ -225,6 +225,17 @@ def test_field_tables():
     elim = S.Elim(S.Nat, (Var(0), Var(1), Var(2)), Var(3))
     assert [(key, child) for key, child, _ in S.term_children(elim)] == \
         [(("args", 0), Var(0)), (("args", 1), Var(1)), (("args", 2), Var(2)), ("target", Var(3))]
+    # every class reads back each field it is built with, a class that
+    # borrows its twin's `__init__` included
+    plain = {"span": ("f", 2, 3, 4, 5), "hint": "h", "strict": True, "index": 7,
+             "level": 8, "name": "c", "resolved": "value", "former": S.Sum,
+             "args": (Var(10), Var(11))}
+    classes = S.Term.__subclasses__()
+    assert {S.Sigma, S.Snd, S.Zero, S.Empty, S.Refl, S.Inr} <= set(classes)
+    for cls in classes:
+        values = {f: plain.get(f, Var(i)) for i, f in enumerate(cls._fields)}
+        t = cls(**values)
+        assert {f: getattr(t, f) for f in cls._fields} == values, cls.__name__
 
 
 def test_rebuild_keeps_the_fields_it_does_not_replace():
