@@ -16,6 +16,7 @@ from tltt.nbe_core import (  # noqa: F401
     apply_many, apply_value, conv, do_fst, do_snd, eliminate, evaluate, extend, force,
     fresh_var, inst, neutral_type, quote,
 )
+from tltt.syntax import collector_paused
 
 
 def eval_in(ctx, t):
@@ -28,6 +29,7 @@ def conv_in(ctx, a, b, at_type):
     return conv(ctx.depth, a, b, at_type, ctx.strict_pi)
 
 
+@collector_paused
 def normalize(ctx, t):
     """Beta-iota-normal form of a well-typed term, alpha-canonical by read-back."""
     return quote(ctx.depth, evaluate(t, ctx.env))

@@ -652,6 +652,7 @@ class Parser:
         return S.Module(tuple(decls), self.path)
 
 
+@S.collector_paused
 def parse_module(text: str, path: str, known_names: Sequence[str] = (),
                  strong: bool = False) -> S.Module:
     """Parse a whole file; `known_names` seeds the global scope (earlier files).
@@ -659,6 +660,7 @@ def parse_module(text: str, path: str, known_names: Sequence[str] = (),
     return Parser(text, path, [], set(known_names), strong).module()
 
 
+@S.collector_paused
 def parse_term(text: str, scope: Optional[Sequence[str]] = None,
                known_names: Sequence[str] = (), strong: bool = False) -> Term:
     """Parse a single term; `scope` supplies names for free variables, outermost first.

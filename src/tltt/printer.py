@@ -177,6 +177,7 @@ class _Printer:
         raise TypeError(f"cannot print {type(t).__name__}")
 
 
+@S.collector_paused
 def pretty_print(t: S.Term, names: Optional[Sequence[str]] = None) -> str:
     """Render a well-scoped term; `names` supplies free-variable names, outermost first."""
     return _Printer(names or ()).go(t, ARROW)

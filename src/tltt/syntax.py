@@ -32,10 +32,15 @@ schema once, per former and fragment: its word, its telescope and its
 cases.  The parser, the printer, the evaluator and the checker all read it.
 
 Declarations and modules are records: `NamedTuple`s.
+
+`collector_paused` pauses the cyclic garbage collector in the entry points
+that build large acyclic trees: read-back, printing and parsing.
 """
 
 from __future__ import annotations
 
+import gc
+from functools import wraps
 from operator import attrgetter
 from typing import NamedTuple, Optional
 
@@ -430,6 +435,21 @@ def shift(t: Term, amount: int, cutoff: int = 0) -> Term:
     return _rebuild(t, changes)
 
 
+def collector_paused(build):
+    """`build` with the cyclic garbage collector paused, and switched back
+    on however it returns unless the caller had it off.  What read-back,
+    printing and parsing build holds no reference cycle
+    (`tests/test_garbage.py`), so a collection would only walk the young tree."""
+    @wraps(build)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return build(*args, **kwargs)
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
 
 
 # -- declarations and modules --------------------------------------------------
