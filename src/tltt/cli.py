@@ -95,24 +95,24 @@ class _Runner:
         except RecursionError:
             self.diag(path, _too_deep("parsing", None))
             return
+        budget = self.ctx.sig.budget
         for decl in module.decls:
             self.reset_budget()
+            started, unfolds = time.perf_counter(), budget.unfolds
             try:
                 if isinstance(decl, S.Pragma):
                     self.report.pragmas += 1
                     kind, text = self.run_pragma(path, decl)
                     span = decl.span
-                    self.report.pragma_results.append(PragmaResult(
-                        path, span.line if span else 0, span.col if span else 0, kind, text))
+                    line, col = (span.line, span.col) if span else (0, 0)
+                    self.report.pragma_results.append(PragmaResult(path, line, col, kind, text))
+                    done = f"ran #{decl.kind} at {path}:{line}:{col}"
                 else:
                     self.trace(f"checking {decl.name}")
-                    budget = self.ctx.sig.budget
-                    started, unfolds = time.perf_counter(), budget.unfolds
-                    checked = tc.check_declaration(self.ctx, decl)
-                    self.trace(f"checked {decl.name} in "
-                               f"{(time.perf_counter() - started) * 1000:.1f} ms, "
-                               f"{budget.unfolds - unfolds} unfolds")
-                    self.report.checked.append(checked)
+                    self.report.checked.append(tc.check_declaration(self.ctx, decl))
+                    done = f"checked {decl.name}"
+                self.trace(f"{done} in {(time.perf_counter() - started) * 1000:.1f} ms, "
+                           f"{budget.unfolds - unfolds} unfolds")
             except CheckError as e:
                 self.diag(path, e.diagnostic)
             except (nbe.EvalError, nbe.BudgetExhausted) as e:
@@ -281,8 +281,8 @@ def main(argv: Optional[list[str]] = None) -> int:
                          help="make all strict equality proofs definitionally equal")
     checker.add_argument("--trace", action="store_true",
                          help="print each file and declaration as it is checked, "
-                              "each declaration's time and unfolds, and the total "
-                              "time, to stderr")
+                              "the time and unfolds of each declaration and pragma "
+                              "that succeeds, and the total time, to stderr")
     checker.add_argument("--format", choices=("human", "lines"), default="human")
     checker.add_argument("--unfold-budget", type=int, default=None, metavar="N",
                          help="allow each declaration or pragma at most N constant "

@@ -14,7 +14,7 @@ from tltt.nbe_core import (  # noqa: F401
     Signature, Value, VAtom, VBinder, VId, VInj, VLam, VNeutral, VPair, VPi, VSigma,
     VSucc, VSum, VUniv,
     apply_many, apply_value, conv, do_fst, do_snd, eliminate, evaluate, extend, force,
-    fresh_var, inst, neutral_type, quote,
+    fresh_var, inst, neutral_type, quote, sharing,
 )
 from tltt.syntax import collector_paused
 
@@ -30,6 +30,10 @@ def conv_in(ctx, a, b, at_type):
 
 
 @collector_paused
+@sharing
 def normalize(ctx, t):
-    """Beta-iota-normal form of a well-typed term, alpha-canonical by read-back."""
+    """Beta-iota-normal form of a well-typed term, alpha-canonical by read-back.
+
+    Equal work inside the call is done once (see `nbe_core.sharing`), so the
+    normal form may share subterm objects."""
     return quote(ctx.depth, evaluate(t, ctx.env))

@@ -33,9 +33,22 @@ Conversion exploits sharing before it computes.  Values are never mutated
 and `evaluate` is deterministic, so two references to one value object are
 equal.  Every elaborated mention of a constant evaluates to its one shared
 value, which makes this common.
+
+Normalization shares what it builds.  Inside a call wrapped by `sharing`
+(`nbe.normalize`), the kernel hash-conses what it would otherwise build anew
+each time: an environment node per (parent environment, value), a spine push
+per (neutral, frame) and a fresh variable per (level, type); and it memoizes
+a closure body's evaluation per (body, environment) and a read-back per
+(value, depth, unfold).  This is sound because values are immutable,
+`evaluate` is deterministic and `unfolded` is written at most once.
+Repeated work then yields the same objects, so its instantiations and
+read-backs hit, and a normal form may share subterm objects: a DAG of
+immutable terms that prints as the tree would.  The tables live for the one
+call; outside it these functions only test `_shared` for None.
 """
 
 import math
+from functools import wraps
 
 from tltt import syntax as S
 
@@ -86,6 +99,38 @@ class Signature:
         return name in self.entries
 
 
+# -- sharing within one call ------------------------------------------------------
+
+class _Shared:
+    """What one call under `sharing` has built, by what determines it."""
+
+    __slots__ = ("envs", "spines", "vars", "bodies", "quoted")
+
+    def __init__(self):
+        self.envs = {}  # (parent environment, value) -> its `Env` node
+        self.spines = {}  # (neutral, frame) -> the neutral with the frame pushed
+        self.vars = {}  # (level, type) -> the fresh variable
+        self.bodies = {}  # (id of a closure body, environment) -> its value
+        self.quoted = {}  # (value, depth, unfold) -> its read-back
+
+
+_shared = None  # the tables of the running `sharing` call, if any
+
+
+def sharing(build):
+    """`build` with the kernel sharing what it builds, in tables of its own
+    that are dropped however it returns."""
+    @wraps(build)
+    def shared(*args, **kwargs):
+        global _shared
+        _shared = _Shared()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            _shared = None
+    return shared
+
+
 # -- environments ----------------------------------------------------------------
 
 class Env:
@@ -121,7 +166,21 @@ def extend(env, value):
 
 def inst(lam, value):
     """The body of the lambda value `lam` with its variable bound to `value`."""
-    return evaluate(lam.body, extend(lam.env, value))
+    shared = _shared
+    if shared is None:
+        return evaluate(lam.body, Env(value, lam.env))
+    key = (lam.env, value)
+    env = shared.envs.get(key)
+    if env is None:
+        env = shared.envs[key] = Env(value, lam.env)
+        result = None  # a new environment has evaluated nothing yet
+    else:
+        result = shared.bodies.get((id(lam.body), env))
+    if result is None:
+        # a term hashes by structure, so the body is keyed by identity: every
+        # body evaluated is part of a term that outlives the call
+        result = shared.bodies[id(lam.body), env] = evaluate(lam.body, env)
+    return result
 
 
 # -- values --------------------------------------------------------------------
@@ -309,7 +368,14 @@ REFL_S = VAtom(S.Refl(strict=True))
 
 
 def fresh_var(level, ty=None):
-    return VNeutral(HVar(level, ty), ())
+    shared = _shared
+    if shared is None:
+        return VNeutral(HVar(level, ty), ())
+    key = (level, ty)
+    var = shared.vars.get(key)
+    if var is None:
+        var = shared.vars[key] = VNeutral(HVar(level, ty), ())
+    return var
 
 
 # -- unfolding ------------------------------------------------------------------
@@ -349,7 +415,14 @@ def force(v):
 # -- eliminators ----------------------------------------------------------------
 
 def _push(neutral, frame):
-    return VNeutral(neutral.head, neutral.spine + (frame,))
+    shared = _shared
+    if shared is None:
+        return VNeutral(neutral.head, neutral.spine + (frame,))
+    key = (neutral, frame)
+    pushed = shared.spines.get(key)
+    if pushed is None:
+        pushed = shared.spines[key] = VNeutral(neutral.head, neutral.spine + (frame,))
+    return pushed
 
 
 def apply_value(fn, arg):
@@ -502,38 +575,49 @@ def quote(depth, v, unfold=True):
 
     With `unfold` false, an application of a defined constant is read back
     folded, as the constant applied to its read-back arguments."""
-    if isinstance(v, VNeutral):
-        if unfold:
-            v = force(v)
-        if isinstance(v, VNeutral):
-            return _quote_neutral(depth, v, unfold)
-    if isinstance(v, VLam):
-        return S.Lam(quote(depth + 1, inst(v, fresh_var(depth)), unfold),
-                     hint=v.hint)
-    if isinstance(v, VBinder):
-        mk = S.Pi if isinstance(v, VPi) else S.Sigma
-        return mk(quote(depth, v.dom, unfold),
-                  quote(depth + 1, inst(v.cod, fresh_var(depth, v.dom)), unfold),
-                  hint=v.cod.hint)
-    if isinstance(v, VPair):
-        return S.Pair(quote(depth, v.fst, unfold), quote(depth, v.snd, unfold))
-    if isinstance(v, VUniv):
-        return S.Univ(v.level, strict=v.strict)
-    if isinstance(v, VAtom):
+    cls = type(v)
+    if cls is VAtom:  # nothing to share
         return v.term
-    if isinstance(v, VSucc):
-        return S.Succ(quote(depth, v.pred, unfold), strict=v.strict)
-    if isinstance(v, VSum):
-        return S.Sum(quote(depth, v.left, unfold), quote(depth, v.right, unfold),
+    shared = _shared
+    if shared is not None:
+        key = (v, depth, unfold)
+        term = shared.quoted.get(key)
+        if term is not None:
+            return term
+    if cls is VNeutral and unfold:
+        v = force(v)
+        cls = type(v)
+    if cls is VNeutral:
+        term = _quote_neutral(depth, v, unfold)
+    elif cls is VLam:
+        term = S.Lam(quote(depth + 1, inst(v, fresh_var(depth)), unfold), hint=v.hint)
+    elif cls is VPi or cls is VSigma:
+        term = (S.Pi if cls is VPi else S.Sigma)(
+            quote(depth, v.dom, unfold),
+            quote(depth + 1, inst(v.cod, fresh_var(depth, v.dom)), unfold),
+            hint=v.cod.hint)
+    elif cls is VPair:
+        term = S.Pair(quote(depth, v.fst, unfold), quote(depth, v.snd, unfold))
+    elif cls is VUniv:
+        term = S.Univ(v.level, strict=v.strict)
+    elif cls is VAtom:  # a neutral that unfolded to one
+        term = v.term
+    elif cls is VSucc:
+        term = S.Succ(quote(depth, v.pred, unfold), strict=v.strict)
+    elif cls is VSum:
+        term = S.Sum(quote(depth, v.left, unfold), quote(depth, v.right, unfold),
                      strict=v.strict)
-    if isinstance(v, VInj):
-        mk = S.Inl if v.is_left else S.Inr
-        return mk(quote(depth, v.value, unfold), strict=v.strict)
-    if isinstance(v, VId):
+    elif cls is VInj:
+        term = (S.Inl if v.is_left else S.Inr)(quote(depth, v.value, unfold), strict=v.strict)
+    elif cls is VId:
         # the carrier folded, as the checker elaborated it
-        return S.Id(quote(depth, v.ty, False), quote(depth, v.lhs, unfold),
+        term = S.Id(quote(depth, v.ty, False), quote(depth, v.lhs, unfold),
                     quote(depth, v.rhs, unfold), strict=v.strict)
-    raise EvalError(f"cannot quote {type(v).__name__}")
+    else:
+        raise EvalError(f"cannot quote {type(v).__name__}")
+    if shared is not None:
+        shared.quoted[key] = term
+    return term
 
 
 def _quote_neutral(depth, v, unfold):

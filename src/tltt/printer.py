@@ -53,30 +53,34 @@ class _Printer:
         self.consts: set[str] = set()  # constants printed while a binder had their name
         for name in names:
             self.push(name)
-        # id of a binder node -> whether its body uses the bound variable
-        self.body_uses: dict[int, bool] = {}
-
-    def dependent(self, t: S.Term) -> bool:
-        """Whether the body of the Pi or Sigma `t` uses the variable it binds."""
-        used = self.body_uses.get(id(t))
-        if used is None:
-            self.free(t)
-            used = self.body_uses[id(t)]
-        return used
+        # id of a node -> its free variables; a normal form may share nodes
+        self.masks: dict[int, int] = {}
 
     def free(self, t: S.Term) -> int:
-        """The free variables of `t` as a bit mask (bit i for index i).  One
-        pass records `body_uses` for every binder in `t`, so a telescope is
-        walked once, not once per binder."""
+        """The free variables of `t` as a bit mask (bit i for index i),
+        computed once per node object: a telescope is walked once, not once
+        per binder, and a node that a normal form shares is walked once."""
         if type(t) is S.Var:
             return 1 << t.index
+        mask = self.masks.get(id(t))
+        if mask is not None:
+            return mask
         mask = 0
-        for _, child, under in S.term_children(t):
-            inner = self.free(child)
-            if under:
-                self.body_uses[id(t)] = bool(inner & 1)
-                inner >>= 1
-            mask |= inner
+        for name, under in t._children:
+            child = getattr(t, name)
+            cls = type(child)
+            if cls is S.Var:
+                inner = 1 << child.index
+            elif cls is tuple:  # `Elim.args`, under no binder
+                for arg in child:
+                    mask |= self.free(arg)
+                continue
+            elif child is None:  # `Id.ty` may be absent
+                continue
+            else:
+                inner = self.free(child) if cls._children else 0
+            mask |= inner >> 1 if under else inner
+        self.masks[id(t)] = mask
         return mask
 
     def fresh(self, hint: Optional[str]) -> str:
@@ -104,7 +108,9 @@ class _Printer:
         """A fresh name for a binder, and its body `t` printed under it; again
         under another name while a constant in `t` has the binder's name."""
         while True:
-            name = self.fresh(hint)
+            name = hint or "x"
+            if name in self.count or name in self.consts:
+                name = self.fresh(name)
             self.push(name)
             text = self.go(t, prec)
             self.pop()
@@ -112,20 +118,27 @@ class _Printer:
                 return name, text
 
     def go(self, t: S.Term, prec: int) -> str:
+        cls = type(t)  # the commonest formers first, rendered here
+        if cls is S.Var:
+            if 0 <= t.index < len(self.names):
+                return self.names[-1 - t.index]
+            return f"?v{t.index - len(self.names)}"
+        if cls is S.App:
+            text = f"{self.go(t.fn, APP)} {self.go(t.arg, ATOM)}"
+            return f"({text})" if prec > APP else text
+        if cls is S.Const:
+            if t.name in self.count:
+                self.consts.add(t.name)
+            return t.name
         text, level = self.render(t)
         return f"({text})" if level < prec else text
 
-    def atom(self, t: S.Term) -> str:
-        return self.go(t, ATOM)
-
     def render(self, t: S.Term) -> tuple[str, int]:
-        cls = type(t)  # the commonest formers first
-        if cls is S.Var:
-            if 0 <= t.index < len(self.names):
-                return self.names[-1 - t.index], ATOM
-            return f"?v{t.index - len(self.names)}", ATOM
+        cls = type(t)
+        if cls is S.Var or cls is S.Const:
+            return self.go(t, ATOM), ATOM
         if cls is S.App:
-            return f"{self.go(t.fn, APP)} {self.atom(t.arg)}", APP
+            return self.go(t, APP), APP
         if cls is S.Lam:
             name, body = self.bind(t.hint, t.body, ARROW)
             return f"\\{name}. {body}", ARROW
@@ -134,16 +147,12 @@ class _Printer:
             if num is not None:
                 n, is_strict = num
                 return (f"{n}s" if is_strict else str(n)), ATOM
-        if cls is S.Const:
-            if t.name in self.count:
-                self.consts.add(t.name)
-            return t.name, ATOM
         if cls is S.Univ:
             return f"{'Us' if t.strict else 'U'} {t.level}", APP
         if cls is S.Pi or cls is S.Sigma:
             op, prec = ("->", ARROW) if cls is S.Pi else ("*", PROD)
             text, level = self.render(t.dom)
-            if self.dependent(t):
+            if self.free(t.cod) & 1:  # the body uses the bound variable
                 name, rest = self.bind(t.hint, t.cod, prec)
                 return f"({name} : {text}) {op} {rest}", prec
             if level <= prec or _reads_as_binder(t.dom):
@@ -157,12 +166,12 @@ class _Printer:
             if not fields:
                 return word, ATOM
             for field in fields:
-                word = f"{word} {self.atom(getattr(t, field))}"
+                word = f"{word} {self.go(getattr(t, field), ATOM)}"
             return word, APP
         if cls is S.Elim:
             word = S.ELIMINATORS[t.former, t.strict].word
             for arg in (*t.args, t.target):
-                word = f"{word} {self.atom(arg)}"
+                word = f"{word} {self.go(arg, ATOM)}"
             return word, APP
         if cls is S.Ann:
             return f"({self.go(t.term, ARROW)} : {self.go(t.type, ARROW)})", ATOM

@@ -913,6 +913,18 @@ def test_trace_reports_time_and_unfolds_per_declaration(tmp_path, capsys):
     assert re.search(r"^checked g in \d+\.\d ms, 1 unfolds$", err, re.M)
 
 
+def test_trace_reports_time_and_unfolds_per_pragma(tmp_path, capsys):
+    # a pragma that succeeds gets a line, with its kind and where it is; a
+    # failing one gets none, as a failing declaration gets no `checked` line
+    path = write(tmp_path, "pragmas.2lt",
+                 "def d : Nat := 0\n#normalize succ d\n#check d : Nat\n#check d : U 0\n")
+    assert main(["check", "--trace", path]) == 1
+    err = capsys.readouterr().err
+    ran = re.findall(r"^ran (#\w+) at (.+) in \d+\.\d ms, (\d+) unfolds$", err, re.M)
+    assert ran == [("#normalize", f"{path}:2:1", "1"), ("#check", f"{path}:3:1", "0")]
+    assert re.search(r"^checked d in \d+\.\d ms, 0 unfolds$", err, re.M)
+
+
 def test_diagnostics_print_constants_folded(tmp_path):
     path = write(tmp_path, "folded.2lt",
                  "def Pt : U 1 := (A : U 0) * A\naxiom p : Pt\ndef bad : Nat := p\n")

@@ -311,10 +311,25 @@ def test_printing_a_long_chain_walks_each_node_once(monkeypatch):
     t = S.Var(n - 1)
     for _ in range(n):
         t = S.Pi(S.Nat(), t, hint="a")
-    walks = count_calls(monkeypatch, S, "term_children")
+    from tltt.printer import _Printer
+    walks = count_calls(monkeypatch, _Printer, "free")
     text = pretty_print(t)
     assert walks[0] <= 2 * n + 2
     assert text.startswith("(a : Nat) -> Nat -> Nat -> ") and text.endswith("-> a")
+
+
+def test_printing_a_shared_node_walks_it_once(monkeypatch):
+    # a normal form may share subterm objects: the 2**n occurrences of one
+    # node, held by n nested pairs, each pair's two children one object,
+    # are walked once
+    from tltt.printer import _Printer
+    n = 40
+    t = S.Pi(S.Nat(), S.Var(0), hint="a")
+    for _ in range(n):
+        t = S.Pair(t, t)
+    walks = count_calls(monkeypatch, _Printer, "free")
+    assert _Printer(()).free(S.Pair(t, S.Var(3))) == 1 << 3
+    assert walks[0] <= 2 * n + 2
 
 
 def test_fresh_names_are_the_first_unused_ones():

@@ -1,0 +1,169 @@
+"""Sharing inside one `nbe.normalize` call.
+
+`normalize` hash-conses the environments, spines and fresh variables it
+builds and memoizes closure bodies and read-backs, in tables that live for
+the call alone.  Its normal form must equal the unshared read-back
+`quote(ctx.depth, evaluate(t, ctx.env))`, and print the same; the tables
+must be gone however the call ends; and the work it saves is pinned by
+deterministic counts.
+"""
+
+import gc
+import random
+import sys
+
+import pytest
+
+from tltt import corpus, nbe, nbe_core, syntax as S, typecheck as tc
+from tltt.parser import parse_module, parse_term
+from tltt.printer import pretty_print
+
+from gen import gen_well_typed
+
+TERMS = ([f"SST {n}s" for n in range(6)]
+         + [f"Delta {i}s {j}s" for j in range(4) for i in range(j + 1)]
+         + [f"SK 1s (star, \\u. {fibre}) {n}s" for fibre in ("Unit", "Empty")
+            for n in range(4)]
+         + [f"SK 2s ((star, \\u. {a}), \\s. {b}) 3s" for a in ("Unit", "Empty")
+            for b in ("Unit", "Empty")]
+         + [f"isIncr {i}s {j}s" for j in range(3) for i in range(j + 1)]
+         + [f"lt {n}s" for n in range(4)])
+
+
+@pytest.fixture(scope="module")
+def sst_ctx():
+    ctx = tc.new_context()
+    for name in ("prelude.2lt", "fin.2lt", "sst.2lt"):
+        text = (corpus.CORPUS_DIR / name).read_text()
+        for decl in parse_module(text, name, known_names=ctx.sig.entries.keys()).decls:
+            if not isinstance(decl, S.Pragma):
+                tc.check_declaration(ctx, decl)
+    return ctx
+
+
+def elaborated(ctx, text):
+    return tc.infer(ctx, parse_term(text, known_names=ctx.sig.entries.keys()))[0]
+
+
+def unshared(ctx, t):
+    return nbe.quote(ctx.depth, nbe.evaluate(t, ctx.env))
+
+
+def no_sharing_left():
+    """Whether no call's tables are active or alive."""
+    return nbe_core._shared is None and not any(
+        type(o) is nbe_core._Shared for o in gc.get_objects())
+
+
+# -- the same normal form -----------------------------------------------------------
+
+@pytest.mark.parametrize("text", TERMS)
+def test_a_shared_normal_form_is_the_unshared_one(sst_ctx, text):
+    t = elaborated(sst_ctx, text)
+    shared = nbe.normalize(sst_ctx, t)
+    tree = unshared(sst_ctx, t)
+    assert shared == tree
+    assert pretty_print(shared) == pretty_print(tree)
+
+
+def test_generated_terms_normalize_as_unshared():
+    rng = random.Random(251)
+    ctx = tc.new_context()
+    for _ in range(200):
+        t, ty = gen_well_typed(rng, size=rng.randrange(2, 7))
+        ty2, _ = tc.infer_universe(ctx, ty)
+        t2 = tc.check(ctx, t, nbe.eval_in(ctx, ty2))
+        for term in (t2, ty2):
+            shared, tree = nbe.normalize(ctx, term), unshared(ctx, term)
+            assert shared == tree
+            assert pretty_print(shared) == pretty_print(tree)
+
+
+def test_a_normal_form_shares_subterm_objects(sst_ctx):
+    normal = nbe.normalize(sst_ctx, elaborated(sst_ctx, "SST 3s"))
+    seen, nodes, stack = set(), 0, [normal]
+    while stack:
+        t = stack.pop()
+        nodes += 1
+        if id(t) not in seen:
+            seen.add(id(t))
+            stack.extend(child for _, child, _ in S.term_children(t))
+    assert len(seen) < nodes
+
+
+# -- the tables live for one call --------------------------------------------------
+
+def test_checking_runs_unshared(sst_ctx):
+    assert nbe_core._shared is None
+    elaborated(sst_ctx, "SST 2s")
+    assert no_sharing_left()
+
+
+def nested_lambdas(depth):
+    t = S.Var(0)
+    for _ in range(depth):
+        t = S.Lam(t, "x")
+    return t
+
+
+def ends_with(error, call):
+    """Run `call`, which raises `error`, and drop the exception with its
+    frames."""
+    try:
+        call()
+    except error:
+        return True
+    return False
+
+
+def spent_budget():
+    ctx = tc.new_context(budget=0)
+    ctx.sig.define("d", nbe.NAT, nbe.ZERO)
+    return nbe.normalize(ctx, S.Succ(S.Const("d", ctx.sig.lookup("d"))))
+
+
+def too_deep():
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        nbe.normalize(tc.new_context(), nested_lambdas(3000))
+    finally:
+        sys.setrecursionlimit(saved)
+
+
+def test_no_sharing_is_left_after_a_return(sst_ctx):
+    assert nbe.normalize(sst_ctx, elaborated(sst_ctx, "SST 2s")) is not None
+    assert no_sharing_left()
+
+
+@pytest.mark.parametrize("error, call", [
+    (nbe.EvalError, lambda: nbe.normalize(tc.new_context(), S.App(S.Zero(), S.Zero()))),
+    (nbe.BudgetExhausted, spent_budget),
+    (RecursionError, too_deep),
+], ids=["EvalError", "BudgetExhausted", "RecursionError"])
+def test_no_sharing_is_left_after_a_raise(error, call):
+    assert ends_with(error, call)
+    assert no_sharing_left()
+
+
+# -- the work saved, counted -------------------------------------------------------
+
+@pytest.mark.parametrize("text, unfolds, evaluations", [
+    ("SST 4s", 262, 8_059),  # unshared: 410 and 11,514
+    ("SST 5s", 3_367, 160_137),  # unshared: 8,340 and 331,454
+])
+def test_normalize_unfolds_and_evaluations_are_pinned(sst_ctx, monkeypatch, text,
+                                                        unfolds, evaluations):
+    t = elaborated(sst_ctx, text)
+    calls = [0]
+    evaluate = nbe_core.evaluate
+
+    def counting(t, env):
+        calls[0] += 1
+        return evaluate(t, env)
+
+    monkeypatch.setattr(nbe_core, "evaluate", counting)
+    budget = sst_ctx.sig.budget
+    before = budget.unfolds
+    nbe.normalize(sst_ctx, t)
+    assert (budget.unfolds - before, calls[0]) == (unfolds, evaluations)
