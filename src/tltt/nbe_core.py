@@ -37,8 +37,9 @@ value, which makes this common.
 Normalization shares what it builds.  Inside a call wrapped by `sharing`
 (`nbe.normalize`), the kernel hash-conses what it would otherwise build anew
 each time: an environment node per (parent environment, value), a spine push
-per (neutral, frame) and a fresh variable per (level, type); and it memoizes
-a closure body's evaluation per (body, environment) and a read-back per
+per (neutral, frame), a fresh variable per (level, type) and a successor per
+(predecessor, fragment), so equal numerals are one value; and it memoizes a
+closure body's evaluation per (body, environment) and a read-back per
 (value, depth, unfold).  This is sound because values are immutable,
 `evaluate` is deterministic and `unfolded` is written at most once.
 Repeated work then yields the same objects, so its instantiations and
@@ -104,12 +105,13 @@ class Signature:
 class _Shared:
     """What one call under `sharing` has built, by what determines it."""
 
-    __slots__ = ("envs", "spines", "vars", "bodies", "quoted")
+    __slots__ = ("envs", "spines", "vars", "succs", "bodies", "quoted")
 
     def __init__(self):
         self.envs = {}  # (parent environment, value) -> its `Env` node
         self.spines = {}  # (neutral, frame) -> the neutral with the frame pushed
         self.vars = {}  # (level, type) -> the fresh variable
+        self.succs = {}  # (predecessor, strict) -> the successor value
         self.bodies = {}  # (id of a closure body, environment) -> its value
         self.quoted = {}  # (value, depth, unfold) -> its read-back
 
@@ -546,7 +548,15 @@ def evaluate(t, env):
     if cls is S.Zero:
         return ZERO_S if t.strict else ZERO
     if cls is S.Succ:
-        return VSucc(evaluate(t.pred, env), t.strict)
+        pred = evaluate(t.pred, env)
+        shared = _shared
+        if shared is None:
+            return VSucc(pred, t.strict)
+        key = (pred, t.strict)
+        succ = shared.succs.get(key)
+        if succ is None:
+            succ = shared.succs[key] = VSucc(pred, t.strict)
+        return succ
     if cls is S.Empty:
         return EMPTY_S if t.strict else EMPTY
     if cls is S.Sum:

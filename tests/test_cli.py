@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from tltt import corpus
 from tltt.cli import RECURSION_LIMIT, RunConfig, emit_report, main, run
 
 GOOD = """
@@ -656,6 +657,18 @@ def test_unfold_budget_flag(tmp_path):
     assert run(RunConfig(files=[path], unfold_budget=5)).ok
     report = run(RunConfig(files=[path], unfold_budget=0))
     assert not report.ok
+
+
+def test_normalizing_sst_5s_spends_1258_unfolds(tmp_path):
+    # within one normalization a read-back of one value is done once, and
+    # equal numerals are one value, so their read-backs and unfoldings are
+    # shared: a plain read-back spends 8,340 unfolds
+    files = [str(corpus.CORPUS_DIR / name) for name in ("prelude.2lt", "fin.2lt", "sst.2lt")]
+    path = write(tmp_path, "sst5.2lt", "#normalize SST 5s\n")
+    assert run(RunConfig(files=files + [path], unfold_budget=1258)).ok
+    report = run(RunConfig(files=files + [path], unfold_budget=1257))
+    assert [(p, d.span.line, d.code) for p, d in report.diagnostics] == [
+        (path, 1, "ResourceExhausted")]
 
 
 def test_an_exhausted_budget_is_no_verdict(tmp_path):

@@ -1,11 +1,11 @@
 """Sharing inside one `nbe.normalize` call.
 
-`normalize` hash-conses the environments, spines and fresh variables it
-builds and memoizes closure bodies and read-backs, in tables that live for
-the call alone.  Its normal form must equal the unshared read-back
-`quote(ctx.depth, evaluate(t, ctx.env))`, and print the same; the tables
-must be gone however the call ends; and the work it saves is pinned by
-deterministic counts.
+`normalize` hash-conses the environments, spines, fresh variables and
+successors it builds and memoizes closure bodies and read-backs, in tables
+that live for the call alone.  Its normal form must equal the unshared
+read-back `quote(ctx.depth, evaluate(t, ctx.env))`, and print the same; the
+tables must be gone however the call ends; and the work it saves is pinned
+by deterministic counts.
 """
 
 import gc
@@ -91,6 +91,23 @@ def test_a_normal_form_shares_subterm_objects(sst_ctx):
     assert len(seen) < nodes
 
 
+def test_a_numeral_is_one_value_per_call_and_fragment():
+    three_s, three = parse_term("3s"), parse_term("3")
+    other_three_s = parse_term("3s")
+    assert three_s is not other_three_s
+
+    @nbe.sharing
+    def evaluate_all():
+        return [nbe.evaluate(t, nbe.EMPTY_ENV) for t in (three_s, other_three_s, three)]
+
+    strict, other_strict, fibrant = evaluate_all()
+    assert strict is other_strict
+    assert fibrant is not strict
+    assert (strict.strict, fibrant.strict) == (True, False)
+    # checking evaluates unshared: a numeral is built anew each time
+    assert nbe.evaluate(three_s, nbe.EMPTY_ENV) is not nbe.evaluate(three_s, nbe.EMPTY_ENV)
+
+
 # -- the tables live for one call --------------------------------------------------
 
 def test_checking_runs_unshared(sst_ctx):
@@ -149,8 +166,10 @@ def test_no_sharing_is_left_after_a_raise(error, call):
 # -- the work saved, counted -------------------------------------------------------
 
 @pytest.mark.parametrize("text, unfolds, evaluations", [
-    ("SST 4s", 262, 8_059),  # unshared: 410 and 11,514
-    ("SST 5s", 3_367, 160_137),  # unshared: 8,340 and 331,454
+    # unshared: 410 and 11,514; sharing all but successors: 262 and 8,059
+    ("SST 4s", 195, 6_055),
+    # unshared: 8,340 and 331,454; sharing all but successors: 3,367 and 160,137
+    ("SST 5s", 1_258, 69_677),
 ])
 def test_normalize_unfolds_and_evaluations_are_pinned(sst_ctx, monkeypatch, text,
                                                         unfolds, evaluations):
