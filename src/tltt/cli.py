@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import threading
 import time
 from typing import NamedTuple, Optional
 
@@ -205,39 +204,6 @@ def run(config: RunConfig) -> RunReport:
     return runner.report
 
 
-# CPython 3.10 spends C stack on every Python call, so RECURSION_LIMIT
-# frames overflow the usual 8 MiB stack of the main thread there.  Under
-# 3.10.13 on x86-64, the inputs that recurse deepest (50,000 nested
-# parentheses, 20,000 nested applications, 30,000 arrows) need at most
-# 16 MiB; the check runs on a stack four times that.
-_STACK_SIZE = 64 * 2**20
-
-
-def _run_deep(config: RunConfig) -> RunReport:
-    """`run(config)` on a thread with a `_STACK_SIZE` stack, under the
-    recursion limit RECURSION_LIMIT; both settings are restored after."""
-    outcome: list = []
-
-    def work() -> None:
-        try:
-            outcome.append(run(config))
-        except BaseException as e:  # raised again in the calling thread
-            outcome.append(e)
-
-    limit, size = sys.getrecursionlimit(), threading.stack_size(_STACK_SIZE)
-    try:
-        sys.setrecursionlimit(max(limit, RECURSION_LIMIT))
-        worker = threading.Thread(target=work, daemon=True)  # ^C need not wait for it
-        worker.start()
-        worker.join()
-    finally:
-        threading.stack_size(size)
-        sys.setrecursionlimit(limit)
-    if isinstance(outcome[0], BaseException):
-        raise outcome[0]
-    return outcome[0]
-
-
 def emit_report(report: RunReport, output_format: str = "human") -> tuple[str, int]:
     """Render a report; returns the text and the process exit code."""
     lines: list[str] = []
@@ -296,11 +262,17 @@ def main(argv: Optional[list[str]] = None) -> int:
                        trace=args.trace, output_format=args.format,
                        unfold_budget=args.unfold_budget)
     started = time.perf_counter()
+    # deep input needs deep recursion; from Python 3.11 on a call between
+    # Python functions spends no C stack, so the calling thread's stack holds it
+    limit = sys.getrecursionlimit()
     try:
-        report = _run_deep(config)
+        sys.setrecursionlimit(max(limit, RECURSION_LIMIT))
+        report = run(config)
     except OSError as e:
         print(f"tltt: {e}", file=sys.stderr)
         return 2
+    finally:
+        sys.setrecursionlimit(limit)
     text, code = emit_report(report, config.output_format)
     sys.stdout.write(text)
     if config.trace:

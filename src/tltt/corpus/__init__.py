@@ -1,9 +1,9 @@
 """The shipped `.2lt` library and its manifest.
 
 The manifest is a plain-text file, one record per line:
-``path<TAB>mode<TAB>verdict`` where mode is ``any`` (checks in both default
-and strong mode), ``default-only`` (the rejection suite pins default-mode
-discipline) or ``strong-only``, and verdict is ``ok``.
+``path<TAB>mode`` where mode is ``any`` (checks in both default and strong
+mode), ``default-only`` (the rejection suite pins default-mode discipline)
+or ``strong-only``.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ ORACLE_DIR = CORPUS_DIR / "oracles"
 
 class ManifestEntry(NamedTuple):
     path: Path
-    mode: str      # any | default-only | strong-only
-    verdict: str   # ok
+    mode: str  # any | default-only | strong-only
 
     @property
     def in_default_run(self) -> bool:
@@ -36,8 +35,8 @@ def corpus_manifest() -> list[ManifestEntry]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        name, mode, verdict = line.split("\t")
-        entries.append(ManifestEntry(CORPUS_DIR / name, mode, verdict))
+        name, mode = line.split("\t")
+        entries.append(ManifestEntry(CORPUS_DIR / name, mode))
     return entries
 
 

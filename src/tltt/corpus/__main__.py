@@ -1,4 +1,4 @@
-"""Print the corpus manifest (paths, modes, verdicts) for shell pipelines."""
+"""Print the corpus manifest (paths and modes) for shell pipelines."""
 
 import argparse
 
@@ -24,7 +24,7 @@ def main(argv=None) -> int:
         print("\n".join(files))
         return 0
     for entry in corpus_manifest():
-        print(f"{entry.path}\t{entry.mode}\t{entry.verdict}")
+        print(f"{entry.path}\t{entry.mode}")
     return 0
 
 

@@ -75,10 +75,6 @@ _WHITESPACE = " \t\r\n"
 _COMMENT = re.compile(r"--.*|\{-")
 _NOT_NEWLINE = re.compile(".")
 
-# The most digits `int` and `str` convert, 0 for no limit (Python before
-# 3.10.7 sets none).
-_INT_MAX_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)
-
 _PUNCT = frozenset({":=", "->", "=s", "+s", "(", ")", "\\", ".", ",", ":", "*", "+",
                     "=", "~", "[", "]"})
 _PRAGMAS = frozenset({"#check", "#infer", "#normalize", "#conv", "#fail"})
@@ -390,7 +386,7 @@ class Parser:
                     # a level short of the digits `int` and `str` convert,
                     # so that `level + 1` can always be printed
                     digits = texts[pos + 1].lstrip("0") or "0"
-                    limit = _INT_MAX_STR_DIGITS()
+                    limit = sys.get_int_max_str_digits()  # 0 for no limit
                     if limit and len(digits) >= limit:
                         raise fail(D.RESOURCE_EXHAUSTED,
                                    f"universe level of {limit} digits or more",

@@ -32,15 +32,14 @@ class Context:
     """Telescope of binders over a global signature: their names, and an
     environment of their variables, each of which records its type."""
 
-    def __init__(self, sig, flags: Flags = Flags(), binders: tuple = (), env=None):
+    def __init__(self, sig, flags: Flags = Flags(), binders: Optional[tuple] = None,
+                 depth: int = 0, env=None):
         self.sig = sig
         self.flags = flags
-        self.binders = binders  # names, outermost first; None for an anonymous one
+        # (innermost name, None if anonymous; outer binders), or None if empty
+        self.binders = binders
+        self.depth = depth  # the number of binders
         self.env = nbe.EMPTY_ENV if env is None else env
-
-    @property
-    def depth(self) -> int:
-        return len(self.binders)
 
     @property
     def strict_pi(self) -> bool:
@@ -48,14 +47,19 @@ class Context:
 
     def extend(self, name: Optional[str], ty) -> "Context":
         var = nbe.fresh_var(self.depth, ty)
-        return Context(self.sig, self.flags, self.binders + (name,),
+        return Context(self.sig, self.flags, (name, self.binders), self.depth + 1,
                        nbe.extend(self.env, var))
 
     def var_value(self, index: int):
         return self.env.lookup(index)
 
     def names(self) -> list[str]:
-        return [name or "_" for name in self.binders]
+        names, node = [], self.binders
+        while node is not None:
+            name, node = node
+            names.append(name or "_")
+        names.reverse()
+        return names
 
     def show(self, v) -> str:
         """A value for a diagnostic, with constant applications left folded."""

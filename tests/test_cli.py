@@ -4,7 +4,6 @@ import re
 import resource
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import pytest
@@ -781,15 +780,20 @@ def test_a_byte_order_mark_is_skipped(tmp_path, capsys):
     capsys.readouterr()
 
 
-def check_in_subprocess(path: str, address_space: int = 0) -> subprocess.CompletedProcess:
+def check_in_subprocess(path: str, address_space: int = 0,
+                        stack: int = 0) -> subprocess.CompletedProcess:
     """`tltt check --format=lines path`, its address space capped at
-    `address_space` bytes if that is given."""
+    `address_space` bytes and its main thread's stack at `stack` bytes, where
+    those are given."""
     def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+        if address_space:
+            resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+        if stack:
+            resource.setrlimit(resource.RLIMIT_STACK, (stack, stack))
 
     return subprocess.run(
         [sys.executable, "-m", "tltt.cli", "check", "--format=lines", path],
-        capture_output=True, text=True, preexec_fn=cap if address_space else None,
+        capture_output=True, text=True, preexec_fn=cap if address_space or stack else None,
         env={"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
              "PYTHONDONTWRITEBYTECODE": "1"})
 
@@ -872,31 +876,33 @@ def test_five_thousand_nested_parentheses_check(tmp_path):
     ("axiom f : Nat -> Nat\ndef a : Nat := " + "f (" * 20000 + "0" + ")" * 20000,
      ["ResourceExhausted"]),
     ("def t : Unit := " + "(" * 50000 + "star" + ")" * 50000, ["ResourceExhausted"]),
-], ids=["succ-12000", "parens-25000", "apps-20000", "parens-50000"])
+    ("def t : " + "Nat -> " * 30000 + "Nat := " + "\\x. " * 30000 + "0", ["ResourceExhausted"]),
+    ("def t : " + "Nat -> " * 15000 + "Nat := " + "\\x. " * 15000 + "0", []),
+], ids=["succ-12000", "parens-25000", "apps-20000", "parens-50000", "arrows-30000",
+        "lambdas-15000"])
 def test_deep_input_is_checked_or_reported_not_a_crash(tmp_path, text, codes):
-    # each of these overflowed the C stack of the main thread under
-    # CPython 3.10, which killed the process with a signal
+    # checked on the main thread with its stack capped at 4 MiB: half the
+    # usual 8 MiB, and twice the most any CPython 3.11 to 3.13 build measured
+    # needs for these inputs (3.10, which spent C stack on every Python call,
+    # overflowed the usual stack on them and died with a signal)
     path = write(tmp_path, "deep.2lt", text + "\n")
-    proc = check_in_subprocess(path)
+    proc = check_in_subprocess(path, stack=4 * 2**20)
     assert proc.returncode == (1 if codes else 0), proc.stderr
     assert "Traceback" not in proc.stderr
     assert [f.split("\t")[3] for f in proc.stdout.splitlines()] == codes
 
 
-def test_main_restores_the_recursion_limit_and_the_thread_stack_size(tmp_path, capsys):
+def test_main_restores_the_recursion_limit(tmp_path, capsys):
     # the check itself runs under the raised limit: 5000 parentheses need it
     path = write(tmp_path, "parens.2lt",
                  "def t : Unit := " + "(" * 5000 + "star" + ")" * 5000 + "\n")
     limit = sys.getrecursionlimit()
-    size = threading.stack_size(32 * 2**20)
     try:
         sys.setrecursionlimit(3000)
         assert main(["check", path]) == 0
         assert sys.getrecursionlimit() == 3000
-        assert threading.stack_size(size) == 32 * 2**20
     finally:
         sys.setrecursionlimit(limit)
-        threading.stack_size(size)
     assert capsys.readouterr().out == "OK: 1 declarations, 0 pragmas\n"
 
 

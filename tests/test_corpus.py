@@ -63,7 +63,12 @@ def test_manifest_shape():
     modes = {e.path.name: e.mode for e in entries}
     assert modes["sst_strong.2lt"] == "strong-only"
     assert modes["negative.2lt"] == "default-only"
-    assert all(e.verdict == "ok" for e in entries)
+
+
+def test_bare_listing_prints_each_path_and_mode(capsys):
+    assert corpus_main([]) == 0
+    assert capsys.readouterr().out.splitlines() == \
+        [f"{e.path}\t{e.mode}" for e in corpus.corpus_manifest()]
 
 
 def test_paths_flag_prints_one_path_per_line(capsys):

@@ -37,6 +37,20 @@ def check_code(ctx, t, ty_text):
         return e.diagnostic.code
 
 
+def test_an_extension_keeps_the_outer_binders_as_its_tail():
+    # extending costs the same at any depth: a copy of the outer names made
+    # checking a telescope of n binders take time quadratic in n
+    ctx = ctx_default()
+    nat = nbe.eval_in(ctx, parse_term("Nat"))
+    a = ctx.extend("a", nat)
+    b = a.extend(None, nat)
+    c = b.extend("c", nat)
+    assert c.binders[1] is b.binders and b.binders[1] is a.binders
+    assert [x.depth for x in (ctx, a, b, c)] == [0, 1, 2, 3]
+    assert [x.names() for x in (ctx, a, b, c)] == [[], ["a"], ["a", "_"], ["a", "_", "c"]]
+    assert [c.show(c.var_value(i)) for i in range(3)] == ["c", "_", "a"]
+
+
 # -- inference ------------------------------------------------------------------
 
 def test_inner_equality_requires_fibrant_carrier():
