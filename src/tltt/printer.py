@@ -17,6 +17,11 @@ from tltt import syntax as S
 # sums, application, atoms.
 ARROW, PROD, EQ, SUM, APP, ATOM = range(6)
 
+# Texts this long or longer are not memoized, only their parts: storing every
+# text would keep each character once per node enclosing it, and printing
+# `SST 6s` (7.5 M characters) would peak at 221 MB instead of 100 MB.
+MEMO_MAX = 2048
+
 # former -> its word, its strict twin's word or None, and its argument fields
 _WORDS = {cls: (word, None if mark is None else word + mark,
                 tuple(field for field, _ in cls._children))
@@ -51,6 +56,11 @@ class _Printer:
         self.names: list[str] = []  # innermost binder last
         self.count: dict[str, int] = {}  # name -> how often it is in `names`
         self.consts: set[str] = set()  # constants printed while a binder had their name
+        # one scope per distinct stack of names, outermost first: a scope maps
+        # (id(node), prec) to a text printed under that stack, and a name to
+        # the scope of the stack one binder deeper; the stack has no parent
+        # links, so the scopes form no reference cycle
+        self.scopes: list[dict] = [{}]
         for name in names:
             self.push(name)
         # id of a node -> its free variables; a normal form may share nodes
@@ -97,8 +107,14 @@ class _Printer:
     def push(self, name: str) -> None:
         self.names.append(name)
         self.count[name] = self.count.get(name, 0) + 1
+        scope = self.scopes[-1]
+        inner = scope.get(name)
+        if inner is None:
+            inner = scope[name] = {}
+        self.scopes.append(inner)
 
     def pop(self) -> None:
+        self.scopes.pop()
         name = self.names.pop()
         left = self.count.pop(name) - 1
         if left:
@@ -123,15 +139,33 @@ class _Printer:
             if 0 <= t.index < len(self.names):
                 return self.names[-1 - t.index]
             return f"?v{t.index - len(self.names)}"
+        if cls is S.Const:
+            if t.name in self.count and t.name not in self.consts:
+                self.consts.add(t.name)
+                self.forget()
+            return t.name
+        # a text whose printing dropped the tables goes to the dropped table
+        scope, key = self.scopes[-1], (id(t), prec)
+        text = scope.get(key)
+        if text is not None:
+            return text
         if cls is S.App:
             text = f"{self.go(t.fn, APP)} {self.go(t.arg, ATOM)}"
-            return f"({text})" if prec > APP else text
-        if cls is S.Const:
-            if t.name in self.count:
-                self.consts.add(t.name)
-            return t.name
-        text, level = self.render(t)
-        return f"({text})" if level < prec else text
+            if prec > APP:
+                text = f"({text})"
+        else:
+            text, level = self.render(t)
+            if level < prec:
+                text = f"({text})"
+        if len(text) < MEMO_MAX:
+            scope[key] = text
+        return text
+
+    def forget(self) -> None:
+        """Drop every memoized text, keeping empty scopes for the current stack."""
+        self.scopes = [{}]
+        for name in self.names:
+            self.scopes.append(self.scopes[-1].setdefault(name, {}))
 
     def render(self, t: S.Term) -> tuple[str, int]:
         cls = type(t)

@@ -6,6 +6,11 @@ that live for the call alone.  Its normal form must equal the unshared
 read-back `quote(ctx.depth, evaluate(t, ctx.env))`, and print the same; the
 tables must be gone however the call ends; and the work it saves is pinned
 by deterministic counts.
+
+The printer memoizes too: a shared node is printed once per stack of names
+in scope, and every memoized text is dropped when a constant turns out to
+share a bound name.  Its text must equal that of a copy in which no node is
+shared, where the memo cannot hit.
 """
 
 import gc
@@ -14,7 +19,7 @@ import sys
 
 import pytest
 
-from tltt import corpus, nbe, nbe_core, syntax as S, typecheck as tc
+from tltt import corpus, nbe, nbe_core, printer, syntax as S, typecheck as tc
 from tltt.parser import parse_module, parse_term
 from tltt.printer import pretty_print
 
@@ -49,6 +54,18 @@ def unshared(ctx, t):
     return nbe.quote(ctx.depth, nbe.evaluate(t, ctx.env))
 
 
+def copied(t):
+    """`t` with every occurrence rebuilt as its own object, atoms included."""
+    fields = {f: getattr(t, f) for f in t._fields}
+    for name, _ in t._children:
+        child = fields[name]
+        if type(child) is tuple:
+            fields[name] = tuple(map(copied, child))
+        elif child is not None:
+            fields[name] = copied(child)
+    return type(t)(**fields)
+
+
 def no_sharing_left():
     """Whether no call's tables are active or alive."""
     return nbe_core._shared is None and not any(
@@ -63,7 +80,7 @@ def test_a_shared_normal_form_is_the_unshared_one(sst_ctx, text):
     shared = nbe.normalize(sst_ctx, t)
     tree = unshared(sst_ctx, t)
     assert shared == tree
-    assert pretty_print(shared) == pretty_print(tree)
+    assert pretty_print(shared) == pretty_print(tree) == pretty_print(copied(shared))
 
 
 def test_generated_terms_normalize_as_unshared():
@@ -76,7 +93,35 @@ def test_generated_terms_normalize_as_unshared():
         for term in (t2, ty2):
             shared, tree = nbe.normalize(ctx, term), unshared(ctx, term)
             assert shared == tree
-            assert pretty_print(shared) == pretty_print(tree)
+            assert pretty_print(shared) == pretty_print(tree) == pretty_print(copied(shared))
+
+
+def binder_and_constant_x():
+    # `f x` is printed under a binder hinted x, which must then print as x1,
+    # and outside it; `\x. x`, printed before and after x became a constant
+    # to avoid, is renamed only after
+    f_x = S.App(S.Const("f"), S.Const("x"))
+    identity = S.Lam(S.Var(0), "x")
+    return S.Pair(identity, S.Pair(S.Lam(f_x, "x"), S.Pair(f_x, identity)))
+
+
+def pair_that_makes_x_a_constant():
+    # the pair's first text is printed before x becomes a constant to avoid,
+    # so the whole pair's text holds only until then
+    pair = S.Pair(S.Lam(S.Var(0), "x"), S.Lam(S.Const("x"), "x"))
+    return S.Pair(pair, pair)
+
+
+@pytest.mark.parametrize("build, expected", [
+    (binder_and_constant_x, "(\\x. x, (\\x1. f x, (f x, \\x1. x1)))"),
+    (pair_that_makes_x_a_constant, "((\\x. x, \\x1. x), (\\x1. x1, \\x1. x))"),
+], ids=["binder-and-constant", "pair-printed-across"])
+def test_a_constant_named_like_a_binder_drops_the_printed_texts(build, expected):
+    t = build()
+    text = pretty_print(t)
+    assert text == expected
+    assert text == pretty_print(copied(t))
+    assert parse_term(text, known_names=["f", "x"]) == t
 
 
 def test_a_normal_form_shares_subterm_objects(sst_ctx):
@@ -186,3 +231,21 @@ def test_normalize_unfolds_and_evaluations_are_pinned(sst_ctx, monkeypatch, text
     before = budget.unfolds
     nbe.normalize(sst_ctx, t)
     assert (budget.unfolds - before, calls[0]) == (unfolds, evaluations)
+
+
+@pytest.mark.parametrize("text, renders", [
+    ("SST 4s", 695),  # printed as a tree: 1,264
+    ("SST 5s", 6_473),  # printed as a tree: 23,884
+])
+def test_printing_a_normal_form_renders_are_pinned(sst_ctx, monkeypatch, text, renders):
+    normal = nbe.normalize(sst_ctx, elaborated(sst_ctx, text))
+    calls = [0]
+    render = printer._Printer.render
+
+    def counting(self, t):
+        calls[0] += 1
+        return render(self, t)
+
+    monkeypatch.setattr(printer._Printer, "render", counting)
+    pretty_print(normal)
+    assert calls[0] == renders
