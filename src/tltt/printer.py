@@ -1,10 +1,11 @@
 """Precedence-aware pretty-printer for core terms.
 
-Output reparses to an alpha-equal term.  Binder hints recorded by the
-parser are reused when present; generated names are deterministic, so
-identical terms always print identically.  A binder never takes the name of
-a constant printed in its scope: when a constant turns out to share a bound
-name, the binder that bound it is printed again under the next fresh name.
+Output reparses to an alpha-equal term.  A binder takes the first of its
+hint (or x), hint1, hint2, ... that is neither bound nor the name of a
+constant in its body, printing the body again when a constant turns out to
+share the name.  A text thus depends only on the node, its precedence and
+the names in scope, so a node that a normal form shares is rendered once
+per stack of names and its text reused.
 """
 
 from __future__ import annotations
@@ -54,8 +55,10 @@ def _reads_as_binder(dom: S.Term) -> bool:
 class _Printer:
     def __init__(self, names: Sequence[str]):
         self.names: list[str] = []  # innermost binder last
-        self.count: dict[str, int] = {}  # name -> how often it is in `names`
-        self.consts: set[str] = set()  # constants printed while a binder had their name
+        self.bound: set[str] = set()  # the names in `names`, which no binder takes
+        self.given = frozenset(names)  # free-variable names, which no binder gives back
+        self.clashes: list[str] = []  # a binder's name per constant met with it, pending
+        self.avoid: dict[int, set[str]] = {}  # id of a body -> its clashes found
         # one scope per distinct stack of names, outermost first: a scope maps
         # (id(node), prec) to a text printed under that stack, and a name to
         # the scope of the stack one binder deeper; the stack has no parent
@@ -93,20 +96,9 @@ class _Printer:
         self.masks[id(t)] = mask
         return mask
 
-    def fresh(self, hint: Optional[str]) -> str:
-        """`hint` (or x) if unused, else the first of hint1, hint2, ... unused.
-        A name is used if it is bound or is a constant in `consts`."""
-        base = hint or "x"
-        if base not in self.count and base not in self.consts:
-            return base
-        i = 1
-        while f"{base}{i}" in self.count or f"{base}{i}" in self.consts:
-            i += 1
-        return f"{base}{i}"
-
     def push(self, name: str) -> None:
         self.names.append(name)
-        self.count[name] = self.count.get(name, 0) + 1
+        self.bound.add(name)
         scope = self.scopes[-1]
         inner = scope.get(name)
         if inner is None:
@@ -115,23 +107,25 @@ class _Printer:
 
     def pop(self) -> None:
         self.scopes.pop()
-        name = self.names.pop()
-        left = self.count.pop(name) - 1
-        if left:
-            self.count[name] = left
+        self.bound.remove(self.names.pop())
 
     def bind(self, hint: Optional[str], t: S.Term, prec: int) -> tuple[str, str]:
-        """A fresh name for a binder, and its body `t` printed under it; again
-        under another name while a constant in `t` has the binder's name."""
+        """The first of `hint` (or x), hint1, hint2, ... that is neither bound
+        nor a constant in the body `t` (as found so far), and `t` printed under it."""
+        base = name = hint or "x"
+        avoid = self.avoid.get(id(t), ())
+        i = 0
         while True:
-            name = hint or "x"
-            if name in self.count or name in self.consts:
-                name = self.fresh(name)
-            self.push(name)
-            text = self.go(t, prec)
-            self.pop()
-            if name not in self.consts:
-                return name, text
+            if name not in self.bound and name not in avoid:
+                self.push(name)
+                text = self.go(t, prec)
+                self.pop()
+                if name not in self.clashes:
+                    return name, text
+                self.clashes = [other for other in self.clashes if other != name]
+                self.avoid[id(t)] = avoid = {*avoid, name}
+            i += 1
+            name = f"{base}{i}"
 
     def go(self, t: S.Term, prec: int) -> str:
         cls = type(t)  # the commonest formers first, rendered here
@@ -140,15 +134,14 @@ class _Printer:
                 return self.names[-1 - t.index]
             return f"?v{t.index - len(self.names)}"
         if cls is S.Const:
-            if t.name in self.count and t.name not in self.consts:
-                self.consts.add(t.name)
-                self.forget()
+            if t.name in self.bound and t.name not in self.given:
+                self.clashes.append(t.name)
             return t.name
-        # a text whose printing dropped the tables goes to the dropped table
         scope, key = self.scopes[-1], (id(t), prec)
         text = scope.get(key)
         if text is not None:
             return text
+        pending = len(self.clashes)
         if cls is S.App:
             text = f"{self.go(t.fn, APP)} {self.go(t.arg, ATOM)}"
             if prec > APP:
@@ -157,15 +150,11 @@ class _Printer:
             text, level = self.render(t)
             if level < prec:
                 text = f"({text})"
-        if len(text) < MEMO_MAX:
+        # a text that met a clash with a binder above it is printed again and
+        # not kept, as a later lookup would not report the clash
+        if len(text) < MEMO_MAX and len(self.clashes) == pending:
             scope[key] = text
         return text
-
-    def forget(self) -> None:
-        """Drop every memoized text, keeping empty scopes for the current stack."""
-        self.scopes = [{}]
-        for name in self.names:
-            self.scopes.append(self.scopes[-1].setdefault(name, {}))
 
     def render(self, t: S.Term) -> tuple[str, int]:
         cls = type(t)

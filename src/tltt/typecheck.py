@@ -54,11 +54,21 @@ class Context:
         return self.env.lookup(index)
 
     def names(self) -> list[str]:
+        """The binders' names, outermost first; one named like a constant
+        shows as the first of name1, name2, ... that names nothing else."""
         names, node = [], self.binders
         while node is not None:
             name, node = node
             names.append(name or "_")
         names.reverse()
+        taken = set(names)
+        for i, name in enumerate(names):
+            if name in self.sig:
+                k = 1
+                while f"{name}{k}" in taken or f"{name}{k}" in self.sig:
+                    k += 1
+                names[i] = f"{name}{k}"
+                taken.add(names[i])
         return names
 
     def show(self, v) -> str:

@@ -21,52 +21,52 @@ def _strict(cls):
     return partial(cls, strict=True)
 
 
-def rand_scoped(rng: random.Random, depth: int = 0, size: int = 6) -> Term:
-    """An arbitrary well-scoped term (not necessarily well-typed)."""
+def rand_scoped(rng: random.Random, depth: int = 0, size: int = 6,
+                consts: tuple[str, ...] = ()) -> Term:
+    """An arbitrary well-scoped term (not necessarily well-typed), whose
+    atoms include mentions of the constants named in `consts`."""
     atoms = [S.Star(), S.Zero(), S.Zero(strict=True), S.Unit(), S.Nat(),
              S.Nat(strict=True), S.Empty(), S.Empty(strict=True), S.Refl(),
              S.Refl(strict=True),
-             S.Univ(rng.randrange(3)), S.Univ(rng.randrange(3), strict=True)]
+             S.Univ(rng.randrange(3)), S.Univ(rng.randrange(3), strict=True),
+             *map(S.Const, consts)]
     if size <= 1:
         if depth and rng.random() < 0.5:
             return S.Var(rng.randrange(depth))
         return rng.choice(atoms)
+    sub = lambda depth, size: rand_scoped(rng, depth, size, consts)
     part = lambda k=2: max(1, (size - 1) // k)
     pick = rng.randrange(15)
     if pick == 0:
-        return S.Lam(rand_scoped(rng, depth + 1, size - 1), hint="x")
+        return S.Lam(sub(depth + 1, size - 1), hint="x")
     if pick == 1:
-        return S.Pi(rand_scoped(rng, depth, part()),
-                    rand_scoped(rng, depth + 1, part()), hint="a")
+        return S.Pi(sub(depth, part()), sub(depth + 1, part()), hint="a")
     if pick == 2:
-        return S.Sigma(rand_scoped(rng, depth, part()),
-                       rand_scoped(rng, depth + 1, part()), hint="b")
+        return S.Sigma(sub(depth, part()), sub(depth + 1, part()), hint="b")
     if pick == 3:
-        return S.App(rand_scoped(rng, depth, part()), rand_scoped(rng, depth, part()))
+        return S.App(sub(depth, part()), sub(depth, part()))
     if pick == 4:
-        return S.Pair(rand_scoped(rng, depth, part()), rand_scoped(rng, depth, part()))
+        return S.Pair(sub(depth, part()), sub(depth, part()))
     if pick == 5:
-        return rng.choice([S.Fst, S.Snd])(rand_scoped(rng, depth, size - 1))
+        return rng.choice([S.Fst, S.Snd])(sub(depth, size - 1))
     if pick == 6:
-        return rng.choice([S.Succ, _strict(S.Succ)])(rand_scoped(rng, depth, size - 1))
+        return rng.choice([S.Succ, _strict(S.Succ)])(sub(depth, size - 1))
     if pick == 7:
-        return rng.choice([S.Sum, _strict(S.Sum)])(rand_scoped(rng, depth, part()),
-                                                    rand_scoped(rng, depth, part()))
+        return rng.choice([S.Sum, _strict(S.Sum)])(sub(depth, part()), sub(depth, part()))
     if pick == 8:
         return rng.choice([S.Inl, S.Inr, _strict(S.Inl), _strict(S.Inr)])(
-            rand_scoped(rng, depth, size - 1))
+            sub(depth, size - 1))
     if pick == 9:
         mk = rng.choice([S.Id, _strict(S.Id)])
-        return mk(None, rand_scoped(rng, depth, part()),
-                  rand_scoped(rng, depth, part()))
+        return mk(None, sub(depth, part()), sub(depth, part()))
     if 10 <= pick <= 12:
         former, arity = [(S.Nat, 4), (S.Sum, 4), (S.Id, 5)][pick - 10]
         strict = rng.choice([False, True])
-        *args, target = (rand_scoped(rng, depth, part(arity)) for _ in range(arity))
+        *args, target = (sub(depth, part(arity)) for _ in range(arity))
         return S.Elim(former, tuple(args), target, strict=strict)
     if pick == 13:
-        return S.Ann(rand_scoped(rng, depth, part()), rand_scoped(rng, depth, part()))
-    return S.UipS(rand_scoped(rng, depth, part()), rand_scoped(rng, depth, part()))
+        return S.Ann(sub(depth, part()), sub(depth, part()))
+    return S.UipS(sub(depth, part()), sub(depth, part()))
 
 
 # -- well-typed generation ---------------------------------------------------

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import random
 
-from tltt import nbe, typecheck as tc
+from tltt import nbe, syntax as S, typecheck as tc
 from tltt.parser import parse_term
 from tltt.printer import pretty_print
 
@@ -55,13 +55,17 @@ def run_conversion_per(cases: int, seed: int = 102) -> int:
 
 
 def run_round_trip(cases: int, seed: int = 103) -> int:
-    """parse . pretty is the identity up to alpha."""
+    """parse . pretty is the identity up to alpha, with constants named like
+    the binders' hints and generated names, and a term prints the same
+    wherever it stands."""
     rng = random.Random(seed)
     names = ["aa", "bb", "cc", "dd"]
+    consts = ("x", "a", "b", "x1", "a1")
     for _ in range(cases):
-        t = rand_scoped(rng, depth=len(names), size=rng.randrange(1, 14))
+        t = rand_scoped(rng, depth=len(names), size=rng.randrange(1, 14), consts=consts)
         printed = pretty_print(t, names)
-        assert parse_term(printed, scope=names) == t, printed
+        assert parse_term(printed, scope=names, known_names=consts) == t, printed
+        assert pretty_print(S.Pair(t, t), names) == f"({printed}, {printed})", printed
     return cases
 
 

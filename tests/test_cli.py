@@ -650,6 +650,13 @@ def test_case_type_binder_does_not_capture_a_constant(tmp_path):
     assert diag.expected == "(x1 : Nat) -> x = x1 -> x = succ x1"
 
 
+def test_a_context_variable_is_not_shown_under_a_constant_name(tmp_path):
+    text = ("axiom f : Nat\naxiom P : Nat -> U 0\naxiom pf : P f\n"
+            "def g : (f : Nat) -> P f := \\f. pf\n")
+    (_, diag), = run(RunConfig(files=[write(tmp_path, "shadow.2lt", text)])).diagnostics
+    assert (diag.expected, diag.actual) == ("P f1", "P f")
+
+
 def test_unfold_budget_flag(tmp_path):
     text = "def d : Nat := 3\ndef e : Nat := succ d\n#normalize succ e\n"
     path = write(tmp_path, "budget.2lt", text)

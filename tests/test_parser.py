@@ -333,31 +333,41 @@ def test_printing_a_shared_node_walks_it_once(monkeypatch):
 
 
 def test_fresh_names_are_the_first_unused_ones():
-    # the printer's bookkeeping against the definition, over random binder
-    # stacks whose names collide with generated ones (x1, x12, x0)
-    from tltt.printer import _Printer
+    # a binder's name against the definition, over random binder stacks
+    # whose names collide with generated ones (x1, x12, x0), and bodies
+    # holding constants whose names collide with them too
+    from tltt.printer import ARROW, _Printer
 
-    def naive(names, hint):
+    def naive(taken, hint):
         base = hint or "x"
-        if base not in names:
+        if base not in taken:
             return base
         i = 1
-        while f"{base}{i}" in names:
+        while f"{base}{i}" in taken:
             i += 1
         return f"{base}{i}"
 
     rng = random.Random(5)
     hints = [None, "x", "x1", "x12", "x2", "x0", "y", "y1", "1"]
     for _ in range(200):
-        printer = _Printer(rng.sample(hints[1:], rng.randrange(3)))
+        given = rng.sample(hints[1:], rng.randrange(3))
+        printer = _Printer(given)
+        bodies = []  # the printer's tables are keyed by node ids: keep them alive
         for _ in range(60):
-            if printer.names and rng.random() < 0.4:
+            if len(printer.names) > len(given) and rng.random() < 0.4:
                 printer.pop()
                 continue
             hint = rng.choice(hints)
-            name = printer.fresh(hint)
-            assert name == naive(printer.names, hint)
-            printer.push(name if rng.random() < 0.8 else rng.choice(hints[1:]))
+            unbound = [name for name in hints[1:] if name not in printer.names]
+            consts = rng.sample(unbound, rng.randrange(min(3, len(unbound) + 1)))
+            body = S.Var(0)
+            for const in consts:
+                body = S.App(body, S.Const(const))
+            bodies.append(body)
+            name, text = printer.bind(hint, body, ARROW)
+            assert name == naive({*printer.names, *consts}, hint)
+            assert text == " ".join([name, *consts])
+            printer.push(name if rng.random() < 0.8 or not unbound else rng.choice(unbound))
 
 
 # -- the lexer ---------------------------------------------------------------------

@@ -8,9 +8,8 @@ tables must be gone however the call ends; and the work it saves is pinned
 by deterministic counts.
 
 The printer memoizes too: a shared node is printed once per stack of names
-in scope, and every memoized text is dropped when a constant turns out to
-share a bound name.  Its text must equal that of a copy in which no node is
-shared, where the memo cannot hit.
+in scope, since its text depends on nothing else.  Its text must equal that
+of a copy in which no node is shared, where the memo cannot hit.
 """
 
 import gc
@@ -66,6 +65,19 @@ def copied(t):
     return type(t)(**fields)
 
 
+def count_renders(monkeypatch):
+    """A one-item list counting the printer's `render` calls from now on."""
+    calls = [0]
+    render = printer._Printer.render
+
+    def counting(self, t):
+        calls[0] += 1
+        return render(self, t)
+
+    monkeypatch.setattr(printer._Printer, "render", counting)
+    return calls
+
+
 def no_sharing_left():
     """Whether no call's tables are active or alive."""
     return nbe_core._shared is None and not any(
@@ -98,30 +110,99 @@ def test_generated_terms_normalize_as_unshared():
 
 def binder_and_constant_x():
     # `f x` is printed under a binder hinted x, which must then print as x1,
-    # and outside it; `\x. x`, printed before and after x became a constant
-    # to avoid, is renamed only after
+    # and outside it; `\x. x` holds no constant x, so it prints as itself
+    # before and after
     f_x = S.App(S.Const("f"), S.Const("x"))
     identity = S.Lam(S.Var(0), "x")
     return S.Pair(identity, S.Pair(S.Lam(f_x, "x"), S.Pair(f_x, identity)))
 
 
-def pair_that_makes_x_a_constant():
-    # the pair's first text is printed before x becomes a constant to avoid,
-    # so the whole pair's text holds only until then
+def pair_printed_twice():
+    # one pair object, whose second binder's body is the constant x, prints
+    # the same text both times
     pair = S.Pair(S.Lam(S.Var(0), "x"), S.Lam(S.Const("x"), "x"))
     return S.Pair(pair, pair)
 
 
+def one_subterm_under_two_binders():
+    # `f x` is printed again under the second binder's first name, and must
+    # not find the text printed under the first one's
+    f_x = S.App(S.Const("f"), S.Const("x"))
+    return S.Pair(S.Lam(f_x, "x"), S.Lam(S.Pair(f_x, S.Var(0)), "x"))
+
+
+def clash_pending_across_a_binder():
+    # x is met as a constant before the inner binder settles on y1, and must
+    # still rename the outer binder
+    f_y = S.App(S.Const("f"), S.Const("y"))
+    return S.Lam(S.Pair(S.App(S.Const("f"), S.Const("x")), S.Lam(f_y, "y")), "x")
+
+
 @pytest.mark.parametrize("build, expected", [
-    (binder_and_constant_x, "(\\x. x, (\\x1. f x, (f x, \\x1. x1)))"),
-    (pair_that_makes_x_a_constant, "((\\x. x, \\x1. x), (\\x1. x1, \\x1. x))"),
-], ids=["binder-and-constant", "pair-printed-across"])
-def test_a_constant_named_like_a_binder_drops_the_printed_texts(build, expected):
+    (binder_and_constant_x, "(\\x. x, (\\x1. f x, (f x, \\x. x)))"),
+    (pair_printed_twice, "((\\x. x, \\x1. x), (\\x. x, \\x1. x))"),
+    (one_subterm_under_two_binders, "(\\x1. f x, \\x1. (f x, x1))"),
+    (clash_pending_across_a_binder, "\\x1. (f x, \\y1. f y)"),
+], ids=["binder-and-constant", "pair-printed-across", "one-subterm-two-binders",
+        "pending-across-a-binder"])
+def test_a_constant_named_like_a_binder_renames_that_binder(build, expected):
     t = build()
     text = pretty_print(t)
     assert text == expected
     assert text == pretty_print(copied(t))
-    assert parse_term(text, known_names=["f", "x"]) == t
+    assert parse_term(text, known_names=["f", "x", "y"]) == t
+
+
+def test_a_constant_named_like_a_given_name_keeps_the_memo(monkeypatch):
+    # the constant f shares the given name f, which no binder can give up:
+    # the 64 occurrences of one binder, held by 6 nested pairs, are
+    # rendered once, and its body once under the stack (f, x)
+    t = S.Lam(S.Pair(S.App(S.Const("f"), S.Var(0)), S.Var(1)), "x")
+    for _ in range(6):
+        t = S.Pair(t, t)
+    calls = count_renders(monkeypatch)
+    text = pretty_print(t, ["f"])
+    assert calls[0] == 8
+    assert text.startswith("((((((\\x. (f x, f), ")
+    monkeypatch.undo()
+    assert text == pretty_print(copied(t), ["f"])
+
+
+def binders_each_clashing(k=16):
+    # k nested binders hinted v0, ..., whose innermost body holds every
+    # constant v0, ...: each binder prints again as vi1 (v1 as v16, since v11
+    # is a constant), and those inside it print again with it
+    body = S.Var(0)
+    for i in range(k):
+        body = S.App(body, S.Const(f"v{i}"))
+    for i in reversed(range(k)):
+        body = S.Lam(body, f"v{i}")
+    return body
+
+
+def shared_beside_a_clash(n=6):
+    # a node with 64 occurrences, held by n nested pairs, printed beside the
+    # constant that renames the binder above them
+    d = S.Lam(S.Pair(S.Var(0), S.Var(1)), "y")
+    for _ in range(n):
+        d = S.Pair(d, d)
+    return S.Lam(S.Pair(S.Const("x"), d), "x")
+
+
+@pytest.mark.parametrize("build, renders", [
+    # printing again without keeping the clashes found in each body: 179,189
+    (binders_each_clashing, 206),
+    # keeping no text printed while the clash is pending: 202
+    (shared_beside_a_clash, 19),
+], ids=["binders-each-clashing", "shared-beside-a-clash"])
+def test_a_clash_costs_a_binder_one_more_print(monkeypatch, build, renders):
+    t = build()
+    calls = count_renders(monkeypatch)
+    text = pretty_print(t)
+    assert calls[0] == renders
+    monkeypatch.undo()
+    assert text == pretty_print(copied(t))
+    assert parse_term(text, known_names=[f"v{i}" for i in range(16)] + ["x"]) == t
 
 
 def test_a_normal_form_shares_subterm_objects(sst_ctx):
@@ -239,13 +320,6 @@ def test_normalize_unfolds_and_evaluations_are_pinned(sst_ctx, monkeypatch, text
 ])
 def test_printing_a_normal_form_renders_are_pinned(sst_ctx, monkeypatch, text, renders):
     normal = nbe.normalize(sst_ctx, elaborated(sst_ctx, text))
-    calls = [0]
-    render = printer._Printer.render
-
-    def counting(self, t):
-        calls[0] += 1
-        return render(self, t)
-
-    monkeypatch.setattr(printer._Printer, "render", counting)
+    calls = count_renders(monkeypatch)
     pretty_print(normal)
     assert calls[0] == renders
