@@ -4,8 +4,7 @@ Output reparses to an alpha-equal term.  A binder takes the first of its
 hint (or x), hint1, hint2, ... that is neither bound nor the name of a
 constant in its body, printing the body again when a constant turns out to
 share the name.  A text thus depends only on the node, its precedence and
-the names in scope, so a node that a normal form shares is rendered once
-per stack of names and its text reused.
+the names in scope, so a shared node is rendered once per stack of names.
 """
 
 from __future__ import annotations
@@ -52,20 +51,23 @@ def _reads_as_binder(dom: S.Term) -> bool:
     return type(t) in (S.Var, S.Const)
 
 
+class _Clash(Exception):
+    """Raised at a constant named like a binder of this print (its one arg):
+    no text printed since that binder is finished, so none is stored."""
+
+
 class _Printer:
     def __init__(self, names: Sequence[str]):
         self.names: list[str] = []  # innermost binder last
-        self.bound: set[str] = set()  # the names in `names`, which no binder takes
-        self.given = frozenset(names)  # free-variable names, which no binder gives back
-        self.clashes: list[str] = []  # a binder's name per constant met with it, pending
-        self.avoid: dict[int, set[str]] = {}  # id of a body -> its clashes found
+        self.bound: dict[str, bool] = {}  # a name in `names` -> held by a binder
+        self.avoid: dict[int, set[str]] = {}  # id of a body -> its constants found bound
         # one scope per distinct stack of names, outermost first: a scope maps
         # (id(node), prec) to a text printed under that stack, and a name to
         # the scope of the stack one binder deeper; the stack has no parent
         # links, so the scopes form no reference cycle
         self.scopes: list[dict] = [{}]
         for name in names:
-            self.push(name)
+            self.push(name, False)
         # id of a node -> its free variables; a normal form may share nodes
         self.masks: dict[int, int] = {}
 
@@ -96,9 +98,9 @@ class _Printer:
         self.masks[id(t)] = mask
         return mask
 
-    def push(self, name: str) -> None:
+    def push(self, name: str, held: bool = True) -> None:
         self.names.append(name)
-        self.bound.add(name)
+        self.bound[name] = held
         scope = self.scopes[-1]
         inner = scope.get(name)
         if inner is None:
@@ -107,7 +109,7 @@ class _Printer:
 
     def pop(self) -> None:
         self.scopes.pop()
-        self.bound.remove(self.names.pop())
+        del self.bound[self.names.pop()]
 
     def bind(self, hint: Optional[str], t: S.Term, prec: int) -> tuple[str, str]:
         """The first of `hint` (or x), hint1, hint2, ... that is neither bound
@@ -118,12 +120,15 @@ class _Printer:
         while True:
             if name not in self.bound and name not in avoid:
                 self.push(name)
-                text = self.go(t, prec)
-                self.pop()
-                if name not in self.clashes:
-                    return name, text
-                self.clashes = [other for other in self.clashes if other != name]
-                self.avoid[id(t)] = avoid = {*avoid, name}
+                try:
+                    return name, self.go(t, prec)
+                except _Clash as clash:
+                    # the constant is in `t`, whichever binder holds its name
+                    self.avoid[id(t)] = avoid = {*avoid, *clash.args}
+                    if clash.args[0] != name:
+                        raise
+                finally:
+                    self.pop()
             i += 1
             name = f"{base}{i}"
 
@@ -134,14 +139,13 @@ class _Printer:
                 return self.names[-1 - t.index]
             return f"?v{t.index - len(self.names)}"
         if cls is S.Const:
-            if t.name in self.bound and t.name not in self.given:
-                self.clashes.append(t.name)
+            if self.bound.get(t.name):
+                raise _Clash(t.name)
             return t.name
         scope, key = self.scopes[-1], (id(t), prec)
         text = scope.get(key)
         if text is not None:
             return text
-        pending = len(self.clashes)
         if cls is S.App:
             text = f"{self.go(t.fn, APP)} {self.go(t.arg, ATOM)}"
             if prec > APP:
@@ -150,9 +154,7 @@ class _Printer:
             text, level = self.render(t)
             if level < prec:
                 text = f"({text})"
-        # a text that met a clash with a binder above it is printed again and
-        # not kept, as a later lookup would not report the clash
-        if len(text) < MEMO_MAX and len(self.clashes) == pending:
+        if len(text) < MEMO_MAX:
             scope[key] = text
         return text
 

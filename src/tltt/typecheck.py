@@ -54,8 +54,7 @@ class Context:
         return self.env.lookup(index)
 
     def names(self) -> list[str]:
-        """The binders' names, outermost first; one named like a constant
-        shows as the first of name1, name2, ... that names nothing else."""
+        """The binders' names, outermost first; a constant's name gets a number."""
         names, node = [], self.binders
         while node is not None:
             name, node = node
@@ -63,12 +62,11 @@ class Context:
         names.reverse()
         taken = set(names)
         for i, name in enumerate(names):
-            if name in self.sig:
-                k = 1
-                while f"{name}{k}" in taken or f"{name}{k}" in self.sig:
-                    k += 1
-                names[i] = f"{name}{k}"
-                taken.add(names[i])
+            new, k = name, 0
+            while new in self.sig or (k and new in taken):
+                k += 1
+                new = names[i] = f"{name}{k}"
+            taken.add(new)
         return names
 
     def show(self, v) -> str:

@@ -189,12 +189,25 @@ def shared_beside_a_clash(n=6):
     return S.Lam(S.Pair(S.Const("x"), d), "x")
 
 
+def shared_around_a_clash(k=16):
+    # the constant x at the bottom of a tower of k pairs, each holding its
+    # inner pair twice, under a binder hinted x: the pass under x stops at
+    # the first x met, and the one under x1 renders each pair once, and
+    # again per occurrence only where its text is too long to keep
+    d = S.Const("x")
+    for _ in range(k):
+        d = S.Pair(d, d)
+    return S.Lam(d, "x")
+
+
 @pytest.mark.parametrize("build, renders", [
-    # printing again without keeping the clashes found in each body: 179,189
-    (binders_each_clashing, 206),
-    # keeping no text printed while the clash is pending: 202
-    (shared_beside_a_clash, 19),
-], ids=["binders-each-clashing", "shared-beside-a-clash"])
+    # printing again without the constants found in each body kept: 641
+    (binders_each_clashing, 196),
+    # finishing the pass under x before printing again: 19
+    (shared_beside_a_clash, 11),
+    # finishing the pass under x before printing again: 65,799
+    (shared_around_a_clash, 280),
+], ids=["binders-each-clashing", "shared-beside-a-clash", "shared-around-a-clash"])
 def test_a_clash_costs_a_binder_one_more_print(monkeypatch, build, renders):
     t = build()
     calls = count_renders(monkeypatch)
