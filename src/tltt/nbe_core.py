@@ -36,12 +36,14 @@ value, which makes this common.
 
 Normalization shares what it builds.  Inside a call wrapped by `sharing`
 (`nbe.normalize`), the kernel hash-conses what it would otherwise build anew
-each time: an environment node per (parent environment, value), a spine push
-per (neutral, frame), a fresh variable per (level, type) and a successor per
-(predecessor, fragment), so equal numerals are one value; and it memoizes a
-closure body's evaluation per (body, environment) and a read-back per
-(value, depth, unfold).  This is sound because values are immutable,
-`evaluate` is deterministic and `unfolded` is written at most once.
+each time: a spine push per (neutral, frame), a fresh variable per (level,
+type) and a successor per (predecessor, fragment), so equal numerals are one
+value; and it memoizes a closure body's value per (body, environment,
+argument) and a read-back per (value, depth, unfold).  The environment node a
+body is evaluated in is built on a miss alone and is not hash-consed: the same
+(body, environment, argument) returns the same value, so its closures already
+hold the one node.  This is sound because values are immutable, `evaluate` is
+deterministic and `unfolded` is written at most once.
 Repeated work then yields the same objects, so its instantiations and
 read-backs hit, and a normal form may share subterm objects: a DAG of
 immutable terms that prints as the tree would.  The tables live for the one
@@ -105,14 +107,13 @@ class Signature:
 class _Shared:
     """What one call under `sharing` has built, by what determines it."""
 
-    __slots__ = ("envs", "spines", "vars", "succs", "bodies", "quoted")
+    __slots__ = ("spines", "vars", "succs", "bodies", "quoted")
 
     def __init__(self):
-        self.envs = {}  # (parent environment, value) -> its `Env` node
         self.spines = {}  # (neutral, frame) -> the neutral with the frame pushed
         self.vars = {}  # (level, type) -> the fresh variable
         self.succs = {}  # (predecessor, strict) -> the successor value
-        self.bodies = {}  # (id of a closure body, environment) -> its value
+        self.bodies = {}  # (id of a closure body, environment, argument) -> its value
         self.quoted = {}  # (value, depth, unfold) -> its read-back
 
 
@@ -171,17 +172,12 @@ def inst(lam, value):
     shared = _shared
     if shared is None:
         return evaluate(lam.body, Env(value, lam.env))
-    key = (lam.env, value)
-    env = shared.envs.get(key)
-    if env is None:
-        env = shared.envs[key] = Env(value, lam.env)
-        result = None  # a new environment has evaluated nothing yet
-    else:
-        result = shared.bodies.get((id(lam.body), env))
+    # a term hashes by structure, so the body is keyed by identity: every
+    # body evaluated is part of a term that outlives the call
+    key = (id(lam.body), lam.env, value)
+    result = shared.bodies.get(key)
     if result is None:
-        # a term hashes by structure, so the body is keyed by identity: every
-        # body evaluated is part of a term that outlives the call
-        result = shared.bodies[id(lam.body), env] = evaluate(lam.body, env)
+        result = shared.bodies[key] = evaluate(lam.body, Env(value, lam.env))
     return result
 
 

@@ -54,16 +54,18 @@ class Context:
         return self.env.lookup(index)
 
     def names(self) -> list[str]:
-        """The binders' names, outermost first; a constant's name gets a number."""
+        """The binders' names, outermost first, pairwise distinct: a binder
+        named like a constant or like an inner binder gets a number."""
         names, node = [], self.binders
         while node is not None:
             name, node = node
             names.append(name or "_")
         names.reverse()
+        innermost = {name: i for i, name in enumerate(names)}
         taken = set(names)
         for i, name in enumerate(names):
             new, k = name, 0
-            while new in self.sig or (k and new in taken):
+            while new in self.sig or (new in taken if k else innermost[name] != i):
                 k += 1
                 new = names[i] = f"{name}{k}"
             taken.add(new)

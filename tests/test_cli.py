@@ -657,6 +657,13 @@ def test_a_context_variable_is_not_shown_under_a_constant_name(tmp_path):
     assert (diag.expected, diag.actual) == ("P f1", "P f")
 
 
+def test_a_shadowed_binder_is_not_shown_under_the_name_that_shadows_it(tmp_path):
+    text = ("axiom P : Nat -> Nat -> U 0\naxiom p : (a : Nat) -> P a a\n"
+            "def h : (x : Nat) -> (y : Nat) -> P x y := \\x. \\x. p x\n")
+    (_, diag), = run(RunConfig(files=[write(tmp_path, "shadow.2lt", text)])).diagnostics
+    assert (diag.expected, diag.actual) == ("P x1 x", "P x x")
+
+
 def test_unfold_budget_flag(tmp_path):
     text = "def d : Nat := 3\ndef e : Nat := succ d\n#normalize succ e\n"
     path = write(tmp_path, "budget.2lt", text)

@@ -1,8 +1,8 @@
 """Sharing inside one `nbe.normalize` call.
 
-`normalize` hash-conses the environments, spines, fresh variables and
-successors it builds and memoizes closure bodies and read-backs, in tables
-that live for the call alone.  Its normal form must equal the unshared
+`normalize` hash-conses the spines, fresh variables and successors it builds
+and memoizes closure bodies, by (body, environment, argument), and read-backs,
+in tables that live for the call alone.  Its normal form must equal the unshared
 read-back `quote(ctx.depth, evaluate(t, ctx.env))`, and print the same; the
 tables must be gone however the call ends; and the work it saves is pinned
 by deterministic counts.
@@ -325,6 +325,26 @@ def test_normalize_unfolds_and_evaluations_are_pinned(sst_ctx, monkeypatch, text
     before = budget.unfolds
     nbe.normalize(sst_ctx, t)
     assert (budget.unfolds - before, calls[0]) == (unfolds, evaluations)
+
+
+@pytest.mark.parametrize("text, entries", [
+    # with environment nodes hash-consed in a table of their own: 3,054
+    ("SST 4s", 2_366),
+    # with environment nodes hash-consed in a table of their own: 22,568
+    ("SST 5s", 16_911),
+])
+def test_normalize_table_entries_are_pinned(sst_ctx, monkeypatch, text, entries):
+    made = []
+    init = nbe_core._Shared.__init__
+
+    def recording(self):
+        init(self)
+        made.append(self)
+
+    monkeypatch.setattr(nbe_core._Shared, "__init__", recording)
+    nbe.normalize(sst_ctx, elaborated(sst_ctx, text))
+    [tables] = made
+    assert sum(len(getattr(tables, f)) for f in tables.__slots__) == entries
 
 
 @pytest.mark.parametrize("text, renders", [

@@ -53,6 +53,29 @@ def test_an_extension_keeps_the_outer_binders_as_its_tail():
 
 # -- inference ------------------------------------------------------------------
 
+def test_context_names_are_distinct_and_name_no_constant():
+    # binders' names collide with each other and with constants; a binder
+    # keeps its name unless a constant or an inner binder holds it
+    rng = random.Random(5)
+    pool = ["x", "x1", "x2", "y", "y1", "_", None]
+    for _ in range(500):
+        ctx = tc.new_context()
+        consts = rng.sample(["x", "x1", "y", "y2"], rng.randint(0, 3))
+        for name in consts:
+            tc.check_declaration(ctx, parse_module(f"axiom {name} : Nat", "consts.2lt").decls[0])
+        nat = nbe.eval_in(ctx, S.Nat())
+        given = [rng.choice(pool) for _ in range(rng.randint(0, 8))]
+        for name in given:
+            ctx = ctx.extend(name, nat)
+        names = ctx.names()
+        assert len(set(names)) == len(names) == len(given)
+        assert not set(names) & set(consts)
+        given = [name or "_" for name in given]
+        for i, name in enumerate(given):
+            if name not in consts and name not in given[i + 1:]:
+                assert names[i] == name
+
+
 def test_inner_equality_requires_fibrant_carrier():
     ctx = ctx_default()
     assert infer_code(ctx, parse_term("0s = 0s")) == D.NON_FIBRANT_EQUALITY_FORMATION
