@@ -99,17 +99,9 @@ class _Runner:
             self.reset_budget()
             started, unfolds = time.perf_counter(), budget.unfolds
             try:
-                if isinstance(decl, S.Pragma):
-                    self.report.pragmas += 1
-                    kind, text = self.run_pragma(path, decl)
-                    span = decl.span
-                    line, col = (span.line, span.col) if span else (0, 0)
-                    self.report.pragma_results.append(PragmaResult(path, line, col, kind, text))
-                    done = f"ran #{decl.kind} at {path}:{line}:{col}"
-                else:
-                    self.trace(f"checking {decl.name}")
-                    self.report.checked.append(tc.check_declaration(self.ctx, decl))
-                    done = f"checked {decl.name}"
+                # the kernel shares equal work within the item, in tables
+                # dropped however it ends
+                done = nbe.sharing(self.run_item)(path, decl)
                 self.trace(f"{done} in {(time.perf_counter() - started) * 1000:.1f} ms, "
                            f"{budget.unfolds - unfolds} unfolds")
             except CheckError as e:
@@ -118,6 +110,19 @@ class _Runner:
                 self.diag(path, _evaluation_failed(e, decl.span))
             except RecursionError:
                 self.diag(path, _too_deep("checking", decl.span))
+
+    def run_item(self, path: str, decl: S.Declaration) -> str:
+        """Check one declaration or run one pragma; what the trace says was done."""
+        if isinstance(decl, S.Pragma):
+            self.report.pragmas += 1
+            kind, text = self.run_pragma(path, decl)
+            span = decl.span
+            line, col = (span.line, span.col) if span else (0, 0)
+            self.report.pragma_results.append(PragmaResult(path, line, col, kind, text))
+            return f"ran #{decl.kind} at {path}:{line}:{col}"
+        self.trace(f"checking {decl.name}")
+        self.report.checked.append(tc.check_declaration(self.ctx, decl))
+        return f"checked {decl.name}"
 
     def run_pragma(self, path: str, pragma: S.Pragma) -> tuple[str, str]:
         """Run one pragma; its result's kind and text."""

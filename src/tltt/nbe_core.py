@@ -34,8 +34,9 @@ and `evaluate` is deterministic, so two references to one value object are
 equal.  Every elaborated mention of a constant evaluates to its one shared
 value, which makes this common.
 
-Normalization shares what it builds.  Inside a call wrapped by `sharing`
-(`nbe.normalize`), the kernel hash-conses what it would otherwise build anew
+Checking and normalization share what they build.  Inside a call wrapped
+by `sharing` (each item `tltt.cli.run` checks or runs, and
+`nbe.normalize`), the kernel hash-conses what it would otherwise build anew
 each time: a spine push per (neutral, frame), a fresh variable per (level,
 type) and a successor per (predecessor, fragment), so equal numerals are one
 value; and it memoizes a closure body's value per (body, environment,
@@ -47,7 +48,11 @@ deterministic and `unfolded` is written at most once.
 Repeated work then yields the same objects, so its instantiations and
 read-backs hit, and a normal form may share subterm objects: a DAG of
 immutable terms that prints as the tree would.  The tables live for the one
-call; outside it these functions only test `_shared` for None.
+call; a call nested in it builds tables of its own and puts the outer ones
+back when it returns.  A closure body's entry holds the body, since a term
+built and dropped within the call (a motive, a case template) would
+otherwise free its id for another body.  Outside such a call these
+functions only test `_shared` for None.
 """
 
 import math
@@ -113,7 +118,7 @@ class _Shared:
         self.spines = {}  # (neutral, frame) -> the neutral with the frame pushed
         self.vars = {}  # (level, type) -> the fresh variable
         self.succs = {}  # (predecessor, strict) -> the successor value
-        self.bodies = {}  # (id of a closure body, environment, argument) -> its value
+        self.bodies = {}  # (id of a closure body, environment, argument) -> (body, its value)
         self.quoted = {}  # (value, depth, unfold) -> its read-back
 
 
@@ -122,15 +127,16 @@ _shared = None  # the tables of the running `sharing` call, if any
 
 def sharing(build):
     """`build` with the kernel sharing what it builds, in tables of its own
-    that are dropped however it returns."""
+    that are dropped however it returns.  Called inside another such call,
+    it puts back that call's tables when it returns."""
     @wraps(build)
     def shared(*args, **kwargs):
         global _shared
-        _shared = _Shared()
+        outer, _shared = _shared, _Shared()
         try:
             return build(*args, **kwargs)
         finally:
-            _shared = None
+            _shared = outer
     return shared
 
 
@@ -172,13 +178,13 @@ def inst(lam, value):
     shared = _shared
     if shared is None:
         return evaluate(lam.body, Env(value, lam.env))
-    # a term hashes by structure, so the body is keyed by identity: every
-    # body evaluated is part of a term that outlives the call
+    # a term hashes by structure, so the body is keyed by identity; the
+    # entry holds the body, so no later body can be given its id
     key = (id(lam.body), lam.env, value)
-    result = shared.bodies.get(key)
-    if result is None:
-        result = shared.bodies[key] = evaluate(lam.body, Env(value, lam.env))
-    return result
+    entry = shared.bodies.get(key)
+    if entry is None:
+        entry = shared.bodies[key] = (lam.body, evaluate(lam.body, Env(value, lam.env)))
+    return entry[1]
 
 
 # -- values --------------------------------------------------------------------

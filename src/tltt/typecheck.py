@@ -9,6 +9,12 @@ their strict twins accept any pretype.  Eliminator motives into the inner
 layer must land in a fibrant universe unless the strict eliminator is used
 or strong mode is on.  In strong mode the parser reads the strict naturals,
 sums and empty type as the fibrant ones.
+
+The terms elaboration builds carry no source span, and a variable is built
+anew rather than returned with its own: a diagnostic points at the input
+term being checked, never at an elaborated one, and the elaborated terms
+that the signature's closures and the report keep would otherwise keep
+every span of the parse.
 """
 
 from __future__ import annotations
@@ -92,19 +98,19 @@ def infer(ctx: Context, t: Term) -> tuple[Term, object]:
         case S.Var(index=i):
             if not 0 <= i < ctx.depth:
                 raise fail(D.UNBOUND_VARIABLE, f"variable index {i} out of scope", t.span)
-            return t, ctx.var_value(i).head.ty
+            return S.Var(i), ctx.var_value(i).head.ty
         case S.Const(name=n):
             value = ctx.sig.lookup(n)
             if value is None:
                 raise fail(D.UNBOUND_VARIABLE, f"unknown constant {n}", t.span)
-            return S.Const(n, value, span=t.span), value.head.ty
+            return S.Const(n, value), value.head.ty
         case S.Univ():
             return t, nbe.VUniv(t.level + 1, t.strict)
         case S.Pi(dom=dom, cod=cod) | S.Sigma(dom=dom, cod=cod):
             dom2, s1 = infer_universe(ctx, dom)
             inner = ctx.extend(t.hint, nbe.eval_in(ctx, dom2))
             cod2, s2 = infer_universe(inner, cod)
-            return type(t)(dom2, cod2, hint=t.hint, span=t.span), univ_join(s1, s2)
+            return type(t)(dom2, cod2, hint=t.hint), univ_join(s1, s2)
         case S.Lam():
             raise fail(D.INFERENCE_FAILURE,
                        "cannot infer the type of an unannotated lambda", t.span)
@@ -119,7 +125,7 @@ def infer(ctx: Context, t: Term) -> tuple[Term, object]:
                 raise fail(D.CONVERSION_FAILURE, "application of a non-function",
                            t.span, expected="a function type", actual=ctx.show(fn_ty))
             arg2 = check(ctx, arg, pi.dom)
-            return (S.App(fn2, arg2, span=t.span),
+            return (S.App(fn2, arg2),
                     nbe.inst(pi.cod, nbe.eval_in(ctx, arg2)))
         case S.Pair():
             raise fail(D.INFERENCE_FAILURE,
@@ -132,7 +138,7 @@ def infer(ctx: Context, t: Term) -> tuple[Term, object]:
                 raise fail(D.CONVERSION_FAILURE,
                            f"{'first' if first else 'second'} projection of a non-pair",
                            t.span, expected="a pair type", actual=ctx.show(p_ty))
-            return type(t)(p2, span=t.span), (
+            return type(t)(p2), (
                 sigma.dom if first
                 else nbe.inst(sigma.cod, nbe.do_fst(nbe.eval_in(ctx, p2))))
         case S.Unit():
@@ -145,7 +151,7 @@ def infer(ctx: Context, t: Term) -> tuple[Term, object]:
             return t, nbe.NAT_S if t.strict else nbe.NAT
         case S.Succ(pred=p):
             nat = nbe.NAT_S if t.strict else nbe.NAT
-            return S.Succ(check(ctx, p, nat), strict=t.strict, span=t.span), nat
+            return S.Succ(check(ctx, p, nat), strict=t.strict), nat
         case S.Sum(left=l, right=r):
             l2, s1 = infer_universe(ctx, l)
             r2, s2 = infer_universe(ctx, r)
@@ -155,7 +161,7 @@ def infer(ctx: Context, t: Term) -> tuple[Term, object]:
                                "sum formation requires fibrant summands",
                                side.span or t.span, expected="a fibrant type",
                                actual=ctx.show_term(side))
-            return (S.Sum(l2, r2, strict=t.strict, span=t.span),
+            return (S.Sum(l2, r2, strict=t.strict),
                     univ_join(s1, s2, t.strict))
         case S.Inl() | S.Inr():
             raise fail(D.INFERENCE_FAILURE,
@@ -176,7 +182,7 @@ def infer(ctx: Context, t: Term) -> tuple[Term, object]:
                            t.span, expected="a strict equality type",
                            actual=ctx.show(p_ty))
             q2 = check(ctx, q, p_ty)
-            return (S.UipS(p2, q2, span=t.span),
+            return (S.UipS(p2, q2),
                     nbe.VId(p_ty, nbe.eval_in(ctx, p2), nbe.eval_in(ctx, q2), True))
     raise fail(D.INFERENCE_FAILURE, f"cannot infer {type(t).__name__}", t.span)
 
@@ -262,7 +268,7 @@ def _infer_equality(ctx, t):
                    t.span, expected="a fibrant type",
                    actual=f"{ctx.show_term(ty2)} : {ctx.show(sort)}")
     rhs2 = check(ctx, rhs, carrier)
-    return (S.Id(ty2, lhs2, rhs2, strict=is_strict, span=t.span),
+    return (S.Id(ty2, lhs2, rhs2, strict=is_strict),
             nbe.VUniv(sort.level, is_strict))
 
 
@@ -331,7 +337,7 @@ def _infer_motive(ctx: Context, motive: Term, telescope: tuple, env) -> tuple[Te
     body2, body_ty = _infer_motive(inner, motive.body, telescope[1:],
                                    nbe.extend(env, inner.var_value(0)))
     cod_term = nbe.quote(inner.depth, body_ty, unfold=False)
-    return (S.Lam(body2, hint=motive.hint, span=motive.span),
+    return (S.Lam(body2, hint=motive.hint),
             nbe.VPi(dom_v, nbe.VLam(ctx.env, cod_term, motive.hint)))
 
 
@@ -396,7 +402,7 @@ def _infer_elim(ctx: Context, t: S.Elim) -> tuple[Term, object]:
         scrutinees2.append(scrutinee2)
         values.append(value)
     return (S.Elim(t.former, (motive2, *cases2, *scrutinees2[:-1]), scrutinees2[-1],
-                   strict=t.strict, span=t.span),
+                   strict=t.strict),
             nbe.apply_many(m_v, *values))
 
 
@@ -413,7 +419,7 @@ def check(ctx: Context, t: Term, expected) -> Term:
             inner = ctx.extend(t.hint, pi.dom)
             var = inner.var_value(0)
             body2 = check(inner, body, nbe.inst(pi.cod, var))
-            return S.Lam(body2, hint=t.hint, span=t.span)
+            return S.Lam(body2, hint=t.hint)
         case S.Pair(fst=fst, snd=snd):
             sigma = nbe.force(expected)
             if not isinstance(sigma, nbe.VSigma):
@@ -421,7 +427,7 @@ def check(ctx: Context, t: Term, expected) -> Term:
                            t.span, expected=ctx.show(expected), actual="a pair")
             fst2 = check(ctx, fst, sigma.dom)
             snd2 = check(ctx, snd, nbe.inst(sigma.cod, nbe.eval_in(ctx, fst2)))
-            return S.Pair(fst2, snd2, span=t.span)
+            return S.Pair(fst2, snd2)
         case S.Refl():
             word = S.keyword(S.Refl, t.strict)
             eq = nbe.force(expected)
@@ -440,7 +446,7 @@ def check(ctx: Context, t: Term, expected) -> Term:
                 raise fail(D.CONVERSION_FAILURE, "injection checked at a non-sum type",
                            t.span, expected=ctx.show(expected), actual="an injection")
             side = sum_ty.left if isinstance(t, S.Inl) else sum_ty.right
-            return type(t)(check(ctx, v, side), strict=t.strict, span=t.span)
+            return type(t)(check(ctx, v, side), strict=t.strict)
     t2, actual = infer(ctx, t)
     _subsume(ctx, actual, expected, t.span)
     return t2

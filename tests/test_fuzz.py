@@ -5,15 +5,19 @@ Every input, run through `cli.run` and through `main`, must give exit code
 files `prelude.2lt` and `fin.2lt` (non-UTF-8 bytes included) and printed
 `gen.rand_scoped` terms placed in pragmas and definitions.  The cases are
 derandomized: each family draws from its own fixed seed.
+
+The mutated files and the rejection suite must also be reported the same
+whether or not the kernel shares equal work within each item.
 """
 
 import io
 import random
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from tltt import corpus
+from tltt import corpus, nbe
 from tltt.cli import RunConfig, emit_report, main, run
 from tltt.printer import pretty_print
 from tltt.syntax import Span
@@ -118,3 +122,46 @@ def test_no_input_makes_the_checker_raise(tmp_path, family, cases, codes):
             for name, before, data in family(cases, seed=20161)]
     # the cases reach the checker, not only the reader
     assert set(seen) == codes and seen.count(1) > cases // 4
+
+
+def _negative_suites():
+    """(name, files before it, bytes): the rejection suite as shipped, and
+    with each `#fail[CODE]` taken off, so that every item it pins is
+    reported in full."""
+    negative = (corpus.CORPUS_DIR / "negative.2lt").read_bytes()
+    yield "negative.2lt", [str(PRELUDE)], negative
+    yield "negative_bare.2lt", [str(PRELUDE)], re.sub(rb"#fail\[\w+\] ", b"", negative)
+
+
+def _reports(tmp_path, cases) -> list:
+    """Each case's diagnostics and pragma results, or None where a file
+    cannot be read."""
+    reports = []
+    for name, before, data in cases:
+        path = tmp_path / name
+        path.write_bytes(data)
+        try:
+            report = run(RunConfig(files=before + [str(path)]))
+        except OSError:
+            reports.append(None)
+            continue
+        reports.append((report.diagnostics, report.pragma_results))
+    return reports
+
+
+def test_checking_reports_the_same_without_sharing(tmp_path, monkeypatch):
+    cases = [*_negative_suites(), *_mutated_files(160, seed=20161)]
+    shared = _reports(tmp_path, cases)
+    items = [0]
+
+    def unshared(build):
+        items[0] += 1
+        return build
+
+    monkeypatch.setattr(nbe, "sharing", unshared)
+    # a diagnostic compares by code, message, span, expected and actual
+    assert _reports(tmp_path, cases) == shared
+    assert items[0] > len(cases)
+    diagnostics = [d for report in shared if report for _, d in report[0]]
+    assert len(diagnostics) > len(cases) // 4
+    assert any(d.expected is not None for d in diagnostics)

@@ -1,11 +1,14 @@
-"""Sharing inside one `nbe.normalize` call.
+"""Sharing inside one `nbe.normalize` call, and inside each item `cli.run`
+checks or runs.
 
-`normalize` hash-conses the spines, fresh variables and successors it builds
+Such a call hash-conses the spines, fresh variables and successors it builds
 and memoizes closure bodies, by (body, environment, argument), and read-backs,
-in tables that live for the call alone.  Its normal form must equal the unshared
+in tables that live for the call alone.  A normal form must equal the unshared
 read-back `quote(ctx.depth, evaluate(t, ctx.env))`, and print the same; the
-tables must be gone however the call ends; and the work it saves is pinned
-by deterministic counts.
+tables must be gone however the call ends, and a call nested in another must
+put back the outer call's tables; and the work `normalize` saves is pinned by
+deterministic counts.  That checking reports the same with and without
+sharing is tested in `test_fuzz.py`.
 
 The printer memoizes too: a shared node is printed once per stack of names
 in scope, since its text depends on nothing else.  Its text must equal that
@@ -18,7 +21,7 @@ import sys
 
 import pytest
 
-from tltt import corpus, nbe, nbe_core, printer, syntax as S, typecheck as tc
+from tltt import cli, corpus, nbe, nbe_core, printer, syntax as S, typecheck as tc
 from tltt.parser import parse_module, parse_term
 from tltt.printer import pretty_print
 
@@ -243,16 +246,25 @@ def test_a_numeral_is_one_value_per_call_and_fragment():
     assert strict is other_strict
     assert fibrant is not strict
     assert (strict.strict, fibrant.strict) == (True, False)
-    # checking evaluates unshared: a numeral is built anew each time
+    # outside a call under `sharing`, a numeral is built anew each time
     assert nbe.evaluate(three_s, nbe.EMPTY_ENV) is not nbe.evaluate(three_s, nbe.EMPTY_ENV)
 
 
 # -- the tables live for one call --------------------------------------------------
 
-def test_checking_runs_unshared(sst_ctx):
-    assert nbe_core._shared is None
-    elaborated(sst_ctx, "SST 2s")
-    assert no_sharing_left()
+def test_a_body_dropped_within_a_call_gives_no_later_body_its_value():
+    # each body is freed before the next is built, so the next may take its
+    # id, over the same environment and argument
+    @nbe.sharing
+    def instantiate_each():
+        levels = []
+        for level in range(100):
+            lam = nbe.VLam(nbe.EMPTY_ENV, S.Pair(S.Var(0), S.Univ(level)))
+            levels.append(nbe.inst(lam, nbe.ZERO).snd.level)
+            del lam
+        return levels
+
+    assert instantiate_each() == list(range(100))
 
 
 def nested_lambdas(depth):
@@ -292,13 +304,88 @@ def test_no_sharing_is_left_after_a_return(sst_ctx):
     assert no_sharing_left()
 
 
-@pytest.mark.parametrize("error, call", [
-    (nbe.EvalError, lambda: nbe.normalize(tc.new_context(), S.App(S.Zero(), S.Zero()))),
-    (nbe.BudgetExhausted, spent_budget),
-    (RecursionError, too_deep),
-], ids=["EvalError", "BudgetExhausted", "RecursionError"])
+RAISING = {
+    "EvalError": (nbe.EvalError,
+                  lambda: nbe.normalize(tc.new_context(), S.App(S.Zero(), S.Zero()))),
+    "BudgetExhausted": (nbe.BudgetExhausted, spent_budget),
+    "RecursionError": (RecursionError, too_deep),
+}
+
+
+@pytest.mark.parametrize("error, call", RAISING.values(), ids=RAISING.keys())
 def test_no_sharing_is_left_after_a_raise(error, call):
     assert ends_with(error, call)
+    assert no_sharing_left()
+
+
+@pytest.mark.parametrize("error, call", [
+    (None, lambda: nbe.normalize(tc.new_context(), parse_term("(\\x. x) 0"))),
+    *RAISING.values(),
+], ids=["return", *RAISING])
+def test_a_nested_call_puts_back_the_outer_tables(error, call):
+    @nbe.sharing
+    def outer():
+        tables = nbe_core._shared
+        if error is None:
+            call()
+        else:
+            assert ends_with(error, call)
+        return nbe_core._shared is tables
+
+    assert outer()
+    assert no_sharing_left()
+
+
+def run_text(tmp_path, text, **options):
+    """`cli.run` on one file holding `text`, under the recursion limit of a
+    plain `python`, which 3,000 nested successors exceed."""
+    path = tmp_path / "items.2lt"
+    path.write_text(text)
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        return cli.run(cli.RunConfig(files=[str(path)], **options))
+    finally:
+        sys.setrecursionlimit(saved)
+
+
+def test_each_item_of_a_run_has_tables_of_its_own(tmp_path, monkeypatch):
+    seen = []
+    check_declaration, run_pragma = tc.check_declaration, cli._Runner.run_pragma
+
+    def checking(ctx, decl):
+        seen.append(nbe_core._shared)
+        return check_declaration(ctx, decl)
+
+    def running(self, path, pragma):
+        seen.append(nbe_core._shared)
+        return run_pragma(self, path, pragma)
+
+    monkeypatch.setattr(tc, "check_declaration", checking)
+    monkeypatch.setattr(cli._Runner, "run_pragma", running)
+    report = run_text(tmp_path, "def two : Nat := 2\n#check two : Nat\n"
+                                "#fail #conv two ~ 3 : Nat\n")
+    assert report.ok and report.pragmas == 2
+    # the #fail and the #conv it wraps are one item
+    assert all(type(tables) is nbe_core._Shared for tables in seen)
+    assert len(seen) == 4 and seen[2] is seen[3] and len(set(map(id, seen))) == 3
+    del seen[:], report
+    assert no_sharing_left()
+
+
+@pytest.mark.parametrize("text, options, diagnostics", [
+    ("def two : Nat := 2\n#normalize two\n", {}, []),
+    ("#fail #conv 0 ~ 1 : Nat\ndef bad : Nat := star\n", {},
+     [("ConversionFailure", "type mismatch")]),
+    ("def d : Nat := 0\n#check d : Nat\n#conv d ~ 1 : Nat\n", {"unfold_budget": 0},
+     [("ResourceExhausted", "evaluation failed: unfold budget exhausted")]),
+    ("def n : NatS := 3000s\n", {},
+     [("ResourceExhausted", "input nested too deeply for checking: recursion limit exceeded")]),
+], ids=["return", "CheckError", "BudgetExhausted", "RecursionError"])
+def test_no_sharing_is_left_after_a_run(tmp_path, text, options, diagnostics):
+    report = run_text(tmp_path, text, **options)
+    assert [(d.code, d.message) for _, d in report.diagnostics] == diagnostics
+    del report
     assert no_sharing_left()
 
 

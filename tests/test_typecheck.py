@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from tltt import nbe, syntax as S, typecheck as tc
+from tltt import corpus, nbe, syntax as S, typecheck as tc
 from tltt import diagnostics as D
 from tltt.diagnostics import CheckError
 from tltt.parser import parse_module, parse_term
@@ -170,6 +170,26 @@ def test_an_ascription_infers_its_type_and_is_erased():
     with pytest.raises(CheckError) as e:
         tc.check(ctx, parse_term("(\\x. x : Nat -> Nat)"), unit_to_unit)
     assert e.value.diagnostic.message == "type mismatch"
+
+
+def test_elaborated_terms_keep_no_span_of_the_parse():
+    # the checked library outlives the parse, and no diagnostic points at
+    # an elaborated term; a leaf checked as it was parsed keeps its span
+    leaves = (S.Univ, S.Unit, S.Star, S.Nat, S.Zero, S.Empty, S.Refl)
+    ctx = tc.new_context()
+    text = (corpus.CORPUS_DIR / "prelude.2lt").read_text()
+    spanned = 0
+    for decl in parse_module(text, "prelude.2lt").decls:
+        if isinstance(decl, S.Pragma):
+            continue
+        checked = tc.check_declaration(ctx, decl)
+        stack = [t for t in (checked.ty, checked.body) if t is not None]
+        while stack:
+            t = stack.pop()
+            assert t.span is None or isinstance(t, leaves), t
+            spanned += t.span is not None
+            stack.extend(child for _, child, _ in S.term_children(t))
+    assert spanned > 0
 
 
 def test_unannotated_lambda_does_not_infer():
