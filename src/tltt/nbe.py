@@ -9,12 +9,12 @@ recursion.
 from __future__ import annotations
 
 from tltt.nbe_core import (  # noqa: F401
-    EMPTY, EMPTY_ENV, EMPTY_S, FST, NAT, NAT_S, REFL, REFL_S, SND, STAR, UNIT,
-    ZERO, ZERO_S, BudgetExhausted, Env, EvalError, FElim, FProj, HConst, HUip, HVar,
+    EMPTY, EMPTY_ENV, EMPTY_S, NAT, NAT_S, REFL, REFL_S, STAR, UNIT, ZERO, ZERO_S,
+    BudgetExhausted, Env, EvalError, FElim, HConst, HUip, HVar,
     Signature, Value, VAtom, VBinder, VId, VInj, VLam, VNeutral, VPair, VPi, VSigma,
     VSucc, VSum, VUniv,
-    apply_many, apply_value, conv, do_fst, do_snd, eliminate, evaluate, extend, force,
-    fresh_var, inst, neutral_type, quote, sharing,
+    apply_many, apply_value, conv, eliminate, evaluate, force, fresh_var, inst, lookup,
+    neutral_type, project, quote, sharing,
 )
 from tltt.syntax import collector_paused
 

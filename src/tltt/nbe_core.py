@@ -143,7 +143,8 @@ def sharing(build):
 # -- environments ----------------------------------------------------------------
 
 class Env:
-    """Persistent environment: a cons list of variables' values."""
+    """Persistent environment: a cons list of variables' values, innermost
+    first, that ends in `None`, the empty environment."""
 
     __slots__ = ("value", "parent")
 
@@ -151,26 +152,19 @@ class Env:
         self.value = value
         self.parent = parent
 
-    def lookup(self, index):
-        node = self
-        while index > 0:
-            node = node.parent
-            index -= 1
-        return node.value
+
+EMPTY_ENV = None
 
 
-class _EmptyEnv:
-    __slots__ = ()
-
-    def lookup(self, index):
+def lookup(env, index):
+    """The value of the variable `index` in `env`; an `EvalError` past the
+    end of `env`."""
+    while index > 0 and env is not None:
+        env = env.parent
+        index -= 1
+    if env is None:
         raise EvalError("variable out of range")
-
-
-EMPTY_ENV = _EmptyEnv()
-
-
-def extend(env, value):
-    return Env(value, env)
+    return env.value
 
 
 def inst(lam, value):
@@ -313,6 +307,7 @@ class HConst:
 
 class HUip:
     __slots__ = ("p", "q")
+    ty = None  # the type of a `Ks` proof is not recorded; see `neutral_type`
 
     def __init__(self, p, q):
         self.p = p
@@ -320,14 +315,7 @@ class HUip:
 
 
 # elimination frames: an application's frame is its argument, a `Value`;
-# a projection's is one of the two shared instances `FST` and `SND`
-
-class FProj:
-    __slots__ = ()
-
-
-FST = FProj()
-SND = FProj()
+# a projection's is the term former it reads back as, `S.Fst` or `S.Snd`
 
 
 class FElim:
@@ -443,22 +431,14 @@ def apply_many(fn, *args):
     return fn
 
 
-def do_fst(v):
+def project(v, frame):
+    """The projection `frame` (`S.Fst` or `S.Snd`) of `v`."""
     v = force(v)
     if isinstance(v, VPair):
-        return v.fst
+        return v.fst if frame is S.Fst else v.snd
     if isinstance(v, VNeutral):
-        return _push(v, FST)
-    raise EvalError("first projection of a non-pair value")
-
-
-def do_snd(v):
-    v = force(v)
-    if isinstance(v, VPair):
-        return v.snd
-    if isinstance(v, VNeutral):
-        return _push(v, SND)
-    raise EvalError("second projection of a non-pair value")
+        return _push(v, frame)
+    raise EvalError(f"{'first' if frame is S.Fst else 'second'} projection of a non-pair value")
 
 
 _NO_IOTA = {  # the message for a scrutinee of the wrong form, an ill-typed redex
@@ -497,16 +477,16 @@ def neutral_type(v):
     no Pi or Sigma type.  The type is forced at each step, and so is the
     result."""
     head = v.head
-    ty = None if isinstance(head, HUip) else head.ty
+    ty = head.ty
     prefix = VNeutral(head, ())
     for frame in v.spine:
         ty = force(ty)
         if isinstance(frame, Value):
             ty = inst(ty.cod, frame) if isinstance(ty, VPi) else None
-        elif frame is FST:
+        elif frame is S.Fst:
             ty = ty.dom if isinstance(ty, VSigma) else None
-        elif frame is SND:
-            ty = inst(ty.cod, do_fst(prefix)) if isinstance(ty, VSigma) else None
+        elif frame is S.Snd:
+            ty = inst(ty.cod, project(prefix, S.Fst)) if isinstance(ty, VSigma) else None
         else:
             cases = S.ELIMINATORS[frame.former, frame.strict].cases
             ty = apply_many(frame.args[0], *frame.args[1 + len(cases):], prefix)
@@ -520,7 +500,7 @@ def evaluate(t, env):
     """Weak-head evaluate a well-scoped term in `env` (beta, projections, iota)."""
     cls = type(t)
     if cls is S.Var:
-        return env.lookup(t.index)
+        return lookup(env, t.index)
     if cls is S.App:
         return apply_value(evaluate(t.fn, env), evaluate(t.arg, env))
     if cls is S.Lam:
@@ -535,10 +515,8 @@ def evaluate(t, env):
         return VSigma(evaluate(t.dom, env), VLam(env, t.cod, t.hint))
     if cls is S.Pair:
         return VPair(evaluate(t.fst, env), evaluate(t.snd, env))
-    if cls is S.Fst:
-        return do_fst(evaluate(t.pair, env))
-    if cls is S.Snd:
-        return do_snd(evaluate(t.pair, env))
+    if cls is S.Fst or cls is S.Snd:
+        return project(evaluate(t.pair, env), cls)
     if cls is S.Univ:
         return VUniv(t.level, t.strict)
     if cls is S.Unit:
@@ -563,10 +541,8 @@ def evaluate(t, env):
         return EMPTY_S if t.strict else EMPTY
     if cls is S.Sum:
         return VSum(evaluate(t.left, env), evaluate(t.right, env), t.strict)
-    if cls is S.Inl:
-        return VInj(evaluate(t.value, env), True, t.strict)
-    if cls is S.Inr:
-        return VInj(evaluate(t.value, env), False, t.strict)
+    if cls is S.Inl or cls is S.Inr:
+        return VInj(evaluate(t.value, env), cls is S.Inl, t.strict)
     if cls is S.Id:
         return VId(evaluate(t.ty, env), evaluate(t.lhs, env), evaluate(t.rhs, env),
                    t.strict)
@@ -647,15 +623,11 @@ def _quote_neutral(depth, v, unfold):
     for frame in v.spine:
         if isinstance(frame, Value):
             acc = S.App(acc, quote(depth, frame, unfold))
-        elif frame is FST:
-            acc = S.Fst(acc)
-        elif frame is SND:
-            acc = S.Snd(acc)
         elif isinstance(frame, FElim):
             acc = S.Elim(frame.former, tuple([quote(depth, a, unfold) for a in frame.args]),
                          acc, strict=frame.strict)
-        else:
-            raise EvalError("unknown spine frame")
+        else:  # a projection
+            acc = frame(acc)
     return acc
 
 
@@ -693,10 +665,11 @@ def conv(depth, a, b, ty, strict_pi=False):
             return conv(depth + 1, apply_value(a, x), apply_value(b, x),
                         inst(ty.cod, x), strict_pi)
         if isinstance(ty, VSigma):
-            fa = do_fst(a)
-            if not conv(depth, fa, do_fst(b), ty.dom, strict_pi):
+            fa = project(a, S.Fst)
+            if not conv(depth, fa, project(b, S.Fst), ty.dom, strict_pi):
                 return False
-            return conv(depth, do_snd(a), do_snd(b), inst(ty.cod, fa), strict_pi)
+            return conv(depth, project(a, S.Snd), project(b, S.Snd), inst(ty.cod, fa),
+                        strict_pi)
         if isinstance(ty, VSum):
             a, b = force(a), force(b)
             if isinstance(a, VInj) and isinstance(b, VInj):
@@ -721,8 +694,8 @@ def _conv_whnf(depth, a, b, strict_pi):
         x = fresh_var(depth)
         return conv(depth + 1, apply_value(a, x), apply_value(b, x), None, strict_pi)
     if isinstance(a, VPair) or isinstance(b, VPair):
-        return (conv(depth, do_fst(a), do_fst(b), None, strict_pi)
-                and conv(depth, do_snd(a), do_snd(b), None, strict_pi))
+        return (conv(depth, project(a, S.Fst), project(b, S.Fst), None, strict_pi)
+                and conv(depth, project(a, S.Snd), project(b, S.Snd), None, strict_pi))
     if isinstance(a, VUniv):
         return isinstance(b, VUniv) and a.level == b.level and a.strict == b.strict
     if isinstance(a, VBinder):

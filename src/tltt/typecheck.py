@@ -45,7 +45,7 @@ class Context:
         # (innermost name, None if anonymous; outer binders), or None if empty
         self.binders = binders
         self.depth = depth  # the number of binders
-        self.env = nbe.EMPTY_ENV if env is None else env
+        self.env = env  # an `nbe.Env` of their variables, None if empty
 
     @property
     def strict_pi(self) -> bool:
@@ -54,10 +54,10 @@ class Context:
     def extend(self, name: Optional[str], ty) -> "Context":
         var = nbe.fresh_var(self.depth, ty)
         return Context(self.sig, self.flags, (name, self.binders), self.depth + 1,
-                       nbe.extend(self.env, var))
+                       nbe.Env(var, self.env))
 
     def var_value(self, index: int):
-        return self.env.lookup(index)
+        return nbe.lookup(self.env, index)
 
     def names(self) -> list[str]:
         """The binders' names, outermost first, pairwise distinct: a binder
@@ -140,7 +140,7 @@ def infer(ctx: Context, t: Term) -> tuple[Term, object]:
                            t.span, expected="a pair type", actual=ctx.show(p_ty))
             return type(t)(p2), (
                 sigma.dom if first
-                else nbe.inst(sigma.cod, nbe.do_fst(nbe.eval_in(ctx, p2))))
+                else nbe.inst(sigma.cod, nbe.project(nbe.eval_in(ctx, p2), S.Fst)))
         case S.Unit():
             return t, nbe.VUniv(0)
         case S.Nat() | S.Empty():
@@ -321,7 +321,7 @@ _RULES = _rules()
 
 def _extend_all(env, values):
     for v in values:
-        env = nbe.extend(env, v)
+        env = nbe.Env(v, env)
     return env
 
 
@@ -335,7 +335,7 @@ def _infer_motive(ctx: Context, motive: Term, telescope: tuple, env) -> tuple[Te
     dom_v = nbe.evaluate(telescope[0], env)
     inner = ctx.extend(motive.hint, dom_v)
     body2, body_ty = _infer_motive(inner, motive.body, telescope[1:],
-                                   nbe.extend(env, inner.var_value(0)))
+                                   nbe.Env(inner.var_value(0), env))
     cod_term = nbe.quote(inner.depth, body_ty, unfold=False)
     return (S.Lam(body2, hint=motive.hint),
             nbe.VPi(dom_v, nbe.VLam(ctx.env, cod_term, motive.hint)))
@@ -373,7 +373,7 @@ def _infer_elim(ctx: Context, t: S.Elim) -> tuple[Term, object]:
             raise fail(D.CONVERSION_FAILURE, error, span,
                        expected=rule.expected, actual=ctx.show(m_ty))
         inner = inner.extend(pi.cod.hint, pi.dom)
-        env = nbe.extend(env, inner.var_value(0))
+        env = nbe.Env(inner.var_value(0), env)
         cod = nbe.inst(pi.cod, inner.var_value(0))
         pi = nbe.force(cod)
     if not isinstance(pi, nbe.VUniv):
@@ -386,7 +386,7 @@ def _infer_elim(ctx: Context, t: S.Elim) -> tuple[Term, object]:
                    f"{row.word} can only eliminate into families of fibrant "
                    f"types; the motive lands in {ctx.show(pi)}", span)
     m_v = nbe.eval_in(ctx, motive2)
-    case_env = nbe.extend(carrier_env, m_v)
+    case_env = nbe.Env(m_v, carrier_env)
     cases2 = [check(ctx, case, nbe.evaluate(template, case_env))
               for case, template in zip(cases, row.cases)]
     env, scrutinees2, values = carrier_env, [], []
@@ -398,7 +398,7 @@ def _infer_elim(ctx: Context, t: S.Elim) -> tuple[Term, object]:
         else:
             scrutinee2 = check(ctx, scrutinee, ty)
         value = nbe.eval_in(ctx, scrutinee2)
-        env = nbe.extend(env, value)
+        env = nbe.Env(value, env)
         scrutinees2.append(scrutinee2)
         values.append(value)
     return (S.Elim(t.former, (motive2, *cases2, *scrutinees2[:-1]), scrutinees2[-1],

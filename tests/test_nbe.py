@@ -73,8 +73,8 @@ def test_an_application_frame_is_its_argument():
 
 def test_projection_frames_are_shared():
     x, y = nbe.fresh_var(0), nbe.fresh_var(1)
-    assert nbe.do_fst(x).spine[-1] is nbe.do_fst(y).spine[-1] is nbe.FST
-    assert nbe.do_snd(x).spine[-1] is nbe.do_snd(y).spine[-1] is nbe.SND
+    assert nbe.project(x, S.Fst).spine[-1] is nbe.project(y, S.Fst).spine[-1] is S.Fst
+    assert nbe.project(x, S.Snd).spine[-1] is nbe.project(y, S.Snd).spine[-1] is S.Snd
 
 
 def test_a_lambda_is_its_own_closure():
@@ -88,9 +88,9 @@ def _one_frame(kind, x):
     if kind == "app":
         return nbe.apply_value(x, nbe.ZERO)
     if kind == "fst":
-        return nbe.do_fst(x)
+        return nbe.project(x, S.Fst)
     if kind == "snd":
-        return nbe.do_snd(x)
+        return nbe.project(x, S.Snd)
     return nbe.eliminate(S.Nat, (ev(S.Lam(S.Nat())), nbe.ZERO,
                                  ev(S.Lam(S.Lam(S.Var(0))))), x, False)
 
@@ -106,6 +106,21 @@ def test_an_eliminator_on_a_foreign_constructor_is_an_ill_typed_redex(
     with pytest.raises(nbe.EvalError) as e:
         nbe.eliminate(former, args, target, False)
     assert str(e.value) == message
+
+
+def test_an_unbound_variable_and_a_projection_of_a_non_pair_are_ill_typed_redexes():
+    # an index past the end of any environment, not only the empty one, is
+    # an evaluation error rather than an AttributeError
+    one = nbe.Env(nbe.STAR, nbe.EMPTY_ENV)
+    for index, env in [(0, nbe.EMPTY_ENV), (1, one), (2, one)]:
+        with pytest.raises(nbe.EvalError) as e:
+            nbe.evaluate(S.Var(index), env)
+        assert str(e.value) == "variable out of range"
+    for frame, message in [(S.Fst, "first projection of a non-pair value"),
+                           (S.Snd, "second projection of a non-pair value")]:
+        with pytest.raises(nbe.EvalError) as e:
+            nbe.project(nbe.STAR, frame)
+        assert str(e.value) == message
 
 
 @pytest.mark.parametrize("left, right", [
@@ -159,7 +174,7 @@ def _stuck(name, args, strict=False):
     """The eliminator `name` on the variable `x`, its value and its term."""
     word = _STRICT_NAME[name] if strict else name
     t = parse_term(" ".join([word] + [f"({a})" for a in args] + ["x"]), scope=["x"])
-    env = nbe.extend(empty_ctx().env, nbe.fresh_var(0))
+    env = nbe.Env(nbe.fresh_var(0), empty_ctx().env)
     return nbe.evaluate(t, env), t
 
 
@@ -325,7 +340,8 @@ def test_eta_for_sigma_pi_unit():
     sigma = ev(S.Sigma(S.Nat(), S.Nat()))
     c1 = ctx.extend("p", sigma)
     p = c1.var_value(0)
-    assert nbe.conv(c1.depth, p, nbe.VPair(nbe.do_fst(p), nbe.do_snd(p)), sigma)
+    assert nbe.conv(c1.depth, p, nbe.VPair(nbe.project(p, S.Fst), nbe.project(p, S.Snd)),
+                    sigma)
     pi = ev(S.Pi(S.Nat(), S.Nat()))
     c2 = ctx.extend("f", pi)
     f = c2.var_value(0)
@@ -484,7 +500,7 @@ def _closure_pair(ctx, body, values_a, values_b):
     def build(values):
         env = ctx.env
         for v in values:
-            env = nbe.extend(env, v)
+            env = nbe.Env(v, env)
         return nbe.VLam(env, body)
     return build(values_a), build(values_b)
 

@@ -1,11 +1,12 @@
 """Bidirectional elaboration and the fibrancy discipline."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
-from tltt import corpus, nbe, syntax as S, typecheck as tc
+from tltt import corpus, nbe, nbe_core, syntax as S, typecheck as tc
 from tltt import diagnostics as D
 from tltt.diagnostics import CheckError
 from tltt.parser import parse_module, parse_term
@@ -49,6 +50,33 @@ def test_an_extension_keeps_the_outer_binders_as_its_tail():
     assert [x.depth for x in (ctx, a, b, c)] == [0, 1, 2, 3]
     assert [x.names() for x in (ctx, a, b, c)] == [[], ["a"], ["a", "_"], ["a", "_", "c"]]
     assert [c.show(c.var_value(i)) for i in range(3)] == ["c", "_", "a"]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 16: a variable's lookup walks one environment "
+                          "cell per de Bruijn index")
+def test_a_telescope_over_an_outer_variable_walks_linearly_many_cells(monkeypatch):
+    # every equation mentions the outermost binder, so with one cell walked
+    # per index its n equations walk about 2 n^2 cells (1,998,000 for n = 1,000)
+    n = 1000
+    walked = 0
+    lookup = nbe_core.lookup
+
+    def counted(env, index):
+        nonlocal walked
+        walked += index
+        return lookup(env, index)
+
+    monkeypatch.setattr(nbe_core, "lookup", counted)  # `evaluate`'s
+    monkeypatch.setattr(nbe, "lookup", counted)  # `Context.var_value`'s
+    decl = parse_module("axiom t : (x : Nat) -> " + "x = x -> " * n + "Nat", "t.2lt").decls[0]
+    limit = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(D.RECURSION_LIMIT)
+        tc.check_declaration(ctx_default(), decl)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert walked <= 20 * n
 
 
 # -- inference ------------------------------------------------------------------
