@@ -47,7 +47,7 @@ class RunReport:
                  context: Optional[tc.Context] = None) -> None:
         self.diagnostics: list[tuple[str, Diagnostic]] = []
         self.pragma_results = [] if pragma_results is None else pragma_results
-        self.checked: list[tc.CheckedDecl] = []
+        self.checked: list[S.Declaration] = []  # with their elaborated terms
         self.context = context  # the final typing context, for tooling
         self.pragmas = 0  # pragmas run, whether they succeeded or not
 
@@ -111,7 +111,7 @@ class _Runner:
             except RecursionError:
                 self.diag(path, _too_deep("checking", decl.span))
 
-    def run_item(self, path: str, decl: S.Declaration) -> str:
+    def run_item(self, path: str, decl: S.Declaration | S.Pragma) -> str:
         """Check one declaration or run one pragma; what the trace says was done."""
         if isinstance(decl, S.Pragma):
             self.report.pragmas += 1

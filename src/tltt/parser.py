@@ -583,10 +583,10 @@ class Parser:
         self.eat(":")
         ty = self.term()
         if word == "axiom":
-            return S.Axiom(name, ty, span=self.decl_span(start))
+            return S.Declaration(name, ty, span=self.decl_span(start))
         self.eat(":=")
         body = self.term()
-        return S.Definition(name, ty, body, span=self.decl_span(start))
+        return S.Declaration(name, ty, body, span=self.decl_span(start))
 
     def pragma(self):
         start = self.pos
@@ -642,10 +642,10 @@ class Parser:
         decls = []
         while self.texts[self.pos]:
             decl = self.declaration()
-            if isinstance(decl, (S.Definition, S.Axiom)):
+            if isinstance(decl, S.Declaration):
                 self.known.add(decl.name)
             decls.append(decl)
-        return S.Module(tuple(decls), self.path)
+        return S.Module(tuple(decls))
 
 
 @S.collector_paused

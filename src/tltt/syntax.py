@@ -31,7 +31,9 @@ like the kernel's `FElim` frame.  `ELIMINATORS` states each eliminator's
 schema once, per former and fragment: its word, its telescope and its
 cases.  The parser, the printer, the evaluator and the checker all read it.
 
-Declarations and modules are records: `NamedTuple`s.
+Declarations and modules are records: `NamedTuple`s.  One `Declaration`
+holds a definition, or an axiom when its `body` is None, with the parsed
+terms or, once checked, the elaborated ones.
 
 `collector_paused` pauses the cyclic garbage collector in the entry points
 that build large acyclic trees: read-back, printing and parsing.
@@ -454,16 +456,10 @@ def collector_paused(build):
 
 # -- declarations and modules --------------------------------------------------
 
-class Definition(NamedTuple):
+class Declaration(NamedTuple):
     name: str
     ty: Term
-    body: Term
-    span: Optional[Span] = None
-
-
-class Axiom(NamedTuple):
-    name: str
-    ty: Term
+    body: Optional[Term] = None  # None for an axiom
     span: Optional[Span] = None
 
 
@@ -477,9 +473,5 @@ class Pragma(NamedTuple):
     span: Optional[Span] = None
 
 
-Declaration = Definition | Axiom | Pragma
-
-
 class Module(NamedTuple):
-    decls: tuple[Declaration, ...]
-    path: str
+    decls: tuple[Declaration | Pragma, ...]

@@ -26,7 +26,7 @@ from tltt import syntax as S
 from tltt import diagnostics as D
 from tltt.diagnostics import CheckError, fail
 from tltt.printer import pretty_print
-from tltt.syntax import Span, Term
+from tltt.syntax import Term
 
 
 class Flags(NamedTuple):
@@ -474,24 +474,17 @@ def _subsume(ctx: Context, actual, expected, span) -> None:
 
 # -- declarations ---------------------------------------------------------------
 
-class CheckedDecl(NamedTuple):
-    name: str
-    ty: Term
-    body: Optional[Term]  # None for axioms
-    span: Optional[Span] = None
-
-
-def check_declaration(ctx: Context, decl) -> CheckedDecl:
-    """Check one Definition or Axiom and extend the signature.  The context
-    must be top level (empty telescope)."""
+def check_declaration(ctx: Context, decl: S.Declaration) -> S.Declaration:
+    """Check one declaration and extend the signature; the declaration with
+    its elaborated terms.  The context must be top level (empty telescope)."""
     if decl.name in ctx.sig:
         raise fail(D.DUPLICATE_NAME, f"{decl.name} is already declared", decl.span)
     ty2, _ = infer_universe(ctx, decl.ty)
     ty_v = nbe.eval_in(ctx, ty2)
-    if isinstance(decl, S.Axiom):
+    if decl.body is None:
         ctx.sig.define(decl.name, ty_v, None)
-        return CheckedDecl(decl.name, ty2, None, decl.span)
+        return S.Declaration(decl.name, ty2, None, decl.span)
     body2 = check(ctx, decl.body, ty_v)
     body_v = nbe.eval_in(ctx, body2)
     ctx.sig.define(decl.name, ty_v, body_v)
-    return CheckedDecl(decl.name, ty2, body2, decl.span)
+    return S.Declaration(decl.name, ty2, body2, decl.span)

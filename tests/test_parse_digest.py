@@ -26,7 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "parse_digest.txt"
 NORMAL_FORMS = ROOT / "perfbench" / "oracles" / "reference_normal_forms.json"
 
-_NODES = (S.Term, S.Definition, S.Axiom, S.Pragma, S.Module, Diagnostic)
+_NODES = (S.Term, S.Declaration, S.Pragma, S.Module, Diagnostic)
 
 
 def listing(root) -> str:
@@ -54,7 +54,7 @@ def parse_trees():
     for entry in corpus.corpus_manifest():
         name = entry.path.name
         module = parse_module(entry.path.read_text(encoding="utf-8"), name, known)
-        known += [d.name for d in module.decls if isinstance(d, (S.Definition, S.Axiom))]
+        known += [d.name for d in module.decls if isinstance(d, S.Declaration)]
         yield name, module
     forms = json.loads(NORMAL_FORMS.read_text())["normal_forms"]
     for n in range(5):
@@ -80,11 +80,9 @@ def test_listing_shows_the_fields_equality_ignores():
 def _merged(decl):
     """`decl` with the reference strong-mode merge applied to its terms and
     to the item a `#fail` wraps."""
-    if isinstance(decl, S.Definition):
-        return decl._replace(ty=merge_strict_formers(decl.ty),
-                             body=merge_strict_formers(decl.body))
-    if isinstance(decl, S.Axiom):
-        return decl._replace(ty=merge_strict_formers(decl.ty))
+    if isinstance(decl, S.Declaration):
+        body = None if decl.body is None else merge_strict_formers(decl.body)
+        return decl._replace(ty=merge_strict_formers(decl.ty), body=body)
     if decl.kind == S.FAIL:
         item = decl.payload[0]
         return decl._replace(payload=(item if isinstance(item, Diagnostic) else _merged(item),))
@@ -103,7 +101,7 @@ def test_strong_parse_is_the_merged_default_parse():
         assert strong == listing(merged), name
         if strong != listing(default):
             changed.append(name)
-        known += [d.name for d in default.decls if isinstance(d, (S.Definition, S.Axiom))]
+        known += [d.name for d in default.decls if isinstance(d, S.Declaration)]
     forms = json.loads(NORMAL_FORMS.read_text())["normal_forms"]
     for n in range(5):
         text = forms[f"SST {n}s"]

@@ -24,7 +24,7 @@ from term_helpers import merge_strict_formers, strict_constructors
 def test_module_with_definition():
     m = parse_module("def id : (A : U 0) -> A -> A := \\A. \\x. x", "t.2lt")
     (d,) = m.decls
-    assert isinstance(d, S.Definition)
+    assert isinstance(d, S.Declaration)
     assert d.name == "id"
     assert d.body == S.Lam(S.Lam(S.Var(0)))
     assert d.ty == S.Pi(S.Univ(0), S.Pi(S.Var(0), S.Var(1)))
@@ -43,7 +43,7 @@ def test_axiom_declaration():
     text = ("def Equiv : U 0 -> U 0 -> U 0 := \\A. \\B. A -> B\n"
             "axiom ua : (A : U 0) -> (B : U 0) -> Equiv A B -> A = B\n")
     m = parse_module(text, "t.2lt")
-    assert isinstance(m.decls[1], S.Axiom)
+    assert isinstance(m.decls[1], S.Declaration) and m.decls[1].body is None
     assert m.decls[1].name == "ua"
 
 
@@ -577,10 +577,8 @@ def test_comments_between_tokens_leave_the_tokens(index, comments):
 def _term_nodes(decl):
     """Every term node of a parsed declaration, the item a `#fail` wraps
     included."""
-    if isinstance(decl, S.Definition):
-        stack = [decl.ty, decl.body]
-    elif isinstance(decl, S.Axiom):
-        stack = [decl.ty]
+    if isinstance(decl, S.Declaration):
+        stack = [t for t in (decl.ty, decl.body) if t is not None]
     elif decl.kind == S.FAIL:
         item = decl.payload[0]
         return [] if isinstance(item, D.Diagnostic) else _term_nodes(item)
@@ -599,7 +597,7 @@ def test_term_spans_are_plain_tuples_the_collector_drops():
     nodes, spanned = [], []
     for entry in corpus_manifest():
         module = parse_module(entry.path.read_text(encoding="utf-8"), entry.path.name, known)
-        known += [d.name for d in module.decls if isinstance(d, (S.Definition, S.Axiom))]
+        known += [d.name for d in module.decls if isinstance(d, S.Declaration)]
         for decl in module.decls:
             nodes += _term_nodes(decl)
             spanned.append(decl)

@@ -211,6 +211,10 @@ def test_elaborated_terms_keep_no_span_of_the_parse():
         if isinstance(decl, S.Pragma):
             continue
         checked = tc.check_declaration(ctx, decl)
+        # the same record as the parse, with its name and span
+        assert isinstance(checked, S.Declaration)
+        assert (checked.name, checked.span) == (decl.name, decl.span)
+        assert (checked.body is None) == (decl.body is None)
         stack = [t for t in (checked.ty, checked.body) if t is not None]
         while stack:
             t = stack.pop()
