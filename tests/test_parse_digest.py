@@ -2,8 +2,8 @@
 
 `tests/golden/parse_digest.txt` holds one sha256 per input: each corpus
 file, parsed in manifest order with the names of the files before it known,
-and the reference normal forms of `SST 0s` to `SST 4s`, with every corpus
-name known.  A digest covers a pre-order listing of every node's class and
+the reference normal forms of `SST 0s` to `SST 4s`, with every corpus
+name known, and `TELESCOPES`.  A digest covers a pre-order listing of every node's class and
 all its fields, including the ones that equality ignores.  Regenerate the
 file with
 
@@ -27,6 +27,16 @@ GOLDEN = ROOT / "tests" / "golden" / "parse_digest.txt"
 NORMAL_FORMS = ROOT / "perfbench" / "oracles" / "reference_normal_forms.json"
 
 _NODES = (S.Term, S.Declaration, S.Pragma, S.Module, Diagnostic)
+
+# Telescopes of several names, whose later domains the parser displaces:
+# open ones, nested ones and products.
+TELESCOPES = """\
+axiom open : (P : U 0 -> U 0) -> (x : U 0) -> (x y : P x) -> (z w : P y) -> x = w
+axiom nested : (A : U 0) -> (B C : A -> A -> U 0) ->
+  (a b : (c d : A) -> B c d) -> a = b -> (f g : (c d : A) -> (e : B c d) * C d c) -> f = g
+def pairs : (A : U 0) -> (B : A -> A -> U 0) -> U 0 :=
+  \\A. \\B. (x y z : A) * (p q : B x y) * (r : B y z) * (x =s y -> p = q)
+"""
 
 
 def listing(root) -> str:
@@ -59,6 +69,7 @@ def parse_trees():
     forms = json.loads(NORMAL_FORMS.read_text())["normal_forms"]
     for n in range(5):
         yield f"SST {n}s", parse_term(forms[f"SST {n}s"], known_names=known)
+    yield "telescopes", parse_module(TELESCOPES, "telescopes.2lt")
 
 
 def digests() -> list[str]:

@@ -18,7 +18,7 @@ from tltt.parser import Parser, parse_module, parse_term, tokenize
 from tltt.printer import pretty_print
 
 from gen import rand_scoped
-from term_helpers import merge_strict_formers, strict_constructors
+from term_helpers import merge_strict_formers, shift, strict_constructors
 
 
 def test_module_with_definition():
@@ -83,6 +83,34 @@ def test_precedences():
 def test_multi_name_binder():
     t = parse_term("(a b : Nat) -> a = b")
     assert t == S.Pi(S.Nat(), S.Pi(S.Nat(), S.Id(None, S.Var(1), S.Var(0))))
+
+
+@pytest.mark.parametrize("connective, former", [("->", S.Pi), ("*", S.Sigma)])
+def test_each_later_domain_of_a_telescope_is_displaced(connective, former):
+    # each copy of `P x` sits under the names before it; a telescope's own
+    # `x` captures in the body but not in the domain
+    expected = former(S.App(S.Var(2), S.Var(0)),
+                      former(S.App(S.Var(3), S.Var(1)),
+                             S.App(S.App(S.Var(3), S.Var(1)), S.Var(0))))
+    scope = ["P", "Q", "x"]
+    assert parse_term(f"(y z : P x) {connective} Q y z", scope=scope) == expected
+    assert parse_term(f"(x y : P x) {connective} Q x y", scope=scope) == expected
+
+
+def test_telescope_domains_are_the_shifted_first_domain():
+    # the k-th domain of `(x y z : A) -> B` is A under k more binders; the
+    # scope's own `x` and `y` stay free in A
+    rng = random.Random(34)
+    names = ["P", "x", "y"]
+    for _ in range(200):
+        printed = pretty_print(rand_scoped(rng, depth=len(names), size=rng.randrange(1, 10)),
+                               names)
+        dom = parse_term(printed, scope=names)
+        for connective in ("->", "*"):
+            t = parse_term(f"(x y z : {printed}) {connective} Unit", scope=names)
+            for k in range(3):
+                assert t.dom == shift(dom, k), (printed, k)
+                t = t.cod
 
 
 def test_eliminators_take_exact_arity():
