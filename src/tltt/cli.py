@@ -99,9 +99,7 @@ class _Runner:
             self.reset_budget()
             started, unfolds = time.perf_counter(), budget.unfolds
             try:
-                # the kernel shares equal work within the item, in tables
-                # dropped however it ends
-                done = nbe.sharing(self.run_item)(path, decl)
+                done = self.run_item(path, decl)
                 self.trace(f"{done} in {(time.perf_counter() - started) * 1000:.1f} ms, "
                            f"{budget.unfolds - unfolds} unfolds")
             except CheckError as e:
@@ -111,8 +109,11 @@ class _Runner:
             except RecursionError:
                 self.diag(path, _too_deep("checking", decl.span))
 
+    @nbe.sharing
     def run_item(self, path: str, decl: S.Declaration | S.Pragma) -> str:
-        """Check one declaration or run one pragma; what the trace says was done."""
+        """Check one declaration or run one pragma; what the trace says was done.
+        The kernel shares equal work within the item, in tables dropped
+        however it ends."""
         if isinstance(decl, S.Pragma):
             self.report.pragmas += 1
             kind, text = self.run_pragma(path, decl)

@@ -20,13 +20,14 @@ so one level of nesting costs one Python frame.
 
 The blanking pass, the tokenizing pass and the parse are each linear in
 the input, except for one copy.  A telescope ``(x y ... : A)`` of k names
-binds each name to its own copy of ``A``, and `Parser.close` shifts ``A``
-once for each name after the first, so the telescope costs O(k·|A|).  That
-is the only shift of a parsed term: the right side of ``A -> B`` and
-``A * B`` is parsed under an anonymous binder, so its free indices come out
-displaced already.  It parses a bracket ``( NAME+ : T )`` once, and the
-token after the closing parenthesis decides between a binder telescope and
-an ascription.
+binds each name to its own copy of ``A``, and each copy after the first is
+parsed again from ``A``'s tokens, under one more anonymous binder than the
+copy before it, so the telescope costs O(k·|A|).  The parser never rewrites
+a term it has built: the right side of ``A -> B`` and ``A * B`` is parsed
+under an anonymous binder too, so every free index comes out displaced
+already.  It parses a bracket ``( NAME+ : T )`` once, and the token after
+the closing parenthesis decides between a binder telescope and an
+ascription.
 """
 
 from __future__ import annotations
@@ -233,10 +234,11 @@ def _is_name(text: str) -> bool:
 
 class _Binder(NamedTuple):
     """A bracket ``( NAME+ : dom )`` at the start of an arrow or product,
-    followed by ``->`` or ``*``: the domain of a binder telescope, handed
-    back to `Parser.term`, which parses the body."""
+    followed by ``->`` or ``*``: the domain of each name of a binder
+    telescope, each under the names before it, handed back to
+    `Parser.term`, which parses the body."""
     names: list[str]
-    dom: Term
+    doms: list[Term]
 
 
 class Parser:
@@ -312,8 +314,8 @@ class Parser:
         `pos` and handed to `self.pos` around each call that reads tokens."""
         texts, lines, cols, end_cols = self.texts, self.lines, self.cols, self.end_cols
         path, atoms, elims, sum_ops = self.path, self.atoms, self.elims, self.sum_ops
-        binders: list[tuple] = []  # (first token, domain or None for a lambda, names)
-        factors: list[tuple] = []  # (first token, first factor, names)
+        binders: list[tuple] = []  # (first token, domain(s) or None for a lambda, names)
+        factors: list[tuple] = []  # (first token, first factor or domains, names)
         sums: list[tuple] = []  # (first token, left summand, strict)
         equation = None  # (first token, left side, strict)
         pos = self.pos
@@ -424,10 +426,10 @@ class Parser:
                 for name in head.names:
                     self.bind(name)
                 if connective == "->":
-                    binders.append((factor_start, head.dom, head.names))
+                    binders.append((factor_start, head.doms, head.names))
                     arrow_start = True
                 else:
-                    factors.append((factor_start, head.dom, head.names))
+                    factors.append((factor_start, head.doms, head.names))
                     factor_start = pos
                 continue
 
@@ -475,15 +477,16 @@ class Parser:
             self.pos = pos
             return head
 
-    def close(self, former, dom: Term, body: Term, names, span: TermSpan) -> Term:
+    def close(self, former, dom, body: Term, names, span: TermSpan) -> Term:
         """`former` (Pi or Sigma) over `body`, for each of the binder's names
-        (one anonymous binder if `names` is None); unbinds them."""
+        over its domain in the list `dom` (one anonymous binder over the
+        domain `dom` if `names` is None); unbinds them."""
         if names is None:
             self.unbind(1)
             return former(dom, body, span=span)
         self.unbind(len(names))
         for k in range(len(names) - 1, -1, -1):
-            body = former(S.shift(dom, k) if k else dom, body, hint=names[k], span=span)
+            body = former(dom[k], body, hint=names[k], span=span)
         return body
 
     def telescope_in_product(self, b: _Binder, start: int) -> None:
@@ -542,10 +545,12 @@ class Parser:
 
     def typed_bracket(self, start: int, names: range, binder_ok: bool):
         """After ``( NAME+ :``, parse the type once.  Followed by ``)`` and,
-        if `binder_ok`, by ``->`` or ``*``, it is a binder's domain;
-        otherwise the names are the applied term of an ascription, and they
-        are resolved before any error in the type or a missing ``)`` is
-        reported, as if the ascription had been read left to right."""
+        if `binder_ok`, by ``->`` or ``*``, it is a binder's domain, parsed
+        again for each later name under one more anonymous binder, and never
+        under the names themselves; otherwise the names are the applied term
+        of an ascription, and they are resolved before any error in the type
+        or a missing ``)`` is reported, as if the ascription had been read
+        left to right."""
         depth = len(self.scope)
         try:
             ty = self.term()
@@ -558,7 +563,14 @@ class Parser:
             raise self.err("expected ')'")
         self.pos += 1
         if binder_ok and self.texts[self.pos] in ("->", "*"):
-            return _Binder([self.texts[at] for at in names], ty)
+            after, doms = self.pos, [ty]
+            for _ in names[1:]:
+                self.bind(None)
+                self.pos = names.stop + 1  # the type's first token
+                doms.append(self.term())
+            self.unbind(len(names) - 1)
+            self.pos = after
+            return _Binder([self.texts[at] for at in names], doms)
         return S.Ann(self.applied(names), ty, span=self.span(start, self.pos - 1))
 
     def applied(self, names: range) -> Term:

@@ -1,10 +1,10 @@
-"""Core term language: de Bruijn terms, declarations, shifting.
+"""Core term language: de Bruijn terms and declarations.
 
 Terms are plain slotted classes compared structurally; with de Bruijn
 indices, structural equality *is* alpha-equality.  A term class's
-`__slots__` is its field table: `Term` derives equality, hashing, `repr`,
-`term_children` and `_rebuild` from it when the class is created, and each
-class writes its `__init__` out as plain slot stores.  Twins share one
+`__slots__` is its field table: `Term` derives equality, hashing, `repr`
+and the child table from it when the class is created, and each class
+writes its `__init__` out as plain slot stores.  Twins share one
 shape, stated once: `Sigma` takes `Pi`'s fields and constructor, `Snd`
 `Fst`'s, `Inr` `Inl`'s, and `Zero`, `Empty` and `Refl` `Nat`'s.  Fields that
 carry no semantic content (source spans, binder-name hints, an equality's
@@ -14,7 +14,7 @@ equality stays alpha.  Elaboration erases an ascription `(t : A)`, the node
 
 Terms are immutable by convention: no code assigns a field after
 construction.  Nothing enforces it, because a guard would be paid on every
-node the parser, `quote` and substitution build.
+node the parser, the elaborator and `quote` build.
 
 The outer (strict) universes, naturals, empty type, sums and equality are
 the same formers as the inner (fibrant) ones, living in the other fragment,
@@ -332,8 +332,6 @@ class Const(Term):
         self.span = span
 
 
-_ATOMS = (Univ, Unit, Star, Nat, Zero, Empty, Refl, Const)
-
 # The word of each prefix or nullary former, and the mark that spells its
 # strict twin (None for a former with no twin): the parser reads these words
 # and the printer writes them.  Universes, numerals, `+`, `=` and the
@@ -393,48 +391,6 @@ def keyword(cls: type, strict: bool = False) -> str:
     """The word of the former `cls`, or of its strict twin."""
     word, mark = KEYWORDS[cls]
     return word + mark if strict else word
-
-
-def term_children(t: Term) -> list[tuple[object, Term, bool]]:
-    """(key, child, crosses-a-binder) for every Term-valued child.  The key
-    is the field's name, or (name, position) for an element of a tuple of
-    terms (`Elim.args`)."""
-    out = []
-    for name, under in t._children:
-        child = getattr(t, name)
-        if type(child) is tuple:
-            out += (((name, i), c, under) for i, c in enumerate(child))
-        elif child is not None:  # `Id.ty` may be absent
-            out.append((name, child, under))
-    return out
-
-
-def _rebuild(t: Term, changes: dict) -> Term:
-    """`t` with the children keyed in `changes`, as `term_children` keys
-    them, replaced."""
-    if not changes:
-        return t
-    fields = {f: getattr(t, f) for f in t._fields}
-    for key, new in changes.items():
-        if type(key) is tuple:  # (name, position) in a tuple of terms
-            key, i = key
-            new = fields[key][:i] + (new,) + fields[key][i + 1:]
-        fields[key] = new
-    return type(t)(**fields)
-
-
-def shift(t: Term, amount: int, cutoff: int = 0) -> Term:
-    """Displace all free indices >= cutoff by `amount`; bound indices untouched."""
-    if isinstance(t, Var):
-        return Var(t.index + amount, span=t.span) if t.index >= cutoff else t
-    if isinstance(t, _ATOMS):
-        return t
-    changes = {}
-    for name, child, under in term_children(t):
-        new = shift(child, amount, cutoff + 1 if under else cutoff)
-        if new is not child:
-            changes[name] = new
-    return _rebuild(t, changes)
 
 
 def collector_paused(build):

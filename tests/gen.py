@@ -12,9 +12,9 @@ import random
 from functools import partial
 
 from tltt import syntax as S
-from tltt.syntax import Term, shift
+from tltt.syntax import Term
 
-from term_helpers import strict_constructors, subst
+from term_helpers import shift, strict_constructors, subst
 
 
 def _strict(cls):

@@ -12,7 +12,7 @@ from typing import Optional
 from tltt import syntax as S
 from tltt.syntax import Term
 
-from term_helpers import subst
+from term_helpers import _rebuild, subst, term_children
 
 
 def step(t: Term, defs: dict[str, Term]) -> Optional[Term]:
@@ -37,10 +37,10 @@ def step(t: Term, defs: dict[str, Term]) -> Optional[Term]:
             return S.App(r, v)
         case S.Elim(former=S.Id, args=(_, c, a, _), target=S.Refl()):
             return S.App(c, a)
-    for name, child, _ in S.term_children(t):
+    for name, child, _ in term_children(t):
         reduced = step(child, defs)
         if reduced is not None:
-            return S._rebuild(t, {name: reduced})
+            return _rebuild(t, {name: reduced})
     return None
 
 

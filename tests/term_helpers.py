@@ -1,7 +1,9 @@
-"""Term helpers that only the tests use: substitution, two scans and the
-strong-mode merge.
+"""Term helpers that only the tests use: a term's children and its rebuild
+from them, shifting, substitution, two scans and the strong-mode merge.
 
-`subst` backs the reference normalizer and the well-typed generator; the
+`term_children` and `_rebuild` read a term class's child table; `shift` is
+the reference for the parser's displaced telescope domains, and with
+`subst` it backs the reference normalizer and the well-typed generator; the
 scans check which constructors a term mentions; `merge_strict_formers` is
 the reference for the parser's strong mode.  The checker itself needs none
 of them, so they live here rather than in `tltt.syntax`.
@@ -10,7 +12,54 @@ of them, so they live here rather than in `tltt.syntax`.
 from __future__ import annotations
 
 from tltt import syntax as S
-from tltt.syntax import _ATOMS, Elim, Id, Refl, Term, UipS, Var, _rebuild, shift, term_children
+from tltt.syntax import (
+    Const, Elim, Empty, Id, Nat, Refl, Star, Term, UipS, Unit, Univ, Var, Zero,
+)
+
+_ATOMS = (Univ, Unit, Star, Nat, Zero, Empty, Refl, Const)
+
+
+def term_children(t: Term) -> list[tuple[object, Term, bool]]:
+    """(key, child, crosses-a-binder) for every Term-valued child.  The key
+    is the field's name, or (name, position) for an element of a tuple of
+    terms (`Elim.args`)."""
+    out = []
+    for name, under in t._children:
+        child = getattr(t, name)
+        if type(child) is tuple:
+            out += (((name, i), c, under) for i, c in enumerate(child))
+        elif child is not None:  # `Id.ty` may be absent
+            out.append((name, child, under))
+    return out
+
+
+def _rebuild(t: Term, changes: dict) -> Term:
+    """`t` with the children keyed in `changes`, as `term_children` keys
+    them, replaced."""
+    if not changes:
+        return t
+    fields = {f: getattr(t, f) for f in t._fields}
+    for key, new in changes.items():
+        if type(key) is tuple:  # (name, position) in a tuple of terms
+            key, i = key
+            new = fields[key][:i] + (new,) + fields[key][i + 1:]
+        fields[key] = new
+    return type(t)(**fields)
+
+
+def shift(t: Term, amount: int, cutoff: int = 0) -> Term:
+    """Displace all free indices >= cutoff by `amount`; bound indices untouched."""
+    if isinstance(t, Var):
+        return Var(t.index + amount, span=t.span) if t.index >= cutoff else t
+    if isinstance(t, _ATOMS):
+        return t
+    changes = {}
+    for name, child, under in term_children(t):
+        new = shift(child, amount, cutoff + 1 if under else cutoff)
+        if new is not child:
+            changes[name] = new
+    return _rebuild(t, changes)
+
 
 
 def subst(t: Term, index: int, replacement: Term) -> Term:
@@ -66,7 +115,7 @@ def merge_strict_formers(t: Term) -> Term:
     (and their eliminators) with the fibrant ones, by clearing their `strict`
     flag.  Strict equality is untouched."""
     changes = {}
-    for name, child, _ in S.term_children(t):
+    for name, child, _ in term_children(t):
         new = merge_strict_formers(child)
         if new is not child:
             changes[name] = new

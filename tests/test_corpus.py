@@ -11,7 +11,7 @@ from tltt.parser import parse_module, parse_term
 from tltt.printer import pretty_print
 
 from reference_norm import normalize_ref
-from term_helpers import mentions_inner_id
+from term_helpers import mentions_inner_id, term_children
 
 
 @pytest.fixture(scope="module")
@@ -165,7 +165,7 @@ def _classes(t: S.Term) -> set:
     while stack:
         u = stack.pop()
         found.add(type(u))
-        stack.extend(child for _, child, _ in S.term_children(u))
+        stack.extend(child for _, child, _ in term_children(u))
     return found
 
 

@@ -17,7 +17,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from tltt import corpus, nbe
+from tltt import cli, corpus
 from tltt.cli import RunConfig, emit_report, main, run
 from tltt.printer import pretty_print
 from tltt.syntax import Span
@@ -153,12 +153,13 @@ def test_checking_reports_the_same_without_sharing(tmp_path, monkeypatch):
     cases = [*_negative_suites(), *_mutated_files(160, seed=20161)]
     shared = _reports(tmp_path, cases)
     items = [0]
+    run_item = cli._Runner.run_item.__wrapped__  # without its sharing tables
 
-    def unshared(build):
+    def unshared(self, path, decl):
         items[0] += 1
-        return build
+        return run_item(self, path, decl)
 
-    monkeypatch.setattr(nbe, "sharing", unshared)
+    monkeypatch.setattr(cli._Runner, "run_item", unshared)
     # a diagnostic compares by code, message, span, expected and actual
     assert _reports(tmp_path, cases) == shared
     assert items[0] > len(cases)

@@ -18,7 +18,7 @@ from tltt.parser import Parser, parse_module, parse_term, tokenize
 from tltt.printer import pretty_print
 
 from gen import rand_scoped
-from term_helpers import merge_strict_formers, shift, strict_constructors
+from term_helpers import merge_strict_formers, shift, strict_constructors, term_children
 
 
 def test_module_with_definition():
@@ -276,9 +276,9 @@ def count_calls(monkeypatch, owner, name, limit=None):
 def test_long_chains_parse_without_shifting(monkeypatch, connective, former):
     # each factor of `A -> A -> ... -> A` sees one more anonymous binder
     n = 2000
-    shifts = count_calls(monkeypatch, S, "shift")
+    terms = count_calls(monkeypatch, Parser, "term")
     t = parse_term(f" {connective} ".join(["A"] * n), scope=["A"])
-    assert shifts[0] == 0
+    assert terms[0] == 1  # one loop, with no term parsed or rewritten again
     for k in range(n - 1):
         assert type(t) is former
         first, t = t.dom, t.cod
@@ -616,7 +616,7 @@ def _term_nodes(decl):
     while stack:
         t = stack.pop()
         nodes.append(t)
-        stack.extend(child for _, child, _ in S.term_children(t))
+        stack.extend(child for _, child, _ in term_children(t))
     return nodes
 
 

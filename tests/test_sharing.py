@@ -26,6 +26,7 @@ from tltt.parser import parse_module, parse_term
 from tltt.printer import pretty_print
 
 from gen import gen_well_typed
+from term_helpers import term_children
 
 TERMS = ([f"SST {n}s" for n in range(6)]
          + [f"Delta {i}s {j}s" for j in range(4) for i in range(j + 1)]
@@ -229,7 +230,7 @@ def test_a_normal_form_shares_subterm_objects(sst_ctx):
         nodes += 1
         if id(t) not in seen:
             seen.add(id(t))
-            stack.extend(child for _, child, _ in S.term_children(t))
+            stack.extend(child for _, child, _ in term_children(t))
     assert len(seen) < nodes
 
 

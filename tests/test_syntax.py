@@ -6,9 +6,9 @@ import sys
 from pathlib import Path
 
 from tltt import syntax as S
-from tltt.syntax import Var, Lam, App, Pi, Const, Star, Nat, Zero, shift
+from tltt.syntax import Var, Lam, App, Pi, Const, Star, Nat, Zero
 
-from term_helpers import subst
+from term_helpers import _rebuild, shift, subst, term_children
 
 # -- a tiny named-variable reference implementation (the oracle for the
 #    de Bruijn operations on the lambda/pi fragment)
@@ -186,10 +186,10 @@ def test_strict_is_compared_and_hashed():
                S.Elim(S.Empty, (Nat(),), Star()), S.Elim(S.Sum, (Nat(), Star(), Star()), Star()),
                S.Elim(S.Id, (Nat(), Star(), Zero(), Zero()), S.Refl())]
     for t in flagged:
-        flipped = S._rebuild(t, {"strict": True})
+        flipped = _rebuild(t, {"strict": True})
         assert t != flipped and not t == flipped, t
         assert hash(t) != hash(flipped), t
-        assert flipped == S._rebuild(t, {"strict": True})
+        assert flipped == _rebuild(t, {"strict": True})
 
 
 def test_a_different_class_compares_unequal():
@@ -215,15 +215,15 @@ def test_field_tables():
     assert S.Lam._fields == ("span", "body", "hint")
     assert S.Ann._fields == ("span", "term", "type")
     assert S.Id._fields == ("span", "ty", "lhs", "rhs", "strict")
-    assert [(n, under) for n, _, under in S.term_children(Lam(Var(0)))] == [("body", True)]
-    assert [(n, under) for n, _, under in S.term_children(S.Ann(Var(0), Nat()))] == \
+    assert [(n, under) for n, _, under in term_children(Lam(Var(0)))] == [("body", True)]
+    assert [(n, under) for n, _, under in term_children(S.Ann(Var(0), Nat()))] == \
         [("term", False), ("type", False)]
-    assert [n for n, _, _ in S.term_children(S.Id(None, Zero(), Zero()))] == ["lhs", "rhs"]
-    assert S.term_children(Var(0)) == [] and S.term_children(Const("c")) == []
+    assert [n for n, _, _ in term_children(S.Id(None, Zero(), Zero()))] == ["lhs", "rhs"]
+    assert term_children(Var(0)) == [] and term_children(Const("c")) == []
     # an eliminator's arguments are keyed by their position in the tuple
     assert S.Elim._fields == ("span", "former", "args", "target", "strict")
     elim = S.Elim(S.Nat, (Var(0), Var(1), Var(2)), Var(3))
-    assert [(key, child) for key, child, _ in S.term_children(elim)] == \
+    assert [(key, child) for key, child, _ in term_children(elim)] == \
         [(("args", 0), Var(0)), (("args", 1), Var(1)), (("args", 2), Var(2)), ("target", Var(3))]
     # every class reads back each field it is built with, a class that
     # borrows its twin's `__init__` included
@@ -241,12 +241,12 @@ def test_field_tables():
 def test_rebuild_keeps_the_fields_it_does_not_replace():
     sp = S.Span("f", 1, 1, 1, 2)
     t = Pi(Nat(), Var(0), "x", span=sp)
-    assert S._rebuild(t, {}) is t
-    u = S._rebuild(t, {"dom": S.Unit()})
+    assert _rebuild(t, {}) is t
+    u = _rebuild(t, {"dom": S.Unit()})
     assert type(u) is Pi and (u.dom, u.cod, u.hint, u.span) == (S.Unit(), Var(0), "x", sp)
     assert t.dom == Nat()  # the original is untouched
     elim = S.Elim(S.Id, (Var(0), Var(1), Var(2), Var(3)), Var(4), strict=True, span=sp)
-    new = S._rebuild(elim, {("args", 1): Star(), ("args", 3): Zero(), "target": Nat()})
+    new = _rebuild(elim, {("args", 1): Star(), ("args", 3): Zero(), "target": Nat()})
     assert (new.former, new.args, new.target, new.strict, new.span) == \
         (S.Id, (Var(0), Star(), Var(2), Zero()), Nat(), True, sp)
 
@@ -256,7 +256,7 @@ def test_a_universe_compares_and_hashes_its_level():
     sp = S.Span("f", 1, 1, 1, 2)
     assert S.Univ(1, span=sp) == S.Univ(1) and hash(S.Univ(1, span=sp)) == hash(S.Univ(1))
     assert S.Univ(1) != S.Univ(2) and hash(S.Univ(1)) != hash(S.Univ(2))
-    assert S.Univ(0) != (0, False) and S.term_children(S.Univ(3, strict=True)) == []
+    assert S.Univ(0) != (0, False) and term_children(S.Univ(3, strict=True)) == []
 
 
 def test_importing_the_checker_loads_no_dataclasses():

@@ -13,7 +13,7 @@ from tltt.parser import parse_module, parse_term
 from tltt.printer import pretty_print
 
 from gen import gen_well_typed
-from term_helpers import strict_constructors
+from term_helpers import strict_constructors, term_children
 
 
 def ctx_default(**kw):
@@ -220,7 +220,7 @@ def test_elaborated_terms_keep_no_span_of_the_parse():
             t = stack.pop()
             assert t.span is None or isinstance(t, leaves), t
             spanned += t.span is not None
-            stack.extend(child for _, child, _ in S.term_children(t))
+            stack.extend(child for _, child, _ in term_children(t))
     assert spanned > 0
 
 
